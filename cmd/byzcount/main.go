@@ -16,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,37 +45,30 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing subcommand")
 	}
+	var prof profiler
+	defer func() { err = errors.Join(err, prof.stop()) }()
 	switch args[0] {
 	case "list":
-		fmt.Println("experiments (see DESIGN.md for the claim each reproduces):")
-		for _, id := range expt.IDs() {
-			fmt.Println(" ", id)
-		}
-		fmt.Println("scenario axes (byzcount matrix / run):")
-		fmt.Println("  protocols: ", strings.Join(expt.ProtocolNames(), " "))
-		fmt.Println("  substrates:", strings.Join(expt.SubstrateNames(), " "))
-		fmt.Println("  adversaries:", strings.Join(expt.AdversaryNames(), " "))
-		fmt.Println("  placements:", strings.Join(expt.PlacementNames(), " "))
-		return nil
+		return listCmd(args[1:], &prof)
 	case "expt":
-		return exptCmd(args[1:], false)
+		return exptCmd(args[1:], false, &prof)
 	case "all":
-		return exptCmd(args[1:], true)
+		return exptCmd(args[1:], true, &prof)
 	case "run":
-		return runCmd(args[1:])
+		return runCmd(args[1:], &prof)
 	case "matrix":
-		return matrixCmd(args[1:])
+		return matrixCmd(args[1:], &prof)
 	case "sweep":
-		return sweepCmd(args[1:])
+		return sweepCmd(args[1:], &prof)
 	case "bench":
-		return benchCmd(args[1:])
+		return benchCmd(args[1:], &prof)
 	case "graph":
-		return graphCmd(args[1:])
+		return graphCmd(args[1:], &prof)
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -135,10 +129,28 @@ flags for bench:    -quick  -out FILE  -filter SUBSTR  -parallel N
                     -diff [-tolerance F] OLD.json NEW.json (exit 1 past tolerance)
                     -tolerance-override name=F|prefix*=F (repeatable, for -diff)
 flags for graph:    -kind hnd|regular|smallworld|ring|torus|dumbbell  -n N  -d D
-                    -seed N  -out FILE`)
+                    -seed N  -out FILE
+every subcommand:   -cpuprofile FILE  -memprofile FILE (runtime/pprof; inspect
+                    with go tool pprof -top FILE)`)
 }
 
-func exptCmd(args []string, all bool) error {
+func listCmd(args []string, prof *profiler) error {
+	if err := prof.parse(flag.NewFlagSet("list", flag.ContinueOnError), args); err != nil {
+		return err
+	}
+	fmt.Println("experiments (see DESIGN.md for the claim each reproduces):")
+	for _, id := range expt.IDs() {
+		fmt.Println(" ", id)
+	}
+	fmt.Println("scenario axes (byzcount matrix / run):")
+	fmt.Println("  protocols: ", strings.Join(expt.ProtocolNames(), " "))
+	fmt.Println("  substrates:", strings.Join(expt.SubstrateNames(), " "))
+	fmt.Println("  adversaries:", strings.Join(expt.AdversaryNames(), " "))
+	fmt.Println("  placements:", strings.Join(expt.PlacementNames(), " "))
+	return nil
+}
+
+func exptCmd(args []string, all bool, prof *profiler) error {
 	fs := flag.NewFlagSet("expt", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "root random seed")
 	trials := fs.Int("trials", 3, "trials per row")
@@ -157,7 +169,7 @@ func exptCmd(args []string, all bool) error {
 		id = args[0]
 		rest = args[1:]
 	}
-	if err := fs.Parse(rest); err != nil {
+	if err := prof.parse(fs, rest); err != nil {
 		return err
 	}
 	expt.SetSubstrateCache(*subcache)
@@ -184,7 +196,7 @@ func exptCmd(args []string, all bool) error {
 // the E1-E18 quick regenerations), prints one line per benchmark, and
 // records the machine-readable trajectory in BENCH.json — the artifact
 // CI archives on every run so performance changes leave a trace.
-func benchCmd(args []string) error {
+func benchCmd(args []string, prof *profiler) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "shrunken iteration budget (CI smoke)")
 	out := fs.String("out", "BENCH.json", "write the JSON record here (empty disables)")
@@ -202,7 +214,7 @@ func benchCmd(args []string) error {
 		func(spec string) error { return perf.ParseOverride(overrides, spec) })
 	requireClean := fs.Bool("require-clean", false,
 		"refuse to snapshot from a dirty working tree (CI sets this: a dirty record's git_sha lies)")
-	if err := fs.Parse(args); err != nil {
+	if err := prof.parse(fs, args); err != nil {
 		return err
 	}
 	if *diff {
@@ -278,14 +290,14 @@ func rate(metrics map[string]float64, key string) string {
 	return fmt.Sprintf("%.3g", v)
 }
 
-func graphCmd(args []string) error {
+func graphCmd(args []string, prof *profiler) error {
 	fs := flag.NewFlagSet("graph", flag.ContinueOnError)
 	kind := fs.String("kind", "hnd", "hnd|regular|smallworld|ring|torus|dumbbell")
 	n := fs.Int("n", 256, "network size (per side for dumbbell)")
 	d := fs.Int("d", 8, "degree parameter")
 	seed := fs.Uint64("seed", 1, "random seed")
 	out := fs.String("out", "", "write edge list to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := prof.parse(fs, args); err != nil {
 		return err
 	}
 	rng := xrand.New(*seed)
@@ -381,7 +393,7 @@ func resolveAttack(attack, proto string) (string, error) {
 	return byProto[""], nil
 }
 
-func runCmd(args []string) error {
+func runCmd(args []string, prof *profiler) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	proto := fs.String("proto", "congest", "protocol: congest|local|geometric|support|kmv|walk|tree")
 	substrate := fs.String("substrate", "hnd",
@@ -409,7 +421,7 @@ func runCmd(args []string) error {
 		"message-fault model spec (drop:P|partition:G@FROM[-HEAL]); overrides -drop")
 	tickSkip := fs.Bool("tickskip", true,
 		"fast-forward empty virtual ticks (requires -delay/-fault and a tick-driven protocol; outputs are identical either way)")
-	if err := fs.Parse(args); err != nil {
+	if err := prof.parse(fs, args); err != nil {
 		return err
 	}
 	// Only an explicitly typed -tickskip reaches the engine: the default
@@ -595,11 +607,11 @@ func matrixFlags(fs *flag.FlagSet) func() (expt.Matrix, expt.Config, error) {
 	}
 }
 
-func matrixCmd(args []string) error {
+func matrixCmd(args []string, prof *profiler) error {
 	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
 	build := matrixFlags(fs)
 	format := fs.String("format", "table", "output format: table|csv")
-	if err := fs.Parse(args); err != nil {
+	if err := prof.parse(fs, args); err != nil {
 		return err
 	}
 	m, cfg, err := build()
@@ -625,7 +637,7 @@ func matrixCmd(args []string) error {
 // drain in-flight cells, flush the log, and leave a resumable
 // directory; `-resume` picks an interrupted sweep back up and produces
 // tables byte-identical to an uninterrupted run.
-func sweepCmd(args []string) error {
+func sweepCmd(args []string, prof *profiler) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	build := matrixFlags(fs)
 	out := fs.String("out", "", "sweep directory to create (manifest + cell log + outputs)")
@@ -633,7 +645,7 @@ func sweepCmd(args []string) error {
 	retries := fs.Int("retries", 0, "retries per transiently failing cell before quarantine (0 = default 2, negative = none)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell attempt timeout; exceeded cells are quarantined (0 = none)")
 	progress := fs.Bool("progress", false, "print a progress line after every completed cell")
-	if err := fs.Parse(args); err != nil {
+	if err := prof.parse(fs, args); err != nil {
 		return err
 	}
 	if (*out == "") == (*resume == "") {

