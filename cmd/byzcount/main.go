@@ -131,7 +131,8 @@ flags for bench:    -quick  -out FILE  -filter SUBSTR  -parallel N
 flags for graph:    -kind hnd|regular|smallworld|ring|torus|dumbbell  -n N  -d D
                     -seed N  -out FILE
 every subcommand:   -cpuprofile FILE  -memprofile FILE (runtime/pprof; inspect
-                    with go tool pprof -top FILE)`)
+                    with go tool pprof -top FILE)
+                    -trace FILE (runtime/trace; inspect with go tool trace FILE)`)
 }
 
 func listCmd(args []string, prof *profiler) error {
@@ -607,6 +608,19 @@ func matrixFlags(fs *flag.FlagSet) func() (expt.Matrix, expt.Config, error) {
 	}
 }
 
+// checkGridDegree rejects a -d that rules out a listed protocol. The
+// degree is one value for the whole grid, so every cell of such a
+// protocol would be skipped as incompatible; the scenario's own
+// validation error names the cause where an empty matrix would not.
+func checkGridDegree(m expt.Matrix) error {
+	for _, p := range m.Protos {
+		if err := (expt.Scenario{Proto: p, D: m.D}).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func matrixCmd(args []string, prof *profiler) error {
 	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
 	build := matrixFlags(fs)
@@ -616,6 +630,9 @@ func matrixCmd(args []string, prof *profiler) error {
 	}
 	m, cfg, err := build()
 	if err != nil {
+		return err
+	}
+	if err := checkGridDegree(m); err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -674,6 +691,9 @@ func sweepCmd(args []string, prof *profiler) error {
 		dir = *resume
 		sum, err = expt.ResumeMatrixSweep(ctx, dir, cfg, opts)
 	} else {
+		if err := checkGridDegree(m); err != nil {
+			return err
+		}
 		sum, err = expt.RunMatrixSweep(ctx, cfg, m, dir, opts)
 	}
 	if sum != nil && sum.Interrupted {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,11 +218,11 @@ func TestGraphCmdWritesEdgeList(t *testing.T) {
 
 func TestRunWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	if err := run([]string{"run", "-n", "64", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+	cpu, mem, tr := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof"), filepath.Join(dir, "run.trace")
+	if err := run([]string{"run", "-n", "64", "-cpuprofile", cpu, "-memprofile", mem, "-trace", tr}); err != nil {
 		t.Fatalf("run with profiles failed: %v", err)
 	}
-	for _, path := range []string{cpu, mem} {
+	for _, path := range []string{cpu, mem, tr} {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("profile %s missing or empty (err %v)", filepath.Base(path), err)
 		}
@@ -230,14 +231,48 @@ func TestRunWritesProfiles(t *testing.T) {
 
 func TestProfileFlagsOnEverySubcommand(t *testing.T) {
 	// Each subcommand must accept the flags (a bad path proves the flag
-	// was parsed: the error comes from creating the file).
-	bad := filepath.Join(t.TempDir(), "missing", "cpu.prof")
+	// was parsed: the error comes from creating the file). The trace
+	// starts first, so every subcommand must also leave a non-empty
+	// trace file behind, stopped on the error path.
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "missing", "cpu.prof")
 	for _, cmd := range [][]string{
 		{"list"}, {"expt", "E8"}, {"all"}, {"run"}, {"matrix"}, {"sweep"}, {"bench"}, {"graph"},
 	} {
-		err := run(append(cmd, "-cpuprofile", bad))
+		tr := filepath.Join(dir, cmd[0]+".trace")
+		err := run(append(cmd, "-trace", tr, "-cpuprofile", bad))
 		if err == nil || !strings.Contains(err.Error(), "cpuprofile") {
 			t.Errorf("%s -cpuprofile BAD: err %v, want a cpuprofile error", cmd[0], err)
+		}
+		if fi, err := os.Stat(tr); err != nil || fi.Size() == 0 {
+			t.Errorf("%s -trace: file missing or empty (err %v)", cmd[0], err)
+		}
+		err = run(append(cmd, "-trace", bad))
+		if err == nil || !strings.Contains(err.Error(), "trace") {
+			t.Errorf("%s -trace BAD: err %v, want a trace error", cmd[0], err)
+		}
+	}
+}
+
+// TestCongestDegreeOneRejected: d=1 leaves Algorithm 2's trusted-suffix
+// parameter undefined (equation (3) divides by ln d). Every command that
+// builds congest cells must say so as an error, not panic.
+func TestCongestDegreeOneRejected(t *testing.T) {
+	for _, cmd := range [][]string{
+		{"run", "-proto", "congest", "-n", "16", "-d", "1"},
+		{"matrix", "-proto", "congest", "-n", "16", "-d", "1"},
+		{"sweep", "-proto", "congest", "-n", "16", "-d", "1", "-out", filepath.Join(t.TempDir(), "sw")},
+	} {
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return run(cmd)
+		}()
+		if err == nil || !strings.Contains(err.Error(), `protocol "congest" needs degree d >= 2, got d=1`) {
+			t.Errorf("%s at d=1: err %v, want the congest degree error", cmd[0], err)
 		}
 	}
 }

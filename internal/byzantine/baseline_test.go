@@ -138,9 +138,9 @@ func TestBeaconSpammerEveryRound(t *testing.T) {
 	for r := 0; r < 9; r++ {
 		if out := sp.Step(env, r, nil); len(out) > 0 {
 			sends++
-			b := out[0].Payload.(counting.Beacon)
-			if len(b.Path) != 3 {
-				t.Fatalf("prefix length %d", len(b.Path))
+			b := out[0].Payload.(*counting.Beacon)
+			if b.Len() != 3 {
+				t.Fatalf("prefix length %d", b.Len())
 			}
 		}
 	}

@@ -10,14 +10,71 @@ import (
 // the path written by honest nodes is always truthful; only prefixes that
 // passed through Byzantine nodes can be bogus (Section 5, "Beacon
 // Messages and Path Fields").
+//
+// A beacon travels as a *Beacon and its path is a shared-prefix chain:
+// each Beacon holds the path's last ID and points at the beacon it
+// extends, so an honest forward is one 32-byte node instead of a copy of
+// the path. Beacons are immutable once built — every receiver of a
+// broadcast reads the same chain — and only NewBeacon and the honest
+// forward build them, so every chain is finite and its lengths agree.
 type Beacon struct {
-	Origin sim.NodeID
-	Path   []sim.NodeID
+	origin sim.NodeID
+	prev   *Beacon    // the beacon this one extends; nil when n == 0
+	hop    sim.NodeID // path[n-1]; unused when n == 0
+	n      int        // path length
+}
+
+// NewBeacon returns a beacon from origin carrying a copy of path, built
+// with one allocation. Honest forwards extend a received beacon instead.
+func NewBeacon(origin sim.NodeID, path []sim.NodeID) *Beacon {
+	chain := make([]Beacon, len(path)+1)
+	chain[0] = Beacon{origin: origin}
+	for k, id := range path {
+		chain[k+1] = Beacon{origin: origin, prev: &chain[k], hop: id, n: k + 1}
+	}
+	return &chain[len(path)]
+}
+
+// extend returns the beacon that forwards b with id appended to its path
+// (line 16), sharing b's path instead of copying it.
+func (b *Beacon) extend(id sim.NodeID) *Beacon {
+	return &Beacon{origin: b.origin, prev: b, hop: id, n: b.n + 1}
+}
+
+// Origin returns the ID the beacon claims to originate from.
+func (b *Beacon) Origin() sim.NodeID { return b.origin }
+
+// Len returns the length of the path field.
+func (b *Beacon) Len() int { return b.n }
+
+// AppendPath appends the path field, first forwarder first, to dst and
+// returns the extended slice.
+func (b *Beacon) AppendPath(dst []sim.NodeID) []sim.NodeID {
+	dst = append(dst, make([]sim.NodeID, b.n)...)
+	path := dst[len(dst)-b.n:]
+	for ; b.n > 0; b = b.prev {
+		path[b.n-1] = b.hop
+	}
+	return dst
+}
+
+// untrusted returns the chain node ending the path prefix that lies
+// outside the trusted suffix of the last suffix IDs (lines 20 and 31),
+// or nil when the suffix covers the whole path. Walking prev from it
+// while n > 0 visits that prefix, last ID first.
+func (b *Beacon) untrusted(suffix int) *Beacon {
+	if b.n <= suffix {
+		return nil
+	}
+	for ; suffix > 0; suffix-- {
+		b = b.prev
+	}
+	return b
 }
 
 // SizeBits counts the origin, the path IDs, and a small tag. A beacon is
 // a "small-sized message" as long as its path stays O(log n) long.
-func (b Beacon) SizeBits() int { return 16 + 64 + 64*len(b.Path) }
+func (b *Beacon) SizeBits() int { return 16 + 64 + 64*b.n }
 
 // Continue is the keep-going signal broadcast by undecided nodes at the
 // end of each iteration and forwarded for i+3 rounds (line 35).
@@ -75,17 +132,15 @@ type CongestProc struct {
 	exited   bool
 
 	lastPhase int // phase of the previous step, to reset blacklists
-	lastIter  int // iteration of the previous step, to reset per-iteration state
 
-	blacklist map[sim.NodeID]struct{}
+	blacklist idSet
 
-	spSet bool
-	sp    []sim.NodeID
+	// sp is shortestPath (line 4): the beacon this node accepted in the
+	// current iteration, nil until it accepts one.
+	sp *Beacon
 
-	receivedContinue     bool
-	forwardedContinue    bool
-	pendingContinueFwd   bool
-	pendingBeaconForward *Beacon
+	receivedContinue  bool
+	forwardedContinue bool
 }
 
 var _ Estimator = (*CongestProc)(nil)
@@ -96,8 +151,6 @@ func NewCongestProc(params CongestParams) *CongestProc {
 		params:    params,
 		locator:   NewLocator(params.Schedule),
 		lastPhase: -1,
-		lastIter:  -1,
-		blacklist: make(map[sim.NodeID]struct{}),
 	}
 }
 
@@ -118,16 +171,11 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 	// Phase transition: reset the phase blacklist (line 2).
 	if i != c.lastPhase {
 		c.lastPhase = i
-		clear(c.blacklist)
+		c.blacklist.reset()
 	}
-	// Iteration transition: reset shortestPath (line 4).
-	if loc.Iteration != c.lastIter || loc.Offset == 0 {
-		if loc.Offset == 0 {
-			c.lastIter = loc.Iteration
-			c.spSet = false
-			c.sp = nil
-			c.pendingBeaconForward = nil
-		}
+	// Iteration start: reset shortestPath (line 4).
+	if loc.Offset == 0 {
+		c.sp = nil
 	}
 
 	// out is the env's reusable scratch buffer: building the round's
@@ -145,9 +193,11 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 		}
 		p := ActivationProbability(c.params.C1, i, env.Degree)
 		if env.Rand().Bernoulli(p) {
-			c.spSet = true
-			c.sp = []sim.NodeID{env.ID}
-			out = env.AppendBroadcast(out, Beacon{Origin: env.ID})
+			// An origin's shortestPath is itself alone, which the
+			// trusted suffix (at least one ID) always covers, so the
+			// empty-path beacon it sends stands in for it.
+			c.sp = &Beacon{origin: env.ID}
+			out = env.AppendBroadcast(out, c.sp)
 		}
 
 	case loc.Offset <= beaconWindowEnd:
@@ -155,26 +205,22 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 		// true sender ID (line 16), maybe accept it (lines 20-25), and
 		// forward it while transmission is still allowed (lines 17-19).
 		if b, fromID, ok := firstBeacon(in); ok {
-			path := make([]sim.NodeID, 0, len(b.Path)+1)
-			path = append(path, b.Path...)
-			path = append(path, fromID)
-			fwd := Beacon{Origin: b.Origin, Path: path}
+			fwd := b.extend(fromID)
 			if loc.Offset <= i+1 {
 				out = env.AppendBroadcast(out, fwd)
 			}
-			if !c.spSet && c.acceptable(path, suffix) {
-				c.spSet = true
-				c.sp = path
+			if c.sp == nil && c.acceptable(fwd, suffix) {
+				c.sp = fwd
 			}
 		}
 		if loc.Offset == beaconWindowEnd {
 			// Decision point (lines 28-30) and blacklist update (31-32).
-			if !c.decided && !c.spSet {
+			if !c.decided && c.sp == nil {
 				c.decide(i, round)
 			}
-			if c.spSet && !c.params.DisableBlacklist {
-				for _, id := range prefixToBlacklist(c.sp, suffix) {
-					c.blacklist[id] = struct{}{}
+			if c.sp != nil && !c.params.DisableBlacklist {
+				for p := c.sp.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
+					c.blacklist.add(p.hop)
 				}
 			}
 			// Continue window starts now: undecided nodes broadcast
@@ -219,38 +265,30 @@ func (c *CongestProc) decide(i, round int) {
 }
 
 // acceptable implements the blacklist filter of lines 20-21: the path is
-// accepted when the non-suffix part is disjoint from the blacklist.
-func (c *CongestProc) acceptable(path []sim.NodeID, suffix int) bool {
+// accepted when the part outside the trusted suffix is disjoint from the
+// blacklist.
+func (c *CongestProc) acceptable(b *Beacon, suffix int) bool {
 	if c.params.DisableBlacklist {
 		return true
 	}
-	for _, id := range prefixToBlacklist(path, suffix) {
-		if _, bad := c.blacklist[id]; bad {
+	for p := b.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
+		if c.blacklist.has(p.hop) {
 			return false
 		}
 	}
 	return true
 }
 
-// prefixToBlacklist returns all path entries except the last `suffix`
-// ones (the trusted near-suffix of lines 20 and 31).
-func prefixToBlacklist(path []sim.NodeID, suffix int) []sim.NodeID {
-	if len(path) <= suffix {
-		return nil
-	}
-	return path[:len(path)-suffix]
-}
-
 // firstBeacon returns the first beacon in the inbox, matching line 14's
 // "discards all but one arbitrarily chosen message". The engine delivers
 // in deterministic vertex order, so runs stay reproducible.
-func firstBeacon(in []sim.Incoming) (Beacon, sim.NodeID, bool) {
+func firstBeacon(in []sim.Incoming) (*Beacon, sim.NodeID, bool) {
 	for _, m := range in {
-		if b, ok := m.Payload.(Beacon); ok {
+		if b, ok := m.Payload.(*Beacon); ok {
 			return b, m.FromID, true
 		}
 	}
-	return Beacon{}, 0, false
+	return nil, 0, false
 }
 
 func hasContinue(in []sim.Incoming) bool {

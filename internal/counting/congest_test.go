@@ -2,6 +2,8 @@ package counting
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"byzcount/internal/graph"
@@ -218,6 +220,26 @@ func TestCongestRingStillTerminates(t *testing.T) {
 	}
 }
 
+// prefixToBlacklist returns all path entries except the last `suffix`
+// ones (the trusted near-suffix of lines 20 and 31): the slice reference
+// the chain walk is checked against.
+func prefixToBlacklist(path []sim.NodeID, suffix int) []sim.NodeID {
+	if len(path) <= suffix {
+		return nil
+	}
+	return path[:len(path)-suffix]
+}
+
+// untrustedIDs collects the IDs the blacklist walk visits, in path order.
+func untrustedIDs(b *Beacon, suffix int) []sim.NodeID {
+	var ids []sim.NodeID
+	for p := b.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
+		ids = append(ids, p.hop)
+	}
+	slices.Reverse(ids)
+	return ids
+}
+
 func TestPrefixToBlacklist(t *testing.T) {
 	path := []sim.NodeID{1, 2, 3, 4, 5}
 	if got := prefixToBlacklist(path, 2); len(got) != 3 || got[2] != 3 {
@@ -231,14 +253,148 @@ func TestPrefixToBlacklist(t *testing.T) {
 	}
 }
 
+// TestBeaconChainMatchesSlice checks the chain against the slice path it
+// replaced: built whole by NewBeacon or hop by hop by the honest extend,
+// a chain reads back its path, reports its length and size, and its
+// blacklist walk visits exactly prefixToBlacklist's entries.
+func TestBeaconChainMatchesSlice(t *testing.T) {
+	rng := xrand.New(11)
+	paths := [][]sim.NodeID{nil, {1, 2, 3, 4, 5}} // TestPrefixToBlacklist's path
+	for range 300 {
+		p := make([]sim.NodeID, rng.Intn(41))
+		for k := range p {
+			switch rng.Intn(4) {
+			case 0:
+				p[k] = 0
+			case 1:
+				p[k] = p[rng.Intn(k+1)] // a repeat (or 0 from the unset tail)
+			default:
+				p[k] = sim.NodeID(rng.Uint64())
+			}
+		}
+		paths = append(paths, p)
+	}
+	check := func(b *Beacon, origin sim.NodeID, p []sim.NodeID) {
+		t.Helper()
+		if got := b.AppendPath(nil); !slices.Equal(got, p) {
+			t.Fatalf("AppendPath = %v, want %v", got, p)
+		}
+		if got, want := b.AppendPath([]sim.NodeID{7}), append([]sim.NodeID{7}, p...); !slices.Equal(got, want) {
+			t.Fatalf("AppendPath onto [7] = %v, want %v", got, want)
+		}
+		if b.Origin() != origin || b.Len() != len(p) || b.SizeBits() != 16+64+64*len(p) {
+			t.Fatalf("path %v: Origin %d Len %d SizeBits %d", p, b.Origin(), b.Len(), b.SizeBits())
+		}
+		for suffix := 1; suffix <= 45; suffix++ {
+			if got, want := untrustedIDs(b, suffix), prefixToBlacklist(p, suffix); !slices.Equal(got, want) {
+				t.Fatalf("path %v suffix %d: walk visits %v, want %v", p, suffix, got, want)
+			}
+		}
+	}
+	for _, p := range paths {
+		origin := sim.NodeID(rng.Uint64())
+		check(NewBeacon(origin, p), origin, p)
+		// Build the same path by forwarding a beacon whose path is a
+		// random prefix of it, one hop per forward.
+		k := rng.Intn(len(p) + 1)
+		b := NewBeacon(origin, p[:k])
+		for _, id := range p[k:] {
+			b = b.extend(id)
+		}
+		check(b, origin, p)
+	}
+}
+
 func TestBeaconSizeBits(t *testing.T) {
-	b := Beacon{Origin: 1, Path: []sim.NodeID{2, 3}}
+	b := NewBeacon(1, []sim.NodeID{2, 3})
 	if b.SizeBits() != 16+64+128 {
 		t.Errorf("SizeBits = %d", b.SizeBits())
 	}
 	var c Continue
 	if c.SizeBits() != 16 {
 		t.Errorf("continue SizeBits = %d", c.SizeBits())
+	}
+}
+
+// stepMallocs steps p through one round and returns the number of heap
+// objects the round allocated.
+func stepMallocs(p *CongestProc, env *sim.Env, round int, in []sim.Incoming) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.Step(env, round, in)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCongestStepAllocs gates Algorithm 2's step: forwarding a beacon
+// costs one object (the 32-byte chain node; the path is shared and the
+// pointer payload is stored without boxing), and decision and
+// continue-window rounds allocate nothing once the blacklist has grown.
+func TestCongestStepAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	params := DefaultCongestParams(8)
+	params.C1 = 0 // never originate: every beacon comes from the script
+	sched := params.Schedule
+	const i = 2 // phase 2: offsets 1..3 forward, 4 decides, 5..8 continue
+	if sched.StartPhase != i || BlacklistSuffix(i, params.Epsilon) != 1 || sched.Iterations(i) < 3 {
+		t.Fatalf("the script assumes phase %d starts the run, trusts a 1-ID suffix and has 3 iterations", i)
+	}
+	iterLen := IterationRounds(i)
+
+	const deg = 8
+	nbrs := make([]int, deg)
+	for k := range nbrs {
+		nbrs[k] = k + 1
+	}
+	env := (&sim.Env{Vertex: 0, ID: 1, Degree: deg, Neighbors: nbrs}).WithRand(xrand.New(5))
+	env.Broadcast(Continue{}) // size the scratch buffer for one broadcast
+
+	// Every forwarding round delivers one beacon carrying fresh IDs. The
+	// first iteration's 20-ID paths grow the phase blacklist past what
+	// the later iterations' 4-ID prefixes need; the continue window
+	// delivers a continue to forward.
+	ids := xrand.New(6)
+	fresh := func(k int) []sim.NodeID {
+		p := make([]sim.NodeID, k)
+		for j := range p {
+			p[j] = sim.NodeID(ids.Uint64())
+		}
+		return p
+	}
+	inbox := make(map[int][]sim.Incoming)
+	for j := range 3 {
+		pathLen := 4
+		if j == 0 {
+			pathLen = 20
+		}
+		for off := 1; off <= i+1; off++ {
+			b := NewBeacon(sim.NodeID(ids.Uint64()), fresh(pathLen))
+			inbox[j*iterLen+off] = []sim.Incoming{{From: 1, FromID: sim.NodeID(ids.Uint64()), Payload: b}}
+		}
+		for off := i + 3; off < iterLen; off++ {
+			inbox[j*iterLen+off] = []sim.Incoming{{From: 2, FromID: 99, Payload: Continue{}}}
+		}
+	}
+
+	p := NewCongestProc(params)
+	for j := range 3 {
+		for off := 0; off < iterLen; off++ {
+			r := j*iterLen + off
+			got := stepMallocs(p, env, r, inbox[r])
+			var want uint64
+			switch {
+			case off >= 1 && off <= i+1:
+				want = 1
+			case off == i+2 && j == 0:
+				continue // the blacklist grows to its high-water mark
+			}
+			if got != want {
+				t.Errorf("iteration %d offset %d: %d allocations, want %d", j+1, off, got, want)
+			}
+		}
+		if p.decided || p.blacklist.count != 20+4*j {
+			t.Fatalf("iteration %d: decided=%v, blacklist holds %d IDs", j+1, p.decided, p.blacklist.count)
+		}
 	}
 }
 

@@ -209,6 +209,10 @@ func (sc Scenario) Validate() error {
 	if sc.N < 3 || sc.D < 1 {
 		return fmt.Errorf("expt: degenerate scale n=%d d=%d", sc.N, sc.D)
 	}
+	if proto.Congest && sc.D < 2 {
+		// Equation (3)'s trusted-suffix parameter divides by ln d.
+		return fmt.Errorf("expt: protocol %q needs degree d >= 2, got d=%d", sc.Proto, sc.D)
+	}
 	if sc.Delay != "" {
 		if _, err := sim.ParseDelayModel(sc.Delay); err != nil {
 			return err

@@ -24,6 +24,7 @@ func TestScenarioValidate(t *testing.T) {
 			Churn: ChurnProfile{Leaves: 1, Joins: 1}}, "benign"},
 		{Scenario{Byz: 2}, "adversary"}, // Byzantine nodes with adversary "none"
 		{Scenario{N: 2}, "degenerate"},
+		{Scenario{Proto: "congest", D: 1}, `protocol "congest" needs degree d >= 2, got d=1`},
 		{Scenario{Delay: "bogus"}, "delay"},
 		{Scenario{Delay: "uniform:4-1"}, "uniform"},
 		{Scenario{Fault: "bogus"}, "fault"},
@@ -43,6 +44,10 @@ func TestScenarioValidate(t *testing.T) {
 		Churn: ChurnProfile{Leaves: 1, Joins: 1}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
+	}
+	// The d >= 2 bound is the CONGEST protocol's alone.
+	if err := (Scenario{Proto: "local", D: 1}).Validate(); err != nil {
+		t.Errorf("local at d=1 rejected: %v", err)
 	}
 }
 
