@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -50,9 +52,37 @@ func TestConfigTrialsDefault(t *testing.T) {
 	}
 }
 
+// quickDigests pins the sha256 of every experiment's rendered table
+// under quickCfg(). Tables are a pure function of the seed at any
+// parallelism, so any change to engine delivery order, admission,
+// random-stream consumption or protocol logic moves at least one of
+// these. They must never be re-pinned to absorb an engine refactor.
+var quickDigests = map[string]string{
+	"E1":  "afb03f0e517ded3fea02d87732b0d37313effa1b3fd46c402a5bc9d38d93ef4c",
+	"E2":  "eedb1d8bc7790f2b30f491d80503f0e64f821bf1d77a12e6b7b352dc19741508",
+	"E3":  "722348bf90f5fd9999d30a525cd5d952554502a7031f6cbb69ef3f97ed957c7b",
+	"E4":  "3f05fd4e9f8cfa6d500c0c2ab71aeef8b1536672141a5b26ada69fb15e425103",
+	"E5":  "c45fb2515ec0a381a831e7ab7683bf6cf9c696f3396f268bff6ceb4678d71fed",
+	"E6":  "8cfb680611cb9e92df73365d3301a670f428dfc2db933b4db00e06237b33d2b0",
+	"E7":  "93928ef90c0097a8b9d3a84689d64cdcc7bf0a91b890bc660b32286ff72a315e",
+	"E8":  "df732ddb8b6e9dcac2f284e49b47d79c53825f20701544aba7de32e6ffb1099e",
+	"E9":  "9193dd4fd6afff066e807d35595e3475a44c93217904f882fab35390dda32f90",
+	"E10": "17e80ae286fb8fe00fd4e7cbd7411e79f4b9201e1673005c4da556fdff6a93d3",
+	"E11": "803864d47c6b589aa8ab079afc6ebd6bd9c8652734d6b206323a3735674a2d47",
+	"E12": "e35bd71a8f497c54a5867a96b7c41f60ab22cf49f895d7c1a73809a775ac95de",
+	"E13": "6da75d3dd806070baec13f7089c59f6cdcb70fd4b9c1ecc2d305c3804869bed0",
+	"E14": "ddf64a75229af300a85a97a329b5d589d645ef9fc6d6d43267f8b1f610d26cfe",
+	"E15": "2911f58edba5561804b5abda7ceff9201529c8b3e8ec420a125ff03da02e6e4a",
+	"E16": "5a5952591c6e596308febc8de49c5e446c682f6369dd9c3914a74c0331d515cc",
+	"E17": "3846e9a005a61020607f150d0e706d0168bec94484c8f0a88191748596a36072",
+	"E18": "63152db0bda2d5bdaf4004c80490638dff047a66d98c0989102514d9eac66cd8",
+	"E19": "cd61d1c612848edc3b31bb3f5737407daa51081f7a240fc89bba9fbe974ab4b8",
+	"E20": "42a447fa2444f0aed0014f3439c7d889cf16534b09156212f160f2c92490440e",
+}
+
 // Every experiment must run to completion in quick mode and produce a
-// well-formed table. These are the integration smoke tests of the whole
-// reproduction pipeline.
+// well-formed table whose rendering matches its pinned digest. These
+// are the integration smoke tests of the whole reproduction pipeline.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
@@ -72,8 +102,13 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Errorf("%s row width %d != %d columns", id, len(row), len(tbl.Columns))
 				}
 			}
-			if tbl.Render() == "" {
+			out := tbl.Render()
+			if out == "" {
 				t.Error("empty render")
+			}
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != quickDigests[id] {
+				t.Errorf("%s table digest %s, pinned %s; rendered:\n%s", id, got, quickDigests[id], out)
 			}
 		})
 	}

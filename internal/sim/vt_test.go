@@ -129,23 +129,49 @@ func runChurnTranscriptSeeded(t *testing.T, seed uint64, workers int, delay sim.
 	return fmt.Sprintf("%016x", h.Sum64()), run.Metrics()
 }
 
+// legacyPin is one run's output recorded from the synchronous round
+// loop the engine had before unit-latency virtual time became its only
+// delivery path: the transcript digest plus the metrics that depend on
+// delivery order and admission.
+type legacyPin struct {
+	digest                 string
+	rounds                 int
+	messages, bits, capped int64
+	maxMsgBits             int
+}
+
+// checkLegacyPin compares one run against its pin.
+func checkLegacyPin(t *testing.T, label string, want legacyPin, digest string, m sim.Metrics) {
+	t.Helper()
+	got := legacyPin{digest, m.Rounds, m.Messages, m.Bits, m.Capped, m.MaxMsgBits}
+	if got != want {
+		t.Errorf("%s: got %+v, pinned %+v", label, got, want)
+	}
+}
+
+// unitModels are the two spellings of lockstep delivery: no model, and
+// the explicit unit-latency model. Both must reproduce the pins.
+var unitModels = []sim.DelayModel{nil, sim.UnitDelay{}}
+
 // TestVTUnitMatchesLegacyStatic is the equivalence property on the
 // static congest-under-spam scenario: for every seed and worker count,
-// the unit-latency virtual-time engine reproduces the legacy engine's
-// transcript digest, metrics, and round count exactly.
+// the unit-latency engine (nil delay or UnitDelay) reproduces the
+// legacy synchronous engine's transcript digest, metrics and round
+// count, recorded as constants.
 func TestVTUnitMatchesLegacyStatic(t *testing.T) {
+	pins := map[uint64]legacyPin{
+		42: {"4b3eef97f3807998", 3134, 310904, 48933248, 236080, 464},
+		7:  {"e7dae0df18fe2fcf", 3134, 320232, 54000704, 229712, 464},
+	}
 	for _, seed := range vtSeeds {
 		for _, w := range workerCounts {
-			legacyDig, legacyM, legacyR := runTranscriptSeeded(t, seed, w, nil, nil)
-			vtDig, vtM, vtR := runTranscriptSeeded(t, seed, w, sim.UnitDelay{}, nil)
-			if vtDig != legacyDig {
-				t.Errorf("seed=%d workers=%d: unit-latency digest %s != legacy %s", seed, w, vtDig, legacyDig)
-			}
-			if !reflect.DeepEqual(vtM, legacyM) {
-				t.Errorf("seed=%d workers=%d: metrics diverge:\nlegacy: %+v\nvt:     %+v", seed, w, legacyM, vtM)
-			}
-			if vtR != legacyR {
-				t.Errorf("seed=%d workers=%d: rounds %d != legacy %d", seed, w, vtR, legacyR)
+			for _, delay := range unitModels {
+				dig, m, rounds := runTranscriptSeeded(t, seed, w, delay, nil)
+				label := fmt.Sprintf("seed=%d workers=%d delay=%v", seed, w, delay)
+				checkLegacyPin(t, label, pins[seed], dig, m)
+				if rounds != pins[seed].rounds {
+					t.Errorf("%s: Run returned %d rounds, pinned %d", label, rounds, pins[seed].rounds)
+				}
 			}
 		}
 	}
@@ -153,18 +179,18 @@ func TestVTUnitMatchesLegacyStatic(t *testing.T) {
 
 // TestVTUnitMatchesLegacyChurn is the same property with churn on: a
 // join/leave storm over the mutable topology, where Detach/AttachAt
-// must drop and reset ring rows exactly as they drop the double
-// buffer's.
+// must drop and reset ring rows exactly as the legacy engine dropped
+// its double buffer's.
 func TestVTUnitMatchesLegacyChurn(t *testing.T) {
+	pins := map[uint64]legacyPin{
+		42: {"4321280adb84ad5d", 85, 34000, 5106432, 0, 336},
+		7:  {"092ab9654c541c8b", 85, 34056, 5132416, 0, 336},
+	}
 	for _, seed := range vtSeeds {
 		for _, w := range workerCounts {
-			legacyDig, legacyM := runChurnTranscriptSeeded(t, seed, w, nil)
-			vtDig, vtM := runChurnTranscriptSeeded(t, seed, w, sim.UnitDelay{})
-			if vtDig != legacyDig {
-				t.Errorf("seed=%d workers=%d: churn unit-latency digest %s != legacy %s", seed, w, vtDig, legacyDig)
-			}
-			if !reflect.DeepEqual(vtM, legacyM) {
-				t.Errorf("seed=%d workers=%d: churn metrics diverge:\nlegacy: %+v\nvt:     %+v", seed, w, legacyM, vtM)
+			for _, delay := range unitModels {
+				dig, m := runChurnTranscriptSeeded(t, seed, w, delay)
+				checkLegacyPin(t, fmt.Sprintf("churn seed=%d workers=%d delay=%v", seed, w, delay), pins[seed], dig, m)
 			}
 		}
 	}
