@@ -262,14 +262,14 @@ func BenchmarkEngineRoundThroughputParallel8(b *testing.B) {
 	benchEngineRoundThroughput(b, 8)
 }
 
-// benchVTFloodThroughput times the flood workload on the virtual-time
-// scheduler (perf.NewVTFloodEngine — BENCH.json's engine/vt-flood/*):
-// every message takes a per-edge latency draw and rides the calendar
-// ring to its delivery round. "unit" is the degenerate synchronous
-// configuration (the price of the event queue alone, bit-identical
-// transcripts to the legacy path); "uniform:1-4" spreads each round's
-// sends over a four-round window, the real reordering case. Allocs/op
-// reports the steady state: 0, pinned by TestSteadyStateAllocsVT*.
+// benchVTFloodThroughput times the flood workload under a delay model
+// (perf.NewVTFloodEngine — BENCH.json's engine/vt-flood/*): every
+// message takes a per-edge latency and rides the calendar ring to its
+// delivery round. "unit" is lockstep delivery, the same lane as
+// BenchmarkEngineRoundThroughput under another name; "uniform:1-4"
+// spreads each round's sends over a four-round window, the real
+// reordering case. Allocs/op reports the steady state: 0, pinned by
+// TestSteadyStateAllocsVT*.
 func benchVTFloodThroughput(b *testing.B, workers int, delaySpec string) {
 	eng, err := perf.NewVTFloodEngine(1024, 8, workers, delaySpec)
 	if err != nil {
@@ -287,8 +287,8 @@ func BenchmarkEngineVTJitterRoundThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineVTJitterRoundThroughputParallel8: jittered delivery on
-// the sharded engine — workers bucket (destination shard, ring slot)
-// pairs locally and the coordinator merges them in sender order, so the
+// the sharded engine — workers bucket (destination shard, delay) pairs
+// locally and the merge phase drains them in sender order, so the
 // execution is bit-identical to the serial run.
 func BenchmarkEngineVTJitterRoundThroughputParallel8(b *testing.B) {
 	benchVTFloodThroughput(b, 8, "uniform:1-4")

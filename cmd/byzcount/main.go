@@ -97,19 +97,13 @@ flags for run:      -proto congest|local|geometric|support|kmv|walk|tree  -n N  
                     -delay SPEC (unit|uniform:MIN-MAX|geo:P@CAP|region:G/NEAR/FAR|gst:R/SPEC)
                     -gst R (jitter before round R, synchronous after)
                     -drop P  -fault SPEC (drop:P|partition:G@FROM[-HEAL])
-                    -tickskip=false (disable virtual-tick fast-forwarding)
 (-parallel defaults to GOMAXPROCS; outputs are identical for every value)
 (-churn K runs on the dynamically maintained H(n,d): K leaves + K joins
  between every pair of rounds, quiescing at round R; with -byz B the
  roster maintains the Byzantine fraction B/n as the membership churns)
-(-delay/-fault run the virtual-time scheduler: per-message latency and
- fault verdicts are drawn from per-sender streams, so outputs stay
- identical for every -parallel value; omitting both keeps the
- synchronous engine)
-(-tickskip is a run-only execution-shape knob, not a matrix axis:
- skipping empty virtual ticks leaves every table byte-identical, so a
- matrix over it would sweep indistinguishable cells; setting it
- explicitly errors unless the protocol is tick-driven under -delay/-fault)
+(-delay/-fault draw per-message latency and fault verdicts from
+ per-sender streams, so outputs stay identical for every -parallel
+ value; omitting both runs lockstep rounds, i.e. unit latency)
 flags for matrix:   comma-separated axis lists -proto -substrate -adversary
                     -placement -n -byz-frac -churn -delay -fault,
                     plus -churn-stop R  -d D
@@ -414,26 +408,15 @@ func runCmd(args []string, prof *profiler) error {
 	churnStop := fs.Int("churn-stop", 0,
 		"disable churn from this round on (0 = churn for the whole run)")
 	delay := fs.String("delay", "",
-		"delivery-latency model spec (unit|uniform:MIN-MAX|geo:P@CAP|region:G/NEAR/FAR|gst:R/SPEC); empty = synchronous engine")
+		"delivery-latency model spec (unit|uniform:MIN-MAX|geo:P@CAP|region:G/NEAR/FAR|gst:R/SPEC); empty = unit latency")
 	gst := fs.Int("gst", 0,
 		"global stabilization round: jitter (-delay, default uniform:1-4) before round R, synchronous after")
 	drop := fs.Float64("drop", 0, "iid per-message drop probability (shorthand for -fault drop:P)")
 	fault := fs.String("fault", "",
 		"message-fault model spec (drop:P|partition:G@FROM[-HEAL]); overrides -drop")
-	tickSkip := fs.Bool("tickskip", true,
-		"fast-forward empty virtual ticks (requires -delay/-fault and a tick-driven protocol; outputs are identical either way)")
 	if err := prof.parse(fs, args); err != nil {
 		return err
 	}
-	// Only an explicitly typed -tickskip reaches the engine: the default
-	// is already "on", and an explicit setting fail-fasts on runs that
-	// structurally cannot consult it (see expt.RunOptions.TickSkip).
-	var tickSkipOpt *bool
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "tickskip" {
-			tickSkipOpt = tickSkip
-		}
-	})
 	if *churnStop > 0 && *churn == 0 {
 		return fmt.Errorf("-churn-stop %d without -churn K has no effect; pass -churn or drop -churn-stop", *churnStop)
 	}
@@ -467,7 +450,7 @@ func runCmd(args []string, prof *profiler) error {
 		Delay:     delaySpec,
 		Fault:     faultSpec,
 	}
-	out, err := expt.RunScenario(sc, xrand.New(*seed), expt.RunOptions{Workers: *parallel, TickSkip: tickSkipOpt})
+	out, err := expt.RunScenario(sc, xrand.New(*seed), expt.RunOptions{Workers: *parallel})
 	if err != nil {
 		return err
 	}
@@ -561,7 +544,7 @@ func matrixFlags(fs *flag.FlagSet) func() (expt.Matrix, expt.Config, error) {
 	byzFracs := fs.String("byz-frac", "0", "comma-separated Byzantine fractions (0 = benign)")
 	churns := fs.String("churn", "0", "comma-separated churn rates (leaves=joins per round)")
 	churnStop := fs.Int("churn-stop", 150, "disable churn from this round on (0 = churn forever)")
-	delays := fs.String("delay", "", "comma-separated delivery-latency model specs (empty = synchronous)")
+	delays := fs.String("delay", "", "comma-separated delivery-latency model specs (empty = unit latency)")
 	faults := fs.String("fault", "", "comma-separated message-fault model specs (empty = none)")
 	d := fs.Int("d", 8, "degree parameter")
 	maxPhase := fs.Int("max-phase", 8, "congest phase cap (bounds hostile cells)")

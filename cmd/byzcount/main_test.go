@@ -70,6 +70,45 @@ func TestRunProtocolLocalFakeAttack(t *testing.T) {
 	}
 }
 
+// runStdout runs the CLI in-process and returns what it printed to
+// standard output.
+func runStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("byzcount %s: %v", strings.Join(args, " "), err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestRunFakeAttackParallelDelay: the fake-network adversary shares one
+// mutable world across its Sequential procs. Under a delay model on a
+// parallel engine it must run, and print exactly what the serial run
+// prints.
+func TestRunFakeAttackParallelDelay(t *testing.T) {
+	args := []string{"run", "-proto", "local", "-attack", "fake", "-byz", "4", "-n", "64", "-delay", "uniform:1-4"}
+	serial := runStdout(t, append(args[:len(args):len(args)], "-parallel", "1")...)
+	parallel := runStdout(t, append(args[:len(args):len(args)], "-parallel", "4")...)
+	if !strings.Contains(serial, "delay=uniform:1-4") {
+		t.Fatalf("serial run printed no delay line:\n%s", serial)
+	}
+	if parallel != serial {
+		t.Errorf("-parallel 4 output differs from -parallel 1:\n--- parallel 1\n%s--- parallel 4\n%s", serial, parallel)
+	}
+}
+
 func TestRunProtocolGeometricSilent(t *testing.T) {
 	if err := run([]string{"run", "-proto", "geometric", "-n", "64", "-byz", "1", "-attack", "silent"}); err != nil {
 		t.Fatalf("run geometric failed: %v", err)

@@ -26,9 +26,10 @@ type Matrix struct {
 	Ns          []int
 	ByzFracs    []float64 // 0 entries mean benign
 	Churns      []ChurnProfile
-	// Delays and Faults are the virtual-time delivery axes: delay-model
-	// and fault-model specs per sim.ParseDelayModel/ParseFaultModel.
-	// Empty strings (and an empty list) select the synchronous default.
+	// Delays and Faults are the delivery axes: delay-model and
+	// fault-model specs per sim.ParseDelayModel/ParseFaultModel. Empty
+	// strings (and an empty list) select the defaults: unit latency, no
+	// faults.
 	Delays []string
 	Faults []string
 

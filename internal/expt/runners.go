@@ -47,19 +47,12 @@ func runProtocolFrac(g *graph.Graph, byz []bool, seed uint64, honestProc, byzPro
 }
 
 // engineOpts is the execution-shape bundle RunScenario threads to the
-// engine: the Step-shard worker count plus the virtual-time delivery
-// models (nil delay and fault keep the synchronous round loop, and with
-// it byte-for-byte compatibility with every pre-virtual-time table).
+// engine: the Step-shard worker count plus the delivery models (nil
+// delay and fault mean unit latency and a lossless network).
 type engineOpts struct {
 	workers int // 0 or 1 = serial
 	delay   sim.DelayModel
 	fault   sim.FaultModel
-	// tickSkip / tickSkipSet carry an explicit SetTickSkip request (the
-	// CLI's -tickskip). Explicit means fail-fast when the run cannot
-	// consult the knob: skip only exists on the virtual-time sparse path,
-	// which needs at least one TickDriven proc.
-	tickSkip    bool
-	tickSkipSet bool
 	// done, when non-nil, cancels the run cooperatively: the engine polls
 	// it each round and aborts with sim.ErrCanceled when it closes. The
 	// durable sweep driver uses it for per-cell timeouts and SIGTERM
@@ -109,17 +102,6 @@ func runProtocolOnEngine(eng *sim.Engine, n int, byz []bool, honestProc, byzProc
 	}
 	if err := eng.Attach(procs); err != nil {
 		return runOutcome{}, err
-	}
-	if eo.tickSkipSet {
-		// Fail fast instead of silently ignoring the knob: tick
-		// fast-forwarding only exists on the sparse virtual-time path,
-		// which engages when at least one proc is TickDriven.
-		if !eng.HasTickDriven() {
-			return runOutcome{}, fmt.Errorf(
-				"expt: -tickskip set but no attached process is TickDriven; " +
-					"tick fast-forwarding is structurally disabled for this protocol")
-		}
-		eng.SetTickSkip(eo.tickSkip)
 	}
 	honest := make([]bool, n)
 	for v := range honest {

@@ -68,15 +68,15 @@ type Scenario struct {
 	// must run on the same topology family as its churned rows).
 	Dynamic bool
 
-	// Delay and Fault are the virtual-time delivery axes: a latency-model
-	// spec (sim.ParseDelayModel — "unit", "uniform:1-4", "geo:0.5@8",
+	// Delay and Fault are the delivery axes: a latency-model spec
+	// (sim.ParseDelayModel — "unit", "uniform:1-4", "geo:0.5@8",
 	// "region:2/1/6", "gst:32/uniform:1-6") and a message-fault spec
 	// (sim.ParseFaultModel — "drop:0.05", "partition:2@16-48"). Empty
-	// keeps the synchronous engine and with it byte-for-byte
-	// compatibility with every pre-virtual-time table; any non-empty
-	// value (including the degenerate "unit") runs the cell on the
-	// event-ring scheduler. Specs appear verbatim in Label(), so cells
-	// differing only in delivery semantics draw distinct sweep sub-seeds.
+	// delay means unit latency, the paper's lockstep rounds, and empty
+	// fault a lossless network. Non-empty specs appear verbatim in
+	// Label(), so cells differing only in delivery semantics draw
+	// distinct sweep sub-seeds — including a "unit" cell, which runs the
+	// same engine as an empty one under a different label.
 	Delay string
 	Fault string
 
@@ -533,15 +533,6 @@ type RunOptions struct {
 	// Workers is the engine's Step-shard worker count (0 or 1 = serial;
 	// outputs are bit-identical for every value).
 	Workers int
-	// TickSkip, when non-nil, explicitly sets virtual-tick
-	// fast-forwarding (default on; transcripts are byte-identical either
-	// way, only Metrics.TicksSkipped and wall time differ). An explicit
-	// setting on a run that structurally cannot consult it — a
-	// synchronous cell, a churn cell (the between-rounds hook pins the
-	// dense cadence), or a protocol with no TickDriven procs — is an
-	// error rather than a silent no-op. It is an execution-shape option,
-	// not a Scenario axis, for exactly that transcript-equality reason.
-	TickSkip *bool
 	// Context, when non-nil, cancels the run cooperatively: the engine
 	// polls ctx.Done() every round and aborts with sim.ErrCanceled once
 	// it is closed. Cancellation is an execution-shape option by the same
@@ -555,8 +546,8 @@ type RunOptions struct {
 // stream (a sweep driver sub-seed, or xrand.New(seed) from the CLI).
 // Static cells run on sim.New over the built graph, churning cells on
 // dynamic.Runner with a byzantine.Roster re-evaluating the placement as
-// members arrive; a Delay or Fault axis puts the engine on the
-// virtual-time scheduler either way.
+// members arrive; the Delay and Fault axes configure the engine's
+// delivery models either way.
 func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcome, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {
@@ -574,28 +565,14 @@ func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcom
 	if sc.Proto == "local" {
 		ctx.local = counting.DefaultLocalParams(sc.D + 2)
 	}
-	// Validate parsed these already; nil models (empty specs) keep the
-	// synchronous engine.
+	// Validate parsed these already; nil models (empty specs) mean unit
+	// latency and no faults.
 	eo := engineOpts{workers: opts.Workers}
 	if opts.Context != nil {
 		eo.done = opts.Context.Done()
 	}
 	eo.delay, _ = sim.ParseDelayModel(sc.Delay)
 	eo.fault, _ = sim.ParseFaultModel(sc.Fault)
-	if opts.TickSkip != nil {
-		if eo.delay == nil && eo.fault == nil {
-			return nil, fmt.Errorf(
-				"expt: -tickskip set on a synchronous cell; tick fast-forwarding " +
-					"only exists under the virtual-time scheduler (pass -delay or -fault)")
-		}
-		if sc.Churn.Active() || sc.Dynamic {
-			return nil, fmt.Errorf(
-				"expt: -tickskip set on a churn cell; the between-rounds churn hook " +
-					"pins the dense tick cadence, so fast-forwarding is structurally disabled")
-		}
-		eo.tickSkip = *opts.TickSkip
-		eo.tickSkipSet = true
-	}
 	if sc.Churn.Active() || sc.Dynamic {
 		return runScenarioChurn(sc, ctx, proto, adv, eo)
 	}

@@ -16,8 +16,10 @@ import (
 	"testing"
 
 	"byzcount/internal/dynamic"
+	"byzcount/internal/graph"
 	"byzcount/internal/perf"
 	"byzcount/internal/sim"
+	"byzcount/internal/xrand"
 )
 
 // warmFloodEngine returns the 1024-node flood engine warmed past the
@@ -183,7 +185,7 @@ func warmVTFloodEngine(t *testing.T, workers int) *sim.Engine {
 
 // TestSteadyStateAllocsVTSerial: the event-queue gate — a warm serial
 // virtual-time round (ring delivery, per-sender latency draws included)
-// allocates nothing, strictly. Same budget as the synchronous engine.
+// allocates nothing, strictly. Same budget as the unit-latency flood.
 func TestSteadyStateAllocsVTSerial(t *testing.T) {
 	eng := warmVTFloodEngine(t, 1)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -197,7 +199,7 @@ func TestSteadyStateAllocsVTSerial(t *testing.T) {
 }
 
 // TestSteadyStateAllocsVTParallel: the same budget under the sharded
-// engine — per-(worker, shard, ring-slot) buckets at high water, merges
+// engine — per-(worker, shard, delay) buckets at high water, merges
 // included — modulo the constant per-Run pool startup.
 func TestSteadyStateAllocsVTParallel(t *testing.T) {
 	eng := warmVTFloodEngine(t, 8)
@@ -329,5 +331,78 @@ func TestSteadyStateAllocsParallel(t *testing.T) {
 	// spawns, nowhere near one allocation per round.
 	if short >= 20 {
 		t.Errorf("pool startup costs %.0f allocs, which is >= 1 per round over 20 rounds", short)
+	}
+}
+
+// seqFloodProc is perf.FloodProc marked Sequential: a flooder the
+// parallel engine steps on the coordinator and whose output the owning
+// range worker admits.
+type seqFloodProc struct{ perf.FloodProc }
+
+func (*seqFloodProc) StepsSequentially() {}
+
+// TestSteadyStateAllocsSequentialParallel: the flood of
+// TestSteadyStateAllocsParallel with every 16th vertex a Sequential
+// flooder, on 8 workers, under unit latency (nil delay) and under
+// uniform:1-4 jitter. The coordinator's Sequential pass and the parked
+// outputs must not allocate per round beyond the constant per-Run pool
+// startup, pinned the same way: two Run calls of different lengths
+// must cost identical allocations.
+func TestSteadyStateAllocsSequentialParallel(t *testing.T) {
+	const n, d = 1024, 8
+	for _, spec := range []string{"", "uniform:1-4"} {
+		name := spec
+		if name == "" {
+			name = "nil"
+		}
+		t.Run(name, func(t *testing.T) {
+			g, err := graph.HND(n, d, xrand.New(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			delay, err := sim.ParseDelayModel(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := sim.New(g, sim.WithSeed(5), sim.WithParallelism(8), sim.WithDelayModel(delay))
+			procs := make([]sim.Proc, n)
+			for v := range procs {
+				if v%16 == 0 {
+					procs[v] = &seqFloodProc{}
+				} else {
+					procs[v] = &perf.FloodProc{}
+				}
+			}
+			if err := eng.Attach(procs); err != nil {
+				t.Fatal(err)
+			}
+			if delay != nil {
+				// Arrivals per (ring slot, vertex) row are bounded by
+				// in-degree x max delay. A worker's 128 senders emit 1024
+				// messages a round over 8 shards x 4 delays, 32 a bucket
+				// on average; four times that absorbs the jitter.
+				eng.ReserveInbox(d * delay.MaxDelay())
+				eng.ReserveOutbox(4 * d * delay.MaxDelay())
+			}
+			if _, err := eng.Run(1300); err != nil {
+				t.Fatal(err)
+			}
+			measure := func(rounds int) float64 {
+				return testing.AllocsPerRun(1, func() {
+					if _, err := eng.Run(rounds); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			short := measure(20)
+			long := measure(120)
+			if delta := long - short; delta != 0 {
+				t.Errorf("parallel rounds with Sequential procs allocate: %d rounds cost %.0f allocs, %d rounds cost %.0f (delta %.0f, want 0)",
+					20, short, 120, long, delta)
+			}
+			if short >= 20 {
+				t.Errorf("pool startup costs %.0f allocs, which is >= 1 per round over 20 rounds", short)
+			}
+		})
 	}
 }

@@ -90,9 +90,9 @@ func TestBigImplicitLatticeResolution(t *testing.T) {
 // TestBigImplicitLatticeFlood floods the implicit lattice at n=10^6:
 // every round must deliver exactly 2nk messages (8M), and rounds past
 // the warm-up must allocate (almost) nothing. Warm-up is two rounds,
-// not one: the engine double-buffers inboxes (cur/next swap each
-// round), so each of the two buffers needs one flooding round to grow
-// to its high-water mark before recycling takes over.
+// not one: the unit-latency delivery ring alternates between its two
+// slots, so each slot's rows need one flooding round to grow to their
+// high-water mark before recycling takes over.
 func TestBigImplicitLatticeFlood(t *testing.T) {
 	const n, k = 1_000_000, 4
 	lat, err := graph.NewRingLattice(n, k)

@@ -1,11 +1,11 @@
 package sim
 
-// Delivery-latency models for the virtual-time scheduler. A DelayModel
-// decides, per admitted message, how many virtual ticks later the
-// message is delivered; the engine schedules it into the delivery ring
-// (see the virtual-time notes on Engine) keyed on the deliver tick, the
-// sender slot, and the per-sender send sequence, so delivery order is a
-// pure function of the seed however vertices are scheduled.
+// Delivery-latency models. A DelayModel decides, per admitted message,
+// how many virtual ticks later the message is delivered; the engine
+// schedules it into the delivery ring (see the virtual-time notes on
+// Engine) keyed on the deliver tick, the sender slot, and the
+// per-sender send sequence, so delivery order is a pure function of
+// the seed however vertices are scheduled.
 //
 // Determinism contract: a model's randomness comes only from the rng
 // the engine passes in — the sender's private "delay" stream, derived
@@ -15,8 +15,8 @@ package sim
 // the draw sequence (and therefore every latency) is identical at every
 // worker count. Models that never draw must report Draws() == false so
 // the engine skips deriving streams entirely — a unit-latency run then
-// consumes exactly the random streams the legacy synchronous engine
-// does, which is what keeps the two byte-identical.
+// consumes no random stream beyond the processes' own, which is what
+// keeps it byte-identical to a run with no model installed.
 
 import (
 	"fmt"
@@ -38,8 +38,8 @@ type DelayModel interface {
 	MaxDelay() int
 	// Draws reports whether Delay consumes rng. Non-drawing models let
 	// the engine skip per-sender delay streams entirely, which both
-	// saves memory and preserves the legacy engine's exact stream
-	// consumption under the unit model.
+	// saves memory and keeps the unit model's stream consumption equal
+	// to a run with no model installed.
 	Draws() bool
 	// Delay returns the latency in ticks (1 = next tick) for a message
 	// from vertex `from` to vertex `to` sent at tick `round`. rng is the
@@ -47,11 +47,10 @@ type DelayModel interface {
 	Delay(rng *xrand.Rand, round, from, to int) int
 }
 
-// UnitDelay is the degenerate synchronous model: every message takes
-// exactly one tick, recovering lockstep rounds on the virtual-time
-// scheduler. It never draws, so a unit-latency run consumes exactly the
-// streams the legacy engine does; the two are byte-identical (pinned by
-// the TestVTUnit* property tests).
+// UnitDelay is the synchronous model: every message takes exactly one
+// tick, the paper's lockstep rounds. It is what a nil DelayModel means,
+// spelled out; it never draws, so the two are byte-identical (pinned by
+// the TestVTUnit* tests).
 type UnitDelay struct{}
 
 // Name returns "unit".
@@ -181,10 +180,10 @@ func (m GSTDelay) Delay(rng *xrand.Rand, round, from, to int) int {
 //	region:G/NEAR/FAR      G round-robin regions, NEAR within, FAR across
 //	gst:R/SPEC             SPEC before tick R, synchronous after
 //
-// The empty string parses to nil (no model: the legacy synchronous
-// path). Specs are the CLI's and the scenario grid's delay-axis
-// vocabulary; Name() on the returned model round-trips to the canonical
-// spec.
+// The empty string parses to nil (no model: unit latency, the same
+// delivery as "unit"). Specs are the CLI's and the scenario grid's
+// delay-axis vocabulary; Name() on the returned model round-trips to
+// the canonical spec.
 func ParseDelayModel(spec string) (DelayModel, error) {
 	switch {
 	case spec == "":

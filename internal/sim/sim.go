@@ -10,7 +10,7 @@
 // worker-pool mode that steps vertices concurrently and then merges
 // outboxes in ascending vertex order, so delivery order, edge-capacity
 // decisions, and metrics are byte-for-byte identical to the serial
-// engine (see round ordering notes on roundParallel).
+// engine (see the ordering notes on roundParallelVT and mergeShardVT).
 //
 // The network may be static (a graph.Graph — the zero-overhead fast
 // path) or mutable (any other Topology): a mutable topology is
@@ -22,13 +22,15 @@
 // functional options select seed, parallelism, edge capacity, and
 // delivery models.
 //
-// Partial synchrony is a configuration, not a different engine: with a
-// DelayModel (and/or FaultModel) installed, Run schedules every
-// admitted message into a calendar-queue delivery ring on virtual time,
-// keyed on (deliver tick, sender slot, per-sender send sequence), with
-// latency drawn from per-sender split streams — see delay.go for the
-// determinism argument. The unit-latency model degenerates to exactly
-// the synchronous engine, byte for byte.
+// Rounds are ticks of virtual time: Run schedules every admitted
+// message into a calendar-queue delivery ring, keyed on (deliver tick,
+// sender slot, per-sender send sequence). Lockstep synchrony is the
+// unit-latency model — the default when no DelayModel is installed —
+// whose two-slot ring is the classic current/next double buffer.
+// Partial synchrony is a configuration of the same loop, not a
+// different engine: a DelayModel (and/or FaultModel) draws latencies
+// and losses from per-sender split streams — see delay.go for the
+// determinism argument.
 package sim
 
 import (
@@ -258,10 +260,12 @@ type Proc interface {
 // other processes' Steps — typically adversaries sharing one mutable
 // structure (e.g. the consistent fake world of the Remark 1 attack,
 // where attachment order is observable). The parallel engine steps every
-// Sequential process on a single goroutine in ascending vertex order,
-// which is exactly the serial engine's mutation order, so executions
-// stay bit-identical. Processes whose state is strictly per-vertex need
-// not (and should not) implement this.
+// Sequential process on the coordinating goroutine in ascending vertex
+// order before the concurrent step phase — the serial engine's mutation
+// order among them — and admits their output in vertex order with
+// everyone else's, so executions stay bit-identical. Processes whose
+// state is strictly per-vertex need not (and should not) implement
+// this.
 type Sequential interface {
 	StepsSequentially()
 }
@@ -320,17 +324,14 @@ type workerState struct {
 	// which costs more than the whole map lookup it replaced.
 	nbrMark []uint64
 
-	// buckets[s] holds this worker's admitted messages destined for
-	// shard s, in ascending sender order (the worker steps a contiguous
-	// vertex range in order). The merge phase for shard s concatenates
-	// workers' buckets in worker order, so each merge worker touches
-	// only its own messages instead of scanning everyone's.
-	buckets [][]routed
-
-	// vtb[s*window+slot] is the virtual-time analogue of buckets:
-	// admitted messages destined for shard s and ring slot `slot`, in
-	// ascending sender order. Buckets are merged into the ring EVERY
-	// round (not at the delivery tick), so each ring row accumulates
+	// vtb[s*(window-1)+d-1] holds this worker's admitted messages
+	// destined for shard s with latency d, in ascending sender order
+	// (the worker steps a contiguous vertex range in order). Keying by
+	// delay rather than ring slot keeps one bucket set per shard under
+	// unit latency; the merge maps d to slot (tick+d) mod window. The
+	// merge phase for shard s concatenates workers' buckets in worker
+	// order EVERY round (not at the delivery tick), so each merge worker
+	// touches only its own messages and each ring row accumulates
 	// messages round-major, sender-major — exactly the serial schedule.
 	vtb [][]routed
 
@@ -343,10 +344,10 @@ type workerState struct {
 	maxMsgBits   int
 	allHalted    bool
 
-	// liveAlways / tdHalts are the sparse virtual-time halt bookkeeping
-	// of one round: how many live always-step procs this worker stepped,
-	// and how many TickDriven procs halted during their own Step. Reset
-	// by roundParallelVT before the step phase and summed by the
+	// liveAlways / tdHalts are the sparse halt bookkeeping of one
+	// round: how many live always-step procs this worker stepped, and
+	// how many TickDriven procs halted during their own Step. Reset by
+	// roundParallelVT before the step phase and summed by the
 	// coordinator after the merge barrier — the parallel split of
 	// roundSparseVT's liveAlways counter and tdLive decrements.
 	liveAlways int
@@ -383,8 +384,8 @@ type Engine struct {
 	epochOf  []uint64
 	curEpoch uint64
 
-	// betweenRounds, if non-nil, runs after every round's delivery swap
-	// and before the all-halted check — the churn hook point.
+	// betweenRounds, if non-nil, runs after every round's delivery and
+	// before the all-halted check — the churn hook point.
 	betweenRounds func(round int) error
 
 	// regrow is set when the slot arrays grew mid-run (topology growth):
@@ -416,16 +417,6 @@ type Engine struct {
 
 	metrics Metrics
 
-	// The inbox arena: double-buffered per-vertex inbox slabs, indexed
-	// by vertex. cur holds the messages delivered this round, next
-	// collects the messages for the coming round; Run swaps them after
-	// every round and slabs are truncated, never freed, so each slab
-	// stays at its high-water capacity and steady-state delivery
-	// allocates nothing. Together with the Env scratch buffers on the
-	// send side this is what makes warm rounds allocation-free (see
-	// DESIGN.md, "Memory model").
-	cur, next [][]Incoming
-
 	// sortedAdj[v] is v's adjacency, deduplicated and sorted ascending.
 	// Each round a sender stamps these into its worker's nbrMark array
 	// so destination checks are one compare (replaces the old
@@ -433,28 +424,29 @@ type Engine struct {
 	sortedAdj [][]int32
 
 	// --- virtual time ---
-	// delay/fault select the virtual-time scheduler: when either is
-	// non-nil, Run schedules admitted messages into the delivery ring
-	// below instead of the cur/next double buffer. Configure both before
-	// the first Run (SetDelayModel/SetFaultModel).
+	// delay/fault are the delivery models; nil delay means unit latency
+	// and nil fault a lossless network. Configure both before the first
+	// Run (SetDelayModel/SetFaultModel).
 	delay DelayModel
 	fault FaultModel
 	// window is the ring length: the delay model's MaxDelay()+1, at
 	// least 2, so an in-flight message's slot (tick+d) mod window never
 	// collides with the slot currently being delivered.
 	window int
-	// ring[s][v] is vertex v's inbox for virtual ticks ≡ s (mod window)
-	// — the calendar-queue generalization of the cur/next double buffer
-	// (window == 2 with unit latency degenerates to exactly that
-	// structure). Rows are truncated after delivery, never freed, so
-	// each row stays at its high-water capacity and steady-state
-	// virtual-time rounds allocate nothing.
+	// ring[s][v] is vertex v's inbox for virtual ticks ≡ s (mod window):
+	// a calendar queue whose unit-latency form (window == 2) is a
+	// current/next double buffer. This is the inbox arena — rows are
+	// truncated after delivery, never freed, so each row stays at its
+	// high-water capacity and steady-state rounds allocate nothing.
+	// Together with the Env scratch buffers on the send side this is
+	// what makes warm rounds allocation-free (see DESIGN.md, "Memory
+	// model").
 	ring [][][]Incoming
 	// delayRng[v] / faultRng[v] are v's private latency/fault streams
 	// (pure functions of the engine seed and v), derived lazily on v's
 	// first draw. Only models that draw get streams at all (see
-	// DelayModel.Draws): the unit model must consume exactly the streams
-	// the legacy engine does. A stream costs ~112 B until its 274th draw
+	// DelayModel.Draws), so a unit-latency run consumes no stream beyond
+	// the processes' own. A stream costs ~112 B until its 274th draw
 	// and 4.9 KB after, so a busy sender's stream grows to full size.
 	delayRng []*xrand.Rand
 	faultRng []*xrand.Rand
@@ -469,14 +461,13 @@ type Engine struct {
 	// by every worker; serial rounds resolve into a local instead.
 	vtr vtRound
 
-	// --- sparse virtual-time delivery ---
-	// sparse is set by ensureState when the virtual-time scheduler has
-	// at least one TickDriven proc attached: ring slots then maintain
-	// the occupancy overlay below and rounds step only the union of
-	// always-step vertices and occupied rows — serially on the calling
-	// goroutine, in parallel via the phaseStepVTSparse/phaseMergeVTSparse
-	// pool phases. Dense workloads (no marked procs) keep the plain
-	// lanes and pay nothing.
+	// --- sparse delivery ---
+	// sparse is set by ensureState when at least one TickDriven proc is
+	// attached: ring slots then maintain the occupancy overlay below
+	// and rounds step only the union of always-step vertices and
+	// occupied rows — serially on the calling goroutine, in parallel
+	// via the phaseStepVTSparse/phaseMergeVTSparse pool phases. Dense
+	// workloads (no marked procs) keep the plain lanes and pay nothing.
 	sparse bool
 	// skip enables fast-forwarding over empty ticks when every live
 	// proc is TickDriven (default on; see SetTickSkip / TickDriven).
@@ -509,25 +500,29 @@ type Engine struct {
 	shardOf []int32        // vertex -> owning range index
 	seq     []int          // vertices whose procs implement Sequential, ascending
 	isSeq   []bool         // membership mask for seq
-	ws      []*workerState // one per range worker, plus one for seq, plus [0] reused serially
-	acc     [][]routed     // per-sender outboxes (fallback rounds with Sequential procs)
+	ws      []*workerState // one per range worker; serial rounds use ws[0]
+	// seqOut[v] is the output of Sequential vertex v's Step this round,
+	// stepped on the coordinator before the parallel step phase and
+	// admitted by the range worker owning v in vertex order (nil when v
+	// was not stepped).
+	seqOut [][]Outgoing
 
 	// vtbReserve, when positive, is the per-bucket capacity every
-	// per-(worker, destination-shard, ring-slot) outbox is pre-sized to
+	// per-(worker, destination-shard, delay) outbox is pre-sized to
 	// (see ReserveOutbox) — recorded here so the reservation survives
 	// the worker-state rebuilds of SetParallelism and topology growth.
 	vtbReserve int
 
 	// Persistent worker pool. Spawning goroutines per round allocates
 	// (closure + scheduler bookkeeping), which alone breaks the
-	// zero-allocs-per-round contract; instead Run starts len(ranges)+1
+	// zero-allocs-per-round contract; instead Run starts len(ranges)
 	// workers once, parks them on their wake channels, and drives each
 	// round's step and merge phases by sending phase tokens. Channel
 	// sends of small scalars and WaitGroup operations allocate nothing,
 	// so a steady-state parallel round performs zero heap allocations.
 	// The pool lives exactly as long as one Run call (started after
 	// ensureState, stopped on return), so engines never leak goroutines.
-	wake   []chan poolPhase // one per worker; worker len(ranges) is the Sequential pass
+	wake   []chan poolPhase // one per range worker
 	poolWG sync.WaitGroup   // completion barrier for each dispatched phase
 	round  int              // round being executed, published via dispatch
 	pool   bool             // workers currently parked on wake
@@ -537,11 +532,7 @@ type Engine struct {
 type poolPhase uint8
 
 const (
-	phaseStepBuckets   poolPhase = iota // step contiguous range into shard buckets
-	phaseStepScan                       // step range into per-vertex outboxes (Sequential fallback)
-	phaseMergeBuckets                   // merge this worker's destination shard from buckets
-	phaseMergeScan                      // merge this worker's destination range from outboxes
-	phaseStepVT                         // step contiguous range into per-(shard, ring-slot) buckets
+	phaseStepVT        poolPhase = iota // step contiguous range into per-(shard, delay) buckets
 	phaseMergeVT                        // merge this worker's destination shard into the ring
 	phaseStepVTSparse                   // step only occupied/always-step vertices of the range
 	phaseMergeVTSparse                  // merge this worker's shard, folding in occupancy
@@ -551,15 +542,6 @@ const (
 // ErrSizeMismatch is returned when the number of attached processes does
 // not equal the number of graph vertices.
 var ErrSizeMismatch = errors.New("sim: process count does not match vertex count")
-
-// ErrSequentialVirtualTime is returned by Run when Sequential processes
-// are attached to a parallel virtual-time engine. The sequential pass
-// steps scattered vertices on one extra goroutine; interleaving its
-// sends into the per-shard ring buckets in exact sender order would
-// serialize the merge, so the combination is rejected rather than
-// supported slowly — run such scenarios serially (the serial
-// virtual-time engine handles Sequential processes fine).
-var ErrSequentialVirtualTime = errors.New("sim: Sequential processes require serial execution under virtual time")
 
 // ErrCanceled is returned by Run when the channel installed with
 // SetCancel closes mid-run. The engine stops on a round boundary, so
@@ -669,8 +651,6 @@ func newEngine(n int, seed uint64) *Engine {
 		envs:      make([]Env, n),
 		ids:       make([]NodeID, n),
 		vertexOf:  make(map[NodeID]int, n),
-		cur:       make([][]Incoming, n),
-		next:      make([][]Incoming, n),
 		sortedAdj: make([][]int32, n),
 	}
 	e.metrics.PerNodeMaxBit = make([]int, n)
@@ -760,12 +740,9 @@ func (e *Engine) Detach(v int) error {
 		e.alwaysStep = slices.Delete(e.alwaysStep, i, i+1)
 	}
 	e.procs[v] = nil
-	e.cur[v] = e.cur[v][:0]
-	e.next[v] = e.next[v][:0]
-	// Under virtual time pending deliveries live in the ring, up to
-	// window-1 ticks out; drop them all (the departed node never sees
-	// them, matching the synchronous convention). Sparse engines keep
-	// the per-slot counts exact; the occupied-row entries go stale,
+	// Pending deliveries live in the ring, up to window-1 ticks out;
+	// drop them all (the departed node never sees them). Sparse engines
+	// keep the per-slot counts exact; the occupied-row entries go stale,
 	// which delivery tolerates (it re-checks row lengths).
 	for s := range e.ring {
 		if row := e.ring[s][v]; len(row) > 0 {
@@ -821,8 +798,6 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	e.vertexOf[id] = v
 	env := &e.envs[v]
 	env.ID = id
-	e.cur[v] = e.cur[v][:0]
-	e.next[v] = e.next[v][:0]
 	for s := range e.ring {
 		if row := e.ring[s][v]; len(row) > 0 {
 			if e.sparse {
@@ -859,9 +834,6 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 		e.isSeq[v] = true
 		if i, found := slices.BinarySearch(e.seq, v); !found {
 			e.seq = slices.Insert(e.seq, i, v)
-		}
-		if len(e.ranges) > 1 && len(e.acc) < e.n {
-			e.acc = make([][]routed, e.n)
 		}
 	}
 	e.patchNeighborIDs(v)
@@ -911,8 +883,6 @@ func (e *Engine) growTo(m int) {
 		e.procs = append(e.procs, nil)
 		e.ids = append(e.ids, 0)
 		e.envs = append(e.envs, Env{Vertex: v, root: e.root})
-		e.cur = append(e.cur, nil)
-		e.next = append(e.next, nil)
 		e.sortedAdj = append(e.sortedAdj, nil)
 		e.metrics.PerNodeMaxBit = append(e.metrics.PerNodeMaxBit, 0)
 		if e.epochOf != nil {
@@ -1004,10 +974,10 @@ func (e *Engine) SetEdgeCapacity(bits int) {
 	e.edgeCapBits = bits
 }
 
-// SetDelayModel installs a delivery-latency model, switching Run to the
-// virtual-time scheduler; nil restores the synchronous default.
-// Configure before the first Run: changing the model re-sizes the
-// delivery ring, and messages still in flight do not survive that.
+// SetDelayModel installs a delivery-latency model; nil restores the
+// default unit latency (lockstep rounds). Configure before the first
+// Run: changing the model re-sizes the delivery ring, and messages
+// still in flight do not survive that.
 func (e *Engine) SetDelayModel(m DelayModel) {
 	e.delay = m
 	e.ws = nil // ring and buckets are (re)built by ensureState
@@ -1015,13 +985,12 @@ func (e *Engine) SetDelayModel(m DelayModel) {
 	e.window = 0
 }
 
-// DelayModel returns the installed delivery-latency model (nil =
-// synchronous).
+// DelayModel returns the installed delivery-latency model (nil = unit
+// latency).
 func (e *Engine) DelayModel() DelayModel { return e.delay }
 
-// SetFaultModel installs a message-fault model, switching Run to the
-// virtual-time scheduler; nil removes it. Like SetDelayModel, configure
-// before the first Run.
+// SetFaultModel installs a message-fault model; nil removes it. Like
+// SetDelayModel, configure before the first Run.
 func (e *Engine) SetFaultModel(m FaultModel) {
 	e.fault = m
 	e.ws = nil
@@ -1032,7 +1001,7 @@ func (e *Engine) SetFaultModel(m FaultModel) {
 // FaultModel returns the installed message-fault model (nil = none).
 func (e *Engine) FaultModel() FaultModel { return e.fault }
 
-// ReserveInbox pre-sizes every virtual-time delivery row to hold perRow
+// ReserveInbox pre-sizes every delivery-ring row to hold perRow
 // messages without growing. Under a jittered delay model the per-(slot,
 // vertex) delivery load is stochastic, so row capacities converge to
 // their high-water marks only asymptotically — long steady-state runs
@@ -1040,10 +1009,10 @@ func (e *Engine) FaultModel() FaultModel { return e.fault }
 // simultaneous arrivals (for one message per edge per round: in-degree
 // times the maximum delay) can reserve it up front and make warm rounds
 // strictly allocation-free, which is what the perf workloads behind the
-// TestSteadyStateAllocsVT* gates do. No-op outside virtual-time mode;
-// rows already at capacity perRow or above are left alone.
+// TestSteadyStateAllocsVT* gates do. No-op before Attach; rows already
+// at capacity perRow or above are left alone.
 func (e *Engine) ReserveInbox(perRow int) {
-	if perRow <= 0 || !e.vtMode() || e.procs == nil {
+	if perRow <= 0 || e.procs == nil {
 		return
 	}
 	e.ensureState()
@@ -1064,9 +1033,9 @@ func (e *Engine) ReserveInbox(perRow int) {
 	}
 }
 
-// ReserveOutbox pre-sizes every per-(worker, destination-shard,
-// ring-slot) outbox bucket of the parallel virtual-time engine to hold
-// perBucket messages without growing, and — on sparse engines — every
+// ReserveOutbox pre-sizes every per-(worker, destination-shard, delay)
+// outbox bucket of the parallel engine to hold perBucket messages
+// without growing, and — on sparse engines — every
 // occupied-row list to its shard's full size. It is ReserveInbox's
 // send-side twin: under a jittered delay model the per-bucket load is
 // stochastic, so bucket capacities converge to their high-water marks
@@ -1074,9 +1043,9 @@ func (e *Engine) ReserveInbox(perRow int) {
 // regrowth; a workload that knows a burst bound can reserve it up front
 // and make warm parallel sparse rounds strictly allocation-free. The
 // reservation is remembered and re-applied when worker state is rebuilt
-// (SetParallelism, topology growth). No-op outside virtual-time mode.
+// (SetParallelism, topology growth). No-op before Attach.
 func (e *Engine) ReserveOutbox(perBucket int) {
-	if perBucket <= 0 || !e.vtMode() || e.procs == nil {
+	if perBucket <= 0 || e.procs == nil {
 		return
 	}
 	e.vtbReserve = perBucket
@@ -1127,13 +1096,10 @@ func (e *Engine) applyOutboxReserve() {
 	}
 }
 
-// vtMode reports whether Run uses the virtual-time scheduler.
-func (e *Engine) vtMode() bool { return e.delay != nil || e.fault != nil }
-
 // SetParallelism sets the number of Step-shard workers used by Run.
 // Values <= 1 select the serial engine. Parallel execution is
 // deterministic and bit-identical to serial execution for any worker
-// count: vertices are stepped concurrently into per-vertex outboxes that
+// count: vertices are stepped concurrently into per-shard outboxes that
 // are merged in ascending sender order, and processes that share mutable
 // state across vertices (see Sequential) are stepped on one goroutine in
 // vertex order.
@@ -1189,49 +1155,8 @@ func (e *Engine) Env(v int) *Env { return &e.envs[v] }
 // Metrics returns the measurements accumulated so far.
 func (e *Engine) Metrics() Metrics { return e.metrics }
 
-// admit validates one outgoing message from v against the topology and
-// the per-edge capacity, accumulating metrics into ws. It returns whether
-// the message is delivered. The caller must have stamped v's neighbors
-// into ws.nbrMark under ws.gen (see stepVertexInto). The decision
-// depends only on v's own this-round traffic, so it is identical
-// however vertices are scheduled.
-func (e *Engine) admit(ws *workerState, v int, msg *Outgoing) bool {
-	if uint(msg.To) >= uint(e.n) || ws.nbrMark[msg.To] != ws.gen {
-		ws.violations++
-		return false
-	}
-	bits := 0
-	if msg.Payload != nil {
-		bits = msg.Payload.SizeBits()
-	}
-	if e.edgeCapBits > 0 {
-		if ws.budget == nil {
-			ws.budget = make([]int, e.n)
-			ws.budgetGen = make([]uint64, e.n)
-		}
-		if ws.budgetGen[msg.To] != ws.gen {
-			ws.budgetGen[msg.To] = ws.gen
-			ws.budget[msg.To] = 0
-		}
-		if ws.budget[msg.To]+bits > e.edgeCapBits {
-			ws.capped++
-			return false
-		}
-		ws.budget[msg.To] += bits
-	}
-	ws.messages++
-	ws.bits += int64(bits)
-	if bits > ws.maxMsgBits {
-		ws.maxMsgBits = bits
-	}
-	if bits > e.metrics.PerNodeMaxBit[v] {
-		e.metrics.PerNodeMaxBit[v] = bits
-	}
-	return true
-}
-
-// ensureState builds (or rebuilds) the worker ranges and scratch used by
-// Run. Serial mode uses ws[0] only.
+// ensureState builds (or rebuilds) the delivery ring, the worker ranges
+// and the scratch used by Run. Serial mode uses ws[0] only.
 func (e *Engine) ensureState() {
 	if e.ws != nil {
 		return
@@ -1246,10 +1171,10 @@ func (e *Engine) ensureState() {
 		lo, hi := i*n/w, (i+1)*n/w
 		e.ranges = append(e.ranges, [2]int{lo, hi})
 	}
-	// One state per range worker plus one for the sequential pass.
-	e.ws = make([]*workerState, w+1)
+	e.ensureVT()
+	e.ws = make([]*workerState, w)
 	for i := range e.ws {
-		e.ws[i] = &workerState{buckets: make([][]routed, w)}
+		e.ws[i] = &workerState{}
 	}
 	if w > 1 {
 		e.shardOf = make([]int32, n)
@@ -1258,39 +1183,29 @@ func (e *Engine) ensureState() {
 				e.shardOf[v] = int32(i)
 			}
 		}
-		if len(e.seq) > 0 && len(e.acc) < n {
-			e.acc = make([][]routed, n)
+		for _, ws := range e.ws {
+			ws.vtb = make([][]routed, w*(e.window-1))
 		}
 	}
-	if e.vtMode() {
-		e.ensureVT()
-		if w > 1 {
-			for _, ws := range e.ws {
-				ws.vtb = make([][]routed, w*e.window)
-			}
-		}
-		// Sparse delivery needs at least one marked proc to pay for
-		// itself; rebuilding the overlay from the ring here means
-		// messages in flight across a reconfiguration (parallelism or
-		// capacity change) are re-discovered, never stranded. Parallel
-		// engines keep the overlay race-free by ownership: the serial
-		// lanes append single-threaded, the parallel lanes fold
-		// occupancy in during the merge phase, where each worker owns
-		// exactly its destination shard's overlay region.
-		e.sparse = e.hasTickDriven()
-		if e.sparse {
-			e.ensureOccupancy()
-		}
-		e.applyOutboxReserve()
-	} else {
-		e.sparse = false
+	// Sparse delivery needs at least one marked proc to pay for itself;
+	// rebuilding the overlay from the ring here means messages in
+	// flight across a reconfiguration (parallelism or capacity change)
+	// are re-discovered, never stranded. Parallel engines keep the
+	// overlay race-free by ownership: the serial lanes append
+	// single-threaded, the parallel lanes fold occupancy in during the
+	// merge phase, where each worker owns exactly its destination
+	// shard's overlay region.
+	e.sparse = e.hasTickDriven()
+	if e.sparse {
+		e.ensureOccupancy()
 	}
+	e.applyOutboxReserve()
 }
 
-// ensureVT builds (or re-sizes after growth) the virtual-time state:
-// the delivery ring — window per-vertex inbox arrays — and, for models
-// that draw, the per-sender stream tables (streams themselves derive
-// lazily on first draw).
+// ensureVT builds (or re-sizes after growth) the delivery state: the
+// ring — window per-vertex inbox arrays — and, for models that draw,
+// the per-sender stream tables (streams themselves derive lazily on
+// first draw).
 func (e *Engine) ensureVT() {
 	w := 2
 	if e.delay != nil {
@@ -1374,162 +1289,7 @@ func (e *Engine) flushRound() int64 {
 	return roundMsgs
 }
 
-// roundSerial executes one round on the calling goroutine, delivering
-// straight into next. Returns whether every process had halted. The
-// admission logic is hand-inlined (see admit for the commented version):
-// this loop is the engine's hot path and an uninlined call per message
-// costs ~50% throughput.
-func (e *Engine) roundSerial(r int) bool {
-	n := e.n
-	ws := e.ws[0]
-	capBits := e.edgeCapBits
-	if capBits > 0 && ws.budget == nil {
-		ws.budget = make([]int, n)
-		ws.budgetGen = make([]uint64, n)
-	}
-	if ws.nbrMark == nil {
-		ws.nbrMark = make([]uint64, n)
-	}
-	nbrMark := ws.nbrMark
-	perNodeMax := e.metrics.PerNodeMaxBit
-	dyn := e.topo != nil
-	allHalted := true
-	for v := 0; v < n; v++ {
-		p := e.procs[v]
-		if p == nil || p.Halted() {
-			e.cur[v] = e.cur[v][:0]
-			continue
-		}
-		allHalted = false
-		if dyn && e.epochOf[v] != e.curEpoch {
-			e.catchUpVertex(v)
-		}
-		out := p.Step(&e.envs[v], r, e.cur[v])
-		e.cur[v] = e.cur[v][:0]
-		if len(out) == 0 {
-			continue
-		}
-		ws.gen++
-		gen := ws.gen
-		adj := e.sortedAdj[v]
-		for _, w := range adj {
-			nbrMark[w] = gen
-		}
-		fromID := e.ids[v]
-		maxSent := perNodeMax[v]
-		var msgs, totalBits int64
-		for _, msg := range out {
-			to, payload := msg.To, msg.Payload
-			if uint(to) >= uint(n) || nbrMark[to] != gen {
-				ws.violations++
-				continue
-			}
-			bits := 0
-			if payload != nil {
-				bits = payload.SizeBits()
-			}
-			if capBits > 0 {
-				if ws.budgetGen[to] != ws.gen {
-					ws.budgetGen[to] = ws.gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			msgs++
-			totalBits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			e.next[to] = append(e.next[to], Incoming{
-				From:    v,
-				FromID:  fromID,
-				Payload: payload,
-			})
-		}
-		ws.messages += msgs
-		ws.bits += totalBits
-		perNodeMax[v] = maxSent
-		if cap(out) > cap(e.envs[v].scratch) {
-			e.envs[v].scratch = out[:0]
-		}
-	}
-	return allHalted
-}
-
-// stepVertex runs the shared prologue of one parallel step: halt
-// check, Step, inbox truncation, and stamping the sender's neighbors
-// for admission. It returns the vertex's outgoing messages (nil when
-// halted or silent). Every vertex is owned by exactly one goroutine
-// per round, so cur, envs, procs and PerNodeMaxBit entries are
-// touched race-free.
-func (e *Engine) stepVertex(v, r int, ws *workerState) []Outgoing {
-	p := e.procs[v]
-	if p == nil || p.Halted() {
-		e.cur[v] = e.cur[v][:0]
-		return nil
-	}
-	ws.allHalted = false
-	if e.topo != nil && e.epochOf[v] != e.curEpoch {
-		e.catchUpVertex(v)
-	}
-	out := p.Step(&e.envs[v], r, e.cur[v])
-	e.cur[v] = e.cur[v][:0]
-	if len(out) == 0 {
-		return nil
-	}
-	if ws.nbrMark == nil {
-		ws.nbrMark = make([]uint64, e.n)
-	}
-	ws.gen++
-	for _, w := range e.sortedAdj[v] {
-		ws.nbrMark[w] = ws.gen
-	}
-	return out
-}
-
-// stepVertexBuckets steps one vertex, admitting its output into the
-// worker's per-destination-shard buckets (the fast path: no Sequential
-// procs, buckets are worker-private).
-func (e *Engine) stepVertexBuckets(v, r int, ws *workerState) {
-	out := e.stepVertex(v, r, ws)
-	for i := range out {
-		msg := &out[i]
-		if e.admit(ws, v, msg) {
-			s := e.shardOf[msg.To]
-			ws.buckets[s] = append(ws.buckets[s],
-				routed{to: int32(msg.To), from: int32(v), payload: msg.Payload})
-		}
-	}
-	if cap(out) > cap(e.envs[v].scratch) {
-		e.envs[v].scratch = out[:0]
-	}
-}
-
-// stepVertexInto steps one vertex, admitting its output into its private
-// outbox acc[v]. Used by the parallel round's fallback path when
-// Sequential procs are attached (their vertices are scattered across
-// ranges, so per-vertex outboxes are what keeps the merge order exact).
-func (e *Engine) stepVertexInto(v, r int, ws *workerState) {
-	out := e.stepVertex(v, r, ws)
-	for i := range out {
-		msg := &out[i]
-		if e.admit(ws, v, msg) {
-			e.acc[v] = append(e.acc[v], routed{to: int32(msg.To), from: int32(v), payload: msg.Payload})
-		}
-	}
-	if cap(out) > cap(e.envs[v].scratch) {
-		e.envs[v].scratch = out[:0]
-	}
-}
-
-// startPool parks len(ranges)+1 workers on their wake channels. Wake
+// startPool parks len(ranges) workers on their wake channels. Wake
 // channels are engine-owned and reused across Runs (recreated only when
 // the worker count changes), so restarting the pool costs one goroutine
 // spawn per worker and nothing per round.
@@ -1538,13 +1298,13 @@ func (e *Engine) startPool() {
 		return
 	}
 	w := len(e.ranges)
-	if len(e.wake) != w+1 {
-		e.wake = make([]chan poolPhase, w+1)
+	if len(e.wake) != w {
+		e.wake = make([]chan poolPhase, w)
 		for i := range e.wake {
 			e.wake[i] = make(chan poolPhase, 1)
 		}
 	}
-	for i := 0; i <= w; i++ {
+	for i := 0; i < w; i++ {
 		go e.poolWorker(i)
 	}
 	e.pool = true
@@ -1571,100 +1331,40 @@ func (e *Engine) dispatch(ph poolPhase) {
 	e.poolWG.Wait()
 }
 
-// poolWorker is the body of pool worker i. Workers 0..w-1 own vertex
-// range i during step phases and destination shard/range i during merge
-// phases; worker w steps the Sequential vertices in ascending vertex
-// order (the serial mutation order) and idles through merges.
+// poolWorker is the body of pool worker i, which owns vertex range i
+// during step phases and destination shard i during merge phases.
 func (e *Engine) poolWorker(i int) {
-	w := len(e.ranges)
 	for ph := range e.wake[i] {
 		switch ph {
 		case phaseExit:
 			e.poolWG.Done()
 			return
-		case phaseStepBuckets:
-			if i < w {
-				ws := e.ws[i]
-				for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
-					e.stepVertexBuckets(v, e.round, ws)
-				}
-			}
-		case phaseStepScan:
-			if i < w {
-				ws := e.ws[i]
-				for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
-					if e.isSeq[v] {
-						continue
-					}
-					e.stepVertexInto(v, e.round, ws)
-				}
-			} else {
-				ws := e.ws[w]
-				for _, v := range e.seq {
-					e.stepVertexInto(v, e.round, ws)
-				}
-			}
-		case phaseMergeBuckets:
-			if i < w {
-				e.mergeShard(i)
-			}
-		case phaseMergeScan:
-			if i < w {
-				e.mergeRange(i)
-			}
 		case phaseStepVT:
-			if i < w {
-				ws := e.ws[i]
-				for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
-					e.stepVertexVT(v, e.round, ws)
-				}
-			}
+			e.stepRangeVT(i)
 		case phaseMergeVT:
-			if i < w {
-				e.mergeShardVT(i)
-			}
+			e.mergeShardVT(i)
 		case phaseStepVTSparse:
-			if i < w {
-				e.stepShardSparseVT(i)
-			}
+			e.stepShardSparseVT(i)
 		case phaseMergeVTSparse:
-			if i < w {
-				e.mergeShardVTSparse(i)
-			}
+			e.mergeShardVTSparse(i)
 		}
 		e.poolWG.Done()
 	}
 }
 
-// mergeShard drains every worker's bucket for destination shard s, in
-// worker order — ascending sender order, so each inbox receives its
-// messages in exactly the serial delivery order.
-func (e *Engine) mergeShard(s int) {
-	for i := range e.ranges {
-		bucket := e.ws[i].buckets[s]
-		for _, m := range bucket {
-			e.next[m.to] = append(e.next[m.to], Incoming{
-				From:    int(m.from),
-				FromID:  e.ids[m.from],
-				Payload: m.payload,
-			})
-		}
-		e.ws[i].buckets[s] = bucket[:0]
-	}
-}
-
-// mergeShardVT drains every worker's virtual-time buckets for
-// destination shard s into the delivery ring — for each ring slot, in
-// worker order, which is ascending sender order. Because buckets are
-// merged EVERY round rather than held until their delivery tick, each
-// ring row accumulates its messages round-major, sender-major: exactly
-// the order roundSerialVT appends them, so parallel virtual-time
-// delivery is byte-identical to serial.
+// mergeShardVT drains every worker's buckets for destination shard s
+// into the delivery ring — for each delay d into slot (tick+d) mod
+// window, in worker order, which is ascending sender order. Because
+// buckets are merged EVERY round rather than held until their delivery
+// tick, each ring row accumulates its messages round-major,
+// sender-major: exactly the order the serial lanes append them, so
+// parallel delivery is byte-identical to serial.
 func (e *Engine) mergeShardVT(s int) {
 	window := e.window
-	for slot := 0; slot < window; slot++ {
-		box := e.ring[slot]
-		idx := s*window + slot
+	span := window - 1
+	for d := 1; d < window; d++ {
+		box := e.ring[(e.tick+d)%window]
+		idx := s*span + d - 1
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[idx]
 			for _, m := range bucket {
@@ -1679,77 +1379,36 @@ func (e *Engine) mergeShardVT(s int) {
 	}
 }
 
-// mergeRange scans all senders in ascending order and delivers the
-// messages addressed into destination range i (the Sequential fallback's
-// merge, where admitted messages sit in per-vertex outboxes).
-func (e *Engine) mergeRange(i int) {
-	lo, hi := e.ranges[i][0], e.ranges[i][1]
-	for v := 0; v < e.n; v++ {
-		for _, m := range e.acc[v] {
-			to := int(m.to)
-			if to < lo || to >= hi {
-				continue
-			}
-			e.next[to] = append(e.next[to], Incoming{
-				From:    v,
-				FromID:  e.ids[v],
-				Payload: m.payload,
-			})
-		}
-	}
-}
-
-// roundParallel executes one round with the sharded worker pool:
+// roundParallelVT executes one round with the sharded worker pool:
 //
-//  1. Step phase — each worker steps a contiguous vertex range into
-//     per-(worker, destination-shard) buckets; Sequential processes run
-//     on one extra worker in ascending vertex order (the serial mutation
-//     order). Admission (neighbor check, edge-capacity budget) is
-//     sender-local, so each decision is identical to the serial engine's.
-//  2. Merge phase — each worker owns a contiguous destination shard and
-//     drains senders in ascending order, so every inbox receives its
-//     messages in exactly the serial delivery order.
+//  1. Sequential pass — the coordinator steps every Sequential proc in
+//     ascending vertex order (the serial mutation order among them) and
+//     parks each output in seqOut (see stepSequential).
+//  2. Step phase — each worker steps a contiguous vertex range, taking
+//     the parked output for Sequential vertices, and admits the range's
+//     messages in vertex order into per-(worker, destination-shard,
+//     delay) buckets. Admission (neighbor check, edge-capacity budget,
+//     fault verdict, latency draw) is sender-local, so each decision is
+//     identical to the serial engine's.
+//  3. Merge phase — each worker owns a destination shard and drains
+//     every worker's buckets into the ring in worker order (see
+//     mergeShardVT for the ordering argument).
 //
 // Metrics are shard-local sums/maxes flushed after the round. The net
-// effect is byte-for-byte equivalence with roundSerial, at zero heap
+// effect is byte-for-byte equivalence with roundSerialVT, at zero heap
 // allocations per steady-state round (see the pool fields).
-func (e *Engine) roundParallel(r int) bool {
-	e.round = r
-	for _, ws := range e.ws {
-		ws.allHalted = true
-	}
-	if len(e.seq) == 0 {
-		e.dispatch(phaseStepBuckets)
-		e.dispatch(phaseMergeBuckets)
-	} else {
-		e.dispatch(phaseStepScan)
-		e.dispatch(phaseMergeScan)
-		for v := range e.acc {
-			e.acc[v] = e.acc[v][:0]
-		}
-	}
-	allHalted := true
-	for _, ws := range e.ws {
-		allHalted = allHalted && ws.allHalted
-	}
-	return allHalted
-}
-
-// roundParallelVT executes one virtual-time round with the sharded
-// worker pool: the step phase admits each range's output into
-// per-(worker, destination-shard, ring-slot) buckets, and the merge
-// phase drains them into the ring (see mergeShardVT for the ordering
-// argument). e.cur is aliased to the tick's ring slot so stepVertex —
-// shared with the legacy parallel round — reads and truncates the right
-// inboxes. Sequential processes are rejected before dispatch (see
-// ErrSequentialVirtualTime), so only the bucket path exists here.
 func (e *Engine) roundParallelVT(r int) bool {
 	e.round = r
 	e.tick = e.metrics.Rounds
 	e.vtr = e.resolveVT(e.tick)
-	e.cur = e.ring[e.tick%e.window]
 	for _, ws := range e.ws {
 		ws.allHalted = true
+		ws.liveAlways = 0
+		ws.tdHalts = 0
+	}
+	live := 0
+	if len(e.seq) > 0 {
+		live = e.stepSequential(r)
 	}
 	if e.sparse {
 		// The sparse lane: each worker walks the union of its shard's
@@ -1758,26 +1417,63 @@ func (e *Engine) roundParallelVT(r int) bool {
 		// while merging (mergeShardVTSparse). The halt verdict mirrors
 		// roundSparseVT's: per-worker liveAlways/tdHalts counters are
 		// summed here, after the merge barrier published them.
-		for _, ws := range e.ws {
-			ws.liveAlways = 0
-			ws.tdHalts = 0
-		}
 		e.dispatch(phaseStepVTSparse)
 		e.dispatch(phaseMergeVTSparse)
-		liveAlways := 0
 		for _, ws := range e.ws {
-			liveAlways += ws.liveAlways
+			live += ws.liveAlways
 			e.tdLive -= ws.tdHalts
 		}
-		return liveAlways == 0 && e.tdLive == 0
+		return live == 0 && e.tdLive == 0
 	}
 	e.dispatch(phaseStepVT)
 	e.dispatch(phaseMergeVT)
-	allHalted := true
+	allHalted := live == 0
 	for _, ws := range e.ws {
 		allHalted = allHalted && ws.allHalted
 	}
 	return allHalted
+}
+
+// stepSequential is the Sequential pass of a parallel round: it steps
+// the Sequential procs on the calling goroutine, in ascending vertex
+// order, and parks each output in seqOut[v] for the range worker owning
+// v to admit in vertex order. On a sparse engine a TickDriven
+// Sequential proc is stepped only when its row holds messages — a
+// stale occupancy entry would earn it an empty Step in the serial walk,
+// which the TickDriven contract makes a no-op. It returns how many live
+// procs it stepped that the halt verdict must count (all of them on a
+// dense engine, the always-step ones on a sparse engine) and applies
+// TickDriven halts to tdLive directly.
+func (e *Engine) stepSequential(r int) int {
+	if len(e.seqOut) < e.n {
+		e.seqOut = make([][]Outgoing, e.n)
+	}
+	box := e.ring[e.tick%e.window]
+	live := 0
+	for _, v := range e.seq {
+		e.seqOut[v] = nil
+		p := e.procs[v]
+		if p == nil || p.Halted() {
+			box[v] = box[v][:0]
+			continue
+		}
+		td := e.sparse && e.isTD[v]
+		if td && len(box[v]) == 0 {
+			continue
+		}
+		if !td {
+			live++
+		}
+		if e.topo != nil && e.epochOf[v] != e.curEpoch {
+			e.catchUpVertex(v)
+		}
+		e.seqOut[v] = p.Step(&e.envs[v], r, box[v])
+		box[v] = box[v][:0]
+		if td && p.Halted() {
+			e.tdLive--
+		}
+	}
+	return live
 }
 
 // Run executes up to maxRounds rounds and returns the number of rounds
@@ -1820,7 +1516,6 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 		e.metrics.MessagesByRound = grown
 	}
 	parallel := len(e.ranges) > 1
-	vt := e.vtMode()
 	if parallel {
 		e.startPool()
 	}
@@ -1836,52 +1531,36 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 		if e.topo != nil {
 			e.curEpoch = e.topo.Epoch()
 		}
-		var allHalted bool
-		switch {
-		case vt:
-			// Checked every round, not just up front: a between-rounds
-			// hook may AttachAt a Sequential process mid-run.
-			if parallel && len(e.seq) > 0 {
-				return r, ErrSequentialVirtualTime
+		// Fast-forward: an empty slot (an O(shards) occCnt reduction)
+		// plus an all-TickDriven live population means executing this
+		// tick would step nothing and deliver nothing — jump the virtual
+		// clock instead, serial and parallel alike (a skipped parallel
+		// tick bypasses the pool entirely; no phase is dispatched). A
+		// between-rounds hook pins the dense cadence (it observes every
+		// boundary), and the skipped tick's bookkeeping matches an
+		// executed empty tick exactly, so transcripts and metrics (minus
+		// TicksSkipped) are identical with skipping on or off.
+		if e.sparse && e.skip && e.betweenRounds == nil &&
+			e.occSlotEmpty(e.metrics.Rounds%e.window) && e.vtCanSkip() {
+			e.metrics.Rounds++
+			e.metrics.TicksSkipped++
+			e.metrics.MessagesByRound = append(e.metrics.MessagesByRound, 0)
+			if e.stop != nil && e.stop(r) {
+				return r + 1, nil
 			}
-			// Fast-forward: an empty slot (an O(shards) occCnt
-			// reduction) plus an all-TickDriven live population means
-			// executing this tick would step nothing and deliver
-			// nothing — jump the virtual clock instead, serial and
-			// parallel alike (a skipped parallel tick bypasses the
-			// pool entirely; no phase is dispatched). A between-rounds
-			// hook pins the dense cadence (it observes every boundary),
-			// and the skipped tick's bookkeeping matches an executed
-			// empty tick exactly, so transcripts and metrics (minus
-			// TicksSkipped) are identical with skipping on or off.
-			if e.sparse && e.skip && e.betweenRounds == nil &&
-				e.occSlotEmpty(e.metrics.Rounds%e.window) && e.vtCanSkip() {
-				e.metrics.Rounds++
-				e.metrics.TicksSkipped++
-				e.metrics.MessagesByRound = append(e.metrics.MessagesByRound, 0)
-				if e.stop != nil && e.stop(r) {
-					return r + 1, nil
-				}
-				continue
-			}
-			if parallel {
-				allHalted = e.roundParallelVT(r)
-			} else {
-				allHalted = e.roundSerialVT(r)
-			}
-		case parallel:
-			allHalted = e.roundParallel(r)
-		default:
-			allHalted = e.roundSerial(r)
+			continue
 		}
+		var allHalted bool
+		if parallel {
+			allHalted = e.roundParallelVT(r)
+		} else {
+			allHalted = e.roundSerialVT(r)
+		}
+		// The ring advances by tick index: the next tick's slot already
+		// holds its pending messages.
 		roundMsgs := e.flushRound()
 		e.metrics.Rounds++
 		e.metrics.MessagesByRound = append(e.metrics.MessagesByRound, roundMsgs)
-		if !vt {
-			// Virtual time has no swap: the ring advances by tick index
-			// (the next tick's slot already holds its pending messages).
-			e.cur, e.next = e.next, e.cur
-		}
 		if e.betweenRounds != nil {
 			e.hookAttached = false
 			if err := e.betweenRounds(r); err != nil {

@@ -1,20 +1,21 @@
 package sim
 
-// The virtual-time hot path: devirtualized delay/fault dispatch, sparse
-// (occupancy-tracked) ring delivery, and the marker contract behind tick
-// fast-forwarding.
+// The round loop's hot path: devirtualized delay/fault dispatch, the
+// serial and parallel round lanes, sparse (occupancy-tracked) ring
+// delivery, and the marker contract behind tick fast-forwarding.
 //
-// PR 7's scheduler paid two interface calls plus a lazy stream lookup
-// per admitted message and an O(n) ring-row scan per tick. Here the
-// installed DelayModel/FaultModel are type-switched ONCE per tick into a
-// small plain-data dispatch record (vtRound); the per-message loop then
-// branches on an enum instead of calling through an interface, draws no
-// RNG at all for fixed-latency ticks (unit, post-GST, degenerate
-// uniform, region with Near == Far), skips the fault stream entirely for
-// drop p=0 / p=1 and for ticks outside the partition window, and hoists
-// the per-sender stream lookups out of the message loop. Every inlined
-// arm consumes exactly the draws the model's own Delay/Drop would, so
-// transcripts are bit-identical to the interface path.
+// The installed DelayModel/FaultModel are type-switched ONCE per tick
+// into a small plain-data dispatch record (vtRound) instead of being
+// called per admitted message; the per-message loop then branches on an
+// enum, draws no RNG at all for fixed-latency ticks (unit, post-GST,
+// degenerate uniform, region with Near == Far), skips the fault stream
+// entirely for drop p=0 / p=1 and for ticks outside the partition
+// window, and hoists the per-sender stream lookups out of the message
+// loop. Every inlined arm consumes exactly the draws the model's own
+// Delay/Drop would, so transcripts are bit-identical to the interface
+// path. The dense serial lane goes one step further for fixed-latency
+// ticks with no fault — lockstep rounds, the paper's model — and admits
+// inline into the one destination slot, with no per-sender call.
 //
 // Sparse delivery generalizes this from messages to ticks: each
 // (shard, ring slot) pair tracks its pending-message count and a
@@ -179,17 +180,13 @@ func (e *Engine) resolveVT(tick int) vtRound {
 }
 
 // deliverVT admits and schedules one sender's outgoing messages for a
-// serial virtual-time round. The admission pipeline order is fixed —
+// serial round. The admission pipeline order is fixed —
 //
 //	neighbor check -> capacity budget -> fault verdict -> latency draw
 //
-// — matching PR 7's roundSerialVT exactly (a faulted message has spent
-// the edge but is counted in Dropped, not Messages, and does not
-// advance the latency stream). Fully static ticks (dkFixed + fkNone:
-// unit latency, post-GST) take a dedicated lane with the destination
-// ring slot hoisted out of the loop; that lane is what the
-// vt-flood-vs-flood CI floor measures. The admission logic is
-// hand-inlined like roundSerial's: this is the engine's hot path.
+// — so a faulted message has spent the edge but is counted in Dropped,
+// not Messages, and does not advance the latency stream. The admission
+// logic is hand-inlined: this is the engine's hot path.
 func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Outgoing) {
 	n := e.n
 	window := e.window
@@ -204,160 +201,122 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 	perNodeMax := e.metrics.PerNodeMaxBit
 	maxSent := perNodeMax[v]
 	sparse := e.sparse
-	var msgs, totalBits int64
-	if vtr.dk == dkFixed && vtr.fk == fkNone {
-		si := (tick + vtr.d0) % window
-		dst := e.ring[si]
-		for _, msg := range out {
-			to, payload := msg.To, msg.Payload
-			if uint(to) >= uint(n) || nbrMark[to] != gen {
-				ws.violations++
+	var dRng, fRng *xrand.Rand
+	if vtr.needD {
+		dRng = e.delayStream(v)
+	}
+	if vtr.needF {
+		fRng = e.faultStream(v)
+	}
+	var msgs, totalBits, clamped int64
+	for _, msg := range out {
+		to, payload := msg.To, msg.Payload
+		if uint(to) >= uint(n) || nbrMark[to] != gen {
+			ws.violations++
+			continue
+		}
+		bits := 0
+		if payload != nil {
+			bits = payload.SizeBits()
+		}
+		if capBits > 0 {
+			if ws.budgetGen[to] != gen {
+				ws.budgetGen[to] = gen
+				ws.budget[to] = 0
+			}
+			if ws.budget[to]+bits > capBits {
+				ws.capped++
 				continue
 			}
-			bits := 0
-			if payload != nil {
-				bits = payload.SizeBits()
-			}
-			if capBits > 0 {
-				if ws.budgetGen[to] != gen {
-					ws.budgetGen[to] = gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			msgs++
-			totalBits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			row := dst[to]
-			if sparse && len(row) == 0 {
-				e.occRows[si] = append(e.occRows[si], int32(to))
-			}
-			dst[to] = append(row, Incoming{From: v, FromID: fromID, Payload: payload})
+			ws.budget[to] += bits
 		}
-		if sparse {
-			e.occCnt[si] += msgs
-		}
-	} else {
-		var dRng, fRng *xrand.Rand
-		if vtr.needD {
-			dRng = e.delayStream(v)
-		}
-		if vtr.needF {
-			fRng = e.faultStream(v)
-		}
-		var clamped int64
-		for _, msg := range out {
-			to, payload := msg.To, msg.Payload
-			if uint(to) >= uint(n) || nbrMark[to] != gen {
-				ws.violations++
-				continue
-			}
-			bits := 0
-			if payload != nil {
-				bits = payload.SizeBits()
-			}
-			if capBits > 0 {
-				if ws.budgetGen[to] != gen {
-					ws.budgetGen[to] = gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			switch vtr.fk {
-			case fkNone:
-			case fkPartition:
-				if v%vtr.fGroups != to%vtr.fGroups {
-					ws.dropped++
-					continue
-				}
-			case fkDrop:
-				if fRng.Bernoulli(vtr.fP) {
-					ws.dropped++
-					continue
-				}
-			case fkDropAll:
+		switch vtr.fk {
+		case fkNone:
+		case fkPartition:
+			if v%vtr.fGroups != to%vtr.fGroups {
 				ws.dropped++
 				continue
-			default:
-				if e.fault.Drop(fRng, tick, v, to) {
-					ws.dropped++
-					continue
-				}
 			}
-			var d int
-			switch vtr.dk {
-			case dkFixed:
-				d = vtr.d0
-			case dkUniform:
-				d = vtr.d0 + dRng.Intn(vtr.dSpan)
-			case dkGeo:
-				d = dRng.GeometricP(vtr.dP)
-				if d > vtr.d1 {
-					d = vtr.d1
-				}
-			case dkRegion:
-				if v%vtr.dRegions == to%vtr.dRegions {
-					d = vtr.d0
-				} else {
-					d = vtr.d1
-				}
-			default:
-				d = e.delay.Delay(dRng, tick, v, to)
-				if d < 1 {
-					d = 1
-					clamped++
-				} else if d >= window {
-					d = window - 1
-					clamped++
-				}
+		case fkDrop:
+			if fRng.Bernoulli(vtr.fP) {
+				ws.dropped++
+				continue
 			}
-			msgs++
-			totalBits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
+		case fkDropAll:
+			ws.dropped++
+			continue
+		default:
+			if e.fault.Drop(fRng, tick, v, to) {
+				ws.dropped++
+				continue
 			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			si := (tick + d) % window
-			dst := e.ring[si]
-			row := dst[to]
-			if sparse {
-				if len(row) == 0 {
-					e.occRows[si] = append(e.occRows[si], int32(to))
-				}
-				e.occCnt[si]++
-			}
-			dst[to] = append(row, Incoming{From: v, FromID: fromID, Payload: payload})
 		}
-		ws.delayClamped += clamped
+		var d int
+		switch vtr.dk {
+		case dkFixed:
+			d = vtr.d0
+		case dkUniform:
+			d = vtr.d0 + dRng.Intn(vtr.dSpan)
+		case dkGeo:
+			d = dRng.GeometricP(vtr.dP)
+			if d > vtr.d1 {
+				d = vtr.d1
+			}
+		case dkRegion:
+			if v%vtr.dRegions == to%vtr.dRegions {
+				d = vtr.d0
+			} else {
+				d = vtr.d1
+			}
+		default:
+			d = e.delay.Delay(dRng, tick, v, to)
+			if d < 1 {
+				d = 1
+				clamped++
+			} else if d >= window {
+				d = window - 1
+				clamped++
+			}
+		}
+		msgs++
+		totalBits += int64(bits)
+		if bits > ws.maxMsgBits {
+			ws.maxMsgBits = bits
+		}
+		if bits > maxSent {
+			maxSent = bits
+		}
+		si := (tick + d) % window
+		dst := e.ring[si]
+		row := dst[to]
+		if sparse {
+			if len(row) == 0 {
+				e.occRows[si] = append(e.occRows[si], int32(to))
+			}
+			e.occCnt[si]++
+		}
+		dst[to] = append(row, Incoming{From: v, FromID: fromID, Payload: payload})
 	}
+	ws.delayClamped += clamped
 	ws.messages += msgs
 	ws.bits += totalBits
 	perNodeMax[v] = maxSent
 }
 
-// roundSerialVT executes one virtual-time round on the calling
-// goroutine: resolve the tick's dispatch record, then either the sparse
-// lane (occupancy-tracked engines) or the dense lane (every vertex
-// scanned, like the synchronous engine).
+// roundSerialVT executes one round on the calling goroutine: resolve
+// the tick's dispatch record, then either the sparse lane
+// (occupancy-tracked engines) or the dense lane, which steps every
+// vertex in ascending order. A dense tick with a fixed latency d0 and
+// no fault — every tick of a lockstep run — admits inline into ring
+// slot (tick+d0) mod window; any other tick hands each sender's output
+// to deliverVT. The inline arm is deliverVT's pipeline with the fault
+// and latency stages constant-folded and the destination slot hoisted:
+// through deliverVT the serial flood takes ~1.5x as long per round.
 func (e *Engine) roundSerialVT(r int) bool {
 	n := e.n
 	ws := e.ws[0]
-	if e.edgeCapBits > 0 && ws.budget == nil {
+	capBits := e.edgeCapBits
+	if capBits > 0 && ws.budget == nil {
 		ws.budget = make([]int, n)
 		ws.budgetGen = make([]uint64, n)
 	}
@@ -371,6 +330,10 @@ func (e *Engine) roundSerialVT(r int) bool {
 		return e.roundSparseVT(r, tick, &vtr)
 	}
 	box := e.ring[tick%e.window]
+	fixed := vtr.dk == dkFixed && vtr.fk == fkNone
+	dst := e.ring[(tick+vtr.d0)%e.window]
+	nbrMark := ws.nbrMark
+	perNodeMax := e.metrics.PerNodeMaxBit
 	dyn := e.topo != nil
 	allHalted := true
 	for v := 0; v < n; v++ {
@@ -388,15 +351,60 @@ func (e *Engine) roundSerialVT(r int) bool {
 		if len(out) == 0 {
 			continue
 		}
-		e.deliverVT(ws, v, tick, &vtr, out)
 		if cap(out) > cap(e.envs[v].scratch) {
 			e.envs[v].scratch = out[:0]
 		}
+		if !fixed {
+			e.deliverVT(ws, v, tick, &vtr, out)
+			continue
+		}
+		ws.gen++
+		gen := ws.gen
+		for _, w := range e.sortedAdj[v] {
+			nbrMark[w] = gen
+		}
+		fromID := e.ids[v]
+		maxSent := perNodeMax[v]
+		var msgs, totalBits int64
+		for _, msg := range out {
+			to, payload := msg.To, msg.Payload
+			if uint(to) >= uint(n) || nbrMark[to] != gen {
+				ws.violations++
+				continue
+			}
+			bits := 0
+			if payload != nil {
+				bits = payload.SizeBits()
+			}
+			if capBits > 0 {
+				if ws.budgetGen[to] != gen {
+					ws.budgetGen[to] = gen
+					ws.budget[to] = 0
+				}
+				if ws.budget[to]+bits > capBits {
+					ws.capped++
+					continue
+				}
+				ws.budget[to] += bits
+			}
+			msgs++
+			totalBits += int64(bits)
+			if bits > ws.maxMsgBits {
+				ws.maxMsgBits = bits
+			}
+			if bits > maxSent {
+				maxSent = bits
+			}
+			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
+		}
+		ws.messages += msgs
+		ws.bits += totalBits
+		perNodeMax[v] = maxSent
 	}
 	return allHalted
 }
 
-// roundSparseVT executes one occupancy-tracked virtual-time round: it
+// roundSparseVT executes one occupancy-tracked round: it
 // steps the union of the always-step vertices (procs without the
 // TickDriven marker — stepped every tick, exactly the dense semantics)
 // and the rows occupied in this tick's ring slot, in ascending vertex
@@ -551,22 +559,25 @@ func (e *Engine) ensureOccupancy() {
 	}
 }
 
-// stepShardSparseVT is the sparse step phase of one parallel
-// virtual-time round: worker i walks the union of its shard's
-// always-step vertices (binary-searched out of the engine-wide sorted
-// list) and the rows occupied in this tick's ring slot, in ascending
-// vertex order — roundSparseVT's walk restricted to the shard, which is
-// the dense parallel lane's order restricted to vertices whose Step
-// could observably differ from a no-op. Occupancy reads and clears are
-// worker-private: the overlay region belongs to shard i, and in-flight
-// messages can never target the tick being delivered (delays are >= 1),
-// so the merge phase never touches what this phase just cleared. Halt
-// bookkeeping lands in the worker-local liveAlways/tdHalts counters;
-// the coordinator folds them after the merge barrier.
+// stepShardSparseVT is the sparse step phase of one parallel round:
+// worker i walks the union of its shard's always-step vertices
+// (binary-searched out of the engine-wide sorted list) and the rows
+// occupied in this tick's ring slot, in ascending vertex order —
+// roundSparseVT's walk restricted to the shard, which is the dense
+// parallel lane's order restricted to vertices whose Step could
+// observably differ from a no-op. Sequential vertices were stepped by
+// the coordinator; the walk only admits their parked output. Occupancy
+// reads and clears are worker-private: the overlay region belongs to
+// shard i, and in-flight messages can never target the tick being
+// delivered (delays are >= 1), so the merge phase never touches what
+// this phase just cleared. Halt bookkeeping lands in the worker-local
+// liveAlways/tdHalts counters; the coordinator folds them after the
+// merge barrier.
 func (e *Engine) stepShardSparseVT(i int) {
 	ws := e.ws[i]
 	r := e.round
-	idx := i*e.window + e.tick%e.window
+	slot := e.tick % e.window
+	idx := i*e.window + slot
 	occ := e.occRows[idx]
 	slices.Sort(occ)
 	lo, hi := e.ranges[i][0], e.ranges[i][1]
@@ -574,7 +585,8 @@ func (e *Engine) stepShardSparseVT(i int) {
 	aLo, _ := slices.BinarySearch(always, int32(lo))
 	aHi, _ := slices.BinarySearch(always, int32(hi))
 	always = always[aLo:aHi]
-	box := e.cur
+	box := e.ring[slot]
+	seq := len(e.seq) > 0
 	ai, oi := 0, 0
 	prev := int32(-1)
 	for ai < len(always) || oi < len(occ) {
@@ -591,6 +603,10 @@ func (e *Engine) stepShardSparseVT(i int) {
 		}
 		prev = v32
 		v := int(v32)
+		if seq && e.isSeq[v] {
+			e.admitVT(v, ws, e.seqOut[v])
+			continue
+		}
 		p := e.procs[v]
 		if p == nil || p.Halted() {
 			box[v] = box[v][:0]
@@ -600,7 +616,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 		if !td {
 			ws.liveAlways++
 		}
-		e.stepVertexVT(v, r, ws)
+		e.stepVertexVT(v, r, ws, box)
 		if td && p.Halted() {
 			ws.tdHalts++
 		}
@@ -611,7 +627,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 
 // mergeShardVTSparse is mergeShardVT plus occupancy folding: while
 // draining every worker's buckets for destination shard s into the ring
-// (same slot-major, worker-order walk — ascending sender order, so
+// (same delay-major, worker-order walk — ascending sender order, so
 // transcripts stay byte-identical to serial), it appends each row that
 // transitions empty -> nonempty to the shard's occupied-row list and
 // counts every delivered message, exactly the accounting deliverVT does
@@ -620,13 +636,16 @@ func (e *Engine) stepShardSparseVT(i int) {
 // delivery's sort+dedupe tolerates — the same contract as serial.
 func (e *Engine) mergeShardVTSparse(s int) {
 	window := e.window
-	for slot := 0; slot < window; slot++ {
+	span := window - 1
+	for d := 1; d < window; d++ {
+		slot := (e.tick + d) % window
 		box := e.ring[slot]
 		idx := s*window + slot
 		rows := e.occRows[idx]
 		cnt := e.occCnt[idx]
+		bi := s*span + d - 1
 		for i := range e.ranges {
-			bucket := e.ws[i].vtb[idx]
+			bucket := e.ws[i].vtb[bi]
 			for _, m := range bucket {
 				row := box[m.to]
 				if len(row) == 0 {
@@ -639,7 +658,7 @@ func (e *Engine) mergeShardVTSparse(s int) {
 				})
 				cnt++
 			}
-			e.ws[i].vtb[idx] = bucket[:0]
+			e.ws[i].vtb[bi] = bucket[:0]
 		}
 		e.occRows[idx] = rows
 		e.occCnt[idx] = cnt
@@ -656,36 +675,72 @@ func (e *Engine) hasTickDriven() bool {
 	return false
 }
 
-// HasTickDriven reports whether any currently attached process carries
-// the TickDriven marker — i.e. whether sparse delivery is active and
-// tick fast-forwarding can ever engage on this engine. The CLI uses it
-// to fail fast when -tickskip is requested for a protocol whose
-// processes are all round-driven (fast-forwarding would be structurally
-// inert, so an explicit request for it is a configuration error).
-func (e *Engine) HasTickDriven() bool { return e.hasTickDriven() }
-
 // SetTickSkip enables or disables virtual-tick fast-forwarding (default
 // on). Skipping never changes transcripts or metrics other than
 // Metrics.TicksSkipped — it elides ticks that are provable no-ops — so
 // the toggle exists for A/B measurement and paranoia, not semantics.
 func (e *Engine) SetTickSkip(on bool) { e.skip = on }
 
-// stepVertexVT steps one vertex of a parallel virtual-time round,
-// admitting its output into the worker's per-(destination-shard,
-// ring-slot) buckets. Same pipeline order as deliverVT (see there); the
-// dispatch record was resolved once by roundParallelVT and is read-only
-// during the phase. Every stage is sender-local, so each decision is
-// identical however vertices are scheduled.
-func (e *Engine) stepVertexVT(v, r int, ws *workerState) {
-	out := e.stepVertex(v, r, ws)
-	if len(out) == 0 {
-		if cap(out) > cap(e.envs[v].scratch) {
-			e.envs[v].scratch = out[:0]
+// stepRangeVT is the dense step phase of one parallel round: worker i
+// steps its vertex range in ascending order — taking the coordinator's
+// parked output for Sequential vertices — and admits each sender's
+// messages into its buckets.
+func (e *Engine) stepRangeVT(i int) {
+	ws := e.ws[i]
+	r := e.round
+	box := e.ring[e.tick%e.window]
+	seq := len(e.seq) > 0
+	for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
+		if seq && e.isSeq[v] {
+			e.admitVT(v, ws, e.seqOut[v])
+			continue
 		}
+		p := e.procs[v]
+		if p == nil || p.Halted() {
+			box[v] = box[v][:0]
+			continue
+		}
+		ws.allHalted = false
+		e.stepVertexVT(v, r, ws, box)
+	}
+}
+
+// stepVertexVT steps live vertex v of a parallel round on its range
+// worker and admits the output. Every vertex is owned by exactly one
+// goroutine per round, so its inbox row, env, proc and PerNodeMaxBit
+// entry are touched race-free.
+func (e *Engine) stepVertexVT(v, r int, ws *workerState, box [][]Incoming) {
+	if e.topo != nil && e.epochOf[v] != e.curEpoch {
+		e.catchUpVertex(v)
+	}
+	out := e.procs[v].Step(&e.envs[v], r, box[v])
+	box[v] = box[v][:0]
+	e.admitVT(v, ws, out)
+}
+
+// admitVT admits vertex v's outgoing messages of a parallel round into
+// the worker's per-(destination-shard, delay) buckets. Same pipeline
+// order as deliverVT (see there); the dispatch record was resolved once
+// by roundParallelVT and is read-only during the phase. Every stage is
+// sender-local, so each decision is identical however vertices are
+// scheduled.
+func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
+	if cap(out) > cap(e.envs[v].scratch) {
+		e.envs[v].scratch = out[:0]
+	}
+	if len(out) == 0 {
 		return
+	}
+	if ws.nbrMark == nil {
+		ws.nbrMark = make([]uint64, e.n)
+	}
+	ws.gen++
+	for _, w := range e.sortedAdj[v] {
+		ws.nbrMark[w] = ws.gen
 	}
 	vtr := &e.vtr
 	tick, window := e.tick, e.window
+	span := window - 1
 	n := e.n
 	capBits := e.edgeCapBits
 	var dRng, fRng *xrand.Rand
@@ -780,13 +835,10 @@ func (e *Engine) stepVertexVT(v, r int, ws *workerState) {
 		if bits > maxSent {
 			maxSent = bits
 		}
-		idx := int(e.shardOf[to])*window + (tick+d)%window
+		idx := int(e.shardOf[to])*span + d - 1
 		ws.vtb[idx] = append(ws.vtb[idx],
 			routed{to: int32(to), from: int32(v), payload: payload})
 	}
 	ws.delayClamped += clamped
 	perNodeMax[v] = maxSent
-	if cap(out) > cap(e.envs[v].scratch) {
-		e.envs[v].scratch = out[:0]
-	}
 }

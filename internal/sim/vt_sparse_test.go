@@ -359,8 +359,8 @@ func (*flooder) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing 
 func (*flooder) Halted() bool { return false }
 
 // runFloodDigest executes a 24-round flood on H(48,6) under the given
-// delay model spec ("" = the legacy synchronous engine) and returns the
-// transcript digest.
+// delay model spec ("" = no model installed) and returns the transcript
+// digest.
 func runFloodDigest(t *testing.T, delaySpec string) string {
 	t.Helper()
 	const n, d = 48, 6
@@ -393,18 +393,18 @@ func runFloodDigest(t *testing.T, delaySpec string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestVTWindowTwoDegeneration: uniform:1-1 is a fixed next-tick model —
-// the minimal window=2 ring — and must produce the transcript of the
-// unit model and of the legacy synchronous engine, byte-for-byte.
+// TestVTWindowTwoDegeneration: no model, "unit" and uniform:1-1 are
+// three spellings of the fixed next-tick schedule — the minimal
+// window=2 ring — and must produce the same transcript, byte-for-byte.
 func TestVTWindowTwoDegeneration(t *testing.T) {
-	legacy := runFloodDigest(t, "")
+	none := runFloodDigest(t, "")
 	unit := runFloodDigest(t, "unit")
 	fixed := runFloodDigest(t, "uniform:1-1")
-	if unit != legacy {
-		t.Errorf("unit VT digest %s != legacy synchronous digest %s", unit, legacy)
+	if unit != none {
+		t.Errorf("unit digest %s != no-model digest %s", unit, none)
 	}
-	if fixed != legacy {
-		t.Errorf("uniform:1-1 digest %s != legacy synchronous digest %s", fixed, legacy)
+	if fixed != none {
+		t.Errorf("uniform:1-1 digest %s != no-model digest %s", fixed, none)
 	}
 }
 

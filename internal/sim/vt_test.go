@@ -2,24 +2,21 @@ package sim_test
 
 // Virtual-time scheduler guards.
 //
-// The load-bearing one is the unit-latency equivalence property: the
-// virtual-time engine under sim.UnitDelay must produce delivery
-// transcripts (and metrics) byte-identical to the legacy synchronous
-// loop — across seeds {42, 7}, worker counts {1, 3, 8}, and churn
-// on/off. That property is what lets E1–E18's golden tables and the
-// seed transcript digest keep pinning ONE engine while the scheduler
-// underneath grows delay and fault models.
+// The load-bearing one is the unit-latency pin: with no delay model and
+// with sim.UnitDelay, the engine must reproduce the delivery transcripts
+// (and metrics) recorded from the synchronous round loop it replaced —
+// across seeds {42, 7}, worker counts {1, 3, 8}, and churn on/off. That
+// is what lets E1–E18's golden tables and the seed transcript digest
+// keep pinning ONE engine while delay and fault models ride on it.
 //
 // The rest are direct checks of the scheduler itself: fixed latencies
 // arrive exactly d ticks later, jittered and region/GST schedules are
 // identical at every worker count, partitions drop cross-group traffic
 // during exactly their window, drop faults count in Dropped but never
-// in Messages, Sequential procs under parallel virtual time are
-// rejected with the typed error, and the spec-string grammar
-// round-trips.
+// in Messages, Sequential procs under parallel jittered delivery match
+// the serial run, and the spec-string grammar round-trips.
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -39,9 +36,7 @@ var vtSeeds = []uint64{42, 7}
 
 // runTranscriptSeeded is runTranscript with every seed derived from
 // `seed` and the delivery models configurable — the workhorse of the
-// equivalence property. A nil delay and fault runs the legacy
-// synchronous engine; sim.UnitDelay{} runs the virtual-time scheduler
-// in its degenerate synchronous configuration.
+// unit-latency pins and the cross-worker determinism checks.
 func runTranscriptSeeded(t *testing.T, seed uint64, workers int, delay sim.DelayModel, fault sim.FaultModel) (string, sim.Metrics, int) {
 	t.Helper()
 	const n, d = 192, 8
@@ -377,38 +372,145 @@ func TestVTPartitionWindow(t *testing.T) {
 	}
 }
 
-// seqProbe is a proberProc that opts into the Sequential contract.
-type seqProbe struct{ proberProc }
+// ticketBox is the mutable structure the Sequential test procs share:
+// every Step takes the next ticket, and the tickets ride in the
+// payloads they send, so the digest of everything delivered depends on
+// the order in which Sequential procs are stepped.
+type ticketBox struct{ next int }
 
-func (*seqProbe) StepsSequentially() {}
+// seqStamper is a round-driven Sequential proc: every round it folds
+// its inbox and broadcasts a payload carrying the next shared ticket.
+type seqStamper struct {
+	box *ticketBox
+	sum uint64
+}
 
-// TestVTSequentialParallelRejected pins the typed error: Sequential
-// processes on a parallel virtual-time engine are rejected, and the
-// same scenario runs fine serially.
-func TestVTSequentialParallelRejected(t *testing.T) {
-	build := func(workers int) *sim.Engine {
-		g := mustHND(t, 64, 4, 5)
-		eng := sim.New(g, sim.WithSeed(5),
-			sim.WithParallelism(workers),
-			sim.WithDelayModel(sim.UniformDelay{Min: 1, Max: 2}))
-		procs := make([]sim.Proc, 64)
-		for v := range procs {
-			if v == 0 {
-				procs[v] = &seqProbe{proberProc{sendIn: func(int) bool { return true }}}
-			} else {
-				procs[v] = &proberProc{sendIn: func(int) bool { return true }}
+func (p *seqStamper) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
+	p.sum = foldTranscript(p.sum, round, env, false, in)
+	p.box.next++
+	return env.Broadcast(hopPayload{hops: p.box.next})
+}
+
+func (p *seqStamper) Halted() bool     { return false }
+func (*seqStamper) StepsSequentially() {}
+
+// floodOnce is a TickDriven flood: on its first non-empty inbox it
+// folds the messages, broadcasts a payload carrying the next ticket of
+// its box, and halts.
+type floodOnce struct {
+	box  *ticketBox
+	sum  uint64
+	done bool
+}
+
+func (p *floodOnce) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
+	if len(in) == 0 || p.done {
+		return nil
+	}
+	p.sum = foldTranscript(p.sum, round, env, false, in)
+	p.done = true
+	p.box.next++
+	return env.Broadcast(hopPayload{hops: p.box.next})
+}
+
+func (p *floodOnce) Halted() bool       { return p.done }
+func (*floodOnce) StepsOnMessagesOnly() {}
+
+// seqFloodOnce is a floodOnce sharing its ticket box with the other
+// Sequential floods.
+type seqFloodOnce struct{ floodOnce }
+
+func (*seqFloodOnce) StepsSequentially() {}
+
+// runSequentialWorkload runs every ninth vertex of H(64,4) as a
+// Sequential proc sharing one ticket box, under uniform:1-4 jitter. The
+// dense variant pairs round-driven stampers with plain relays and adds
+// 10% drops. The sparse variant is a flood from one token injector in
+// which every other proc is a TickDriven floodOnce (with a private
+// box), so sparse delivery and tick skipping engage, Sequential procs
+// halt on the coordinator, and the run ends when every proc has halted.
+// It returns the combined per-vertex digest, the final shared ticket,
+// the rounds Run reported and the metrics.
+func runSequentialWorkload(t *testing.T, workers int, sparse bool) (string, int, int, sim.Metrics) {
+	t.Helper()
+	const n = 64
+	g := mustHND(t, n, 4, 5)
+	var fault sim.FaultModel
+	if !sparse {
+		fault = sim.DropFault{P: 0.1}
+	}
+	eng := sim.New(g, sim.WithSeed(5),
+		sim.WithParallelism(workers),
+		sim.WithDelayModel(sim.UniformDelay{Min: 1, Max: 4}),
+		sim.WithFaultModel(fault))
+	box := &ticketBox{}
+	procs := make([]sim.Proc, n)
+	sums := make([]*uint64, n)
+	for v := range procs {
+		switch {
+		case v%9 == 0 && sparse:
+			p := &seqFloodOnce{floodOnce{box: box}}
+			procs[v], sums[v] = p, &p.sum
+		case v%9 == 0:
+			p := &seqStamper{box: box}
+			procs[v], sums[v] = p, &p.sum
+		case v == 1 && sparse:
+			procs[v], sums[v] = &tokenInjector{}, new(uint64)
+		case sparse:
+			p := &floodOnce{box: &ticketBox{}}
+			procs[v], sums[v] = p, &p.sum
+		default:
+			p := &plainRelay{}
+			procs[v], sums[v] = p, &p.sum
+		}
+	}
+	if err := eng.Attach(procs); err != nil {
+		t.Fatal(err)
+	}
+	rounds, err := eng.Run(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, sum := range sums {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(*sum >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64()), box.next, rounds, eng.Metrics()
+}
+
+// TestVTSequentialParallelMatchesSerial pins the parallel engine's
+// Sequential pass under jittered delivery: Sequential procs are stepped
+// on the coordinator in vertex order and their output is admitted in
+// vertex order by the owning range worker, so transcripts, the shared
+// state's final value, the round count and metrics equal the serial
+// run's at every worker count — densely with drops, and on the sparse
+// lane where the Sequential procs are also TickDriven.
+func TestVTSequentialParallelMatchesSerial(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		wantDig, wantTicket, wantRounds, wantM := runSequentialWorkload(t, 1, sparse)
+		if wantM.Messages == 0 || wantTicket == 0 {
+			t.Fatalf("sparse=%v: degenerate workload: ticket %d, metrics %+v", sparse, wantTicket, wantM)
+		}
+		if sparse && (wantM.TicksSkipped == 0 || wantRounds >= 60) {
+			t.Fatalf("sparse flood must skip ticks and halt every proc before round 60: rounds %d, metrics %+v", wantRounds, wantM)
+		}
+		if !sparse && wantM.Dropped == 0 {
+			t.Fatalf("dense workload dropped nothing: %+v", wantM)
+		}
+		for _, w := range []int{3, 4, 8} {
+			dig, ticket, rounds, m := runSequentialWorkload(t, w, sparse)
+			if dig != wantDig || ticket != wantTicket || rounds != wantRounds {
+				t.Errorf("sparse=%v workers=%d: digest %s ticket %d rounds %d, serial %s ticket %d rounds %d",
+					sparse, w, dig, ticket, rounds, wantDig, wantTicket, wantRounds)
+			}
+			if !reflect.DeepEqual(m, wantM) {
+				t.Errorf("sparse=%v workers=%d: metrics diverge:\nserial:   %+v\nparallel: %+v", sparse, w, wantM, m)
 			}
 		}
-		if err := eng.Attach(procs); err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	if _, err := build(4).Run(10); !errors.Is(err, sim.ErrSequentialVirtualTime) {
-		t.Errorf("parallel run error = %v, want ErrSequentialVirtualTime", err)
-	}
-	if _, err := build(1).Run(10); err != nil {
-		t.Errorf("serial run error = %v, want nil", err)
 	}
 }
 
