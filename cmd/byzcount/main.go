@@ -417,6 +417,14 @@ func runCmd(args []string, prof *profiler) error {
 	if err := prof.parse(fs, args); err != nil {
 		return err
 	}
+	switch {
+	case *n < 1:
+		return &flagError{flag: "n", value: *n, want: ">= 1"}
+	case *byzN < 0:
+		return &flagError{flag: "byz", value: *byzN, want: ">= 0"}
+	case *maxPhase < 0:
+		return &flagError{flag: "max-phase", value: *maxPhase, want: ">= 0 (0 = the protocol default)"}
+	}
 	if *churnStop > 0 && *churn == 0 {
 		return fmt.Errorf("-churn-stop %d without -churn K has no effect; pass -churn or drop -churn-stop", *churnStop)
 	}
@@ -476,6 +484,19 @@ func runCmd(args []string, prof *profiler) error {
 	}
 	printDecisions(out.Outcomes, out.Honest, *n, *d, m, note)
 	return nil
+}
+
+// flagError reports a flag value outside the range its command
+// accepts. The scenario layer reads zero and negative values as
+// "default" or "none", so these are rejected before it sees them.
+type flagError struct {
+	flag  string // the flag's name, without the dash
+	value int    // the rejected value
+	want  string // the accepted range
+}
+
+func (e *flagError) Error() string {
+	return fmt.Sprintf("invalid value %d for -%s: want %s", e.value, e.flag, e.want)
 }
 
 // orDash renders an empty axis spec as "-" in the run report.

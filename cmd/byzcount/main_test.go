@@ -1,13 +1,16 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"byzcount/internal/perf"
+	"byzcount/internal/sim"
 )
 
 func TestRunNoArgs(t *testing.T) {
@@ -313,5 +316,58 @@ func TestCongestDegreeOneRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `protocol "congest" needs degree d >= 2, got d=1`) {
 			t.Errorf("%s at d=1: err %v, want the congest degree error", cmd[0], err)
 		}
+	}
+}
+
+// runFlagError runs the CLI and returns the *flagError it must fail
+// with; main turns any error into exit status 1.
+func runFlagError(t *testing.T, args ...string) *flagError {
+	t.Helper()
+	err := run(args)
+	var fe *flagError
+	if !errors.As(err, &fe) {
+		t.Fatalf("byzcount %s: error %v, want a flag error", strings.Join(args, " "), err)
+	}
+	return fe
+}
+
+// TestRunZeroNodesRejected: -n 0 used to run the scenario default of
+// 256 nodes while reporting n=0.
+func TestRunZeroNodesRejected(t *testing.T) {
+	if fe := runFlagError(t, "run", "-n", "0"); fe.flag != "n" || fe.value != 0 {
+		t.Errorf("-n 0: %v", fe)
+	}
+}
+
+// TestRunNegativeByzRejected: -byz -3 used to report byz=-3 and run a
+// benign network.
+func TestRunNegativeByzRejected(t *testing.T) {
+	if fe := runFlagError(t, "run", "-byz", "-3", "-attack", "spam", "-n", "64"); fe.flag != "byz" || fe.value != -3 {
+		t.Errorf("-byz -3: %v", fe)
+	}
+}
+
+// TestRunNegativeMaxPhaseRejected: -max-phase -1 used to be accepted
+// silently.
+func TestRunNegativeMaxPhaseRejected(t *testing.T) {
+	if fe := runFlagError(t, "run", "-max-phase", "-1"); fe.flag != "max-phase" || fe.value != -1 {
+		t.Errorf("-max-phase -1: %v", fe)
+	}
+}
+
+// TestRunHugeDelayRejected: a delay bound of 10^8 ticks used to build a
+// delivery ring of 10^8 rows per vertex and get the process OOM-killed.
+// It must fail with the parser's typed error before the ring exists.
+func TestRunHugeDelayRejected(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := run([]string{"run", "-n", "64", "-delay", "uniform:1-100000000"})
+	runtime.ReadMemStats(&after)
+	var be *sim.DelayBoundError
+	if !errors.As(err, &be) || be.Bound != 100000000 {
+		t.Fatalf("error %v, want a *sim.DelayBoundError at bound 10^8", err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 16<<20 {
+		t.Errorf("rejecting the spec allocated %d bytes", b)
 	}
 }

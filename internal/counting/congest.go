@@ -13,36 +13,46 @@ import (
 //
 // A beacon travels as a *Beacon and its path is a shared-prefix chain:
 // each Beacon holds the path's last ID and points at the beacon it
-// extends, so an honest forward is one 32-byte node instead of a copy of
-// the path. Beacons are immutable once built — every receiver of a
-// broadcast reads the same chain — and only NewBeacon and the honest
-// forward build them, so every chain is finite and its lengths agree.
+// extends, down to a root with an empty path that holds the origin, so
+// an honest forward is one 24-byte node instead of a copy of the path.
+// Beacons are immutable once built — every receiver of a broadcast reads
+// the same chain — and only NewBeacon, an origin's newRootBeacon and the
+// honest forward build them, so every chain is finite and its lengths
+// agree.
 type Beacon struct {
-	origin sim.NodeID
-	prev   *Beacon    // the beacon this one extends; nil when n == 0
-	hop    sim.NodeID // path[n-1]; unused when n == 0
-	n      int        // path length
+	prev *Beacon    // the beacon this one extends; nil at the root (n == 0)
+	id   sim.NodeID // path[n-1], or the origin at the root
+	n    int        // path length
 }
 
 // NewBeacon returns a beacon from origin carrying a copy of path, built
 // with one allocation. Honest forwards extend a received beacon instead.
 func NewBeacon(origin sim.NodeID, path []sim.NodeID) *Beacon {
 	chain := make([]Beacon, len(path)+1)
-	chain[0] = Beacon{origin: origin}
+	chain[0] = Beacon{id: origin}
 	for k, id := range path {
-		chain[k+1] = Beacon{origin: origin, prev: &chain[k], hop: id, n: k + 1}
+		chain[k+1] = Beacon{prev: &chain[k], id: id, n: k + 1}
 	}
 	return &chain[len(path)]
 }
 
+// newRootBeacon returns the empty-path beacon an origin sends.
+func newRootBeacon(origin sim.NodeID) *Beacon { return &Beacon{id: origin} }
+
 // extend returns the beacon that forwards b with id appended to its path
 // (line 16), sharing b's path instead of copying it.
 func (b *Beacon) extend(id sim.NodeID) *Beacon {
-	return &Beacon{origin: b.origin, prev: b, hop: id, n: b.n + 1}
+	return &Beacon{prev: b, id: id, n: b.n + 1}
 }
 
-// Origin returns the ID the beacon claims to originate from.
-func (b *Beacon) Origin() sim.NodeID { return b.origin }
+// Origin returns the ID the beacon claims to originate from, read at the
+// chain's root.
+func (b *Beacon) Origin() sim.NodeID {
+	for b.n > 0 {
+		b = b.prev
+	}
+	return b.id
+}
 
 // Len returns the length of the path field.
 func (b *Beacon) Len() int { return b.n }
@@ -53,7 +63,7 @@ func (b *Beacon) AppendPath(dst []sim.NodeID) []sim.NodeID {
 	dst = append(dst, make([]sim.NodeID, b.n)...)
 	path := dst[len(dst)-b.n:]
 	for ; b.n > 0; b = b.prev {
-		path[b.n-1] = b.hop
+		path[b.n-1] = b.id
 	}
 	return dst
 }
@@ -196,7 +206,7 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 			// An origin's shortestPath is itself alone, which the
 			// trusted suffix (at least one ID) always covers, so the
 			// empty-path beacon it sends stands in for it.
-			c.sp = &Beacon{origin: env.ID}
+			c.sp = newRootBeacon(env.ID)
 			out = env.AppendBroadcast(out, c.sp)
 		}
 
@@ -204,13 +214,21 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 		// Beacon receive window. Pick one beacon (line 14), append the
 		// true sender ID (line 16), maybe accept it (lines 20-25), and
 		// forward it while transmission is still allowed (lines 17-19).
+		// The forward is built only when it is sent or kept: the trusted
+		// suffix (at least one ID) always covers the appended sender, so
+		// the forward is acceptable at suffix exactly when the received
+		// beacon is at suffix-1.
 		if b, fromID, ok := firstBeacon(in); ok {
-			fwd := b.extend(fromID)
-			if loc.Offset <= i+1 {
-				out = env.AppendBroadcast(out, fwd)
-			}
-			if c.sp == nil && c.acceptable(fwd, suffix) {
-				c.sp = fwd
+			send := loc.Offset <= i+1
+			accept := c.sp == nil && c.acceptable(b, suffix-1)
+			if send || accept {
+				fwd := b.extend(fromID)
+				if send {
+					out = env.AppendBroadcast(out, fwd)
+				}
+				if accept {
+					c.sp = fwd
+				}
 			}
 		}
 		if loc.Offset == beaconWindowEnd {
@@ -220,7 +238,7 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 			}
 			if c.sp != nil && !c.params.DisableBlacklist {
 				for p := c.sp.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
-					c.blacklist.add(p.hop)
+					c.blacklist.add(p.id)
 				}
 			}
 			// Continue window starts now: undecided nodes broadcast
@@ -272,7 +290,7 @@ func (c *CongestProc) acceptable(b *Beacon, suffix int) bool {
 		return true
 	}
 	for p := b.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
-		if c.blacklist.has(p.hop) {
+		if c.blacklist.has(p.id) {
 			return false
 		}
 	}

@@ -234,7 +234,7 @@ func prefixToBlacklist(path []sim.NodeID, suffix int) []sim.NodeID {
 func untrustedIDs(b *Beacon, suffix int) []sim.NodeID {
 	var ids []sim.NodeID
 	for p := b.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
-		ids = append(ids, p.hop)
+		ids = append(ids, p.id)
 	}
 	slices.Reverse(ids)
 	return ids
@@ -317,19 +317,22 @@ func TestBeaconSizeBits(t *testing.T) {
 }
 
 // stepMallocs steps p through one round and returns the number of heap
-// objects the round allocated.
-func stepMallocs(p *CongestProc, env *sim.Env, round int, in []sim.Incoming) uint64 {
+// objects and bytes the round allocated.
+func stepMallocs(p *CongestProc, env *sim.Env, round int, in []sim.Incoming) (objects, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p.Step(env, round, in)
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestCongestStepAllocs gates Algorithm 2's step: forwarding a beacon
-// costs one object (the 32-byte chain node; the path is shared and the
-// pointer payload is stored without boxing), and decision and
-// continue-window rounds allocate nothing once the blacklist has grown.
+// costs one object of at most 24 bytes (the chain node; the path is
+// shared and the pointer payload is stored without boxing), a beacon
+// received in the last receipt round by a node that already holds
+// shortestPath is neither sent nor kept and costs nothing, and decision
+// and continue-window rounds allocate nothing once the blacklist has
+// grown.
 func TestCongestStepAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	params := DefaultCongestParams(8)
@@ -349,10 +352,11 @@ func TestCongestStepAllocs(t *testing.T) {
 	env := (&sim.Env{Vertex: 0, ID: 1, Degree: deg, Neighbors: nbrs}).WithRand(xrand.New(5))
 	env.Broadcast(Continue{}) // size the scratch buffer for one broadcast
 
-	// Every forwarding round delivers one beacon carrying fresh IDs. The
-	// first iteration's 20-ID paths grow the phase blacklist past what
-	// the later iterations' 4-ID prefixes need; the continue window
-	// delivers a continue to forward.
+	// Every beacon-window round delivers one beacon carrying fresh IDs,
+	// through the last receipt round i+2. The first iteration's 20-ID
+	// paths grow the phase blacklist past what the later iterations'
+	// 4-ID prefixes need; the continue window delivers a continue to
+	// forward.
 	ids := xrand.New(6)
 	fresh := func(k int) []sim.NodeID {
 		p := make([]sim.NodeID, k)
@@ -367,7 +371,7 @@ func TestCongestStepAllocs(t *testing.T) {
 		if j == 0 {
 			pathLen = 20
 		}
-		for off := 1; off <= i+1; off++ {
+		for off := 1; off <= i+2; off++ {
 			b := NewBeacon(sim.NodeID(ids.Uint64()), fresh(pathLen))
 			inbox[j*iterLen+off] = []sim.Incoming{{From: 1, FromID: sim.NodeID(ids.Uint64()), Payload: b}}
 		}
@@ -380,11 +384,14 @@ func TestCongestStepAllocs(t *testing.T) {
 	for j := range 3 {
 		for off := 0; off < iterLen; off++ {
 			r := j*iterLen + off
-			got := stepMallocs(p, env, r, inbox[r])
+			got, bytes := stepMallocs(p, env, r, inbox[r])
 			var want uint64
 			switch {
 			case off >= 1 && off <= i+1:
 				want = 1
+				if bytes > 24 {
+					t.Errorf("iteration %d offset %d: a forward allocated %d bytes, want <= 24", j+1, off, bytes)
+				}
 			case off == i+2 && j == 0:
 				continue // the blacklist grows to its high-water mark
 			}

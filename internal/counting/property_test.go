@@ -1,6 +1,7 @@
 package counting
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,4 +188,74 @@ func TestLocalEstimatePositive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBeaconShortcutProperties checks the identities Algorithm 2's step
+// relies on to skip building forwards it neither sends nor keeps, and to
+// store the origin only at a chain's root. Over seeded random chains
+// (NewBeacon plus random extends) and random blacklists, for every
+// trusted suffix s >= 1:
+//   - acceptable(b.extend(id), s) == acceptable(b, s-1): the suffix
+//     always covers the appended sender, so the forward's untrusted
+//     prefix is b's at s-1;
+//   - every extension reports the root's origin;
+//   - AppendPath returns the path the chain was built from.
+func TestBeaconShortcutProperties(t *testing.T) {
+	rng := xrand.New(61)
+	randomID := func(pool []sim.NodeID) sim.NodeID {
+		switch {
+		case rng.Intn(8) == 0:
+			return 0 // the idSet keeps ID 0 out of its table
+		case len(pool) > 0 && rng.Intn(2) == 0:
+			return pool[rng.Intn(len(pool))]
+		default:
+			return sim.NodeID(rng.Uint64())
+		}
+	}
+	verdicts := map[bool]int{}
+	for trial := range 400 {
+		var path []sim.NodeID
+		for range rng.Intn(12) {
+			path = append(path, randomID(path))
+		}
+		origin := randomID(nil)
+		b := NewBeacon(origin, path)
+		for range rng.Intn(12) {
+			id := randomID(path)
+			b = b.extend(id)
+			path = append(path, id)
+		}
+		c := NewCongestProc(DefaultCongestParams(8))
+		for range rng.Intn(2 * (len(path) + 1)) {
+			c.blacklist.add(randomID(path))
+		}
+		if got := b.Origin(); got != origin {
+			t.Fatalf("trial %d: chain of %d IDs reports origin %d, root holds %d", trial, b.Len(), got, origin)
+		}
+		if got := b.AppendPath(nil); !slices.Equal(got, path) {
+			t.Fatalf("trial %d: AppendPath = %v, built from %v", trial, got, path)
+		}
+		for range 3 {
+			id := randomID(path)
+			fwd := b.extend(id)
+			if got := fwd.Origin(); got != origin {
+				t.Fatalf("trial %d: extension reports origin %d, root holds %d", trial, got, origin)
+			}
+			if got, want := fwd.AppendPath(nil), append(slices.Clip(path), id); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: extension's AppendPath = %v, want %v", trial, got, want)
+			}
+			for s := 1; s <= len(path)+3; s++ {
+				got, want := c.acceptable(fwd, s), c.acceptable(b, s-1)
+				if got != want {
+					t.Fatalf("trial %d suffix %d: forward acceptable %v, received beacon at suffix-1 %v (path %v + %d, blacklist of %d)",
+						trial, s, got, want, path, id, c.blacklist.count)
+				}
+				verdicts[got]++
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("the instances never exercised both verdicts: %v", verdicts)
+	}
+	t.Logf("verdicts: %v", verdicts)
 }

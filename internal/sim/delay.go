@@ -172,6 +172,56 @@ func (m GSTDelay) Delay(rng *xrand.Rand, round, from, to int) int {
 	return m.Inner.Delay(rng, round, from, to)
 }
 
+// MaxDelayTicks is the largest latency bound ParseDelayModel accepts: a
+// uniform MAX, a geo CAP, a region NEAR or FAR. The delivery ring holds
+// MaxDelay+1 rows per vertex, allocated before the first tick, so the
+// bound is paid n times over whatever the traffic; the largest delay
+// any test, experiment or example uses is 6 ticks.
+const MaxDelayTicks = 1024
+
+// MaxRingBytes is the budget for the delivery ring's row headers,
+// (MaxDelay+1) × slots × 24 bytes on 64-bit platforms. Run refuses a
+// model whose ring exceeds it — a hand-built model past MaxDelayTicks,
+// or a parsed one on a very large network — with a *RingBudgetError
+// before allocating any of it. Lockstep rings at n = 10^6 need 48 MB.
+const MaxRingBytes = 1 << 30
+
+// rowHeaderBytes is the size of one ring row header ([]Incoming).
+const rowHeaderBytes = 3 * strconv.IntSize / 8
+
+// DelayBoundError reports a delay spec whose latency bound exceeds
+// MaxDelayTicks.
+type DelayBoundError struct {
+	Spec  string // the rejected spec
+	Bound int    // the latency bound it asks for
+}
+
+func (e *DelayBoundError) Error() string {
+	return fmt.Sprintf("sim: delay spec %q bounds latency at %d ticks, above the %d-tick limit (the delivery ring holds MAX+1 rows per vertex)",
+		e.Spec, e.Bound, MaxDelayTicks)
+}
+
+// RingBudgetError reports a delay model whose delivery ring would
+// exceed MaxRingBytes on the engine's slot count.
+type RingBudgetError struct {
+	Model    string // the model's Name
+	MaxDelay int    // its latency bound
+	Slots    int    // the engine's vertex slots
+}
+
+func (e *RingBudgetError) Error() string {
+	return fmt.Sprintf("sim: delay model %s (max delay %d) needs a delivery ring of %d x %d rows, over the %d MiB budget",
+		e.Model, e.MaxDelay, uint64(e.MaxDelay)+1, e.Slots, MaxRingBytes>>20)
+}
+
+// ringFits reports whether the ring for latency bound maxDelay —
+// maxDelay+1 rows per slot — fits MaxRingBytes on slots slots, without
+// overflowing on huge bounds.
+func ringFits(maxDelay, slots int) bool {
+	const rows = MaxRingBytes / rowHeaderBytes
+	return maxDelay < rows && int64(maxDelay+1)*int64(slots) <= rows
+}
+
 // ParseDelayModel parses a delay spec string:
 //
 //	unit                   synchronous (one tick per message)
@@ -183,8 +233,20 @@ func (m GSTDelay) Delay(rng *xrand.Rand, round, from, to int) int {
 // The empty string parses to nil (no model: unit latency, the same
 // delivery as "unit"). Specs are the CLI's and the scenario grid's
 // delay-axis vocabulary; Name() on the returned model round-trips to
-// the canonical spec.
+// the canonical spec. A latency bound above MaxDelayTicks yields a
+// *DelayBoundError.
 func ParseDelayModel(spec string) (DelayModel, error) {
+	m, err := parseDelayModel(spec)
+	if err != nil || m == nil {
+		return m, err
+	}
+	if d := m.MaxDelay(); d > MaxDelayTicks {
+		return nil, &DelayBoundError{Spec: spec, Bound: d}
+	}
+	return m, nil
+}
+
+func parseDelayModel(spec string) (DelayModel, error) {
 	switch {
 	case spec == "":
 		return nil, nil

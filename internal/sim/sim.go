@@ -171,11 +171,11 @@ type Env struct {
 	NeighborIDs []NodeID
 
 	// rand is the slot's private stream, derived lazily by Rand(); root
-	// is the engine stream it derives from. A stream costs ~112 B until
-	// its 274th draw and 4.9 KB after (see package xrand), so slots whose
-	// processes never draw — flood workloads, vacant slots, adversaries
-	// — skip even that; a counting node drawing a few coins per
-	// iteration stays at the small size.
+	// is the engine stream it derives from. A stream is one 64 B object
+	// until its 274th draw and adds a 4.9 KB register after (see package
+	// xrand), so slots whose processes never draw — flood workloads,
+	// vacant slots, adversaries — skip even that; a counting node
+	// drawing a few coins per iteration stays at the small size.
 	rand *xrand.Rand
 	root *xrand.Rand
 
@@ -225,8 +225,10 @@ func (e *Env) Scratch() []Outgoing { return e.scratch[:0] }
 // AppendBroadcast appends one Outgoing per incident edge carrying
 // payload to buf and returns the extended slice. With parallel edges a
 // neighbor receives one copy per edge, matching the model where each
-// edge is an independent channel.
+// edge is an independent channel. It grows buf once, to fit the whole
+// broadcast, rather than by doubling.
 func (e *Env) AppendBroadcast(buf []Outgoing, payload Payload) []Outgoing {
+	buf = slices.Grow(buf, len(e.Neighbors))
 	for _, w := range e.Neighbors {
 		buf = append(buf, Outgoing{To: w, Payload: payload})
 	}
@@ -323,6 +325,14 @@ type workerState struct {
 	// mispredicts its data-dependent exit on nearly every message,
 	// which costs more than the whole map lookup it replaced.
 	nbrMark []uint64
+
+	// inbox carves lockstep ring rows (window == 2) at their
+	// destination's degree on first delivery, for the destinations this
+	// worker delivers to: every vertex on a serial engine, destination
+	// shard i on a parallel one, whose merge worker it is. A row then
+	// fits one message per edge per round from the start instead of
+	// growing 1, 2, 4, ... per slot (see carveRow).
+	inbox slab[Incoming]
 
 	// vtb[s*(window-1)+d-1] holds this worker's admitted messages
 	// destined for shard s with latency d, in ascending sender order
@@ -437,17 +447,19 @@ type Engine struct {
 	// a calendar queue whose unit-latency form (window == 2) is a
 	// current/next double buffer. This is the inbox arena — rows are
 	// truncated after delivery, never freed, so each row stays at its
-	// high-water capacity and steady-state rounds allocate nothing.
-	// Together with the Env scratch buffers on the send side this is
-	// what makes warm rounds allocation-free (see DESIGN.md, "Memory
-	// model").
+	// high-water capacity and steady-state rounds allocate nothing. A
+	// lockstep row starts at its destination's degree, carved from a
+	// worker slab on first delivery (see carveRow). Together with the
+	// Env scratch buffers on the send side this is what makes warm
+	// rounds allocation-free (see DESIGN.md, "Memory model").
 	ring [][][]Incoming
 	// delayRng[v] / faultRng[v] are v's private latency/fault streams
 	// (pure functions of the engine seed and v), derived lazily on v's
 	// first draw. Only models that draw get streams at all (see
 	// DelayModel.Draws), so a unit-latency run consumes no stream beyond
-	// the processes' own. A stream costs ~112 B until its 274th draw
-	// and 4.9 KB after, so a busy sender's stream grows to full size.
+	// the processes' own. A stream is one 64 B object until its 274th
+	// draw and adds a 4.9 KB register after, so a busy sender's stream
+	// grows to full size.
 	delayRng []*xrand.Rand
 	faultRng []*xrand.Rand
 	// tick is the absolute virtual tick of the round being executed —
@@ -1012,10 +1024,9 @@ func (e *Engine) FaultModel() FaultModel { return e.fault }
 // TestSteadyStateAllocsVT* gates do. No-op before Attach; rows already
 // at capacity perRow or above are left alone.
 func (e *Engine) ReserveInbox(perRow int) {
-	if perRow <= 0 || e.procs == nil {
+	if perRow <= 0 || e.procs == nil || e.ensureState() != nil {
 		return
 	}
-	e.ensureState()
 	for s := range e.ring {
 		slot := e.ring[s]
 		var slab []Incoming
@@ -1049,8 +1060,9 @@ func (e *Engine) ReserveOutbox(perBucket int) {
 		return
 	}
 	e.vtbReserve = perBucket
-	e.ensureState()
-	e.applyOutboxReserve()
+	if e.ensureState() == nil {
+		e.applyOutboxReserve()
+	}
 }
 
 // applyOutboxReserve carves each worker's outbox buckets out of one
@@ -1156,10 +1168,15 @@ func (e *Engine) Env(v int) *Env { return &e.envs[v] }
 func (e *Engine) Metrics() Metrics { return e.metrics }
 
 // ensureState builds (or rebuilds) the delivery ring, the worker ranges
-// and the scratch used by Run. Serial mode uses ws[0] only.
-func (e *Engine) ensureState() {
+// and the scratch used by Run. Serial mode uses ws[0] only. It builds
+// nothing and returns a *RingBudgetError when the delay model's ring
+// would exceed MaxRingBytes.
+func (e *Engine) ensureState() error {
 	if e.ws != nil {
-		return
+		return nil
+	}
+	if e.delay != nil && !ringFits(e.delay.MaxDelay(), e.n) {
+		return &RingBudgetError{Model: e.delay.Name(), MaxDelay: e.delay.MaxDelay(), Slots: e.n}
 	}
 	n := e.n
 	w := e.Parallelism()
@@ -1173,8 +1190,15 @@ func (e *Engine) ensureState() {
 	}
 	e.ensureVT()
 	e.ws = make([]*workerState, w)
-	for i := range e.ws {
+	for i, r := range e.ranges {
 		e.ws[i] = &workerState{}
+		if e.window == 2 {
+			arcs := 0
+			for v := r[0]; v < r[1]; v++ {
+				arcs += cap(e.envs[v].Neighbors)
+			}
+			e.ws[i].inbox.remaining = 2 * arcs
+		}
 	}
 	if w > 1 {
 		e.shardOf = make([]int32, n)
@@ -1200,6 +1224,7 @@ func (e *Engine) ensureState() {
 		e.ensureOccupancy()
 	}
 	e.applyOutboxReserve()
+	return nil
 }
 
 // ensureVT builds (or re-sizes after growth) the delivery state: the
@@ -1368,7 +1393,11 @@ func (e *Engine) mergeShardVT(s int) {
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[idx]
 			for _, m := range bucket {
-				box[m.to] = append(box[m.to], Incoming{
+				row := box[m.to]
+				if cap(row) == 0 {
+					row = e.carveRow(e.ws[s], int(m.to))
+				}
+				box[m.to] = append(row, Incoming{
 					From:    int(m.from),
 					FromID:  e.ids[m.from],
 					Payload: m.payload,
@@ -1478,7 +1507,9 @@ func (e *Engine) stepSequential(r int) int {
 
 // Run executes up to maxRounds rounds and returns the number of rounds
 // executed. The run ends early when every process has halted or the stop
-// condition fires. Attach must have been called.
+// condition fires. Attach must have been called. A delay model whose
+// delivery ring would exceed MaxRingBytes gets a *RingBudgetError
+// before any of the ring is allocated.
 func (e *Engine) Run(maxRounds int) (int, error) {
 	if e.procs == nil {
 		return 0, errors.New("sim: Run called before Attach")
@@ -1493,7 +1524,9 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 		e.regrow = false
 		e.ws = nil
 	}
-	e.ensureState()
+	if err := e.ensureState(); err != nil {
+		return 0, err
+	}
 	if e.sparse {
 		e.recountTickDriven()
 	}
@@ -1579,7 +1612,9 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 				e.regrow = false
 				e.stopPool()
 				e.ws = nil
-				e.ensureState()
+				if err := e.ensureState(); err != nil {
+					return r + 1, err
+				}
 				parallel = len(e.ranges) > 1
 				if parallel {
 					e.startPool()

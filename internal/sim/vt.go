@@ -289,6 +289,9 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 		si := (tick + d) % window
 		dst := e.ring[si]
 		row := dst[to]
+		if cap(row) == 0 {
+			row = e.carveRow(ws, to)
+		}
 		if sparse {
 			if len(row) == 0 {
 				e.occRows[si] = append(e.occRows[si], int32(to))
@@ -301,6 +304,26 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 	ws.messages += msgs
 	ws.bits += totalBits
 	perNodeMax[v] = maxSent
+}
+
+// carveRow returns the row for vertex to's first delivery, an empty
+// row with room for one message per incident edge carved from ws's
+// inbox slab, on lockstep engines (window == 2), where each edge
+// carries at most one message per round in the paper's model. Growing
+// the row by doubling instead costs a flood's row four objects per
+// slot, three of them garbage by round two; at 160k vertices that
+// warm-up is what the collector marks. Jittered rings (window > 2) keep
+// plain growth: their per-slot load is a fraction of the degree, and a
+// full carve per slot costs more than it saves. It returns nil when no
+// carve applies (jitter, or a degree not yet known).
+func (e *Engine) carveRow(ws *workerState, to int) []Incoming {
+	if e.window != 2 {
+		return nil
+	}
+	if d := cap(e.envs[to].Neighbors); d > 0 {
+		return ws.inbox.carve(d)
+	}
+	return nil
 }
 
 // roundSerialVT executes one round on the calling goroutine: resolve
@@ -395,7 +418,11 @@ func (e *Engine) roundSerialVT(r int) bool {
 			if bits > maxSent {
 				maxSent = bits
 			}
-			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
+			row := dst[to]
+			if cap(row) == 0 {
+				row = e.carveRow(ws, to)
+			}
+			dst[to] = append(row, Incoming{From: v, FromID: fromID, Payload: payload})
 		}
 		ws.messages += msgs
 		ws.bits += totalBits
@@ -648,6 +675,9 @@ func (e *Engine) mergeShardVTSparse(s int) {
 			bucket := e.ws[i].vtb[bi]
 			for _, m := range bucket {
 				row := box[m.to]
+				if cap(row) == 0 {
+					row = e.carveRow(e.ws[s], int(m.to))
+				}
 				if len(row) == 0 {
 					rows = append(rows, m.to)
 				}

@@ -17,9 +17,13 @@ package sim_test
 // the serial run, and the spec-string grammar round-trips.
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"byzcount/internal/byzantine"
@@ -539,6 +543,96 @@ func TestParseDelayModel(t *testing.T) {
 		if _, err := sim.ParseDelayModel(spec); err == nil {
 			t.Errorf("ParseDelayModel(%q): expected error", spec)
 		}
+	}
+}
+
+// TestParseDelayModelBound: ParseDelayModel caps every latency bound —
+// uniform MAX, geo CAP, region NEAR and FAR, inside gst specs too — at
+// sim.MaxDelayTicks with a *DelayBoundError, and accepts the cap itself.
+func TestParseDelayModelBound(t *testing.T) {
+	lim := sim.MaxDelayTicks
+	for _, spec := range []string{
+		fmt.Sprintf("uniform:1-%d", lim), fmt.Sprintf("geo:0.5@%d", lim),
+		fmt.Sprintf("region:2/%d/1", lim), fmt.Sprintf("gst:8/uniform:%d-%d", lim, lim),
+	} {
+		if m, err := sim.ParseDelayModel(spec); err != nil || m.MaxDelay() != lim {
+			t.Errorf("ParseDelayModel(%q) = %v, %v; want a model bounded at the %d-tick limit", spec, m, err, lim)
+		}
+	}
+	for _, c := range []struct {
+		spec  string
+		bound int
+	}{
+		{fmt.Sprintf("uniform:1-%d", lim+1), lim + 1},
+		{"uniform:1-100000000", 100000000},
+		{"geo:0.5@4000000", 4000000},
+		{fmt.Sprintf("region:2/1/%d", lim+1), lim + 1},
+		{"gst:8/uniform:1-400000", 400000},
+	} {
+		m, err := sim.ParseDelayModel(c.spec)
+		var be *sim.DelayBoundError
+		if !errors.As(err, &be) || be.Bound != c.bound {
+			t.Errorf("ParseDelayModel(%q) = %v, %v; want a *DelayBoundError at bound %d", c.spec, m, err, c.bound)
+		}
+	}
+}
+
+// TestVTRingBudget: Run refuses a hand-built delay model whose delivery
+// ring would exceed sim.MaxRingBytes with a *RingBudgetError, and
+// allocates none of the ring first — ReserveInbox, a best-effort hint,
+// must not build it either. Bounds that would overflow the window
+// arithmetic are refused the same way. A bound at the parse limit fits
+// a small network but not one just past the budget, so the budget, not
+// the parse limit, is what stops a huge ring at scale.
+func TestVTRingBudget(t *testing.T) {
+	engine := func(n int, m sim.DelayModel) *sim.Engine {
+		t.Helper()
+		lat, err := graph.NewRingLattice(n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.New(lat, sim.WithDelayModel(m))
+		procs := make([]sim.Proc, n)
+		for v := range procs {
+			procs[v] = byzantine.Silent{}
+		}
+		if err := eng.Attach(procs); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	for _, m := range []sim.DelayModel{
+		sim.UniformDelay{Min: 1, Max: 100_000_000},
+		sim.GeometricDelay{P: 0.5, Cap: math.MaxInt},
+		sim.GSTDelay{GST: 4, Inner: sim.RegionDelay{Regions: 2, Near: 1, Far: 1 << 30}},
+	} {
+		eng := engine(64, m)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng.ReserveInbox(8)
+		_, err := eng.Run(4)
+		runtime.ReadMemStats(&after)
+		var rb *sim.RingBudgetError
+		if !errors.As(err, &rb) || rb.MaxDelay != m.MaxDelay() || rb.Slots != 64 {
+			t.Errorf("%s: Run error %v, want a *RingBudgetError for max delay %d on 64 slots", m.Name(), err, m.MaxDelay())
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("%s: refusing the ring allocated %d bytes", m.Name(), b)
+		}
+	}
+	atLimit, err := sim.ParseDelayModel(fmt.Sprintf("uniform:1-%d", sim.MaxDelayTicks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine(64, atLimit).Run(2); err != nil {
+		t.Errorf("%s on 64 slots: %v", atLimit.Name(), err)
+	}
+	// The smallest slot count whose ring headers ([]Incoming, three
+	// words each) exceed the budget at the parse limit.
+	over := sim.MaxRingBytes/(3*strconv.IntSize/8)/(sim.MaxDelayTicks+1) + 1
+	var rb *sim.RingBudgetError
+	if _, err := engine(over, atLimit).Run(2); !errors.As(err, &rb) {
+		t.Errorf("%s on %d slots: Run error %v, want a *RingBudgetError", atLimit.Name(), over, err)
 	}
 }
 

@@ -31,7 +31,7 @@ var (
 	seedWordsOnce sync.Once
 )
 
-// initSeedWords fills seedWords. It runs on the first newSource, not at
+// initSeedWords fills seedWords. It runs on the first New, not at
 // package init, so its tens of microseconds land on the first stream a
 // program derives instead of on every program's start-up.
 func initSeedWords() {
@@ -80,19 +80,12 @@ func seedTerms(seed uint64, i int) uint64 {
 // after a Seed reads only register words no earlier draw has written,
 // so it is computed straight from the seed; the 4.9 KB register is
 // built on draw 274 and kept for reuse across later Seeds. A stream that
-// never reaches draw 274 costs its 48-byte struct.
+// never reaches draw 274 costs these 48 bytes inside its Rand.
 type source struct {
 	vec   []int64 // the register; nil until the first materialization
 	feed  int     // as in math/rand once materialized; −1 while lazy
 	drawn int     // draws served since Seed while lazy
 	seed  uint64  // reduced seed, in [1, 2³¹−2]
-}
-
-func newSource(seed int64) *source {
-	seedWordsOnce.Do(initSeedWords)
-	s := new(source)
-	s.Seed(seed)
-	return s
 }
 
 // Seed resets the stream to rand.NewSource(seed)'s, with that

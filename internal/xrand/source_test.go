@@ -43,42 +43,144 @@ func TestSourceMatchesStdlibSeeds(t *testing.T) {
 	}
 }
 
-// stdlibStream is the stream New(seed) produced before the lazy source:
-// xrand's API over math/rand's own source. It is the reference every
-// differential test compares against.
-func stdlibStream(seed uint64) *Rand {
-	return &Rand{src: rand.New(rand.NewSource(int64(mix(seed)))), seed: seed}
+// newSource returns a lazy source seeded as rand.NewSource(seed) is.
+func newSource(seed int64) *source {
+	seedWordsOnce.Do(initSeedWords)
+	s := new(source)
+	s.Seed(seed)
+	return s
 }
 
-// streamOps covers every math/rand method xrand calls, through the xrand
-// API, each reduced to a comparable value.
+// refRand is the stream type xrand had before its draws ran on the
+// embedded lazy source: the same API over a *rand.Rand on math/rand's
+// own source, every draw delegated to math/rand. It is the reference
+// every differential test compares *Rand against.
+type refRand struct{ src *rand.Rand }
+
+// stdlibStream is the reference for the stream New(seed) returns.
+func stdlibStream(seed uint64) *refRand {
+	return &refRand{src: rand.New(rand.NewSource(int64(mix(seed))))}
+}
+
+func (r *refRand) Reseed(seed uint64) { r.src.Seed(int64(mix(seed))) }
+
+func (r *refRand) Intn(n int) int                     { return r.src.Intn(n) }
+func (r *refRand) Int63() int64                       { return r.src.Int63() }
+func (r *refRand) Uint64() uint64                     { return r.src.Uint64() }
+func (r *refRand) ID() uint64                         { return r.src.Uint64() }
+func (r *refRand) Float64() float64                   { return r.src.Float64() }
+func (r *refRand) Perm(n int) []int                   { return r.src.Perm(n) }
+func (r *refRand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+
+func (r *refRand) Bernoulli(p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.src.Float64() < p
+}
+
+func (r *refRand) Geometric() int {
+	flips := 1
+	for r.src.Int63()&1 == 0 {
+		flips++
+	}
+	return flips
+}
+
+func (r *refRand) GeometricP(p float64) int {
+	if p >= 1 {
+		return 1
+	}
+	if p <= 0 {
+		panic("xrand: GeometricP requires p in (0, 1]")
+	}
+	n := 1
+	for !r.Bernoulli(p) {
+		n++
+	}
+	return n
+}
+
+func (r *refRand) Exponential(lambda float64) float64 {
+	if lambda <= 0 {
+		panic("xrand: Exponential requires lambda > 0")
+	}
+	return r.src.ExpFloat64() / lambda
+}
+
+func (r *refRand) Sample(n, k int) []int {
+	if k < 0 || k > n {
+		panic("xrand: Sample requires 0 <= k <= n")
+	}
+	if k == 0 {
+		return nil
+	}
+	chosen := make([]int, 0, k)
+	remap := make(map[int]int, k)
+	for i := 0; i < k; i++ {
+		j := i + r.src.Intn(n-i)
+		vj, ok := remap[j]
+		if !ok {
+			vj = j
+		}
+		vi, ok := remap[i]
+		if !ok {
+			vi = i
+		}
+		remap[j] = vi
+		chosen = append(chosen, vj)
+	}
+	return chosen
+}
+
+// stream is the draw API *Rand and its reference share.
+type stream interface {
+	Reseed(seed uint64)
+	Intn(n int) int
+	Int63() int64
+	Uint64() uint64
+	ID() uint64
+	Float64() float64
+	Bernoulli(p float64) bool
+	Geometric() int
+	GeometricP(p float64) int
+	Exponential(lambda float64) float64
+	Perm(n int) []int
+	Shuffle(n int, swap func(i, j int))
+	Sample(n, k int) []int
+}
+
+// streamOps covers every xrand draw, each reduced to a comparable value.
 var streamOps = []struct {
 	name string
-	draw func(r *Rand) uint64
+	draw func(r stream) uint64
 }{
-	{"Uint64", func(r *Rand) uint64 { return r.Uint64() }},
-	{"Int63", func(r *Rand) uint64 { return uint64(r.Int63()) }},
-	{"ID", func(r *Rand) uint64 { return r.ID() }},
-	{"Intn/pow2", func(r *Rand) uint64 { return uint64(r.Intn(1024)) }},
-	{"Intn/odd", func(r *Rand) uint64 { return uint64(r.Intn(1000003)) }},
-	{"Intn/big", func(r *Rand) uint64 { return uint64(r.Intn(math.MaxInt / 3)) }}, // Int63n path on 64-bit
-	{"Float64", func(r *Rand) uint64 { return math.Float64bits(r.Float64()) }},
-	{"Bernoulli", func(r *Rand) uint64 {
+	{"Uint64", func(r stream) uint64 { return r.Uint64() }},
+	{"Int63", func(r stream) uint64 { return uint64(r.Int63()) }},
+	{"ID", func(r stream) uint64 { return r.ID() }},
+	{"Intn/pow2", func(r stream) uint64 { return uint64(r.Intn(1024)) }},
+	{"Intn/odd", func(r stream) uint64 { return uint64(r.Intn(1000003)) }},
+	{"Intn/big", func(r stream) uint64 { return uint64(r.Intn(math.MaxInt / 3)) }}, // Int63n path on 64-bit
+	{"Float64", func(r stream) uint64 { return math.Float64bits(r.Float64()) }},
+	{"Bernoulli", func(r stream) uint64 {
 		if r.Bernoulli(0.3) {
 			return 1
 		}
 		return 0
 	}},
-	{"Geometric", func(r *Rand) uint64 { return uint64(r.Geometric()) }},
-	{"GeometricP", func(r *Rand) uint64 { return uint64(r.GeometricP(0.2)) }},
-	{"Exponential", func(r *Rand) uint64 { return math.Float64bits(r.Exponential(2)) }},
-	{"Perm", func(r *Rand) uint64 { return fold(r.Perm(9)) }},
-	{"Shuffle", func(r *Rand) uint64 {
+	{"Geometric", func(r stream) uint64 { return uint64(r.Geometric()) }},
+	{"GeometricP", func(r stream) uint64 { return uint64(r.GeometricP(0.2)) }},
+	{"Exponential", func(r stream) uint64 { return math.Float64bits(r.Exponential(2)) }},
+	{"Perm", func(r stream) uint64 { return fold(r.Perm(9)) }},
+	{"Shuffle", func(r stream) uint64 {
 		var swaps []int
 		r.Shuffle(9, func(i, j int) { swaps = append(swaps, i, j) })
 		return fold(swaps)
 	}},
-	{"Sample", func(r *Rand) uint64 { return fold(r.Sample(50, 4)) }},
+	{"Sample", func(r stream) uint64 { return fold(r.Sample(50, 4)) }},
 }
 
 // fold hashes a slice of small ints into one comparable value.
@@ -92,7 +194,7 @@ func fold(xs []int) uint64 {
 
 // TestStreamMatchesStdlib is the table-driven differential test: for
 // many seeds, every op run for every draw count must match the
-// math/rand-backed reference, and so must a round-robin over all ops
+// math/rand-backed reference (refRand), and so must a round-robin over all ops
 // that keeps drawing past the materialization point.
 func TestStreamMatchesStdlib(t *testing.T) {
 	for seed := uint64(0); seed < 16; seed++ {
@@ -200,6 +302,86 @@ func FuzzSourceMatchesStdlib(f *testing.F) {
 	})
 }
 
+// FuzzRandMatchesStdlib drives a *Rand and its math/rand reference
+// (refRand) through the same fuzzer-chosen program of Reseed and draw
+// calls, reaching the draws that run math/rand's algorithms on the
+// embedded source directly. Each instruction is an opcode byte and its
+// operand bytes (missing bytes read as zero):
+//
+//	0 Reseed(8 bytes)             1 Intn(int from 8 bytes, any sign)
+//	2 Float64 ×(b+1)              3 Bernoulli(int8(b)/100) ×(c+1)
+//	4 Geometric ×(b+1)            5 GeometricP(int8(b)/64)
+//	6 Sample(n=b, k=int8(c) mod (n+2))  7 Int63 ×(b+1)
+//
+// Intn's operand covers n <= 0 (which must panic as math/rand does),
+// the rejection loop of non-powers of two near 2³¹−1 and the Int63n
+// path above it; a panic must match the reference's, and leaves both
+// streams undrawn. A tail of 607 draws then catches any divergence the
+// program's last calls left in the state.
+func FuzzRandMatchesStdlib(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, prog []byte) {
+		got, want := New(seed), stdlibStream(seed)
+		p := program(prog)
+		for len(p) > 0 {
+			switch op := p.next() % 8; op {
+			case 0:
+				s := p.operand(8)
+				got.Reseed(s)
+				want.Reseed(s)
+			case 1:
+				n := int(int64(p.operand(8)))
+				sameCall(t, seed, fmt.Sprintf("Intn(%d)", n), got, want, func(r stream) int { return r.Intn(n) })
+			case 3:
+				prob := float64(int8(p.next())) / 100
+				for range int(p.next()) + 1 {
+					sameCall(t, seed, fmt.Sprintf("Bernoulli(%g)", prob), got, want, func(r stream) bool { return r.Bernoulli(prob) })
+				}
+			case 5:
+				prob := float64(int8(p.next())) / 64
+				sameCall(t, seed, fmt.Sprintf("GeometricP(%g)", prob), got, want, func(r stream) int { return r.GeometricP(prob) })
+			case 6:
+				n := int(p.next())
+				k := int(int8(p.next())) % (n + 2)
+				sameCall(t, seed, fmt.Sprintf("Sample(%d, %d)", n, k), got, want, func(r stream) uint64 { return fold(r.Sample(n, k)) })
+			default:
+				for range int(p.next()) + 1 {
+					switch op {
+					case 2:
+						same(t, int64(seed), "Float64", got.Float64(), want.Float64())
+					case 4:
+						same(t, int64(seed), "Geometric", got.Geometric(), want.Geometric())
+					case 7:
+						same(t, int64(seed), "Int63", got.Int63(), want.Int63())
+					}
+				}
+			}
+		}
+		for range rngLen {
+			same(t, int64(seed), "tail Uint64", got.Uint64(), want.Uint64())
+		}
+	})
+}
+
+// sameCall runs call on both streams and fails the fuzz run unless they
+// return the same value or panic with the same value.
+func sameCall[T comparable](t *testing.T, seed uint64, op string, got, want stream, call func(stream) T) {
+	t.Helper()
+	g, gp := catch(got, call)
+	w, wp := catch(want, call)
+	if gp != wp {
+		t.Fatalf("seed %d, %s: panic %v, math/rand panic %v", seed, op, gp, wp)
+	}
+	if g != w {
+		t.Fatalf("seed %d, %s: %v, math/rand %v", seed, op, g, w)
+	}
+}
+
+// catch returns call's result, or the value it panicked with.
+func catch[T comparable](r stream, call func(stream) T) (v T, panicked any) {
+	defer func() { panicked = recover() }()
+	return call(r), nil
+}
+
 // same fails the fuzz run when the lazy source's value differs from
 // math/rand's. No method compared can return NaN.
 func same[T comparable](t *testing.T, seed int64, op string, got, want T) {
@@ -232,7 +414,9 @@ func (p *program) operand(n int) uint64 {
 
 // TestStreamFootprint pins the lazy seeding's memory win: a fresh
 // per-node stream that never reaches its 274th draw must not pay for
-// the 4.9 KB register math/rand's source allocates up front.
+// the 4.9 KB register math/rand's source allocates up front, and is one
+// 64 B object — the source embedded in the stream, no math/rand Rand
+// beside it.
 func TestStreamFootprint(t *testing.T) {
 	root := New(42)
 	const streams = 2000
@@ -242,14 +426,23 @@ func TestStreamFootprint(t *testing.T) {
 	for i := 0; i < streams; i++ {
 		r := root.SplitN("node", i)
 		for k := 0; k < rngTap; k++ {
-			sink += r.Uint64()
+			switch k % 3 {
+			case 0:
+				sink += r.Uint64()
+			case 1:
+				sink += uint64(r.Intn(1024)) // a power of two: one draw
+			default:
+				sink += math.Float64bits(r.Float64())
+			}
 		}
 	}
 	runtime.ReadMemStats(&after)
 	perStream := float64(after.TotalAlloc-before.TotalAlloc) / streams
-	t.Logf("%.0f B per stream", perStream)
-	if perStream > 128 {
-		t.Errorf("a SplitN stream drawing %d values allocates %.0f B, want <= 128 (sink %d)", rngTap, perStream, sink)
+	objects := float64(after.Mallocs-before.Mallocs) / streams
+	t.Logf("%.0f B in %.2f objects per stream", perStream, objects)
+	if objects > 1 || perStream > 64 {
+		t.Errorf("a SplitN stream drawing %d values allocates %.0f B in %.2f objects, want one object of <= 64 B (sink %d)",
+			rngTap, perStream, objects, sink)
 	}
 }
 
