@@ -313,9 +313,10 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 // the row by doubling instead costs a flood's row four objects per
 // slot, three of them garbage by round two; at 160k vertices that
 // warm-up is what the collector marks. Jittered rings (window > 2) keep
-// plain growth: their per-slot load is a fraction of the degree, and a
-// full carve per slot costs more than it saves. It returns nil when no
-// carve applies (jitter, or a degree not yet known).
+// plain growth: a slot there holds about a (window-1)th of the degree
+// per tick, so a full carve in every slot reserves memory most rows
+// never fill. It returns nil when no carve applies (jitter, or a degree
+// not yet known).
 func (e *Engine) carveRow(ws *workerState, to int) []Incoming {
 	if e.window != 2 {
 		return nil
