@@ -265,21 +265,15 @@ func BenchmarkEngineRoundThroughputParallel8(b *testing.B) {
 // benchVTFloodThroughput times the flood workload under a delay model
 // (perf.NewVTFloodEngine — BENCH.json's engine/vt-flood/*): every
 // message takes a per-edge latency and rides the calendar ring to its
-// delivery round. "unit" is lockstep delivery, the same lane as
-// BenchmarkEngineRoundThroughput under another name; "uniform:1-4"
-// spreads each round's sends over a four-round window, the real
-// reordering case. Allocs/op reports the steady state: 0, pinned by
-// TestSteadyStateAllocsVT*.
+// delivery round. "uniform:1-4" spreads each round's sends over a
+// four-round window, the real reordering case. Allocs/op reports the
+// steady state: 0, pinned by TestSteadyStateAllocsVT*.
 func benchVTFloodThroughput(b *testing.B, workers int, delaySpec string) {
 	eng, err := perf.NewVTFloodEngine(1024, 8, workers, delaySpec)
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchRoundThroughput(b, eng)
-}
-
-func BenchmarkEngineVTUnitRoundThroughput(b *testing.B) {
-	benchVTFloodThroughput(b, 1, "unit")
 }
 
 func BenchmarkEngineVTJitterRoundThroughput(b *testing.B) {

@@ -167,6 +167,9 @@ func exptCmd(args []string, all bool, prof *profiler) error {
 	if err := prof.parse(fs, rest); err != nil {
 		return err
 	}
+	if err := intFlag("trials", *trials, 1); err != nil {
+		return err
+	}
 	expt.SetSubstrateCache(*subcache)
 	cfg := expt.Config{Seed: *seed, Trials: *trials, Quick: *quick, Parallel: *parallel}
 	ids := []string{id}
@@ -417,13 +420,17 @@ func runCmd(args []string, prof *profiler) error {
 	if err := prof.parse(fs, args); err != nil {
 		return err
 	}
-	switch {
-	case *n < 1:
-		return &flagError{flag: "n", value: *n, want: ">= 1"}
-	case *byzN < 0:
-		return &flagError{flag: "byz", value: *byzN, want: ">= 0"}
-	case *maxPhase < 0:
-		return &flagError{flag: "max-phase", value: *maxPhase, want: ">= 0 (0 = the protocol default)"}
+	if err := errors.Join(
+		intFlag("n", *n, minNodes),
+		intFlag("d", *d, 1),
+		intFlag("byz", *byzN, 0),
+		intFlag("max-phase", *maxPhase, 0),
+		intFlag("churn", *churn, 0),
+		intFlag("churn-stop", *churnStop, 0),
+		intFlag("gst", *gst, 0),
+		fracFlag("drop", *drop),
+	); err != nil {
+		return err
 	}
 	if *churnStop > 0 && *churn == 0 {
 		return fmt.Errorf("-churn-stop %d without -churn K has no effect; pass -churn or drop -churn-stop", *churnStop)
@@ -490,13 +497,35 @@ func runCmd(args []string, prof *profiler) error {
 // accepts. The scenario layer reads zero and negative values as
 // "default" or "none", so these are rejected before it sees them.
 type flagError struct {
-	flag  string // the flag's name, without the dash
-	value int    // the rejected value
-	want  string // the accepted range
+	flag  string  // the flag's name, without the dash
+	value float64 // the rejected value (one element of a list flag)
+	want  string  // the accepted range
 }
 
 func (e *flagError) Error() string {
-	return fmt.Sprintf("invalid value %d for -%s: want %s", e.value, e.flag, e.want)
+	return fmt.Sprintf("invalid value %s for -%s: want %s",
+		strconv.FormatFloat(e.value, 'f', -1, 64), e.flag, e.want)
+}
+
+// minNodes is the smallest network a scenario runs on; below it the
+// scenario layer rejects the scale as degenerate.
+const minNodes = 3
+
+// intFlag returns a *flagError when an integer flag value is below min.
+func intFlag(name string, v, min int) error {
+	if v < min {
+		return &flagError{flag: name, value: float64(v), want: fmt.Sprintf(">= %d", min)}
+	}
+	return nil
+}
+
+// fracFlag returns a *flagError when a fraction flag value is outside
+// [0, 1] (NaN included).
+func fracFlag(name string, v float64) error {
+	if !(v >= 0 && v <= 1) {
+		return &flagError{flag: name, value: v, want: "in [0, 1]"}
+	}
+	return nil
 }
 
 // orDash renders an empty axis spec as "-" in the run report.
@@ -588,6 +617,27 @@ func matrixFlags(fs *flag.FlagSet) func() (expt.Matrix, expt.Config, error) {
 		}
 		churnList, err := splitInts(*churns)
 		if err != nil {
+			return expt.Matrix{}, expt.Config{}, err
+		}
+		// Zero and negative values would otherwise read as the
+		// scenario defaults (n=256, d=8, 3 trials) or as "none".
+		errs := []error{
+			intFlag("d", *d, 1),
+			intFlag("max-phase", *maxPhase, 0),
+			fracFlag("stop-frac", *stopFrac),
+			intFlag("churn-stop", *churnStop, 0),
+			intFlag("trials", *trials, 1),
+		}
+		for _, v := range nList {
+			errs = append(errs, intFlag("n", v, minNodes))
+		}
+		for _, v := range fracList {
+			errs = append(errs, fracFlag("byz-frac", v))
+		}
+		for _, v := range churnList {
+			errs = append(errs, intFlag("churn", v, 0))
+		}
+		if err := errors.Join(errs...); err != nil {
 			return expt.Matrix{}, expt.Config{}, err
 		}
 		profiles := make([]expt.ChurnProfile, 0, len(churnList))

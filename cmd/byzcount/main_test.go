@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -352,6 +353,72 @@ func TestRunNegativeByzRejected(t *testing.T) {
 func TestRunNegativeMaxPhaseRejected(t *testing.T) {
 	if fe := runFlagError(t, "run", "-max-phase", "-1"); fe.flag != "max-phase" || fe.value != -1 {
 		t.Errorf("-max-phase -1: %v", fe)
+	}
+}
+
+// TestGridFlagsRejected: each of these used to run a default or a
+// different experiment without a word — -n 0 ran n=256 (and -n 256,0
+// collapsed to one cell), -trials 0 ran 3 trials, -d 0 ran d=8 (run
+// even printed d=0), negative churn, phase and fraction values were
+// accepted, -byz-frac 1.5 failed as an "empty matrix", and run -drop
+// -0.5 ran lossless. Each must now fail with a typed flag error, and a
+// rejected sweep must not create its directory.
+func TestGridFlagsRejected(t *testing.T) {
+	type flagCase struct {
+		args  []string
+		flag  string
+		value float64
+	}
+	// matrix and sweep share their grid flags (matrixFlags).
+	grid := []flagCase{
+		{[]string{"-n", "0"}, "n", 0},
+		{[]string{"-n", "256,0"}, "n", 0},
+		{[]string{"-trials", "0"}, "trials", 0},
+		{[]string{"-trials", "-2"}, "trials", -2},
+		{[]string{"-d", "0"}, "d", 0},
+		{[]string{"-max-phase", "-1"}, "max-phase", -1},
+		{[]string{"-byz-frac", "-0.1"}, "byz-frac", -0.1},
+		{[]string{"-byz-frac", "1.5"}, "byz-frac", 1.5},
+		{[]string{"-byz-frac", "0,1.5", "-adversary", "spam"}, "byz-frac", 1.5},
+		{[]string{"-stop-frac", "2"}, "stop-frac", 2},
+		{[]string{"-churn", "-1"}, "churn", -1},
+		{[]string{"-churn", "0,-1"}, "churn", -1},
+		{[]string{"-churn", "2", "-churn-stop", "-3"}, "churn-stop", -3},
+	}
+	sweepDir := filepath.Join(t.TempDir(), "sw")
+	var cases []flagCase
+	for _, g := range grid {
+		cases = append(cases,
+			flagCase{append([]string{"matrix"}, g.args...), g.flag, g.value},
+			flagCase{append([]string{"sweep", "-out", "DIR"}, g.args...), g.flag, g.value})
+	}
+	cases = append(cases,
+		flagCase{[]string{"expt", "E8", "-quick", "-trials", "0"}, "trials", 0},
+		flagCase{[]string{"expt", "E8", "-quick", "-trials", "-2"}, "trials", -2},
+		flagCase{[]string{"all", "-quick", "-trials", "0"}, "trials", 0},
+		flagCase{[]string{"all", "-quick", "-trials", "-2"}, "trials", -2},
+		flagCase{[]string{"run", "-d", "0"}, "d", 0},
+		flagCase{[]string{"run", "-n", "2"}, "n", 2},
+		flagCase{[]string{"run", "-drop", "-0.5"}, "drop", -0.5},
+		flagCase{[]string{"run", "-drop", "1.5"}, "drop", 1.5},
+		flagCase{[]string{"run", "-gst", "-5"}, "gst", -5},
+		flagCase{[]string{"run", "-churn", "-2"}, "churn", -2},
+		flagCase{[]string{"run", "-churn", "2", "-churn-stop", "-3"}, "churn-stop", -3},
+	)
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			args := slices.Clone(tc.args)
+			if i := slices.Index(args, "DIR"); i >= 0 {
+				args[i] = sweepDir
+			}
+			fe := runFlagError(t, args...)
+			if fe.flag != tc.flag || fe.value != tc.value {
+				t.Errorf("got %v, want a -%s %g flag error", fe, tc.flag, tc.value)
+			}
+		})
+	}
+	if _, err := os.Stat(sweepDir); !os.IsNotExist(err) {
+		t.Errorf("a rejected sweep created its directory (stat err %v)", err)
 	}
 }
 

@@ -57,10 +57,11 @@ func TestMeasureCalibrates(t *testing.T) {
 }
 
 // TestSuiteShape: the suite covers the engine micro-benchmarks
-// (static, virtual-time — unit, jitter, sparse, and tick-skip lanes —
-// churn, and churn-byz), the graph substrate workloads (build-hnd,
-// build-ws, build-regular, bfs), and all twenty experiments; names are
-// unique, and the filter selects by substring.
+// (static — broadcast and per-edge flood — virtual-time — jitter,
+// sparse, and tick-skip lanes — churn, and churn-byz), the graph
+// substrate workloads (build-hnd, build-ws, build-regular, bfs), and all
+// twenty experiments; names are unique, and the filter selects by
+// substring.
 func TestSuiteShape(t *testing.T) {
 	suite := Suite(SuiteConfig{Quick: true})
 	if len(suite) != 23+20 {
@@ -85,6 +86,9 @@ func TestSuiteShape(t *testing.T) {
 	}
 	if !seen["engine/flood/serial/n=1024"] {
 		t.Error("suite is missing engine/flood/serial/n=1024")
+	}
+	if !seen["engine/flood-edges/serial/n=1024"] {
+		t.Error("suite is missing engine/flood-edges/serial/n=1024")
 	}
 	if !seen["engine/churn-flood/serial/n=1024"] {
 		t.Error("suite is missing engine/churn-flood/serial/n=1024")
@@ -118,8 +122,8 @@ func TestSuiteShape(t *testing.T) {
 		t.Errorf("filter vt-skip kept %d benchmarks, want 5", len(skipFiltered))
 	}
 	filtered := Suite(SuiteConfig{Quick: true, Filter: "engine/flood"})
-	if len(filtered) != 3 {
-		t.Errorf("filter engine/flood kept %d benchmarks, want 3", len(filtered))
+	if len(filtered) != 4 {
+		t.Errorf("filter engine/flood kept %d benchmarks, want 4", len(filtered))
 	}
 	churnFiltered := Suite(SuiteConfig{Quick: true, Filter: "churn-flood"})
 	if len(churnFiltered) != 2 {

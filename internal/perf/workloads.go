@@ -49,6 +49,23 @@ func (*FloodProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoin
 // Halted is always false.
 func (*FloodProc) Halted() bool { return false }
 
+// floodEdgesProc is FloodProc in the per-edge encoding: it appends one
+// unicast Outgoing per incident edge instead of one AllNeighbors entry,
+// so every copy takes the engine's unicast admission (a neighbor check
+// and a SizeBits call per copy). The engine/flood-edges/* lane times it
+// against engine/flood/*, the broadcast admission of the same traffic.
+type floodEdgesProc struct{}
+
+func (*floodEdgesProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
+	out := env.Scratch()
+	for _, w := range env.Neighbors {
+		out = append(out, sim.Outgoing{To: w, Payload: FloodPayload{}})
+	}
+	return out
+}
+
+func (*floodEdgesProc) Halted() bool { return false }
+
 // NewFloodEngine builds the flood workload over H(n,d): one engine,
 // one FloodProc per vertex, the given worker count.
 func NewFloodEngine(n, d, workers int) (*sim.Engine, error) {
@@ -57,12 +74,17 @@ func NewFloodEngine(n, d, workers int) (*sim.Engine, error) {
 
 // NewVTFloodEngine is NewFloodEngine with a delay-model spec (see
 // sim.ParseDelayModel): the event-queue throughput workload. The empty
-// spec and "unit" both run unit latency — the same engine lane under
-// the engine/flood/* and engine/vt-flood/unit/* trajectory names — and
+// spec and "unit" both run unit latency, the engine/flood/* lane, and
 // a jitter spec like "uniform:1-4" measures the calendar-queue ring
 // under real reordering, as the engine/vt-flood/* entries and the
 // TestSteadyStateAllocsVT* gates record.
 func NewVTFloodEngine(n, d, workers int, delaySpec string) (*sim.Engine, error) {
+	return newFloodEngine(n, d, workers, delaySpec, &FloodProc{})
+}
+
+// newFloodEngine builds a flood engine over H(n,d) whose vertices all
+// run the stateless proc.
+func newFloodEngine(n, d, workers int, delaySpec string, proc sim.Proc) (*sim.Engine, error) {
 	g, err := graph.HND(n, d, xrand.New(4))
 	if err != nil {
 		return nil, err
@@ -77,7 +99,7 @@ func NewVTFloodEngine(n, d, workers int, delaySpec string) (*sim.Engine, error) 
 		sim.WithDelayModel(delay))
 	procs := make([]sim.Proc, g.N())
 	for v := range procs {
-		procs[v] = &FloodProc{}
+		procs[v] = proc
 	}
 	if err := eng.Attach(procs); err != nil {
 		return nil, err
@@ -470,55 +492,22 @@ func NewVTSkipEngine(n, workers int, dense bool) (*sim.Engine, error) {
 // sparseBenchmark measures the pulse/relay workload; one iteration is
 // one virtual tick.
 func sparseBenchmark(name string, n, d, workers int, dense bool, minTime time.Duration) Benchmark {
-	return Benchmark{
-		Name:    name,
-		Warmup:  64,
-		MinTime: minTime,
-		Setup: func() (func(int) (Totals, error), error) {
-			eng, err := NewVTSparseEngine(n, d, workers, dense)
-			if err != nil {
-				return nil, err
-			}
-			return func(iters int) (Totals, error) {
-				before := eng.Metrics().Messages
-				if _, err := eng.Run(iters); err != nil {
-					return Totals{}, err
-				}
-				return Totals{
-					Msgs:   eng.Metrics().Messages - before,
-					Rounds: int64(iters),
-				}, nil
-			}, nil
-		},
-	}
+	return engineBenchmark(name, minTime, func() (*sim.Engine, error) {
+		return NewVTSparseEngine(n, d, workers, dense)
+	})
 }
 
 // skipBenchmark measures the token workload; one iteration is one
 // virtual tick (skipped ticks included — fast-forwarded ticks still
 // advance the clock and the metrics, they just cost O(1)).
 func skipBenchmark(name string, n, workers int, dense, skip bool, minTime time.Duration) Benchmark {
-	return Benchmark{
-		Name:    name,
-		Warmup:  64,
-		MinTime: minTime,
-		Setup: func() (func(int) (Totals, error), error) {
-			eng, err := NewVTSkipEngine(n, workers, dense)
-			if err != nil {
-				return nil, err
-			}
+	return engineBenchmark(name, minTime, func() (*sim.Engine, error) {
+		eng, err := NewVTSkipEngine(n, workers, dense)
+		if err == nil {
 			eng.SetTickSkip(skip)
-			return func(iters int) (Totals, error) {
-				before := eng.Metrics().Messages
-				if _, err := eng.Run(iters); err != nil {
-					return Totals{}, err
-				}
-				return Totals{
-					Msgs:   eng.Metrics().Messages - before,
-					Rounds: int64(iters),
-				}, nil
-			}, nil
-		},
-	}
+		}
+		return eng, err
+	})
 }
 
 // churnByzBenchmark measures rounds/sec and msgs/sec on the churn-byz
@@ -577,19 +566,28 @@ func churnFloodBenchmark(name string, n, d, workers, perRound int, minTime time.
 }
 
 // floodBenchmark measures engine rounds/sec and msgs/sec on the flood
-// workload; one iteration is one round. Warmup puts every arena and
-// scratch buffer at its high-water mark, so allocs_per_op records the
-// steady state (0 for the serial engine; the parallel engine amortizes
-// its constant per-Run pool startup across the calibrated rounds). A
-// non-empty delaySpec runs the same flood on the virtual-time
-// scheduler — the event-queue throughput lane.
+// workload; one iteration is one round. A non-empty delaySpec runs the
+// same flood on the virtual-time scheduler — the event-queue
+// throughput lane.
 func floodBenchmark(name string, n, d, workers int, delaySpec string, minTime time.Duration) Benchmark {
+	return engineBenchmark(name, minTime, func() (*sim.Engine, error) {
+		return NewVTFloodEngine(n, d, workers, delaySpec)
+	})
+}
+
+// engineBenchmark measures rounds/sec and msgs/sec on the engine that
+// build returns; one iteration is one round (one virtual tick). Warmup
+// puts every arena and scratch buffer at its high-water mark, so
+// allocs_per_op records the steady state (0 for the serial engine; the
+// parallel engine amortizes its constant per-Run pool startup across
+// the calibrated rounds).
+func engineBenchmark(name string, minTime time.Duration, build func() (*sim.Engine, error)) Benchmark {
 	return Benchmark{
 		Name:    name,
 		Warmup:  64,
 		MinTime: minTime,
 		Setup: func() (func(int) (Totals, error), error) {
-			eng, err := NewVTFloodEngine(n, d, workers, delaySpec)
+			eng, err := build()
 			if err != nil {
 				return nil, err
 			}
@@ -733,8 +731,9 @@ func experimentBenchmark(id string, quick bool) Benchmark {
 
 // Suite returns the standard benchmark suite: the engine flood
 // micro-benchmarks (serial, pinned-8-worker, and GOMAXPROCS-worker
-// parallel), the vt-flood micro-benchmarks (the virtual-time event
-// queue: degenerate unit latency, uniform:1-4 jitter, and the sparse
+// parallel, plus the serial flood sent as per-edge unicasts, the
+// engine/flood-edges lane), the vt-flood micro-benchmarks (the
+// virtual-time event queue: uniform:1-4 jitter, and the sparse
 // pulse/relay workload — serial and sharded-parallel — with its dense
 // control), the vt-skip token micro-benchmarks (tick fast-forwarding
 // on, off, and structurally unavailable, serial and sharded-parallel),
@@ -757,7 +756,9 @@ func Suite(cfg SuiteConfig) []Benchmark {
 		floodBenchmark(fmt.Sprintf("engine/flood/parallel=%d/n=1024", workers), 1024, 8, workers, "", micro),
 		floodBenchmark(fmt.Sprintf("engine/flood/gomaxprocs=%d/n=1024", runtime.GOMAXPROCS(0)),
 			1024, 8, runtime.GOMAXPROCS(0), "", micro),
-		floodBenchmark("engine/vt-flood/unit/serial/n=1024", 1024, 8, 1, "unit", micro),
+		engineBenchmark("engine/flood-edges/serial/n=1024", micro, func() (*sim.Engine, error) {
+			return newFloodEngine(1024, 8, 1, "", &floodEdgesProc{})
+		}),
 		floodBenchmark("engine/vt-flood/jitter/serial/n=1024", 1024, 8, 1, "uniform:1-4", micro),
 		floodBenchmark(fmt.Sprintf("engine/vt-flood/jitter/parallel=%d/n=1024", workers),
 			1024, 8, workers, "uniform:1-4", micro),

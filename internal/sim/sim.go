@@ -148,13 +148,19 @@ type Incoming struct {
 	Payload Payload
 }
 
-// Outgoing is a message to send. To must be a neighbor of the sender in
-// the network graph; messages addressed elsewhere are dropped and counted
-// as violations.
+// Outgoing is a message to send. To is a neighbor of the sender in the
+// network graph, or AllNeighbors for a broadcast; messages addressed
+// elsewhere are dropped and counted as violations.
 type Outgoing struct {
 	To      int
 	Payload Payload
 }
+
+// AllNeighbors is the Outgoing.To of a broadcast: the engine delivers
+// the entry's payload once per incident edge of the sender, in
+// Env.Neighbors order, exactly as if the output held one entry per edge
+// (see Env.AppendBroadcast). Any other negative To is a violation.
+const AllNeighbors = -1
 
 // Env carries the static, strictly local knowledge a process is allowed:
 // its vertex index (for the engine's bookkeeping only — protocols must not
@@ -222,22 +228,21 @@ func (e *Env) WithRand(rng *xrand.Rand) *Env {
 // across rounds or mix it with Broadcast in the same Step.
 func (e *Env) Scratch() []Outgoing { return e.scratch[:0] }
 
-// AppendBroadcast appends one Outgoing per incident edge carrying
-// payload to buf and returns the extended slice. With parallel edges a
-// neighbor receives one copy per edge, matching the model where each
-// edge is an independent channel. It grows buf once, to fit the whole
-// broadcast, rather than by doubling.
+// AppendBroadcast appends one entry carrying payload to buf, addressed
+// to AllNeighbors, and returns the extended slice. The engine delivers
+// the entry once per incident edge, in Neighbors order: with parallel
+// edges a neighbor receives one copy per edge, matching the model where
+// each edge is an independent channel. Each copy is admitted on its own
+// (edge capacity, fault verdict, latency draw and metrics are per
+// edge), so the one entry behaves exactly like one Outgoing per edge.
 func (e *Env) AppendBroadcast(buf []Outgoing, payload Payload) []Outgoing {
-	buf = slices.Grow(buf, len(e.Neighbors))
-	for _, w := range e.Neighbors {
-		buf = append(buf, Outgoing{To: w, Payload: payload})
-	}
-	return buf
+	return append(buf, Outgoing{To: AllNeighbors, Payload: payload})
 }
 
-// Broadcast returns one Outgoing per incident edge carrying payload,
-// built in the env's scratch buffer (see Scratch for the ownership
-// rules): after the first round it performs no allocation.
+// Broadcast returns a one-entry output that sends payload over every
+// incident edge (see AppendBroadcast), built in the env's scratch buffer
+// (see Scratch for the ownership rules): after the first round it
+// performs no allocation.
 func (e *Env) Broadcast(payload Payload) []Outgoing {
 	out := e.AppendBroadcast(e.scratch[:0], payload)
 	e.scratch = out
@@ -323,7 +328,11 @@ type workerState struct {
 	// processed. Stamping costs O(degree) per sender but makes every
 	// membership check one predictable load — a scan or binary search
 	// mispredicts its data-dependent exit on nearly every message,
-	// which costs more than the whole map lookup it replaced.
+	// which costs more than the whole map lookup it replaced. Only
+	// unicast entries need the check (a broadcast's targets are the
+	// sender's own adjacency), so a sender is stamped only when its
+	// output holds a unicast entry, and the array is allocated for the
+	// worker's first such sender (see unicastMarks).
 	nbrMark []uint64
 
 	// inbox carves lockstep ring rows (window == 2) at their
@@ -428,9 +437,9 @@ type Engine struct {
 	metrics Metrics
 
 	// sortedAdj[v] is v's adjacency, deduplicated and sorted ascending.
-	// Each round a sender stamps these into its worker's nbrMark array
-	// so destination checks are one compare (replaces the old
-	// []map[int]bool, whose per-vertex maps dominated setup memory).
+	// A sender with a unicast entry stamps these into its worker's
+	// nbrMark array so destination checks are one compare (replaces the
+	// old []map[int]bool, whose per-vertex maps dominated setup memory).
 	sortedAdj [][]int32
 
 	// --- virtual time ---
@@ -1393,11 +1402,11 @@ func (e *Engine) mergeShardVT(s int) {
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[idx]
 			for _, m := range bucket {
-				row := box[m.to]
-				if cap(row) == 0 {
-					row = e.carveRow(e.ws[s], int(m.to))
+				if cap(box[m.to]) == 0 {
+					box[m.to] = e.carveRow(e.ws[s], int(m.to))
 				}
-				box[m.to] = append(row, Incoming{
+				// Keep x[i] = append(x[i], ...) in place: no header store (see deliverVT).
+				box[m.to] = append(box[m.to], Incoming{
 					From:    int(m.from),
 					FromID:  e.ids[m.from],
 					Payload: m.payload,

@@ -180,9 +180,12 @@ func (e *Engine) resolveVT(tick int) vtRound {
 }
 
 // deliverVT admits and schedules one sender's outgoing messages for a
-// serial round. The admission pipeline order is fixed —
+// serial round. An AllNeighbors entry expands in place over the
+// sender's incident edges (one SizeBits call per entry, no neighbor
+// check); a unicast entry passes the neighbor check first. Each
+// resulting copy then runs the fixed per-edge pipeline —
 //
-//	neighbor check -> capacity budget -> fault verdict -> latency draw
+//	capacity budget -> fault verdict -> latency draw
 //
 // — so a faulted message has spent the edge but is counted in Dropped,
 // not Messages, and does not advance the latency stream. The admission
@@ -191,12 +194,10 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 	n := e.n
 	window := e.window
 	capBits := e.edgeCapBits
-	nbrMark := ws.nbrMark
 	ws.gen++
 	gen := ws.gen
-	for _, w := range e.sortedAdj[v] {
-		nbrMark[w] = gen
-	}
+	nbrMark := e.unicastMarks(ws, v, out)
+	nbrs := e.envs[v].Neighbors
 	fromID := e.ids[v]
 	perNodeMax := e.metrics.PerNodeMaxBit
 	maxSent := perNodeMax[v]
@@ -211,99 +212,136 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 	var msgs, totalBits, clamped int64
 	for _, msg := range out {
 		to, payload := msg.To, msg.Payload
-		if uint(to) >= uint(n) || nbrMark[to] != gen {
-			ws.violations++
-			continue
+		copies := len(nbrs)
+		if to != AllNeighbors {
+			if uint(to) >= uint(n) || nbrMark[to] != gen {
+				ws.violations++
+				continue
+			}
+			copies = 1
 		}
 		bits := 0
 		if payload != nil {
 			bits = payload.SizeBits()
 		}
-		if capBits > 0 {
-			if ws.budgetGen[to] != gen {
-				ws.budgetGen[to] = gen
-				ws.budget[to] = 0
+		// A broadcast's k-th copy takes the sender's k-th edge; a
+		// unicast is its one copy.
+		for k := 0; k < copies; k++ {
+			if msg.To == AllNeighbors {
+				to = nbrs[k]
 			}
-			if ws.budget[to]+bits > capBits {
-				ws.capped++
-				continue
+			if capBits > 0 {
+				if ws.budgetGen[to] != gen {
+					ws.budgetGen[to] = gen
+					ws.budget[to] = 0
+				}
+				if ws.budget[to]+bits > capBits {
+					ws.capped++
+					continue
+				}
+				ws.budget[to] += bits
 			}
-			ws.budget[to] += bits
-		}
-		switch vtr.fk {
-		case fkNone:
-		case fkPartition:
-			if v%vtr.fGroups != to%vtr.fGroups {
+			switch vtr.fk {
+			case fkNone:
+			case fkPartition:
+				if v%vtr.fGroups != to%vtr.fGroups {
+					ws.dropped++
+					continue
+				}
+			case fkDrop:
+				if fRng.Bernoulli(vtr.fP) {
+					ws.dropped++
+					continue
+				}
+			case fkDropAll:
 				ws.dropped++
 				continue
+			default:
+				if e.fault.Drop(fRng, tick, v, to) {
+					ws.dropped++
+					continue
+				}
 			}
-		case fkDrop:
-			if fRng.Bernoulli(vtr.fP) {
-				ws.dropped++
-				continue
-			}
-		case fkDropAll:
-			ws.dropped++
-			continue
-		default:
-			if e.fault.Drop(fRng, tick, v, to) {
-				ws.dropped++
-				continue
-			}
-		}
-		var d int
-		switch vtr.dk {
-		case dkFixed:
-			d = vtr.d0
-		case dkUniform:
-			d = vtr.d0 + dRng.Intn(vtr.dSpan)
-		case dkGeo:
-			d = dRng.GeometricP(vtr.dP)
-			if d > vtr.d1 {
-				d = vtr.d1
-			}
-		case dkRegion:
-			if v%vtr.dRegions == to%vtr.dRegions {
+			var d int
+			switch vtr.dk {
+			case dkFixed:
 				d = vtr.d0
-			} else {
-				d = vtr.d1
+			case dkUniform:
+				d = vtr.d0 + dRng.Intn(vtr.dSpan)
+			case dkGeo:
+				d = dRng.GeometricP(vtr.dP)
+				if d > vtr.d1 {
+					d = vtr.d1
+				}
+			case dkRegion:
+				if v%vtr.dRegions == to%vtr.dRegions {
+					d = vtr.d0
+				} else {
+					d = vtr.d1
+				}
+			default:
+				d = e.delay.Delay(dRng, tick, v, to)
+				if d < 1 {
+					d = 1
+					clamped++
+				} else if d >= window {
+					d = window - 1
+					clamped++
+				}
 			}
-		default:
-			d = e.delay.Delay(dRng, tick, v, to)
-			if d < 1 {
-				d = 1
-				clamped++
-			} else if d >= window {
-				d = window - 1
-				clamped++
+			msgs++
+			totalBits += int64(bits)
+			if bits > ws.maxMsgBits {
+				ws.maxMsgBits = bits
 			}
-		}
-		msgs++
-		totalBits += int64(bits)
-		if bits > ws.maxMsgBits {
-			ws.maxMsgBits = bits
-		}
-		if bits > maxSent {
-			maxSent = bits
-		}
-		si := (tick + d) % window
-		dst := e.ring[si]
-		row := dst[to]
-		if cap(row) == 0 {
-			row = e.carveRow(ws, to)
-		}
-		if sparse {
-			if len(row) == 0 {
-				e.occRows[si] = append(e.occRows[si], int32(to))
+			if bits > maxSent {
+				maxSent = bits
 			}
-			e.occCnt[si]++
+			si := (tick + d) % window
+			dst := e.ring[si]
+			if cap(dst[to]) == 0 {
+				dst[to] = e.carveRow(ws, to)
+			}
+			if sparse {
+				if len(dst[to]) == 0 {
+					e.occRows[si] = append(e.occRows[si], int32(to))
+				}
+				e.occCnt[si]++
+			}
+			// Keep the in-place form x[i] = append(x[i], ...): it stores
+			// only the row's new length unless the row grows. Appending
+			// to a local copy and storing it back writes the whole slice
+			// header, pointer included, under the GC write barrier on
+			// every message.
+			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
 		}
-		dst[to] = append(row, Incoming{From: v, FromID: fromID, Payload: payload})
 	}
 	ws.delayClamped += clamped
 	ws.messages += msgs
 	ws.bits += totalBits
 	perNodeMax[v] = maxSent
+}
+
+// unicastMarks returns ws.nbrMark with sender v's distinct neighbors
+// stamped at the current sender generation when out holds a unicast
+// entry, making each unicast destination check one load, and nil when
+// out holds only broadcasts: their targets are v's own adjacency, so
+// broadcast-only senders (every honest sender of the paper's two
+// algorithms) skip the O(degree) stamp, and a worker that never admits
+// a unicast never allocates the array.
+func (e *Engine) unicastMarks(ws *workerState, v int, out []Outgoing) []uint64 {
+	for i := range out {
+		if out[i].To != AllNeighbors {
+			if ws.nbrMark == nil {
+				ws.nbrMark = make([]uint64, e.n)
+			}
+			for _, w := range e.sortedAdj[v] {
+				ws.nbrMark[w] = ws.gen
+			}
+			return ws.nbrMark
+		}
+	}
+	return nil
 }
 
 // carveRow returns the row for vertex to's first delivery, an empty
@@ -333,9 +371,10 @@ func (e *Engine) carveRow(ws *workerState, to int) []Incoming {
 // vertex in ascending order. A dense tick with a fixed latency d0 and
 // no fault — every tick of a lockstep run — admits inline into ring
 // slot (tick+d0) mod window; any other tick hands each sender's output
-// to deliverVT. The inline arm is deliverVT's pipeline with the fault
-// and latency stages constant-folded and the destination slot hoisted:
-// through deliverVT the serial flood takes ~1.5x as long per round.
+// to deliverVT. The inline arm (admitFixedVT) is deliverVT's pipeline
+// with the fault and latency stages constant-folded and the destination
+// slot hoisted: through deliverVT the serial flood takes ~1.5x as long
+// per round.
 func (e *Engine) roundSerialVT(r int) bool {
 	n := e.n
 	ws := e.ws[0]
@@ -343,9 +382,6 @@ func (e *Engine) roundSerialVT(r int) bool {
 	if capBits > 0 && ws.budget == nil {
 		ws.budget = make([]int, n)
 		ws.budgetGen = make([]uint64, n)
-	}
-	if ws.nbrMark == nil {
-		ws.nbrMark = make([]uint64, n)
 	}
 	tick := e.metrics.Rounds
 	e.tick = tick
@@ -356,8 +392,6 @@ func (e *Engine) roundSerialVT(r int) bool {
 	box := e.ring[tick%e.window]
 	fixed := vtr.dk == dkFixed && vtr.fk == fkNone
 	dst := e.ring[(tick+vtr.d0)%e.window]
-	nbrMark := ws.nbrMark
-	perNodeMax := e.metrics.PerNodeMaxBit
 	dyn := e.topo != nil
 	allHalted := true
 	for v := 0; v < n; v++ {
@@ -382,24 +416,39 @@ func (e *Engine) roundSerialVT(r int) bool {
 			e.deliverVT(ws, v, tick, &vtr, out)
 			continue
 		}
-		ws.gen++
-		gen := ws.gen
-		for _, w := range e.sortedAdj[v] {
-			nbrMark[w] = gen
+		e.admitFixedVT(ws, v, dst, out)
+	}
+	return allHalted
+}
+
+// admitFixedVT is roundSerialVT's inline arm for one sender: deliverVT
+// with the fault stage gone (no fault this tick) and the latency stage
+// constant-folded into the one destination slot dst. Unlike deliverVT
+// it admits a unicast entry in its own branch: this lane's per-copy
+// work is small enough for a shared copy loop's bookkeeping to show,
+// and through one the per-edge unicast flood (engine/flood-edges) ran
+// ~10% slower per round.
+func (e *Engine) admitFixedVT(ws *workerState, v int, dst [][]Incoming, out []Outgoing) {
+	n := e.n
+	capBits := e.edgeCapBits
+	ws.gen++
+	gen := ws.gen
+	nbrMark := e.unicastMarks(ws, v, out)
+	nbrs := e.envs[v].Neighbors
+	fromID := e.ids[v]
+	maxSent := e.metrics.PerNodeMaxBit[v]
+	var msgs, totalBits int64
+	for _, msg := range out {
+		to, payload := msg.To, msg.Payload
+		if to != AllNeighbors && (uint(to) >= uint(n) || nbrMark[to] != gen) {
+			ws.violations++
+			continue
 		}
-		fromID := e.ids[v]
-		maxSent := perNodeMax[v]
-		var msgs, totalBits int64
-		for _, msg := range out {
-			to, payload := msg.To, msg.Payload
-			if uint(to) >= uint(n) || nbrMark[to] != gen {
-				ws.violations++
-				continue
-			}
-			bits := 0
-			if payload != nil {
-				bits = payload.SizeBits()
-			}
+		bits := 0
+		if payload != nil {
+			bits = payload.SizeBits()
+		}
+		if to != AllNeighbors {
 			if capBits > 0 {
 				if ws.budgetGen[to] != gen {
 					ws.budgetGen[to] = gen
@@ -419,17 +468,43 @@ func (e *Engine) roundSerialVT(r int) bool {
 			if bits > maxSent {
 				maxSent = bits
 			}
-			row := dst[to]
-			if cap(row) == 0 {
-				row = e.carveRow(ws, to)
+			if cap(dst[to]) == 0 {
+				dst[to] = e.carveRow(ws, to)
 			}
-			dst[to] = append(row, Incoming{From: v, FromID: fromID, Payload: payload})
+			// Keep x[i] = append(x[i], ...) in place: no header store (see deliverVT).
+			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
+			continue
 		}
-		ws.messages += msgs
-		ws.bits += totalBits
-		perNodeMax[v] = maxSent
+		for _, to := range nbrs {
+			if capBits > 0 {
+				if ws.budgetGen[to] != gen {
+					ws.budgetGen[to] = gen
+					ws.budget[to] = 0
+				}
+				if ws.budget[to]+bits > capBits {
+					ws.capped++
+					continue
+				}
+				ws.budget[to] += bits
+			}
+			msgs++
+			totalBits += int64(bits)
+			if bits > ws.maxMsgBits {
+				ws.maxMsgBits = bits
+			}
+			if bits > maxSent {
+				maxSent = bits
+			}
+			if cap(dst[to]) == 0 {
+				dst[to] = e.carveRow(ws, to)
+			}
+			// Keep x[i] = append(x[i], ...) in place: no header store (see deliverVT).
+			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
+		}
 	}
-	return allHalted
+	ws.messages += msgs
+	ws.bits += totalBits
+	e.metrics.PerNodeMaxBit[v] = maxSent
 }
 
 // roundSparseVT executes one occupancy-tracked round: it
@@ -675,14 +750,14 @@ func (e *Engine) mergeShardVTSparse(s int) {
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[bi]
 			for _, m := range bucket {
-				row := box[m.to]
-				if cap(row) == 0 {
-					row = e.carveRow(e.ws[s], int(m.to))
+				if cap(box[m.to]) == 0 {
+					box[m.to] = e.carveRow(e.ws[s], int(m.to))
 				}
-				if len(row) == 0 {
+				if len(box[m.to]) == 0 {
 					rows = append(rows, m.to)
 				}
-				box[m.to] = append(row, Incoming{
+				// Keep x[i] = append(x[i], ...) in place: no header store (see deliverVT).
+				box[m.to] = append(box[m.to], Incoming{
 					From:    int(m.from),
 					FromID:  e.ids[m.from],
 					Payload: m.payload,
@@ -751,10 +826,10 @@ func (e *Engine) stepVertexVT(v, r int, ws *workerState, box [][]Incoming) {
 
 // admitVT admits vertex v's outgoing messages of a parallel round into
 // the worker's per-(destination-shard, delay) buckets. Same pipeline
-// order as deliverVT (see there); the dispatch record was resolved once
-// by roundParallelVT and is read-only during the phase. Every stage is
-// sender-local, so each decision is identical however vertices are
-// scheduled.
+// as deliverVT, broadcast expansion included (see there); the dispatch
+// record was resolved once by roundParallelVT and is read-only during
+// the phase. Every stage is sender-local, so each decision is identical
+// however vertices are scheduled.
 func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 	if cap(out) > cap(e.envs[v].scratch) {
 		e.envs[v].scratch = out[:0]
@@ -762,18 +837,19 @@ func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 	if len(out) == 0 {
 		return
 	}
-	if ws.nbrMark == nil {
-		ws.nbrMark = make([]uint64, e.n)
-	}
 	ws.gen++
-	for _, w := range e.sortedAdj[v] {
-		ws.nbrMark[w] = ws.gen
-	}
+	gen := ws.gen
+	nbrMark := e.unicastMarks(ws, v, out)
+	nbrs := e.envs[v].Neighbors
 	vtr := &e.vtr
 	tick, window := e.tick, e.window
 	span := window - 1
 	n := e.n
 	capBits := e.edgeCapBits
+	if capBits > 0 && ws.budget == nil {
+		ws.budget = make([]int, n)
+		ws.budgetGen = make([]uint64, n)
+	}
 	var dRng, fRng *xrand.Rand
 	if vtr.needD {
 		dRng = e.delayStream(v)
@@ -784,91 +860,95 @@ func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 	perNodeMax := e.metrics.PerNodeMaxBit
 	maxSent := perNodeMax[v]
 	var clamped int64
-	for i := range out {
-		msg := &out[i]
+	for _, msg := range out {
 		to, payload := msg.To, msg.Payload
-		if uint(to) >= uint(n) || ws.nbrMark[to] != ws.gen {
-			ws.violations++
-			continue
+		copies := len(nbrs)
+		if to != AllNeighbors {
+			if uint(to) >= uint(n) || nbrMark[to] != gen {
+				ws.violations++
+				continue
+			}
+			copies = 1
 		}
 		bits := 0
 		if payload != nil {
 			bits = payload.SizeBits()
 		}
-		if capBits > 0 {
-			if ws.budget == nil {
-				ws.budget = make([]int, n)
-				ws.budgetGen = make([]uint64, n)
+		for k := 0; k < copies; k++ {
+			if msg.To == AllNeighbors {
+				to = nbrs[k]
 			}
-			if ws.budgetGen[to] != ws.gen {
-				ws.budgetGen[to] = ws.gen
-				ws.budget[to] = 0
+			if capBits > 0 {
+				if ws.budgetGen[to] != gen {
+					ws.budgetGen[to] = gen
+					ws.budget[to] = 0
+				}
+				if ws.budget[to]+bits > capBits {
+					ws.capped++
+					continue
+				}
+				ws.budget[to] += bits
 			}
-			if ws.budget[to]+bits > capBits {
-				ws.capped++
-				continue
-			}
-			ws.budget[to] += bits
-		}
-		switch vtr.fk {
-		case fkNone:
-		case fkPartition:
-			if v%vtr.fGroups != to%vtr.fGroups {
+			switch vtr.fk {
+			case fkNone:
+			case fkPartition:
+				if v%vtr.fGroups != to%vtr.fGroups {
+					ws.dropped++
+					continue
+				}
+			case fkDrop:
+				if fRng.Bernoulli(vtr.fP) {
+					ws.dropped++
+					continue
+				}
+			case fkDropAll:
 				ws.dropped++
 				continue
+			default:
+				if e.fault.Drop(fRng, tick, v, to) {
+					ws.dropped++
+					continue
+				}
 			}
-		case fkDrop:
-			if fRng.Bernoulli(vtr.fP) {
-				ws.dropped++
-				continue
-			}
-		case fkDropAll:
-			ws.dropped++
-			continue
-		default:
-			if e.fault.Drop(fRng, tick, v, to) {
-				ws.dropped++
-				continue
-			}
-		}
-		var d int
-		switch vtr.dk {
-		case dkFixed:
-			d = vtr.d0
-		case dkUniform:
-			d = vtr.d0 + dRng.Intn(vtr.dSpan)
-		case dkGeo:
-			d = dRng.GeometricP(vtr.dP)
-			if d > vtr.d1 {
-				d = vtr.d1
-			}
-		case dkRegion:
-			if v%vtr.dRegions == to%vtr.dRegions {
+			var d int
+			switch vtr.dk {
+			case dkFixed:
 				d = vtr.d0
-			} else {
-				d = vtr.d1
+			case dkUniform:
+				d = vtr.d0 + dRng.Intn(vtr.dSpan)
+			case dkGeo:
+				d = dRng.GeometricP(vtr.dP)
+				if d > vtr.d1 {
+					d = vtr.d1
+				}
+			case dkRegion:
+				if v%vtr.dRegions == to%vtr.dRegions {
+					d = vtr.d0
+				} else {
+					d = vtr.d1
+				}
+			default:
+				d = e.delay.Delay(dRng, tick, v, to)
+				if d < 1 {
+					d = 1
+					clamped++
+				} else if d >= window {
+					d = window - 1
+					clamped++
+				}
 			}
-		default:
-			d = e.delay.Delay(dRng, tick, v, to)
-			if d < 1 {
-				d = 1
-				clamped++
-			} else if d >= window {
-				d = window - 1
-				clamped++
+			ws.messages++
+			ws.bits += int64(bits)
+			if bits > ws.maxMsgBits {
+				ws.maxMsgBits = bits
 			}
+			if bits > maxSent {
+				maxSent = bits
+			}
+			idx := int(e.shardOf[to])*span + d - 1
+			ws.vtb[idx] = append(ws.vtb[idx],
+				routed{to: int32(to), from: int32(v), payload: payload})
 		}
-		ws.messages++
-		ws.bits += int64(bits)
-		if bits > ws.maxMsgBits {
-			ws.maxMsgBits = bits
-		}
-		if bits > maxSent {
-			maxSent = bits
-		}
-		idx := int(e.shardOf[to])*span + d - 1
-		ws.vtb[idx] = append(ws.vtb[idx],
-			routed{to: int32(to), from: int32(v), payload: payload})
 	}
 	ws.delayClamped += clamped
 	perNodeMax[v] = maxSent
