@@ -181,15 +181,20 @@ func (e *Engine) resolveVT(tick int) vtRound {
 
 // deliverVT admits and schedules one sender's outgoing messages for a
 // serial round. An AllNeighbors entry expands in place over the
-// sender's incident edges (one SizeBits call per entry, no neighbor
-// check); a unicast entry passes the neighbor check first. Each
-// resulting copy then runs the fixed per-edge pipeline —
+// sender's incident edges, in Neighbors order (one SizeBits call per
+// entry, no neighbor check); a unicast entry passes the neighbor check
+// and is its own one copy. Each copy then runs the fixed per-edge
+// pipeline —
 //
 //	capacity budget -> fault verdict -> latency draw
 //
 // — so a faulted message has spent the edge but is counted in Dropped,
 // not Messages, and does not advance the latency stream. The admission
-// logic is hand-inlined: this is the engine's hot path.
+// logic is hand-inlined: this is the engine's hot path. The pipeline is
+// written out once for a unicast and once in the broadcast loop: run
+// through a shared copy loop, unicast senders (the baselines, the
+// per-edge flood) paid ~5-10% per round under jitter and on parallel
+// engines.
 func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Outgoing) {
 	n := e.n
 	window := e.window
@@ -212,24 +217,15 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 	var msgs, totalBits, clamped int64
 	for _, msg := range out {
 		to, payload := msg.To, msg.Payload
-		copies := len(nbrs)
-		if to != AllNeighbors {
-			if uint(to) >= uint(n) || nbrMark[to] != gen {
-				ws.violations++
-				continue
-			}
-			copies = 1
+		if to != AllNeighbors && (uint(to) >= uint(n) || nbrMark[to] != gen) {
+			ws.violations++
+			continue
 		}
 		bits := 0
 		if payload != nil {
 			bits = payload.SizeBits()
 		}
-		// A broadcast's k-th copy takes the sender's k-th edge; a
-		// unicast is its one copy.
-		for k := 0; k < copies; k++ {
-			if msg.To == AllNeighbors {
-				to = nbrs[k]
-			}
+		if to != AllNeighbors {
 			if capBits > 0 {
 				if ws.budgetGen[to] != gen {
 					ws.budgetGen[to] = gen
@@ -313,6 +309,89 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 			// to a local copy and storing it back writes the whole slice
 			// header, pointer included, under the GC write barrier on
 			// every message.
+			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
+			continue
+		}
+		for _, to := range nbrs {
+			if capBits > 0 {
+				if ws.budgetGen[to] != gen {
+					ws.budgetGen[to] = gen
+					ws.budget[to] = 0
+				}
+				if ws.budget[to]+bits > capBits {
+					ws.capped++
+					continue
+				}
+				ws.budget[to] += bits
+			}
+			switch vtr.fk {
+			case fkNone:
+			case fkPartition:
+				if v%vtr.fGroups != to%vtr.fGroups {
+					ws.dropped++
+					continue
+				}
+			case fkDrop:
+				if fRng.Bernoulli(vtr.fP) {
+					ws.dropped++
+					continue
+				}
+			case fkDropAll:
+				ws.dropped++
+				continue
+			default:
+				if e.fault.Drop(fRng, tick, v, to) {
+					ws.dropped++
+					continue
+				}
+			}
+			var d int
+			switch vtr.dk {
+			case dkFixed:
+				d = vtr.d0
+			case dkUniform:
+				d = vtr.d0 + dRng.Intn(vtr.dSpan)
+			case dkGeo:
+				d = dRng.GeometricP(vtr.dP)
+				if d > vtr.d1 {
+					d = vtr.d1
+				}
+			case dkRegion:
+				if v%vtr.dRegions == to%vtr.dRegions {
+					d = vtr.d0
+				} else {
+					d = vtr.d1
+				}
+			default:
+				d = e.delay.Delay(dRng, tick, v, to)
+				if d < 1 {
+					d = 1
+					clamped++
+				} else if d >= window {
+					d = window - 1
+					clamped++
+				}
+			}
+			msgs++
+			totalBits += int64(bits)
+			if bits > ws.maxMsgBits {
+				ws.maxMsgBits = bits
+			}
+			if bits > maxSent {
+				maxSent = bits
+			}
+			si := (tick + d) % window
+			dst := e.ring[si]
+			if cap(dst[to]) == 0 {
+				dst[to] = e.carveRow(ws, to)
+			}
+			if sparse {
+				if len(dst[to]) == 0 {
+					e.occRows[si] = append(e.occRows[si], int32(to))
+				}
+				e.occCnt[si]++
+			}
+			// In place, as above: no header store.
 			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
 		}
 	}
@@ -423,11 +502,10 @@ func (e *Engine) roundSerialVT(r int) bool {
 
 // admitFixedVT is roundSerialVT's inline arm for one sender: deliverVT
 // with the fault stage gone (no fault this tick) and the latency stage
-// constant-folded into the one destination slot dst. Unlike deliverVT
-// it admits a unicast entry in its own branch: this lane's per-copy
-// work is small enough for a shared copy loop's bookkeeping to show,
-// and through one the per-edge unicast flood (engine/flood-edges) ran
-// ~10% slower per round.
+// constant-folded into the one destination slot dst. Like deliverVT it
+// writes the pipeline out for a unicast and in the broadcast loop;
+// through a shared copy loop the per-edge unicast flood
+// (engine/flood-edges) ran ~10% slower per round on this lane.
 func (e *Engine) admitFixedVT(ws *workerState, v int, dst [][]Incoming, out []Outgoing) {
 	n := e.n
 	capBits := e.edgeCapBits
@@ -498,7 +576,7 @@ func (e *Engine) admitFixedVT(ws *workerState, v int, dst [][]Incoming, out []Ou
 			if cap(dst[to]) == 0 {
 				dst[to] = e.carveRow(ws, to)
 			}
-			// Keep x[i] = append(x[i], ...) in place: no header store (see deliverVT).
+			// In place, as above: no header store.
 			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
 		}
 	}
@@ -862,22 +940,88 @@ func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 	var clamped int64
 	for _, msg := range out {
 		to, payload := msg.To, msg.Payload
-		copies := len(nbrs)
-		if to != AllNeighbors {
-			if uint(to) >= uint(n) || nbrMark[to] != gen {
-				ws.violations++
-				continue
-			}
-			copies = 1
+		if to != AllNeighbors && (uint(to) >= uint(n) || nbrMark[to] != gen) {
+			ws.violations++
+			continue
 		}
 		bits := 0
 		if payload != nil {
 			bits = payload.SizeBits()
 		}
-		for k := 0; k < copies; k++ {
-			if msg.To == AllNeighbors {
-				to = nbrs[k]
+		if to != AllNeighbors {
+			if capBits > 0 {
+				if ws.budgetGen[to] != gen {
+					ws.budgetGen[to] = gen
+					ws.budget[to] = 0
+				}
+				if ws.budget[to]+bits > capBits {
+					ws.capped++
+					continue
+				}
+				ws.budget[to] += bits
 			}
+			switch vtr.fk {
+			case fkNone:
+			case fkPartition:
+				if v%vtr.fGroups != to%vtr.fGroups {
+					ws.dropped++
+					continue
+				}
+			case fkDrop:
+				if fRng.Bernoulli(vtr.fP) {
+					ws.dropped++
+					continue
+				}
+			case fkDropAll:
+				ws.dropped++
+				continue
+			default:
+				if e.fault.Drop(fRng, tick, v, to) {
+					ws.dropped++
+					continue
+				}
+			}
+			var d int
+			switch vtr.dk {
+			case dkFixed:
+				d = vtr.d0
+			case dkUniform:
+				d = vtr.d0 + dRng.Intn(vtr.dSpan)
+			case dkGeo:
+				d = dRng.GeometricP(vtr.dP)
+				if d > vtr.d1 {
+					d = vtr.d1
+				}
+			case dkRegion:
+				if v%vtr.dRegions == to%vtr.dRegions {
+					d = vtr.d0
+				} else {
+					d = vtr.d1
+				}
+			default:
+				d = e.delay.Delay(dRng, tick, v, to)
+				if d < 1 {
+					d = 1
+					clamped++
+				} else if d >= window {
+					d = window - 1
+					clamped++
+				}
+			}
+			ws.messages++
+			ws.bits += int64(bits)
+			if bits > ws.maxMsgBits {
+				ws.maxMsgBits = bits
+			}
+			if bits > maxSent {
+				maxSent = bits
+			}
+			idx := int(e.shardOf[to])*span + d - 1
+			ws.vtb[idx] = append(ws.vtb[idx],
+				routed{to: int32(to), from: int32(v), payload: payload})
+			continue
+		}
+		for _, to := range nbrs {
 			if capBits > 0 {
 				if ws.budgetGen[to] != gen {
 					ws.budgetGen[to] = gen
