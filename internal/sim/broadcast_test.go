@@ -1,17 +1,18 @@
 package sim_test
 
 // Equivalence of the one-entry broadcast (To: sim.AllNeighbors) with
-// the per-edge encoding it replaced: a process that writes one
-// Outgoing per incident edge must produce the same transcript and the
-// same Metrics, field for field, as one that calls AppendBroadcast —
-// under every admission site (the serial inline arm, deliverVT, the
-// parallel admitVT and both merges), every delivery model, with and
-// without an edge capacity that caps some copies.
+// the per-edge encoding: a process that writes one Outgoing per
+// incident edge must produce the same transcript and the same Metrics,
+// field for field, as one that calls AppendBroadcast — under every
+// admission site (the serial inline arm, deliverVT, the parallel
+// admitVT and both merges), every delivery model, with and without an
+// edge capacity that caps some copies.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"testing"
 
 	"byzcount/internal/sim"
@@ -63,23 +64,14 @@ func (c *mixCore) broadcast(env *sim.Env, out []sim.Outgoing, p sim.Payload) []s
 	return out
 }
 
-// nonNeighbor returns the first vertex after env's own that is neither
-// env's vertex nor one of its neighbors.
+// nonNeighbor returns the first vertex after env's own that is not one
+// of its neighbors.
 func nonNeighbor(env *sim.Env) int {
-	for w := env.Vertex + 1; ; w++ {
-		if w != env.Vertex && !containsInt(env.Neighbors, w) {
-			return w
-		}
+	w := env.Vertex + 1
+	for slices.Contains(env.Neighbors, w) {
+		w++
 	}
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
+	return w
 }
 
 // mixProc steps every round; mixSeqProc is the same proc stepped on

@@ -193,8 +193,8 @@ func (e *Engine) resolveVT(tick int) vtRound {
 // logic is hand-inlined: this is the engine's hot path. The pipeline is
 // written out once for a unicast and once in the broadcast loop: run
 // through a shared copy loop, unicast senders (the baselines, the
-// per-edge flood) paid ~5-10% per round under jitter and on parallel
-// engines.
+// per-edge flood) paid ~7-12% per round under jitter and on two
+// workers.
 func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Outgoing) {
 	n := e.n
 	window := e.window

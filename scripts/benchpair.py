@@ -11,10 +11,14 @@ Run from the repository root:
 Each side is exported from the local git object store with
 `git archive <sha>` into .bench_build/ab/<sha> (nothing is fetched, and
 the go command runs with GOPROXY=off), and each measurement is one
-`python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0`
-from that tree, so each side builds its own binary with its own cache. A pair runs both sides back to back,
-alternating which side runs first (even pairs parent first). Ratios are
-change/parent per pair; quartiles use the inclusive method.
+`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
+from that tree, with T the run_seconds of BENCHMARK.json, so each side
+builds its own binary with its own cache. A pair runs both sides back
+to back, alternating which side runs first (even pairs parent first).
+Ratios are change/parent per pair; quartiles use the inclusive method.
+The record holds both SHAs, the Go version, nproc, every sample, the
+per-pair ratios, medians with quartiles and win counts per metric.
+Commit the change first: only committed trees are measured.
 
 --pairs W:S:N   N interleaved pairs of workload W at seed S
 --traced W:S    one --trace 1 run per side (per-layer metrics)
@@ -145,12 +149,13 @@ def main():
     ap.add_argument("--traced", action="append", default=[], metavar="W:S")
     ap.add_argument("--check", action="append", default=[], metavar="W:S")
     ap.add_argument("--claim", metavar="W:M")
-    ap.add_argument("--seconds", type=int, default=15)
     ap.add_argument("--note", default="", help="one-line description of the change")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
     root = os.getcwd()
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        seconds = json.load(f)["run_seconds"]
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     same_bench = all(git("rev-parse", f"{shas['parent']}:{p}") == git("rev-parse", f"{shas['change']}:{p}")
                      for p in ("perfbench", "BENCHMARK.json"))
@@ -168,7 +173,7 @@ def main():
         "nproc": os.cpu_count(),
         "gomaxprocs": os.cpu_count(),
         "machine": f"{os.cpu_count()}-core {platform.system()} {platform.release()}, {cpu}",
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "method": "interleaved pairs: each pair runs parent and change back to back, alternating which "
                   "side runs first (even pairs parent first); each side is exported with git archive and "
                   "built from its own tree by run.py; ratios are change/parent per pair; quartiles use the "
@@ -185,7 +190,7 @@ def main():
             res = {}
             for side in order:
                 t0 = time.time()
-                res[side] = perfbench(trees[side], w, s, 0, args.seconds)
+                res[side] = perfbench(trees[side], w, s, 0, seconds)
                 print(f"{w} seed {s} pair {i} {side}: wall_s {res[side]['metrics']['wall_s']:.3f} "
                       f"correct {res[side]['correct']} ({time.time() - t0:.0f}s)", file=sys.stderr, flush=True)
             pairs.append({
@@ -203,14 +208,14 @@ def main():
         for spec in specs:
             w, s = parse_spec(spec, 2)
             for i, side in enumerate(["parent", "change"]):
-                r = perfbench(trees[side], w, s, trace, args.seconds)
+                r = perfbench(trees[side], w, s, trace, seconds)
                 runs.append({"workload": w, "seed": int(s), "side": side, "position": i, **r})
                 print(f"{key} {w} seed {s} {side}: correct {r['correct']}", file=sys.stderr, flush=True)
         if key == "checks":
             for a, b in zip(runs[::2], runs[1::2]):
                 b["digests_match_parent"] = a["digests"] == b["digests"]
         if runs:
-            doc[key] = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} "
+            doc[key] = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                                    f"--trace {trace}", "runs": runs}
 
     if args.claim:
