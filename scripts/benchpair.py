@@ -29,7 +29,7 @@ Commit the change first: only committed trees are measured.
                 least 9 in 10 of the pairs and its median must beat the
                 parent's by more than the parent's interquartile range
 
-The driver reads and runs perfbench/ but changes nothing in it or in
+This script reads and runs perfbench/ but changes nothing in it or in
 BENCHMARK.json, and uses only the Python standard library.
 """
 
