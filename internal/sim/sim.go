@@ -159,13 +159,24 @@ type Outgoing struct {
 // AllNeighbors is the Outgoing.To of a broadcast: the engine delivers
 // the entry's payload once per incident edge of the sender, in
 // Env.Neighbors order, exactly as if the output held one entry per edge
-// (see Env.AppendBroadcast). Any other negative To is a violation.
+// (see Env.AppendBroadcast). Any other negative To is a violation. The
+// engine takes the targets from the sender's Env.Neighbors without a
+// neighbor check, so that slice must hold the engine's adjacency (see
+// Env).
 const AllNeighbors = -1
 
 // Env carries the static, strictly local knowledge a process is allowed:
 // its vertex index (for the engine's bookkeeping only — protocols must not
 // infer anything from it), its random ID, its degree, its neighbor list,
 // and a private random stream.
+//
+// Neighbors and NeighborIDs belong to the engine, which fills and
+// refreshes them; processes read them and must not modify them or
+// their elements. Broadcasts trust them: an AllNeighbors entry is
+// delivered to Neighbors as it stands, with no check against the
+// engine's own adjacency, so a process that wrote into Neighbors would
+// deliver to whatever it wrote (and an out-of-range element panics
+// inside the engine) instead of being counted as a violation.
 type Env struct {
 	Vertex    int
 	ID        NodeID

@@ -191,10 +191,11 @@ func (e *Engine) resolveVT(tick int) vtRound {
 // — so a faulted message has spent the edge but is counted in Dropped,
 // not Messages, and does not advance the latency stream. The admission
 // logic is hand-inlined: this is the engine's hot path. The pipeline is
-// written out once for a unicast and once in the broadcast loop: run
-// through a shared copy loop, unicast senders (the baselines, the
-// per-edge flood) paid ~7-12% per round under jitter and on two
-// workers.
+// written out twice, for a unicast and in the broadcast loop. Through
+// one shared copy loop a flood sent as one unicast per edge ran 1.18x
+// to 1.24x slower per round under uniform:1-4 jitter (medians of 15
+// interleaved -cpu 1 rounds, 2-core Xeon VM, go1.24; DESIGN.md has
+// the figures for admitFixedVT and admitVT).
 func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Outgoing) {
 	n := e.n
 	window := e.window
@@ -503,9 +504,8 @@ func (e *Engine) roundSerialVT(r int) bool {
 // admitFixedVT is roundSerialVT's inline arm for one sender: deliverVT
 // with the fault stage gone (no fault this tick) and the latency stage
 // constant-folded into the one destination slot dst. Like deliverVT it
-// writes the pipeline out for a unicast and in the broadcast loop;
-// through a shared copy loop the per-edge unicast flood
-// (engine/flood-edges) ran ~10% slower per round on this lane.
+// writes the pipeline out for a unicast and in the broadcast loop (see
+// there for why).
 func (e *Engine) admitFixedVT(ws *workerState, v int, dst [][]Incoming, out []Outgoing) {
 	n := e.n
 	capBits := e.edgeCapBits
@@ -907,7 +907,8 @@ func (e *Engine) stepVertexVT(v, r int, ws *workerState, box [][]Incoming) {
 // as deliverVT, broadcast expansion included (see there); the dispatch
 // record was resolved once by roundParallelVT and is read-only during
 // the phase. Every stage is sender-local, so each decision is identical
-// however vertices are scheduled.
+// however vertices are scheduled. Like deliverVT it writes the pipeline
+// out for a unicast and in the broadcast loop (see there for why).
 func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 	if cap(out) > cap(e.envs[v].scratch) {
 		e.envs[v].scratch = out[:0]

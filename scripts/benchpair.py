@@ -16,8 +16,9 @@ from that tree, with T the run_seconds of BENCHMARK.json, so each side
 builds its own binary with its own cache. A pair runs both sides back
 to back, alternating which side runs first (even pairs parent first).
 Ratios are change/parent per pair; quartiles use the inclusive method.
-The record holds both SHAs, the Go version, nproc, every sample, the
-per-pair ratios, medians with quartiles and win counts per metric.
+The record holds both SHAs, the Go version, nproc, the GOMAXPROCS that
+perfbench's records report, every sample, the per-pair ratios, medians
+with quartiles and win counts per metric.
 Commit the change first: only committed trees are measured.
 
 --pairs W:S:N   N interleaved pairs of workload W at seed S
@@ -27,7 +28,10 @@ Commit the change first: only committed trees are measured.
 --claim W:M     the claimed metric M on workload W, judged on every
                 --pairs set of W (one per seed): the change must win at
                 least 9 in 10 of the pairs and its median must beat the
-                parent's by more than the parent's interquartile range
+                parent's by more than the parent's interquartile range;
+                a set also fails the claim if any run in it is not
+                correct, if the change fails more operations than the
+                parent, or if any pair's output digests differ
 
 This script reads and runs perfbench/ but changes nothing in it or in
 BENCHMARK.json, and uses only the Python standard library.
@@ -79,6 +83,7 @@ def perfbench(tree, workload, seed, trace, seconds):
     rec, out = lines[0]["record"], lines[1]
     reps = rec.get("repetitions") or []
     result = {
+        "gomaxprocs": rec.get("gomaxprocs"),
         "correct": out["correct"],
         "attempted": out["attempted"],
         "failed": out["failed"],
@@ -171,7 +176,6 @@ def main():
         "change_sha": shas["change"],
         "go_version": subprocess.run(["go", "env", "GOVERSION"], capture_output=True, text=True).stdout.strip(),
         "nproc": os.cpu_count(),
-        "gomaxprocs": os.cpu_count(),
         "machine": f"{os.cpu_count()}-core {platform.system()} {platform.release()}, {cpu}",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "method": "interleaved pairs: each pair runs parent and change back to back, alternating which "
@@ -218,6 +222,12 @@ def main():
             doc[key] = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                                    f"--trace {trace}", "runs": runs}
 
+    # GOMAXPROCS as perfbench's own records report it for its children.
+    results = [p[side] for wl in doc["workloads"] for p in wl["pairs"] for side in ("parent", "change")]
+    results += [r for key in ("traced", "checks") for r in doc.get(key, {}).get("runs", [])]
+    seen = sorted({r["gomaxprocs"] for r in results}, key=str)
+    doc["gomaxprocs"] = seen[0] if len(seen) == 1 else seen
+
     if args.claim:
         w, m = parse_spec(args.claim, 2)
         seeds = []
@@ -226,21 +236,31 @@ def main():
                 continue
             sm = wl["summary"][m]
             need = math.ceil(0.9 * sm["pairs"])
+            pairs = wl["pairs"]
+            all_correct = all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
+            failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
+            digests_match = all(p["digests_match"] for p in pairs)
             seeds.append({
                 "seed": wl["seed"],
                 "pairs": sm["pairs"],
                 "change_wins": sm["change_wins"],
                 "wins_needed": need,
                 "median_gap_exceeds_parent_iqr": sm["median_gap_exceeds_parent_iqr"],
-                "met": sm["change_wins"] >= need and sm["median_gap_exceeds_parent_iqr"],
+                "all_correct": all_correct,
+                "failed_parent": failed["parent"],
+                "failed_change": failed["change"],
+                "digests_match": digests_match,
+                "met": (sm["change_wins"] >= need and sm["median_gap_exceeds_parent_iqr"] and all_correct
+                        and failed["change"] <= failed["parent"] and digests_match),
             })
         if not seeds:
             raise SystemExit(f"benchpair: claim {args.claim} names no --pairs run")
         doc["claim"] = {
             "metric": m,
             "workload": w,
-            "rule": "at every seed, the change wins >= 9 in 10 of the pairs (rounded up) and its "
-                    "median beats the parent's by more than the parent IQR",
+            "rule": "at every seed, the change wins >= 9 in 10 of the pairs (rounded up), its "
+                    "median beats the parent's by more than the parent IQR, every run is correct, "
+                    "the change fails no more operations than the parent and every pair's digests match",
             "met": all(x["met"] for x in seeds),
             "seeds": seeds,
         }
