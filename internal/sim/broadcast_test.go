@@ -5,8 +5,9 @@ package sim_test
 // incident edge must produce the same transcript and the same Metrics,
 // field for field, as one that calls AppendBroadcast — under every
 // admission site (the serial inline arm, deliverVT, the parallel
-// admitVT and both merges), every delivery model, with and without an
-// edge capacity that caps some copies.
+// admitVT and both merges, including the compact bucket entry of a
+// sender whose neighbors lie in one shard), every delivery model, with
+// and without an edge capacity that caps some copies.
 
 import (
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"slices"
 	"testing"
 
+	"byzcount/internal/graph"
 	"byzcount/internal/sim"
 )
 
@@ -112,12 +114,30 @@ func (p *mixInjector) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 }
 func (p *mixInjector) Halted() bool { return p.fired }
 
-// mixRun executes one configuration and returns the combined digest,
-// the metrics and the number of sending steps.
-func mixRun(t *testing.T, variant string, workers int, delaySpec, faultSpec string, capBits int, perEdge bool) (string, sim.Metrics, int64) {
+// mixLattice is the ring lattice C_96^2 (each vertex joined to the two
+// nearest on either side) plus a second 8-9 edge. Under the 3- and
+// 8-worker shard splits most senders keep all their neighbors in one
+// shard, so their broadcasts take the parallel lane's compact entry,
+// while the two senders at each side of a shard boundary span two
+// shards and stay per copy; 8 and 9 share a shard at every split, so a
+// compact broadcast must deliver two copies over the parallel edge.
+func mixLattice() *graph.Graph {
+	const n = 96
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.AddEdge(v, (v+1)%n)
+		g.AddEdge(v, (v+2)%n)
+	}
+	g.AddEdge(8, 9)
+	return g
+}
+
+// mixRun executes one configuration on g and returns the combined
+// digest, the metrics and the number of sending steps.
+func mixRun(t *testing.T, g *graph.Graph, variant string, workers int, delaySpec, faultSpec string, capBits int, perEdge bool) (string, sim.Metrics, int64) {
 	t.Helper()
-	const n, d, rounds = 48, 8, 24
-	g := mustHND(t, n, d, 1301)
+	const rounds = 24
+	n := g.N()
 	delay, err := sim.ParseDelayModel(delaySpec)
 	if err != nil {
 		t.Fatal(err)
@@ -169,10 +189,21 @@ func mixRun(t *testing.T, variant string, workers int, delaySpec, faultSpec stri
 }
 
 // TestBroadcastEntryTranscriptMatchesPerEdge pins the one-entry broadcast to the
-// per-edge reference encoding on an H(n,d) with parallel edges.
+// per-edge reference encoding on an H(n,d), whose senders mostly span
+// shards, and on mixLattice, whose senders mostly do not; both have
+// parallel edges.
 func TestBroadcastEntryTranscriptMatchesPerEdge(t *testing.T) {
-	if mustHND(t, 48, 8, 1301).IsSimple() {
-		t.Fatal("the test graph must have parallel edges")
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"hnd", mustHND(t, 48, 8, 1301)},
+		{"lattice", mixLattice()},
+	}
+	for _, gc := range graphs {
+		if gc.g.IsSimple() {
+			t.Fatalf("the %s test graph must have parallel edges", gc.name)
+		}
 	}
 	models := []struct{ delay, fault string }{
 		{"unit", ""},
@@ -181,34 +212,36 @@ func TestBroadcastEntryTranscriptMatchesPerEdge(t *testing.T) {
 		{"unit", "partition:2@2-6"},
 		{"uniform:1-4", "drop:0.2"},
 	}
-	for _, variant := range []string{"dense", "sparse", "sequential"} {
-		for _, workers := range workerCounts {
-			for _, m := range models {
-				for _, capBits := range []int{0, 128} {
-					name := fmt.Sprintf("%s/workers=%d/%s/%s/cap=%d", variant, workers, m.delay, m.fault, capBits)
-					t.Run(name, func(t *testing.T) {
-						wantSum, want, wantSends := mixRun(t, variant, workers, m.delay, m.fault, capBits, true)
-						gotSum, got, gotSends := mixRun(t, variant, workers, m.delay, m.fault, capBits, false)
-						if gotSum != wantSum {
-							t.Errorf("transcript %s, per-edge reference %s", gotSum, wantSum)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("metrics differ from the per-edge reference:\n got %+v\nwant %+v", got, want)
-						}
-						if gotSends != wantSends {
-							t.Errorf("%d sending steps, per-edge reference %d", gotSends, wantSends)
-						}
-						// Every sending step addresses one non-neighbor and -2.
-						if got.Violations != 2*gotSends {
-							t.Errorf("%d violations over %d sending steps, want 2 per step", got.Violations, gotSends)
-						}
-						if capBits > 0 && got.Capped == 0 {
-							t.Error("the edge capacity capped nothing")
-						}
-						if m.fault != "" && got.Dropped == 0 {
-							t.Error("the fault model dropped nothing")
-						}
-					})
+	for _, gc := range graphs {
+		for _, variant := range []string{"dense", "sparse", "sequential"} {
+			for _, workers := range workerCounts {
+				for _, m := range models {
+					for _, capBits := range []int{0, 128} {
+						name := fmt.Sprintf("%s/%s/workers=%d/%s/%s/cap=%d", gc.name, variant, workers, m.delay, m.fault, capBits)
+						t.Run(name, func(t *testing.T) {
+							wantSum, want, wantSends := mixRun(t, gc.g, variant, workers, m.delay, m.fault, capBits, true)
+							gotSum, got, gotSends := mixRun(t, gc.g, variant, workers, m.delay, m.fault, capBits, false)
+							if gotSum != wantSum {
+								t.Errorf("transcript %s, per-edge reference %s", gotSum, wantSum)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Errorf("metrics differ from the per-edge reference:\n got %+v\nwant %+v", got, want)
+							}
+							if gotSends != wantSends {
+								t.Errorf("%d sending steps, per-edge reference %d", gotSends, wantSends)
+							}
+							// Every sending step addresses one non-neighbor and -2.
+							if got.Violations != 2*gotSends {
+								t.Errorf("%d violations over %d sending steps, want 2 per step", got.Violations, gotSends)
+							}
+							if capBits > 0 && got.Capped == 0 {
+								t.Error("the edge capacity capped nothing")
+							}
+							if m.fault != "" && got.Dropped == 0 {
+								t.Error("the fault model dropped nothing")
+							}
+						})
+					}
 				}
 			}
 		}

@@ -162,7 +162,10 @@ type Outgoing struct {
 // (see Env.AppendBroadcast). Any other negative To is a violation. The
 // engine takes the targets from the sender's Env.Neighbors without a
 // neighbor check, so that slice must hold the engine's adjacency (see
-// Env).
+// Env). On a parallel engine's fixed-latency, fault-free tick without
+// an edge capacity — a lockstep round — the entry of a sender whose
+// neighbors all lie in one shard also stays one outbox bucket entry,
+// expanded when the bucket is merged into the destination rows.
 const AllNeighbors = -1
 
 // Env carries the static, strictly local knowledge a process is allowed:
@@ -315,7 +318,9 @@ type Metrics struct {
 }
 
 // routed is an admitted message waiting in an outbox for the merge
-// phase of a parallel round.
+// phase of a parallel round: one copy for to, or, when to is
+// AllNeighbors, a whole broadcast of from, all of whose neighbors lie
+// in the bucket's destination shard (see admitVT).
 type routed struct {
 	to      int32
 	from    int32
@@ -356,7 +361,10 @@ type workerState struct {
 
 	// vtb[s*(window-1)+d-1] holds this worker's admitted messages
 	// destined for shard s with latency d, in ascending sender order
-	// (the worker steps a contiguous vertex range in order). Keying by
+	// (the worker steps a contiguous vertex range in order); an entry
+	// may be a whole broadcast, expanded by the merge (see routed), so
+	// on a lockstep round a local substrate's buckets hold about one
+	// entry per broadcast instead of one per copy. Keying by
 	// delay rather than ring slot keeps one bucket set per shard under
 	// unit latency; the merge maps d to slot (tick+d) mod window. The
 	// merge phase for shard s concatenates workers' buckets in worker
@@ -450,7 +458,9 @@ type Engine struct {
 	// sortedAdj[v] is v's adjacency, deduplicated and sorted ascending.
 	// A sender with a unicast entry stamps these into its worker's
 	// nbrMark array so destination checks are one compare (replaces the
-	// old []map[int]bool, whose per-vertex maps dominated setup memory).
+	// old []map[int]bool, whose per-vertex maps dominated setup memory),
+	// and its first and last entries tell admitVT in O(1) whether all of
+	// v's neighbors lie in one shard.
 	sortedAdj [][]int32
 
 	// --- virtual time ---
@@ -1072,8 +1082,12 @@ func (e *Engine) ReserveInbox(perRow int) {
 // stochastic, so bucket capacities converge to their high-water marks
 // only asymptotically and long runs keep paying rare amortized
 // regrowth; a workload that knows a burst bound can reserve it up front
-// and make warm parallel sparse rounds strictly allocation-free. The
-// reservation is remembered and re-applied when worker state is rebuilt
+// and make warm parallel sparse rounds strictly allocation-free. Size
+// the bound in copies: jittered, faulted and capped traffic and the
+// broadcasts of senders whose neighbors span shards still take one
+// entry per copy (only a lockstep broadcast from a sender whose
+// neighbors lie in one shard is one entry). The reservation is
+// remembered and re-applied when worker state is rebuilt
 // (SetParallelism, topology growth). No-op before Attach.
 func (e *Engine) ReserveOutbox(perBucket int) {
 	if perBucket <= 0 || e.procs == nil {
@@ -1403,7 +1417,12 @@ func (e *Engine) poolWorker(i int) {
 // buckets are merged EVERY round rather than held until their delivery
 // tick, each ring row accumulates its messages round-major,
 // sender-major: exactly the order the serial lanes append them, so
-// parallel delivery is byte-identical to serial.
+// parallel delivery is byte-identical to serial. A compact broadcast
+// entry (to == AllNeighbors, see admitVT) expands over its sender's
+// Neighbors in order, all of them in shard s: the copies land where
+// the sender's per-copy entries would have. Only a sender whose
+// neighbors lie in one shard is compact, since the spanning variant ran
+// the H(1024,8) flood at 8 workers 2.2x slower (see admitVT).
 func (e *Engine) mergeShardVT(s int) {
 	window := e.window
 	span := window - 1
@@ -1413,6 +1432,16 @@ func (e *Engine) mergeShardVT(s int) {
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[idx]
 			for _, m := range bucket {
+				if m.to == AllNeighbors {
+					in := Incoming{From: int(m.from), FromID: e.ids[m.from], Payload: m.payload}
+					for _, to := range e.envs[m.from].Neighbors {
+						if cap(box[to]) == 0 {
+							box[to] = e.carveRow(e.ws[s], to)
+						}
+						box[to] = append(box[to], in)
+					}
+					continue
+				}
 				if cap(box[m.to]) == 0 {
 					box[m.to] = e.carveRow(e.ws[s], int(m.to))
 				}

@@ -814,7 +814,12 @@ func (e *Engine) stepShardSparseVT(i int) {
 // counts every delivered message, exactly the accounting deliverVT does
 // on the serial path. Rows left nonempty by a stale overlay entry
 // (Detach truncation, slot recycling) duplicate their entry here, which
-// delivery's sort+dedupe tolerates — the same contract as serial.
+// delivery's sort+dedupe tolerates — the same contract as serial. A
+// compact broadcast entry expands as in mergeShardVT, folding occupancy
+// per copy. As there, only a sender whose neighbors lie in one shard
+// sends one: an entry per spanned shard, each merge filtering the
+// sender's whole neighbor list, ran the H(1024,8) flood at 8 workers
+// 2.2x slower (see admitVT).
 func (e *Engine) mergeShardVTSparse(s int) {
 	window := e.window
 	span := window - 1
@@ -828,6 +833,20 @@ func (e *Engine) mergeShardVTSparse(s int) {
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[bi]
 			for _, m := range bucket {
+				if m.to == AllNeighbors {
+					in := Incoming{From: int(m.from), FromID: e.ids[m.from], Payload: m.payload}
+					for _, to := range e.envs[m.from].Neighbors {
+						if cap(box[to]) == 0 {
+							box[to] = e.carveRow(e.ws[s], to)
+						}
+						if len(box[to]) == 0 {
+							rows = append(rows, int32(to))
+						}
+						box[to] = append(box[to], in)
+						cnt++
+					}
+					continue
+				}
 				if cap(box[m.to]) == 0 {
 					box[m.to] = e.carveRow(e.ws[s], int(m.to))
 				}
@@ -909,6 +928,18 @@ func (e *Engine) stepVertexVT(v, r int, ws *workerState, box [][]Incoming) {
 // the phase. Every stage is sender-local, so each decision is identical
 // however vertices are scheduled. Like deliverVT it writes the pipeline
 // out for a unicast and in the broadcast loop (see there for why).
+//
+// On a fixed-latency, fault-free tick of an engine without an edge
+// capacity, a compact copy has no budget, verdict or draw, so an
+// AllNeighbors entry of a sender whose neighbors all lie in one shard
+// (its sorted adjacency's first and last entries fall in one range)
+// stays one bucket entry, routed{to: AllNeighbors}; its copies count
+// in the metrics here and the merge expands it over Neighbors in order,
+// where the per-copy entries would have stood in the same bucket. A
+// sender whose neighbors span shards stays per copy: a variant that
+// sent one entry to each spanned shard, each merge walking the whole
+// neighbor list for its own targets, ran the H(1024,8) flood at 8
+// workers 2.2x slower per round (2-core VM, go1.24).
 func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 	if cap(out) > cap(e.envs[v].scratch) {
 		e.envs[v].scratch = out[:0]
@@ -938,6 +969,16 @@ func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 	}
 	perNodeMax := e.metrics.PerNodeMaxBit
 	maxSent := perNodeMax[v]
+	// home is the bucket a compact broadcast of v goes to, or -1.
+	home := -1
+	if vtr.dk == dkFixed && vtr.fk == fkNone && capBits == 0 {
+		if sa := e.sortedAdj[v]; len(sa) > 0 {
+			s := int(e.shardOf[sa[0]])
+			if int(sa[len(sa)-1]) < e.ranges[s][1] {
+				home = s*span + vtr.d0 - 1
+			}
+		}
+	}
 	var clamped int64
 	for _, msg := range out {
 		to, payload := msg.To, msg.Payload
@@ -1020,6 +1061,20 @@ func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 			idx := int(e.shardOf[to])*span + d - 1
 			ws.vtb[idx] = append(ws.vtb[idx],
 				routed{to: int32(to), from: int32(v), payload: payload})
+			continue
+		}
+		if home >= 0 {
+			copies := int64(len(nbrs))
+			ws.messages += copies
+			ws.bits += copies * int64(bits)
+			if bits > ws.maxMsgBits {
+				ws.maxMsgBits = bits
+			}
+			if bits > maxSent {
+				maxSent = bits
+			}
+			ws.vtb[home] = append(ws.vtb[home],
+				routed{to: AllNeighbors, from: int32(v), payload: payload})
 			continue
 		}
 		for _, to := range nbrs {

@@ -10,32 +10,44 @@ package sim_test
 // doubling instead cost 12 heap objects per vertex over a flood's first
 // three rounds, most of them garbage the collector marks at scale, and
 // a degree-sized send buffer per vertex cost 1.3 MB more than one entry
-// at n=8192, d=8. The race detector changes allocation behavior, so
-// this file is excluded under -race (same convention as
-// topo_alloc_test.go).
+// at n=8192, d=8. On a parallel engine a broadcast from a sender whose
+// neighbors all lie in one shard also stays one entry in the outbox
+// bucket, so on a local substrate (the ring lattice, where almost every
+// sender is such a sender) the buckets no longer grow to a round's
+// traffic: the two-worker lattice flood's first three rounds took
+// 11.9 MB with one bucket entry per copy and take 5.3 MB now. The race
+// detector changes allocation behavior, so this file is excluded under
+// -race (same convention as topo_alloc_test.go).
 
 import (
-	"fmt"
 	"testing"
 
 	"byzcount/internal/perf"
+	"byzcount/internal/sim"
 )
 
 // TestLockstepWarmupAllocs pins the first Run(3) of a fresh flood
-// engine — the rounds in which every ring row and send buffer gets its
-// first capacity — at about one object per vertex (the one-entry send
-// buffer) plus a constant number of slab chunks, serially and on a
-// two-worker engine, and bounds the bytes: 4.6 MB serially and 11.2 MB
-// on two workers (the parallel outbox buckets), where degree-sized send
-// buffers took 5.9 and 12.7 MB.
+// engine — the rounds in which every ring row, send buffer and outbox
+// bucket gets its first capacity — at about one object per vertex (the
+// one-entry send buffer) plus a constant number of slab chunks, and
+// bounds the bytes: on H(8192,8), 4.6 MB serially and 11.2 MB on two
+// workers (senders there span shards, so the buckets hold a round's
+// copies), where degree-sized send buffers took 5.9 and 12.7 MB; on the
+// C_8192^4 ring lattice on two workers, 5.3 MB, where one bucket entry
+// per copy took 11.9 MB.
 func TestLockstepWarmupAllocs(t *testing.T) {
-	const n, d = 8192, 8
+	const n = 8192
 	for _, tc := range []struct {
-		workers int
-		maxMB   float64
-	}{{1, 4.8}, {2, 11.8}} {
-		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
-			eng, err := perf.NewFloodEngine(n, d, tc.workers)
+		name  string
+		build func() (*sim.Engine, error)
+		maxMB float64
+	}{
+		{"workers=1", func() (*sim.Engine, error) { return perf.NewFloodEngine(n, 8, 1) }, 4.8},
+		{"workers=2", func() (*sim.Engine, error) { return perf.NewFloodEngine(n, 8, 2) }, 11.8},
+		{"lattice/workers=2", func() (*sim.Engine, error) { return perf.NewLatticeFloodEngine(n, 4, 2) }, 6.0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := tc.build()
 			if err != nil {
 				t.Fatal(err)
 			}

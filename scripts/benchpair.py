@@ -6,6 +6,8 @@ Run from the repository root:
     python3 scripts/benchpair.py --parent SHA [--change SHA] \\
         --pairs sweep:42:10 [--pairs sweep:7:5 ...] \\
         [--traced scale:42 ...] [--check tables:2718 ...] \\
+        [--gobench .:BenchmarkEngineRoundThroughput$:10 ...] \\
+        [--benchtime 2000x] [--cpu 2] \\
         [--claim sweep:wall_s] [--note TEXT] --out BENCH_E2E_PR<n>.json
 
 Each side is exported from the local git object store with
@@ -25,6 +27,15 @@ Commit the change first: only committed trees are measured.
 --traced W:S    one --trace 1 run per side (per-layer metrics)
 --check W:S     one --trace 0 run per side, recorded for correctness and
                 for the parent/change output digests only
+--gobench P:R:N N interleaved pairs of the go test benchmarks matching
+                regex R in package directory P (relative to the
+                repository root): each side's test binary is built once
+                with `go test -c` and run from P as
+                `-test.run ^$ -test.bench R -test.benchmem` with the one
+                --benchtime (a fixed iteration count, Nx) and --cpu
+                value, both recorded; the record holds every sample and,
+                per benchmark, the per-pair ns/op ratios, medians with
+                quartiles and win counts
 --claim W:M     the claimed metric M on workload W, judged on every
                 --pairs set of W (one per seed): the change must win at
                 least 9 in 10 of the pairs and its median must beat the
@@ -42,6 +53,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -95,6 +107,64 @@ def perfbench(tree, workload, seed, trace, seconds):
     return result
 
 
+def go_package(pkg):
+    """The go command's pattern for package directory pkg."""
+    pkg = os.path.normpath(pkg)
+    return "." if pkg == "." else "./" + pkg
+
+
+def build_gobench(tree, pkg):
+    """Build package pkg's test binary in tree once; return its path."""
+    slug = re.sub(r"[^A-Za-z0-9]+", "_", os.path.normpath(pkg)).strip("_") or "root"
+    out = os.path.join(tree, ".bench_build", "gobench", slug + ".test")
+    if not os.path.exists(out):
+        env = dict(os.environ, GOPROXY="off")
+        subprocess.run(["go", "test", "-c", "-o", out, go_package(pkg)], cwd=tree, env=env, check=True)
+    return out
+
+
+def gobench(binary, pkgdir, regex, benchtime, cpu):
+    """Run the benchmarks matching regex once; return {name: {unit: value}}."""
+    cmd = [binary, "-test.run", "^$", "-test.bench", regex, "-test.benchmem",
+           "-test.benchtime", benchtime, "-test.cpu", str(cpu)]
+    proc = subprocess.run(cmd, cwd=pkgdir, capture_output=True, text=True)
+    results = {}
+    for line in proc.stdout.splitlines():
+        f = line.split()
+        if len(f) < 4 or not f[0].startswith("Benchmark") or not f[1].isdigit():
+            continue
+        sample = {"iterations": int(f[1])}
+        for value, unit in zip(f[2::2], f[3::2]):
+            sample[unit] = float(value)
+        results[f[0]] = sample
+    if proc.returncode != 0 or not results:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"benchpair: {regex} in {pkgdir}: no benchmark result (exit {proc.returncode})")
+    return results
+
+
+def summarize_gobench(pairs):
+    """Per benchmark: ns/op quartiles per side, per-pair ratio quartiles, wins."""
+    summary = {}
+    for name in pairs[0]["parent"]:
+        par = [p["parent"][name]["ns/op"] for p in pairs]
+        chg = [p["change"][name]["ns/op"] for p in pairs]
+        ratios = [p["ratio"][name] for p in pairs]
+        pq, cq = quartiles(par), quartiles(chg)
+        summary[name] = {
+            "metric": "ns/op",
+            "better": "lower",
+            "parent_q1_median_q3": pq,
+            "change_q1_median_q3": cq,
+            "ratio_q1_median_q3": quartiles(ratios),
+            "change_wins": sum(1 for a, b in zip(par, chg) if b < a),
+            "pairs": len(pairs),
+            "median_gap_exceeds_parent_iqr": pq[1] - cq[1] > pq[2] - pq[0],
+            "change_median_inside_parent_iqr": pq[0] <= cq[1] <= pq[2],
+        }
+    return summary
+
+
 def cpu_model():
     """The CPU model name from /proc/cpuinfo, or platform's guess elsewhere."""
     try:
@@ -139,11 +209,17 @@ def ratio(a, b):
     return round(b / a, 5) if a else None
 
 
-def parse_spec(spec, fields):
-    parts = spec.split(":")
+def parse_spec(spec, fields, maxsplit=-1):
+    parts = spec.split(":", maxsplit)
     if len(parts) != fields:
         raise SystemExit(f"benchpair: bad spec {spec!r}")
     return parts
+
+
+def save(doc, path):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
 
 
 def main():
@@ -153,10 +229,15 @@ def main():
     ap.add_argument("--pairs", action="append", default=[], metavar="W:S:N")
     ap.add_argument("--traced", action="append", default=[], metavar="W:S")
     ap.add_argument("--check", action="append", default=[], metavar="W:S")
+    ap.add_argument("--gobench", action="append", default=[], metavar="P:R:N")
+    ap.add_argument("--benchtime", default="2000x", help="-test.benchtime of every --gobench run (Nx)")
+    ap.add_argument("--cpu", type=int, default=2, help="-test.cpu of every --gobench run")
     ap.add_argument("--claim", metavar="W:M")
     ap.add_argument("--note", default="", help="one-line description of the change")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
+    if not re.fullmatch(r"[1-9][0-9]*x", args.benchtime):
+        raise SystemExit(f"benchpair: --benchtime must be a fixed iteration count such as 2000x, got {args.benchtime!r}")
 
     root = os.getcwd()
     with open(os.path.join(root, "BENCHMARK.json")) as f:
@@ -206,6 +287,37 @@ def main():
                 "ratio": {m: ratio(res["parent"]["metrics"][m], res["change"]["metrics"][m]) for m in END_TO_END},
             })
         doc["workloads"].append({"workload": w, "seed": int(s), "pairs": pairs, "summary": summarize(pairs)})
+        save(doc, args.out)
+
+    for spec in args.gobench:
+        pkg, rest = parse_spec(spec, 2, maxsplit=1)
+        regex, n = rest.rsplit(":", 1) if ":" in rest else (rest, "")
+        if not n.isdigit() or int(n) < 1:
+            raise SystemExit(f"benchpair: bad spec {spec!r}")
+        bins = {side: build_gobench(trees[side], pkg) for side in trees}
+        pairs = []
+        for i in range(int(n)):
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            res = {side: gobench(bins[side], os.path.join(trees[side], pkg), regex, args.benchtime, args.cpu)
+                   for side in order}
+            if res["parent"].keys() != res["change"].keys():
+                raise SystemExit(f"benchpair: {regex}: the two sides ran different benchmarks")
+            ratios = {b: ratio(res["parent"][b]["ns/op"], res["change"][b]["ns/op"]) for b in res["parent"]}
+            print(f"gobench {pkg} pair {i}: " + " ".join(f"{b} {r:.3f}" for b, r in ratios.items()),
+                  file=sys.stderr, flush=True)
+            pairs.append({"pair": i, "first": order[0], "parent": res["parent"], "change": res["change"],
+                          "ratio": ratios})
+        doc.setdefault("gobench", []).append({
+            "package": pkg,
+            "regex": regex,
+            "benchtime": args.benchtime,
+            "cpu": args.cpu,
+            "command": f"go test -c -o P.test {go_package(pkg)} && (cd {pkg} && P.test -test.run '^$' "
+                       f"-test.bench '{regex}' -test.benchmem -test.benchtime {args.benchtime} -test.cpu {args.cpu})",
+            "pairs": pairs,
+            "summary": summarize_gobench(pairs),
+        })
+        save(doc, args.out)
 
     for key, specs, trace in (("traced", args.traced, 1), ("checks", args.check, 0)):
         runs = []
@@ -226,7 +338,7 @@ def main():
     results = [p[side] for wl in doc["workloads"] for p in wl["pairs"] for side in ("parent", "change")]
     results += [r for key in ("traced", "checks") for r in doc.get(key, {}).get("runs", [])]
     seen = sorted({r["gomaxprocs"] for r in results}, key=str)
-    doc["gomaxprocs"] = seen[0] if len(seen) == 1 else seen
+    doc["gomaxprocs"] = seen[0] if len(seen) == 1 else seen or None
 
     if args.claim:
         w, m = parse_spec(args.claim, 2)
@@ -265,15 +377,17 @@ def main():
             "seeds": seeds,
         }
 
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    save(doc, args.out)
     for wl in doc["workloads"]:
         for m in END_TO_END:
             sm = wl["summary"][m]
             r = sm["ratio_q1_median_q3"]
             print(f"{wl['workload']} seed {wl['seed']} {m}: median ratio {r[1]:.3f} [{r[0]:.3f}, {r[2]:.3f}] "
                   f"wins {sm['change_wins']}/{sm['pairs']}" if r else f"{wl['workload']} {m}: no ratios")
+    for gb in doc.get("gobench", []):
+        for b, sm in gb["summary"].items():
+            r = sm["ratio_q1_median_q3"]
+            print(f"{b}: median ratio {r[1]:.3f} [{r[0]:.3f}, {r[2]:.3f}] wins {sm['change_wins']}/{sm['pairs']}")
     if "claim" in doc:
         print(f"claim {doc['claim']['workload']} {doc['claim']['metric']}: met={doc['claim']['met']}")
     return 0
