@@ -31,7 +31,8 @@ Commit the change first: only committed trees are measured.
                 regex R in package directory P (relative to the
                 repository root): each side's test binary is built once
                 with `go test -c` and run from P as
-                `-test.run ^$ -test.bench R -test.benchmem` with the one
+                `-test.run ^$ -test.bench R -test.benchmem -test.timeout
+                10m` with the one
                 --benchtime (a fixed iteration count, Nx) and --cpu
                 value, both recorded; the record holds every sample and,
                 per benchmark, the per-pair ns/op ratios, medians with
@@ -126,7 +127,7 @@ def build_gobench(tree, pkg):
 def gobench(binary, pkgdir, regex, benchtime, cpu):
     """Run the benchmarks matching regex once; return {name: {unit: value}}."""
     cmd = [binary, "-test.run", "^$", "-test.bench", regex, "-test.benchmem",
-           "-test.benchtime", benchtime, "-test.cpu", str(cpu)]
+           "-test.benchtime", benchtime, "-test.cpu", str(cpu), "-test.timeout", "10m"]
     proc = subprocess.run(cmd, cwd=pkgdir, capture_output=True, text=True)
     results = {}
     for line in proc.stdout.splitlines():
@@ -313,7 +314,8 @@ def main():
             "benchtime": args.benchtime,
             "cpu": args.cpu,
             "command": f"go test -c -o P.test {go_package(pkg)} && (cd {pkg} && P.test -test.run '^$' "
-                       f"-test.bench '{regex}' -test.benchmem -test.benchtime {args.benchtime} -test.cpu {args.cpu})",
+                       f"-test.bench '{regex}' -test.benchmem -test.benchtime {args.benchtime} -test.cpu {args.cpu} "
+                       f"-test.timeout 10m)",
             "pairs": pairs,
             "summary": summarize_gobench(pairs),
         })
