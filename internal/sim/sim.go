@@ -1422,7 +1422,8 @@ func (e *Engine) poolWorker(i int) {
 // Neighbors in order, all of them in shard s: the copies land where
 // the sender's per-copy entries would have. Only a sender whose
 // neighbors lie in one shard is compact, since the spanning variant ran
-// the H(1024,8) flood at 8 workers 2.2x slower (see admitVT).
+// the H(1024,8) flood at 8 workers 1.84x as long per round (see
+// admitVT).
 func (e *Engine) mergeShardVT(s int) {
 	window := e.window
 	span := window - 1

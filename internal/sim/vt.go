@@ -819,7 +819,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 // per copy. As there, only a sender whose neighbors lie in one shard
 // sends one: an entry per spanned shard, each merge filtering the
 // sender's whole neighbor list, ran the H(1024,8) flood at 8 workers
-// 2.2x slower (see admitVT).
+// 1.84x as long per round (see admitVT).
 func (e *Engine) mergeShardVTSparse(s int) {
 	window := e.window
 	span := window - 1
@@ -939,7 +939,9 @@ func (e *Engine) stepVertexVT(v, r int, ws *workerState, box [][]Incoming) {
 // sender whose neighbors span shards stays per copy: a variant that
 // sent one entry to each spanned shard, each merge walking the whole
 // neighbor list for its own targets, ran the H(1024,8) flood at 8
-// workers 2.2x slower per round (2-core VM, go1.24).
+// workers 1.84x [1.79, 1.97] as long per round as this code (10
+// interleaved -test.cpu 2 pairs, 2-core VM, go1.24), where nearly every
+// sender spans shards.
 func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
 	if cap(out) > cap(e.envs[v].scratch) {
 		e.envs[v].scratch = out[:0]

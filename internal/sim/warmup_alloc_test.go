@@ -10,14 +10,13 @@ package sim_test
 // doubling instead cost 12 heap objects per vertex over a flood's first
 // three rounds, most of them garbage the collector marks at scale, and
 // a degree-sized send buffer per vertex cost 1.3 MB more than one entry
-// at n=8192, d=8. On a parallel engine a broadcast from a sender whose
-// neighbors all lie in one shard also stays one entry in the outbox
-// bucket, so on a local substrate (the ring lattice, where almost every
-// sender is such a sender) the buckets no longer grow to a round's
-// traffic: the two-worker lattice flood's first three rounds took
-// 11.9 MB with one bucket entry per copy and take 5.3 MB now. The race
-// detector changes allocation behavior, so this file is excluded under
-// -race (same convention as topo_alloc_test.go).
+// at n=8192, d=8. On a parallel engine a lockstep broadcast from a
+// sender whose neighbors all lie in one shard also stays one outbox
+// bucket entry, so on a local substrate such as the ring lattice, where
+// almost every sender is such a sender, the buckets no longer grow to a
+// round's copies. The race detector changes allocation behavior, so
+// this file is excluded under -race (same convention as
+// topo_alloc_test.go).
 
 import (
 	"testing"

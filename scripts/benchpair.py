@@ -30,10 +30,9 @@ Commit the change first: only committed trees are measured.
 --gobench P:R:N N interleaved pairs of the go test benchmarks matching
                 regex R in package directory P (relative to the
                 repository root): each side's test binary is built once
-                with `go test -c` and run from P as
-                `-test.run ^$ -test.bench R -test.benchmem -test.timeout
-                10m` with the one
-                --benchtime (a fixed iteration count, Nx) and --cpu
+                with `go test -c` and run from P with `-test.run ^$
+                -test.bench R -test.benchmem -test.timeout 10m` and the
+                one --benchtime (a fixed iteration count, Nx) and --cpu
                 value, both recorded; the record holds every sample and,
                 per benchmark, the per-pair ns/op ratios, medians with
                 quartiles and win counts
@@ -217,12 +216,6 @@ def parse_spec(spec, fields, maxsplit=-1):
     return parts
 
 
-def save(doc, path):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="parent commit (any git revision)")
@@ -288,7 +281,6 @@ def main():
                 "ratio": {m: ratio(res["parent"]["metrics"][m], res["change"]["metrics"][m]) for m in END_TO_END},
             })
         doc["workloads"].append({"workload": w, "seed": int(s), "pairs": pairs, "summary": summarize(pairs)})
-        save(doc, args.out)
 
     for spec in args.gobench:
         pkg, rest = parse_spec(spec, 2, maxsplit=1)
@@ -319,7 +311,6 @@ def main():
             "pairs": pairs,
             "summary": summarize_gobench(pairs),
         })
-        save(doc, args.out)
 
     for key, specs, trace in (("traced", args.traced, 1), ("checks", args.check, 0)):
         runs = []
@@ -379,7 +370,9 @@ def main():
             "seeds": seeds,
         }
 
-    save(doc, args.out)
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
     for wl in doc["workloads"]:
         for m in END_TO_END:
             sm = wl["summary"][m]
