@@ -141,22 +141,6 @@ func BenchmarkSimpleRegularGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphFinalize times the two-pass CSR finalize + sorted-dedup
-// view in isolation (rebuilt from the edge log each iteration via Clone).
-func BenchmarkGraphFinalize(b *testing.B) {
-	g, err := graph.HND(4096, 8, xrand.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := g.Clone()
-		c.Adj(0)
-		c.SortedAdj(0)
-	}
-}
-
 // BenchmarkAppendBall times the zero-alloc ball accessor the placement
 // machinery and expansion sweeps lean on.
 func BenchmarkAppendBall(b *testing.B) {
@@ -232,10 +216,10 @@ func benchRoundThroughput(b *testing.B, eng roundRunner) {
 }
 
 // benchEngineRoundThroughput times the shared flood workload
-// (perf.NewFloodEngine — the same workload the BENCH.json trajectory
-// records as engine/flood/*).
+// (perf.NewVTFloodEngine with the empty spec — the same workload the
+// BENCH.json trajectory records as engine/flood/*).
 func benchEngineRoundThroughput(b *testing.B, workers int) {
-	eng, err := perf.NewFloodEngine(1024, 8, workers)
+	eng, err := perf.NewVTFloodEngine(1024, 8, workers, "")
 	if err != nil {
 		b.Fatal(err)
 	}

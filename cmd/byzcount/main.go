@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -216,6 +217,11 @@ func benchCmd(args []string, prof *profiler) error {
 		return err
 	}
 	if *diff {
+		// NaN compares false against every ratio, so it would pass any
+		// regression; a negative tolerance fails an unchanged record.
+		if !(*tolerance >= 0) || math.IsInf(*tolerance, 1) {
+			return &flagError{flag: "tolerance", value: *tolerance, want: "a finite number >= 0"}
+		}
 		return benchDiff(fs.Args(), *tolerance, overrides)
 	}
 	suite := perf.Suite(perf.SuiteConfig{Quick: *quick, Parallel: *parallel, Filter: *filter})

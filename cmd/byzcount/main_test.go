@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"byzcount/internal/perf"
 	"byzcount/internal/sim"
@@ -419,6 +421,44 @@ func TestGridFlagsRejected(t *testing.T) {
 	}
 	if _, err := os.Stat(sweepDir); !os.IsNotExist(err) {
 		t.Errorf("a rejected sweep created its directory (stat err %v)", err)
+	}
+}
+
+// TestBadSpecRejectedAtOnce: geo:NaN@4 used to hang run and matrix
+// (the geometric draw never succeeds, so no round ever ended), and
+// drop:NaN and partition:2@0-0 ran as a lossless network and as a
+// partition that never heals. Each must fail before anything runs.
+func TestBadSpecRejectedAtOnce(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-n", "64", "-delay", "geo:NaN@4"},
+		{"matrix", "-proto", "congest", "-n", "64", "-delay", "geo:NaN@4", "-trials", "1"},
+		{"run", "-n", "64", "-fault", "drop:NaN"},
+		{"run", "-n", "64", "-fault", "partition:2@0-0"},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run(args) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "bad") {
+				t.Errorf("%s: err = %v, want a bad-spec error", strings.Join(args, " "), err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: still running after 10 s", strings.Join(args, " "))
+		}
+	}
+}
+
+// TestBenchDiffToleranceRejected: -tolerance NaN passed every
+// regression (exit 0) and -tolerance -1 failed unchanged records; each
+// must be a typed flag error.
+func TestBenchDiffToleranceRejected(t *testing.T) {
+	for _, v := range []string{"NaN", "-1", "+Inf"} {
+		t.Run(v, func(t *testing.T) {
+			fe := runFlagError(t, "bench", "-diff", "-tolerance", v, "old.json", "new.json")
+			if fe.flag != "tolerance" || strconv.FormatFloat(fe.value, 'g', -1, 64) != v {
+				t.Errorf("-tolerance %s: %v", v, fe)
+			}
+		})
 	}
 }
 

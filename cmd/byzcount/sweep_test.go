@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -154,8 +155,12 @@ func TestSweepCmdSIGTERMResume(t *testing.T) {
 		t.Errorf("resumed table differs from uninterrupted run:\n--- resumed ---\n%s--- clean ---\n%s", got, want)
 	}
 	// The log replayed: the checkpoint must show a completed grid.
-	ck, err := sweep.ReadCheckpoint(dir)
-	if err != nil || ck == nil || ck.Interrupted || ck.Completed != ck.Total {
+	var ck sweep.Checkpoint
+	data, err := os.ReadFile(filepath.Join(dir, sweep.CheckpointName))
+	if err == nil {
+		err = json.Unmarshal(data, &ck)
+	}
+	if err != nil || ck.Interrupted || ck.Completed != ck.Total {
 		t.Errorf("post-resume checkpoint: %+v err=%v", ck, err)
 	}
 }

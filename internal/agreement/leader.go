@@ -77,9 +77,6 @@ func NewLeaderProc(params LeaderParams) *LeaderProc {
 // Leader returns the elected leader ID and whether one is known.
 func (p *LeaderProc) Leader() (sim.NodeID, bool) { return p.leader, p.hasLeader }
 
-// IsCandidate reports whether this node nominated itself.
-func (p *LeaderProc) IsCandidate() bool { return p.candidate }
-
 // Halted reports completion of the flood window.
 func (p *LeaderProc) Halted() bool { return p.done }
 

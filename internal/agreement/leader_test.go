@@ -66,7 +66,7 @@ func TestLeaderElectionConverges(t *testing.T) {
 	found := false
 	for _, p := range procs {
 		lp := p.(*LeaderProc)
-		if lp.IsCandidate() {
+		if lp.candidate {
 			if id, ok := lp.Leader(); ok && id == leader {
 				found = true
 			}
@@ -87,7 +87,7 @@ func TestLeaderCandidateCountNearC(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		procs, _ := runLeader(t, n, d, params, nil, nil, uint64(10+trial))
 		for _, p := range procs {
-			if p.(*LeaderProc).IsCandidate() {
+			if p.(*LeaderProc).candidate {
 				total++
 			}
 		}
@@ -125,7 +125,7 @@ func TestLeaderUndersizedEstimateOverNominates(t *testing.T) {
 	procs, honest := runLeader(t, n, d, params, nil, nil, 22)
 	candidates := 0
 	for _, p := range procs {
-		if p.(*LeaderProc).IsCandidate() {
+		if p.(*LeaderProc).candidate {
 			candidates++
 		}
 	}
@@ -146,7 +146,7 @@ func TestLeaderProcAccessors(t *testing.T) {
 	if _, ok := p.Leader(); ok {
 		t.Error("fresh proc has a leader")
 	}
-	if p.Halted() || p.IsCandidate() {
+	if p.Halted() || p.candidate {
 		t.Error("fresh proc state")
 	}
 	if f, _ := LeaderAgreement(nil, nil); f != 0 {

@@ -139,8 +139,8 @@ func TestBeaconSpammerEveryRound(t *testing.T) {
 		if out := sp.Step(env, r, nil); len(out) > 0 {
 			sends++
 			b := out[0].Payload.(*counting.Beacon)
-			if b.Len() != 3 {
-				t.Fatalf("prefix length %d", b.Len())
+			if n := len(b.AppendPath(nil)); n != 3 {
+				t.Fatalf("prefix length %d", n)
 			}
 		}
 	}

@@ -75,49 +75,6 @@ func (Silent) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing { 
 // Halted is always false; the node occupies its vertex forever.
 func (Silent) Halted() bool { return false }
 
-// PathTamperer forwards honest beacons but rewrites the path prefix to
-// contain the IDs of innocent honest nodes (its frame targets), trying to
-// get them blacklisted so that later honest beacons are rejected and good
-// nodes decide early.
-type PathTamperer struct {
-	Schedule counting.Schedule
-	// Frame is the pool of honest IDs to implant into path prefixes.
-	Frame []sim.NodeID
-	rng   *xrand.Rand
-}
-
-var _ sim.Proc = (*PathTamperer)(nil)
-
-// NewPathTamperer returns a tamperer that frames the given IDs.
-func NewPathTamperer(sched counting.Schedule, frame []sim.NodeID, rng *xrand.Rand) *PathTamperer {
-	return &PathTamperer{Schedule: sched, Frame: frame, rng: rng}
-}
-
-// Halted is always false.
-func (p *PathTamperer) Halted() bool { return false }
-
-// Step rewrites and forwards one received beacon per round.
-func (p *PathTamperer) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	loc := p.Schedule.Locate(round)
-	if loc.Offset > loc.Phase+1 {
-		return nil
-	}
-	for _, m := range in {
-		if bc, ok := m.Payload.(*counting.Beacon); ok {
-			// Replace the prefix with framed IDs, keep length plausible.
-			k := max(bc.Len(), 1)
-			tampered := make([]sim.NodeID, 0, k)
-			for i := 0; i < k; i++ {
-				if len(p.Frame) > 0 {
-					tampered = append(tampered, p.Frame[p.rng.Intn(len(p.Frame))])
-				}
-			}
-			return env.Broadcast(counting.NewBeacon(bc.Origin(), tampered))
-		}
-	}
-	return nil
-}
-
 // ContinueFlooder broadcasts continue messages in every continue window,
 // preventing decided honest nodes from ever exiting. It does not change
 // what they decide — it burns rounds and messages, demonstrating that

@@ -28,9 +28,6 @@ func NewCrash(inner sim.Proc, crashRound int) *Crash {
 // the fail-stop model.
 func (c *Crash) Halted() bool { return false }
 
-// Crashed reports whether the fail-stop has occurred.
-func (c *Crash) Crashed() bool { return c.crashed }
-
 // Step delegates to the inner process until the crash round.
 func (c *Crash) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 	if c.crashed || round >= c.CrashRound {

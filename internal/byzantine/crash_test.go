@@ -32,8 +32,8 @@ func TestCrashStopsInner(t *testing.T) {
 	if inner.steps != 3 {
 		t.Errorf("inner stepped %d times, want 3", inner.steps)
 	}
-	if !c.Crashed() {
-		t.Error("Crashed() false after crash")
+	if !c.crashed {
+		t.Error("crash not recorded")
 	}
 	if c.Halted() {
 		t.Error("a crashed node must not report Halted (it is silent, not absent)")

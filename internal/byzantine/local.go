@@ -92,19 +92,6 @@ func NewFakeWorld(size, fakeDegree, maxDegree, roots int, rng *xrand.Rand) (*Fak
 	return w, nil
 }
 
-// Attach registers a Byzantine node and returns the fake node it claims
-// an edge to. Attachment is deterministic (round-robin) and idempotent.
-func (w *FakeWorld) Attach(byzID sim.NodeID) sim.NodeID {
-	if root, ok := w.attached[byzID]; ok {
-		return root
-	}
-	root := w.roots[w.nextRoot%len(w.roots)]
-	w.nextRoot++
-	w.attached[byzID] = root
-	w.backRefs[root] = append(w.backRefs[root], byzID)
-	return root
-}
-
 // AttachK registers a Byzantine node with k distinct attachment edges and
 // returns the fake endpoints. Widening the cut is how an adversary with
 // degree headroom (Delta - d extra edges per node) scales the attack: the
@@ -156,14 +143,9 @@ func (w *FakeWorld) SealOf(x sim.NodeID) counting.SealRecord {
 	return counting.SealRecord{Node: x, Neighbors: nbrs}
 }
 
-// Layers returns the BFS layers of the fake world starting from root;
-// layer k is broadcast by the attached Byzantine node at round k+1 to
-// mimic the arrival timing of a genuine flood.
-func (w *FakeWorld) Layers(root sim.NodeID) [][]sim.NodeID {
-	return w.LayersMulti([]sim.NodeID{root})
-}
-
-// LayersMulti is Layers from multiple simultaneous sources.
+// LayersMulti returns the BFS layers of the fake world from the given
+// simultaneous sources; layer k is broadcast by the attached Byzantine
+// nodes at round k+1 to mimic the arrival timing of a genuine flood.
 func (w *FakeWorld) LayersMulti(roots []sim.NodeID) [][]sim.NodeID {
 	dist := make(map[sim.NodeID]int, len(w.adj))
 	queue := make([]sim.NodeID, 0, len(w.adj))
@@ -254,84 +236,4 @@ func (f *FakeNetworkLocal) Step(env *sim.Env, round int, in []sim.Incoming) []si
 		seals = append(seals, f.world.SealOf(x))
 	}
 	return env.Broadcast(counting.LocalDelta{Seals: seals})
-}
-
-// SplitBrainLocal equivocates: it partitions its neighbors into two
-// groups and seals itself differently toward each (each version padded
-// with a different fabricated extra neighbor). Honest forwarding brings
-// the two versions together within a couple of rounds and the reseal
-// check of View.Merge fires — the detection path of line 18.
-type SplitBrainLocal struct {
-	rng *xrand.Rand
-}
-
-var _ sim.Proc = (*SplitBrainLocal)(nil)
-
-// NewSplitBrainLocal returns an equivocating adversary.
-func NewSplitBrainLocal(rng *xrand.Rand) *SplitBrainLocal {
-	return &SplitBrainLocal{rng: rng}
-}
-
-// Halted is always false.
-func (s *SplitBrainLocal) Halted() bool { return false }
-
-// Step sends version A of its seal to even-indexed neighbors and version
-// B to odd-indexed ones, then heartbeats.
-func (s *SplitBrainLocal) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	if round > 0 {
-		return env.Broadcast(counting.LocalDelta{})
-	}
-	uniq := make(map[sim.NodeID]bool, len(env.NeighborIDs))
-	base := make([]sim.NodeID, 0, len(env.NeighborIDs)+1)
-	for _, id := range env.NeighborIDs {
-		if !uniq[id] {
-			uniq[id] = true
-			base = append(base, id)
-		}
-	}
-	sealA := counting.SealRecord{Node: env.ID, Neighbors: append(append([]sim.NodeID(nil), base...), sim.NodeID(s.rng.Uint64()))}
-	sealB := counting.SealRecord{Node: env.ID, Neighbors: append(append([]sim.NodeID(nil), base...), sim.NodeID(s.rng.Uint64()))}
-	out := env.Scratch()
-	for k, w := range env.Neighbors {
-		seal := sealA
-		if k%2 == 1 {
-			seal = sealB
-		}
-		out = append(out, sim.Outgoing{To: w, Payload: counting.LocalDelta{Seals: []counting.SealRecord{seal}}})
-	}
-	return out
-}
-
-// DegreeLiarLocal claims more neighbors than the degree bound allows —
-// the crudest fabrication, detected instantly by line 17.
-type DegreeLiarLocal struct {
-	Extra int
-	rng   *xrand.Rand
-	sent  bool
-}
-
-var _ sim.Proc = (*DegreeLiarLocal)(nil)
-
-// NewDegreeLiarLocal returns a liar that pads its seal with extra
-// fabricated neighbors.
-func NewDegreeLiarLocal(extra int, rng *xrand.Rand) *DegreeLiarLocal {
-	return &DegreeLiarLocal{Extra: extra, rng: rng}
-}
-
-// Halted is always false.
-func (d *DegreeLiarLocal) Halted() bool { return false }
-
-// Step broadcasts the inflated seal once, then heartbeats.
-func (d *DegreeLiarLocal) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	if d.sent {
-		return env.Broadcast(counting.LocalDelta{})
-	}
-	d.sent = true
-	nbrs := append([]sim.NodeID(nil), env.NeighborIDs...)
-	for i := 0; i < d.Extra; i++ {
-		nbrs = append(nbrs, sim.NodeID(d.rng.Uint64()))
-	}
-	return env.Broadcast(counting.LocalDelta{
-		Seals: []counting.SealRecord{{Node: env.ID, Neighbors: nbrs}},
-	})
 }

@@ -54,13 +54,13 @@ func TestFakeWorldConstruction(t *testing.T) {
 		t.Fatalf("roots = %d", len(w.roots))
 	}
 	// Attach two Byzantine IDs; each gets a root, idempotently.
-	r1 := w.Attach(sim.NodeID(100))
-	r2 := w.Attach(sim.NodeID(200))
+	r1 := w.AttachK(sim.NodeID(100), 1)[0]
+	r2 := w.AttachK(sim.NodeID(200), 1)[0]
 	if r1 == r2 {
 		t.Error("round-robin should use both roots")
 	}
-	if w.Attach(sim.NodeID(100)) != r1 {
-		t.Error("Attach not idempotent")
+	if w.AttachK(sim.NodeID(100), 1)[0] != r1 {
+		t.Error("AttachK not idempotent")
 	}
 	// The root's seal must include the attached Byzantine ID.
 	seal := w.SealOf(r1)
@@ -74,7 +74,7 @@ func TestFakeWorldConstruction(t *testing.T) {
 		t.Error("root seal missing back-reference to Byzantine node")
 	}
 	// Layers start at the root and cover the world.
-	layers := w.Layers(r1)
+	layers := w.LayersMulti([]sim.NodeID{r1})
 	total := 0
 	for _, l := range layers {
 		total += len(l)
@@ -95,7 +95,7 @@ func TestFakeWorldSealsAreConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Attach(sim.NodeID(42))
+	w.AttachK(sim.NodeID(42), 1)
 	view := counting.NewView(10)
 	for x := range w.adj {
 		if err := view.Merge(w.SealOf(x)); err != nil {

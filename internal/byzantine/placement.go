@@ -228,30 +228,6 @@ func SpreadPlacement(s Substrate, count int, rng *xrand.Rand) ([]bool, error) {
 	return mask, nil
 }
 
-// FixedPlacement marks exactly the given slots — used for the Theorem 3
-// dumbbell bridge and hand-crafted scenarios.
-func FixedPlacement(vertices ...int) Placement {
-	return func(s Substrate, count int, rng *xrand.Rand) ([]bool, error) {
-		if count != len(vertices) {
-			return nil, fmt.Errorf("byzantine: FixedPlacement has %d vertices, asked for %d", len(vertices), count)
-		}
-		mask := make([]bool, s.Slots())
-		for _, v := range vertices {
-			if v < 0 || v >= s.Slots() {
-				return nil, fmt.Errorf("byzantine: vertex %d out of range", v)
-			}
-			if !s.Alive(v) {
-				return nil, fmt.Errorf("byzantine: vertex %d is not alive", v)
-			}
-			if mask[v] {
-				return nil, fmt.Errorf("byzantine: vertex %d listed twice", v)
-			}
-			mask[v] = true
-		}
-		return mask, nil
-	}
-}
-
 // Count returns the number of Byzantine vertices in a mask.
 func Count(mask []bool) int {
 	c := 0

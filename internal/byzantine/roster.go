@@ -66,10 +66,6 @@ func (r *Roster) Fraction() float64 {
 	return float64(r.nByz) / float64(r.nAlive)
 }
 
-// Mask returns the roster's current per-slot Byzantine mask (roster-
-// owned; do not mutate).
-func (r *Roster) Mask() []bool { return r.byz }
-
 // OnLeave records the departure of slot v's occupant.
 func (r *Roster) OnLeave(v int) {
 	if v < 0 || v >= len(r.byz) {

@@ -54,9 +54,6 @@ func (b *Beacon) Origin() sim.NodeID {
 	return b.id
 }
 
-// Len returns the length of the path field.
-func (b *Beacon) Len() int { return b.n }
-
 // AppendPath appends the path field, first forwarder first, to dst and
 // returns the extended slice.
 func (b *Beacon) AppendPath(dst []sim.NodeID) []sim.NodeID {

@@ -282,8 +282,8 @@ func TestBeaconChainMatchesSlice(t *testing.T) {
 		if got, want := b.AppendPath([]sim.NodeID{7}), append([]sim.NodeID{7}, p...); !slices.Equal(got, want) {
 			t.Fatalf("AppendPath onto [7] = %v, want %v", got, want)
 		}
-		if b.Origin() != origin || b.Len() != len(p) || b.SizeBits() != 16+64+64*len(p) {
-			t.Fatalf("path %v: Origin %d Len %d SizeBits %d", p, b.Origin(), b.Len(), b.SizeBits())
+		if b.Origin() != origin || b.n != len(p) || b.SizeBits() != 16+64+64*len(p) {
+			t.Fatalf("path %v: Origin %d Len %d SizeBits %d", p, b.Origin(), b.n, b.SizeBits())
 		}
 		for suffix := 1; suffix <= 45; suffix++ {
 			if got, want := untrustedIDs(b, suffix), prefixToBlacklist(p, suffix); !slices.Equal(got, want) {

@@ -172,9 +172,6 @@ func (l *LocalProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgo
 	return l.flush(env)
 }
 
-// View exposes the accumulated topology knowledge (read-only use).
-func (l *LocalProc) View() *View { return l.view }
-
 func (l *LocalProc) decide(round int) {
 	l.decided = true
 	l.estimate = round

@@ -243,7 +243,7 @@ func TestLocalOutcomeFresh(t *testing.T) {
 	if o := p.Outcome(); o.Decided {
 		t.Error("fresh proc decided")
 	}
-	if p.View() == nil {
+	if p.view == nil {
 		t.Error("nil view")
 	}
 }

@@ -41,7 +41,7 @@ func TestViewMergeOrderIndependent(t *testing.T) {
 				return false
 			}
 		}
-		if view.SealedCount() != g.N() {
+		if view.sealedCount != g.N() {
 			return false
 		}
 		// Layer structure from vertex 1 must match the true BFS.
@@ -81,7 +81,7 @@ func TestViewMergeIdempotent(t *testing.T) {
 			t.Fatalf("re-merge failed: %v", err)
 		}
 	}
-	if v1.SealedCount() != v2.SealedCount() || v1.KnownCount() != v2.KnownCount() {
+	if v1.sealedCount != v2.sealedCount || len(v1.nodes) != len(v2.nodes) {
 		t.Error("idempotence violated")
 	}
 }
@@ -230,7 +230,7 @@ func TestBeaconShortcutProperties(t *testing.T) {
 			c.blacklist.add(randomID(path))
 		}
 		if got := b.Origin(); got != origin {
-			t.Fatalf("trial %d: chain of %d IDs reports origin %d, root holds %d", trial, b.Len(), got, origin)
+			t.Fatalf("trial %d: chain of %d IDs reports origin %d, root holds %d", trial, b.n, got, origin)
 		}
 		if got := b.AppendPath(nil); !slices.Equal(got, path) {
 			t.Fatalf("trial %d: AppendPath = %v, built from %v", trial, got, path)

@@ -166,28 +166,10 @@ func (v *View) nextGen() uint32 {
 	return v.gen
 }
 
-// SealedCount returns the number of nodes with known full edge sets.
-func (v *View) SealedCount() int { return v.sealedCount }
-
-// KnownCount returns the number of nodes the view has heard of (sealed or
-// mentioned in someone's seal).
-func (v *View) KnownCount() int { return len(v.nodes) }
-
 // IsSealed reports whether node x's full edge set is known.
 func (v *View) IsSealed(x sim.NodeID) bool {
 	i := v.lookup(x)
 	return i >= 0 && v.sealed[i]
-}
-
-// Sealed returns the sealed node IDs in unspecified order.
-func (v *View) Sealed() []sim.NodeID {
-	out := make([]sim.NodeID, 0, v.sealedCount)
-	for i, s := range v.sealed {
-		if s {
-			out = append(out, v.nodes[i])
-		}
-	}
-	return out
 }
 
 // Merge incorporates a seal record, returning ErrInconsistent (wrapped
@@ -199,8 +181,8 @@ func (v *View) Sealed() []sim.NodeID {
 //     (an edge must appear in both endpoints' seals).
 //
 // Nothing is interned on the error paths, so a rejected record leaves
-// the view untouched (matching the seed behavior, where KnownCount only
-// grew on commit).
+// the view untouched (matching the seed behavior, where the known-node
+// count only grew on commit).
 func (v *View) Merge(rec SealRecord) error {
 	if len(rec.Neighbors) > v.maxDegree {
 		return fmt.Errorf("%w: node %d claims degree %d > %d",
@@ -362,26 +344,6 @@ func (v *View) bfsLayers(c int32) []int32 {
 	}
 	v.queue = queue
 	return queue
-}
-
-// BallLayers runs BFS from center on the view adjacency and returns the
-// vertices grouped by distance: layers[0] = {center}, layers[1] = its
-// neighbors, and so on.
-func (v *View) BallLayers(center sim.NodeID) [][]sim.NodeID {
-	c := v.lookup(center)
-	if c < 0 {
-		return [][]sim.NodeID{{center}}
-	}
-	queue := v.bfsLayers(c)
-	var layers [][]sim.NodeID
-	for _, x := range queue {
-		d := int(v.dist[x])
-		for len(layers) <= d {
-			layers = append(layers, nil)
-		}
-		layers[d] = append(layers[d], v.nodes[x])
-	}
-	return layers
 }
 
 // ExpansionChecks evaluates the Algorithm 1 expansion checks (lines 9-13)

@@ -24,8 +24,8 @@ func TestViewMergeBasic(t *testing.T) {
 	if !v.IsSealed(1) || v.IsSealed(2) {
 		t.Error("seal state wrong")
 	}
-	if v.SealedCount() != 1 || v.KnownCount() != 3 {
-		t.Errorf("counts: sealed=%d known=%d", v.SealedCount(), v.KnownCount())
+	if v.sealedCount != 1 || len(v.nodes) != 3 {
+		t.Errorf("counts: sealed=%d known=%d", v.sealedCount, len(v.nodes))
 	}
 }
 
@@ -241,4 +241,24 @@ func TestContainsID(t *testing.T) {
 	if containsID(nil, 1) {
 		t.Error("empty containsID")
 	}
+}
+
+// BallLayers runs the view's BFS (the traversal ExpansionChecks walks)
+// from center and groups the vertices by distance: layers[0] = {center},
+// layers[1] = its neighbors, and so on. An unknown center is a singleton.
+func (v *View) BallLayers(center sim.NodeID) [][]sim.NodeID {
+	c := v.lookup(center)
+	if c < 0 {
+		return [][]sim.NodeID{{center}}
+	}
+	queue := v.bfsLayers(c)
+	var layers [][]sim.NodeID
+	for _, x := range queue {
+		d := int(v.dist[x])
+		for len(layers) <= d {
+			layers = append(layers, nil)
+		}
+		layers[d] = append(layers[d], v.nodes[x])
+	}
+	return layers
 }

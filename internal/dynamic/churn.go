@@ -122,9 +122,6 @@ func (r *Runner) SetDelayModel(m sim.DelayModel) { r.eng.SetDelayModel(m) }
 // SetFaultModel forwards to the engine.
 func (r *Runner) SetFaultModel(m sim.FaultModel) { r.eng.SetFaultModel(m) }
 
-// Network returns the underlying topology.
-func (r *Runner) Network() *Network { return r.net }
-
 // SetLeaveHook registers a callback invoked for every departure, with
 // the departing slot, before the engine detaches it. Arrivals need no
 // counterpart: the ProcFactory already observes every join. Together

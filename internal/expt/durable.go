@@ -1,6 +1,6 @@
 package expt
 
-// The durable matrix driver: `byzcount sweep`. Where RunMatrix holds
+// The durable matrix driver: `byzcount sweep`. Where RunMatrixCtx holds
 // the whole grid's results in memory and dies with the process, this
 // driver writes every completed (row, trial) cell to an append-only
 // CRC-framed log (internal/sweep) as it lands, streams the table
@@ -399,7 +399,7 @@ func runDurable(ctx context.Context, cfg Config, scs []Scenario, skipped int,
 	// Grid complete: render the table from the streamed aggregates and
 	// emit the machine-readable summary. SumMean adds the same float64s
 	// in the same order batch stats.Mean does, so on a healthy grid
-	// this table is byte-identical to RunMatrix's.
+	// this table is byte-identical to RunMatrixCtx's.
 	t := matrixTable(len(scs), trials, skipped)
 	for i, sc := range scs {
 		ra := &rows[i]

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,13 +32,13 @@ func sweepTestConfig(parallel int) Config {
 }
 
 // TestSweepMatchesMatrix: on a healthy grid, the durable driver's
-// streamed table must be byte-identical to RunMatrix's batch table —
+// streamed table must be byte-identical to RunMatrixCtx's batch table —
 // the two paths share the cell computation, and the online SumMean adds
 // the same floats in the same order as the batch Mean.
 func TestSweepMatchesMatrix(t *testing.T) {
 	cfg := sweepTestConfig(4)
 	m := sweepTestMatrix()
-	batch, err := RunMatrix(cfg, m)
+	batch, err := RunMatrixCtx(context.Background(), cfg, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +75,12 @@ func interruptSweep(t *testing.T, cfg Config, m Matrix, dir string) *SweepSummar
 	if sum.Table != nil {
 		t.Fatal("interrupted sweep rendered a table")
 	}
-	ck, err := sweep.ReadCheckpoint(dir)
-	if err != nil || ck == nil || !ck.Interrupted {
+	var ck sweep.Checkpoint
+	data, err := os.ReadFile(filepath.Join(dir, sweep.CheckpointName))
+	if err == nil {
+		err = json.Unmarshal(data, &ck)
+	}
+	if err != nil || !ck.Interrupted {
 		t.Fatalf("interrupted sweep left no checkpoint: %+v err=%v", ck, err)
 	}
 	return sum

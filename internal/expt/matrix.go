@@ -159,7 +159,7 @@ func dedupeScenarios(scs []Scenario) []Scenario {
 	return out
 }
 
-// The per-cell metric vector both matrix drivers share: RunMatrix
+// The per-cell metric vector both matrix drivers share: RunMatrixCtx
 // retains the vectors per row and feeds batch stats.Mean; the durable
 // sweep streams them through stats.Online in trial order. The two ways
 // produce byte-identical table rows because the plain running sum adds
@@ -217,7 +217,7 @@ func matrixCellVals(ctx context.Context, sc Scenario, rng *xrand.Rand) ([numCell
 	return out, nil
 }
 
-// matrixTable builds the empty matrix table shell shared by RunMatrix
+// matrixTable builds the empty matrix table shell shared by RunMatrixCtx
 // and the durable sweep (identical Columns and Notes are part of the
 // byte-identity contract between the two paths).
 func matrixTable(cells, trials, skipped int) *Table {
@@ -236,19 +236,13 @@ func matrixTable(cells, trials, skipped int) *Table {
 	return t
 }
 
-// RunMatrix executes every cell of the matrix through the sweep driver
-// (cfg.Trials trials per cell, cfg.Parallel concurrent cells, each
-// cell's randomness the pure sub-seed of its label) and renders one row
-// per cell. Tables are byte-identical for every Parallel value, like
-// every experiment.
-func RunMatrix(cfg Config, m Matrix) (*Table, error) {
-	return RunMatrixCtx(context.Background(), cfg, m)
-}
-
-// RunMatrixCtx is RunMatrix with cooperative cancellation: in-flight
-// engines abort at their next round boundary and unstarted cells are
-// never launched. A canceled matrix returns the context's error, not a
-// partial table.
+// RunMatrixCtx executes every cell of the matrix through the sweep
+// driver (cfg.Trials trials per cell, cfg.Parallel concurrent cells,
+// each cell's randomness the pure sub-seed of its label) and renders one
+// row per cell. Tables are byte-identical for every Parallel value, like
+// every experiment. Cancellation is cooperative: in-flight engines abort
+// at their next round boundary and unstarted cells are never launched.
+// A canceled matrix returns the context's error, not a partial table.
 func RunMatrixCtx(ctx context.Context, cfg Config, m Matrix) (*Table, error) {
 	scs, skipped, err := m.Scenarios()
 	if err != nil {

@@ -34,16 +34,7 @@ func runProtocol(g *graph.Graph, byz []bool, seed uint64, honestProc, byzProc mk
 	if stopWhenDecided {
 		frac = 1.0
 	}
-	return runProtocolFrac(g, byz, seed, honestProc, byzProc, maxRounds, frac)
-}
-
-// runProtocolFrac is runProtocol with a fractional stop condition: the
-// run ends once at least stopFrac of the honest nodes have decided
-// (Theorem 2 only promises (1-beta)n deciders — Byzantine-adjacent
-// stragglers may never decide on their own). stopFrac <= 0 runs to halt.
-func runProtocolFrac(g *graph.Graph, byz []bool, seed uint64, honestProc, byzProc mkProc,
-	maxRounds int, stopFrac float64) (runOutcome, error) {
-	return runProtocolFracPar(g, byz, seed, honestProc, byzProc, maxRounds, stopFrac, engineOpts{})
+	return runProtocolOnEngine(sim.New(g, sim.WithSeed(seed)), g.N(), byz, honestProc, byzProc, maxRounds, frac, engineOpts{})
 }
 
 // engineOpts is the execution-shape bundle RunScenario threads to the
@@ -60,26 +51,15 @@ type engineOpts struct {
 	done <-chan struct{}
 }
 
-// runProtocolFracPar is runProtocolFrac with explicit engine options
-// (executions are bit-identical for every worker count, so only the CLI
-// ever asks for parallelism).
-func runProtocolFracPar(g *graph.Graph, byz []bool, seed uint64, honestProc, byzProc mkProc,
-	maxRounds int, stopFrac float64, eo engineOpts) (runOutcome, error) {
-	return runProtocolOnEngine(sim.New(g, sim.WithSeed(seed)), g.N(), byz, honestProc, byzProc, maxRounds, stopFrac, eo)
-}
-
-// runProtocolFracParTopo is runProtocolFracPar over an implicit
-// topology: the engine resolves neighborhoods on demand instead of
-// ingesting a materialized CSR. Both sim.New dispatch paths assign IDs
-// from the same seed-derived stream in slot order, so over identical
-// adjacency the two paths produce byte-identical runs.
-func runProtocolFracParTopo(topo sim.Topology, byz []bool, seed uint64, honestProc, byzProc mkProc,
-	maxRounds int, stopFrac float64, eo engineOpts) (runOutcome, error) {
-	return runProtocolOnEngine(sim.New(topo, sim.WithSeed(seed)), topo.Slots(), byz, honestProc, byzProc, maxRounds, stopFrac, eo)
-}
-
-// runProtocolOnEngine is the substrate-independent protocol run body
-// shared by the static and implicit paths.
+// runProtocolOnEngine is the protocol run body shared by the static and
+// implicit substrate paths: it attaches one process per slot of eng and
+// runs. The run ends once at least stopFrac of the honest nodes have
+// decided (Theorem 2 only promises (1-beta)n deciders — Byzantine-
+// adjacent stragglers may never decide on their own); stopFrac <= 0 runs
+// to halt. Both sim.New dispatch paths assign IDs from the same
+// seed-derived stream in slot order, so over identical adjacency a
+// static and an implicit engine produce byte-identical runs, and runs
+// are bit-identical for every worker count.
 func runProtocolOnEngine(eng *sim.Engine, n int, byz []bool, honestProc, byzProc mkProc,
 	maxRounds int, stopFrac float64, eo engineOpts) (runOutcome, error) {
 	if eo.delay != nil {

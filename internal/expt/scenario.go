@@ -614,7 +614,7 @@ func runScenarioImplicit(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adve
 	if maxRounds == 0 {
 		maxRounds = proto.MaxRounds(ctx)
 	}
-	r, err := runProtocolFracParTopo(topo, byz, ctx.rng.Split("run").Uint64(),
+	r, err := runProtocolOnEngine(sim.New(topo, sim.WithSeed(ctx.rng.Split("run").Uint64())), topo.Slots(), byz,
 		func(v int, eng *sim.Engine) sim.Proc { return proto.Proc(ctx, v) },
 		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v) },
 		maxRounds, sc.StopFrac, eo)
@@ -666,7 +666,7 @@ func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Advers
 	if maxRounds == 0 {
 		maxRounds = proto.MaxRounds(ctx)
 	}
-	r, err := runProtocolFracPar(g, byz, ctx.rng.Split("run").Uint64(),
+	r, err := runProtocolOnEngine(sim.New(g, sim.WithSeed(ctx.rng.Split("run").Uint64())), g.N(), byz,
 		func(v int, eng *sim.Engine) sim.Proc { return proto.Proc(ctx, v) },
 		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v) },
 		maxRounds, sc.StopFrac, eo)

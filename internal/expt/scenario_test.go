@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -172,11 +173,11 @@ func TestMatrixIdenticalAcrossParallelism(t *testing.T) {
 		Ns:          []int{48},
 		MaxPhase:    6,
 	}
-	want, err := RunMatrix(Config{Seed: 11, Trials: 2, Parallel: 1}, m)
+	want, err := RunMatrixCtx(context.Background(), Config{Seed: 11, Trials: 2, Parallel: 1}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunMatrix(Config{Seed: 11, Trials: 2, Parallel: 8}, m)
+	got, err := RunMatrixCtx(context.Background(), Config{Seed: 11, Trials: 2, Parallel: 8}, m)
 	if err != nil {
 		t.Fatal(err)
 	}

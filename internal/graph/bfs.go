@@ -130,41 +130,9 @@ func (g *Graph) AppendBall(buf []int, u, r int) []int {
 	return buf
 }
 
-// BallSize returns |B(u,r)| without materializing the ball.
-func (g *Graph) BallSize(u, r int) int {
-	g.check(u)
-	sc := getScratch(g.n)
-	queue := g.ballInto(sc, u, r)
-	size := len(queue)
-	sc.queue = queue
-	putScratch(sc)
-	return size
-}
-
-// Boundary returns the r-boundary D(u,r): the vertices at distance exactly
-// r from u.
-func (g *Graph) Boundary(u, r int) []int {
-	dist := g.BFSLimited(u, r)
-	var out []int
-	for v, d := range dist {
-		if d == r {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Eccentricity returns the maximum distance from u to any reachable vertex
-// and whether all vertices were reachable.
-func (g *Graph) Eccentricity(u int) (ecc int, connected bool) {
-	g.check(u)
-	sc := getScratch(g.n)
-	ecc, connected = g.eccInto(sc, u)
-	putScratch(sc)
-	return ecc, connected
-}
-
-// eccInto computes Eccentricity using the scratch's int32 distance array.
+// eccInto returns the maximum distance from u to any reachable vertex
+// and whether all vertices were reachable, using the scratch's int32
+// distance array.
 func (g *Graph) eccInto(sc *scratch, u int) (ecc int, connected bool) {
 	v := g.view()
 	gen := sc.nextGen()
@@ -294,46 +262,4 @@ func (g *Graph) IsConnected() bool {
 	}
 	_, c := g.ConnectedComponents()
 	return c == 1
-}
-
-// ShortestPath returns one shortest u-v path (inclusive of both endpoints)
-// or nil if v is unreachable from u.
-func (g *Graph) ShortestPath(u, v int) []int {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		return []int{u}
-	}
-	cv := g.view()
-	parent := make([]int32, g.n)
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[u] = -1
-	queue := []int32{int32(u)}
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		for _, w := range cv.tgt[cv.off[x]:cv.off[x+1]] {
-			if parent[w] == -2 {
-				parent[w] = x
-				if int(w) == v {
-					return buildPath(parent, v)
-				}
-				queue = append(queue, w)
-			}
-		}
-	}
-	return nil
-}
-
-func buildPath(parent []int32, v int) []int {
-	var rev []int
-	for x := int32(v); x != -1; x = parent[x] {
-		rev = append(rev, int(x))
-	}
-	out := make([]int, len(rev))
-	for i, x := range rev {
-		out[len(rev)-1-i] = x
-	}
-	return out
 }

@@ -56,23 +56,15 @@ func TestCSRMatchesReference(t *testing.T) {
 	}
 	gens := []gen{
 		{"hnd", func(rng *xrand.Rand) (*Graph, error) { return HND(96, 8, rng) }},
-		{"hnd-simple", func(rng *xrand.Rand) (*Graph, error) { return HNDSimple(64, 4, 400, rng) }},
-		{"config", func(rng *xrand.Rand) (*Graph, error) {
-			deg := make([]int, 80)
-			for i := range deg {
-				deg[i] = 2 + i%4
+		// Uniform random endpoints: self-loops and parallel edges, which
+		// the CSR must replay in log order like any other arc.
+		{"multigraph", func(rng *xrand.Rand) (*Graph, error) {
+			g := New(80)
+			for i := 0; i < 200; i++ {
+				g.AddEdge(rng.Intn(80), rng.Intn(80))
 			}
-			if tot := 0; true {
-				for _, d := range deg {
-					tot += d
-				}
-				if tot%2 != 0 {
-					deg[0]++
-				}
-			}
-			return ConfigurationModel(deg, rng)
+			return g, nil
 		}},
-		{"random-regular", func(rng *xrand.Rand) (*Graph, error) { return RandomRegular(64, 4, 400, rng) }},
 		{"steger-wormald", func(rng *xrand.Rand) (*Graph, error) { return SimpleRegular(64, 6, 100, rng) }},
 		{"watts-strogatz", func(rng *xrand.Rand) (*Graph, error) { return WattsStrogatz(96, 3, 0.3, rng) }},
 		{"ring", func(rng *xrand.Rand) (*Graph, error) { return Ring(50) }},
@@ -82,7 +74,6 @@ func TestCSRMatchesReference(t *testing.T) {
 			return g, err
 		}},
 		{"tree", func(rng *xrand.Rand) (*Graph, error) { return CompleteBinaryTree(6) }},
-		{"star", func(rng *xrand.Rand) (*Graph, error) { return Star(40) }},
 	}
 	for _, gn := range gens {
 		for seed := uint64(1); seed <= 20; seed++ {

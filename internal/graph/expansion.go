@@ -6,129 +6,6 @@ import (
 	"byzcount/internal/xrand"
 )
 
-// VertexExpansionExact computes the exact vertex expansion
-//
-//	h(G) = min over nonempty S with |S| <= n/2 of |Out(S)| / |S|
-//
-// by enumerating all 2^n - 2 candidate subsets (Definition 1). It is
-// intended for validation on tiny graphs; it panics for n > 24.
-func (g *Graph) VertexExpansionExact() float64 {
-	n := g.n
-	if n > 24 {
-		panic("graph: VertexExpansionExact limited to n <= 24")
-	}
-	if n < 2 {
-		return 0
-	}
-	best := math.Inf(1)
-	for mask := 1; mask < (1<<uint(n))-1; mask++ {
-		size := popcount(mask)
-		if size > n/2 {
-			continue
-		}
-		out := g.outSizeMask(mask)
-		ratio := float64(out) / float64(size)
-		if ratio < best {
-			best = ratio
-		}
-	}
-	return best
-}
-
-func popcount(x int) int {
-	c := 0
-	for ; x != 0; x &= x - 1 {
-		c++
-	}
-	return c
-}
-
-// outSizeMask returns |Out(S)| for the subset encoded in mask (n <= 24).
-func (g *Graph) outSizeMask(mask int) int {
-	v := g.view()
-	out := 0
-	var outMask int
-	for u := 0; u < g.n; u++ {
-		if mask&(1<<uint(u)) == 0 {
-			continue
-		}
-		for _, w := range v.tgt[v.off[u]:v.off[u+1]] {
-			bit := 1 << uint(w)
-			if mask&bit == 0 && outMask&bit == 0 {
-				outMask |= bit
-				out++
-			}
-		}
-	}
-	return out
-}
-
-// OutNeighbors returns Out(S): the set of vertices outside S adjacent to at
-// least one member of S. S is given as a vertex list; duplicates are
-// tolerated.
-func (g *Graph) OutNeighbors(s []int) []int {
-	return g.AppendOutNeighbors(nil, s)
-}
-
-// AppendOutNeighbors appends Out(S) to buf and returns the extended slice
-// — the allocation-free counterpart of OutNeighbors. Membership and
-// dedup bookkeeping live in generation-stamped scratch arrays (the seed
-// code built two maps per call). Out(S) is emitted in first-discovery
-// order: scanning S in the given order, each member's adjacency in CSR
-// order — the same order the seed code produced.
-func (g *Graph) AppendOutNeighbors(buf []int, s []int) []int {
-	v := g.view()
-	sc := getScratch(g.n)
-	// A second generation marks emitted out-neighbors; members keep their
-	// inGen stamp, so one compare answers both "in S" and "already seen".
-	inGen, outGen := sc.nextGen2()
-	for _, x := range s {
-		g.check(x)
-		sc.mark[x] = inGen
-	}
-	for _, x := range s {
-		for _, w := range v.tgt[v.off[x]:v.off[x+1]] {
-			if sc.mark[w] != inGen && sc.mark[w] != outGen {
-				sc.mark[w] = outGen
-				buf = append(buf, int(w))
-			}
-		}
-	}
-	putScratch(sc)
-	return buf
-}
-
-// ExpansionOf returns |Out(S)|/|S| for the subset S (as a vertex list,
-// deduplicated internally). Empty S yields +Inf.
-func (g *Graph) ExpansionOf(s []int) float64 {
-	v := g.view()
-	sc := getScratch(g.n)
-	inGen, outGen := sc.nextGen2()
-	size := 0
-	for _, x := range s {
-		g.check(x)
-		if sc.mark[x] != inGen {
-			sc.mark[x] = inGen
-			size++
-		}
-	}
-	if size == 0 {
-		putScratch(sc)
-		return math.Inf(1)
-	}
-	out := 0
-	for _, x := range s {
-		for _, w := range v.tgt[v.off[x]:v.off[x+1]] {
-			if sc.mark[w] != inGen && sc.mark[w] != outGen {
-				sc.mark[w] = outGen
-				out++
-			}
-		}
-	}
-	putScratch(sc)
-	return float64(out) / float64(size)
-}
-
 // EstimateVertexExpansion returns an upper bound on h(G) obtained by BFS
 // sweeps: for each of the given number of random start vertices it orders
 // vertices by BFS discovery and evaluates |Out(S)|/|S| over all prefixes S
@@ -178,32 +55,6 @@ func (g *Graph) EstimateVertexExpansion(sweeps int, rng *xrand.Rand) float64 {
 		}
 	}
 	return best
-}
-
-// BallGrowthProfile returns the sequence |B(u,1)|/|B(u,0)|, ...,
-// |B(u,r)|/|B(u,r-1)| of ball growth ratios around u. Expanders keep the
-// ratio bounded away from 1 until the ball covers a constant fraction of
-// the graph; this is the local expansion signal Algorithm 1 checks.
-func (g *Graph) BallGrowthProfile(u, r int) []float64 {
-	dist := g.BFSLimited(u, r)
-	layerSize := make([]int, r+1)
-	for _, d := range dist {
-		if d != Unreachable {
-			layerSize[d]++
-		}
-	}
-	out := make([]float64, 0, r)
-	cum := layerSize[0]
-	for i := 1; i <= r; i++ {
-		prev := cum
-		cum += layerSize[i]
-		if prev == 0 {
-			out = append(out, 0)
-			continue
-		}
-		out = append(out, float64(cum)/float64(prev))
-	}
-	return out
 }
 
 // CheegerBoundSpectral estimates the spectral gap of the lazy random walk

@@ -32,84 +32,6 @@ func HND(n, d int, rng *xrand.Rand) (*Graph, error) {
 	return g, nil
 }
 
-// HNDSimple generates H(n,d) graphs until one is simple (no parallel
-// edges; Hamiltonian cycles never create self-loops for n >= 3). The
-// permutation model is contiguous with the simple d-regular model
-// (Greenhill et al.); the probability a draw is simple is a constant in n
-// but decays like exp(-Θ(d²)), so pass a maxAttempts budget sized for the
-// chosen d (a few hundred suffices for d <= 6).
-func HNDSimple(n, d, maxAttempts int, rng *xrand.Rand) (*Graph, error) {
-	for i := 0; i < maxAttempts; i++ {
-		g, err := HND(n, d, rng)
-		if err != nil {
-			return nil, err
-		}
-		if g.IsSimple() {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("graph: no simple H(%d,%d) graph in %d attempts", n, d, maxAttempts)
-}
-
-// ConfigurationModel generates a random multigraph with the given degree
-// sequence by uniformly pairing half-edges (Bollobas' pairing model,
-// Section 2). The degree sum must be even.
-func ConfigurationModel(degrees []int, rng *xrand.Rand) (*Graph, error) {
-	total := 0
-	for v, d := range degrees {
-		if d < 0 {
-			return nil, fmt.Errorf("graph: negative degree %d for vertex %d", d, v)
-		}
-		total += d
-	}
-	if total%2 != 0 {
-		return nil, fmt.Errorf("graph: odd degree sum %d", total)
-	}
-	if err := CheckEdgeBudget(total / 2); err != nil {
-		return nil, err
-	}
-	stubs := make([]int32, 0, total)
-	for v, d := range degrees {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, int32(v))
-		}
-	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	g := New(len(degrees))
-	g.Reserve(total / 2)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		g.AddEdge(int(stubs[i]), int(stubs[i+1]))
-	}
-	return g, nil
-}
-
-// RandomRegular generates a simple d-regular graph on n vertices by
-// rejection-sampling the configuration model. n*d must be even and
-// d < n. For constant d the acceptance probability is a constant, so the
-// expected number of attempts is O(1); maxAttempts bounds the worst case.
-func RandomRegular(n, d, maxAttempts int, rng *xrand.Rand) (*Graph, error) {
-	if d >= n {
-		return nil, fmt.Errorf("graph: RandomRegular requires d < n (d=%d, n=%d)", d, n)
-	}
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("graph: RandomRegular requires even n*d")
-	}
-	degrees := make([]int, n)
-	for i := range degrees {
-		degrees[i] = d
-	}
-	for i := 0; i < maxAttempts; i++ {
-		g, err := ConfigurationModel(degrees, rng)
-		if err != nil {
-			return nil, err
-		}
-		if g.IsSimple() {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("graph: no simple %d-regular graph on %d vertices in %d attempts", d, n, maxAttempts)
-}
-
 // WattsStrogatz generates a small-world network: a ring lattice where each
 // vertex connects to its k nearest neighbors on each side (2k per vertex),
 // with each lattice edge rewired to a uniform random endpoint with
@@ -270,56 +192,6 @@ func Torus(rows, cols int) (*Graph, error) {
 	return g, nil
 }
 
-// Complete returns the complete graph K_n.
-func Complete(n int) (*Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("graph: Complete requires n >= 1, got %d", n)
-	}
-	if err := CheckEdgeBudget(n * (n - 1) / 2); err != nil {
-		return nil, err
-	}
-	g := New(n)
-	g.Reserve(n * (n - 1) / 2)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.AddEdge(u, v)
-		}
-	}
-	return g, nil
-}
-
-// Hypercube returns the dim-dimensional hypercube on 2^dim vertices.
-func Hypercube(dim int) (*Graph, error) {
-	if dim < 1 || dim > 24 {
-		return nil, fmt.Errorf("graph: Hypercube dim %d outside [1,24]", dim)
-	}
-	n := 1 << uint(dim)
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for b := 0; b < dim; b++ {
-			v := u ^ (1 << uint(b))
-			if u < v {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g, nil
-}
-
-// CompleteBinaryTree returns a complete binary tree with the given number
-// of levels (level 1 = a single root).
-func CompleteBinaryTree(levels int) (*Graph, error) {
-	if levels < 1 || levels > 24 {
-		return nil, fmt.Errorf("graph: CompleteBinaryTree levels %d outside [1,24]", levels)
-	}
-	n := (1 << uint(levels)) - 1
-	g := New(n)
-	for v := 1; v < n; v++ {
-		g.AddEdge(v, (v-1)/2)
-	}
-	return g, nil
-}
-
 // Dumbbell builds the Theorem 3 topology: two H(n,d) expander "bells" of
 // sizes n1 and n2 joined only through a single bridge vertex. The bridge
 // (returned as bridge) is the natural location for a Byzantine node: it is
@@ -349,16 +221,4 @@ func Dumbbell(n1, n2, d int, rng *xrand.Rand) (g *Graph, bridge int, err error) 
 	g.AddEdge(bridge, rng.Intn(n1))
 	g.AddEdge(bridge, n1+rng.Intn(n2))
 	return g, bridge, nil
-}
-
-// Star returns the star graph K_{1,n-1} with vertex 0 as the hub.
-func Star(n int) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: Star requires n >= 2, got %d", n)
-	}
-	g := New(n)
-	for v := 1; v < n; v++ {
-		g.AddEdge(0, v)
-	}
-	return g, nil
 }

@@ -1,16 +1,16 @@
 // Package graph provides the network substrate for the Byzantine counting
 // reproduction: an undirected (multi)graph type, the random-graph
-// generators used by the paper (the H(n,d) permutation model, the
-// configuration model, Watts-Strogatz small-world networks), deterministic
-// topologies for baselines and the impossibility experiment, and the
-// structural tools the algorithms rely on (BFS balls and boundaries,
-// diameter, vertex expansion, the locally-tree-like test of Definition 3).
+// generators used by the paper (the H(n,d) permutation model, simple
+// random regular graphs, Watts-Strogatz small-world networks),
+// deterministic topologies for baselines and the impossibility
+// experiment, and the structural tools the algorithms rely on (BFS
+// balls, diameter, vertex expansion, the locally-tree-like test of
+// Definition 3).
 //
 // Vertices are dense integers 0..N()-1. Edges are undirected; parallel
-// edges and self-loops are representable because the H(n,d) and
-// configuration models can produce them (the paper notes the expected
-// constant number of multi-edges in Section 1.2). Generators that need
-// simple graphs resample until simple.
+// edges and self-loops are representable because the H(n,d) model can
+// produce parallel edges (the paper notes the expected constant number
+// of multi-edges in Section 1.2).
 //
 // # Memory model
 //
@@ -38,6 +38,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -289,8 +290,8 @@ func (g *Graph) sortedView() *sortedCSR {
 }
 
 // sortInt32s sorts a small int32 slice ascending: insertion sort below a
-// threshold (adjacency rows are usually degree-sized), sort.Slice-free
-// pdqsort via sort.Sort semantics above it.
+// threshold (adjacency rows are usually degree-sized), slices.Sort's
+// pdqsort above it.
 func sortInt32s(s []int32) {
 	if len(s) <= 24 {
 		for i := 1; i < len(s); i++ {
@@ -304,14 +305,8 @@ func sortInt32s(s []int32) {
 		}
 		return
 	}
-	sort.Sort(int32Slice(s))
+	slices.Sort(s)
 }
-
-type int32Slice []int32
-
-func (s int32Slice) Len() int           { return len(s) }
-func (s int32Slice) Less(i, j int) bool { return s[i] < s[j] }
-func (s int32Slice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // Degree returns the degree of u. A self-loop contributes 2: AddEdge(u,u)
 // stores two adjacency entries for u, so the count is already the
@@ -387,24 +382,6 @@ func (g *Graph) AppendNeighbors(u int, buf []int) []int {
 	return buf
 }
 
-// HasEdge reports whether at least one edge joins u and v.
-func (g *Graph) HasEdge(u, v int) bool {
-	g.check(u)
-	g.check(v)
-	cv := g.view()
-	// Scan the smaller list.
-	a, b := int32(u), int32(v)
-	if g.deg[a] > g.deg[b] {
-		a, b = b, a
-	}
-	for _, w := range cv.tgt[cv.off[a]:cv.off[a+1]] {
-		if w == b {
-			return true
-		}
-	}
-	return false
-}
-
 // MaxDegree returns the maximum vertex degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
 	max := int32(0)
@@ -430,20 +407,9 @@ func (g *Graph) MinDegree() int {
 	return int(min)
 }
 
-// IsRegular reports whether every vertex has degree d.
-func (g *Graph) IsRegular(d int) bool {
-	for _, dd := range g.deg {
-		if int(dd) != d {
-			return false
-		}
-	}
-	return true
-}
-
 // IsSimple reports whether the graph has no self-loops and no parallel
 // edges. It stamps each row's targets into a scratch mark array, so the
-// cost is O(n + m) with no per-vertex maps — this runs inside the
-// simple-graph rejection-sampling loops of HNDSimple and RandomRegular.
+// cost is O(n + m) with no per-vertex maps.
 func (g *Graph) IsSimple() bool {
 	v := g.view()
 	sc := getScratch(g.n)
@@ -458,69 +424,6 @@ func (g *Graph) IsSimple() bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.m = g.m
-	c.reserved = g.reserved
-	c.log = make([][]int32, len(g.log))
-	for i, ch := range g.log {
-		c.log[i] = append([]int32(nil), ch...)
-		c.capEdges += len(ch) / 2
-	}
-	copy(c.deg, g.deg)
-	return c
-}
-
-// Validate checks internal consistency: every endpoint of the edge log is
-// in range and the derived CSR offsets cover exactly the logged arcs. It
-// returns nil for a well-formed graph. Graphs built only through AddEdge
-// are always valid; Validate guards deserialized or hand-built graphs.
-// (The seed-era asymmetric-adjacency check is structural now: both arc
-// directions derive from one edge-log entry, so they cannot disagree.)
-func (g *Graph) Validate() error {
-	i := 0
-	for _, ch := range g.log {
-		for p := 0; p < len(ch); p += 2 {
-			u, w := ch[p], ch[p+1]
-			if u < 0 || int(u) >= g.n {
-				return fmt.Errorf("graph: edge %d has out-of-range endpoint %d", i, u)
-			}
-			if w < 0 || int(w) >= g.n {
-				return fmt.Errorf("graph: edge %d has out-of-range endpoint %d", i, w)
-			}
-			i++
-		}
-	}
-	// Recompute per-vertex degrees from the edge log and compare
-	// element-wise: the CSR fill trusts deg as its write cursors, so a
-	// per-vertex skew (even one that preserves the total) would corrupt
-	// the view silently.
-	want := make([]int32, g.n)
-	for _, ch := range g.log {
-		for p := 0; p < len(ch); p += 2 {
-			want[ch[p]]++
-			want[ch[p+1]]++
-		}
-	}
-	for u, d := range g.deg {
-		if d != want[u] {
-			return fmt.Errorf("graph: vertex %d has degree %d but the edge log implies %d", u, d, want[u])
-		}
-	}
-	return nil
-}
-
-// Vertices returns 0..n-1; convenient for range-style iteration in tests
-// and examples.
-func (g *Graph) Vertices() []int {
-	out := make([]int, g.n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // EdgeList returns each undirected edge once as a (u,v) pair with u <= v,
@@ -544,33 +447,6 @@ func (g *Graph) EdgeList() [][2]int {
 		return edges[i][1] < edges[j][1]
 	})
 	return edges
-}
-
-// InducedSubgraph returns the subgraph induced by the vertices where
-// keep[v] is true, along with old->new and new->old vertex index maps.
-// Edges with either endpoint dropped are removed; old->new is -1 for
-// dropped vertices.
-func (g *Graph) InducedSubgraph(keep []bool) (sub *Graph, oldToNew []int, newToOld []int) {
-	if len(keep) != g.n {
-		panic("graph: keep mask length mismatch")
-	}
-	oldToNew = make([]int, g.n)
-	for i := range oldToNew {
-		oldToNew[i] = -1
-	}
-	for v, k := range keep {
-		if k {
-			oldToNew[v] = len(newToOld)
-			newToOld = append(newToOld, v)
-		}
-	}
-	sub = New(len(newToOld))
-	for _, e := range g.EdgeList() {
-		if keep[e[0]] && keep[e[1]] {
-			sub.AddEdge(oldToNew[e[0]], oldToNew[e[1]])
-		}
-	}
-	return sub, oldToNew, newToOld
 }
 
 // ErrNotConnected is returned by operations requiring a connected graph.

@@ -76,9 +76,6 @@ func (t *RingLattice) N() int { return t.n }
 // M returns the number of edges (n*k).
 func (t *RingLattice) M() int { return t.n * t.k }
 
-// K returns the per-side neighbor count.
-func (t *RingLattice) K() int { return t.k }
-
 // Slots returns the vertex-slot count (sim.Topology).
 func (t *RingLattice) Slots() int { return t.n }
 
@@ -196,12 +193,6 @@ func (t *TorusGrid) N() int { return t.n }
 
 // M returns the number of edges (2*rows*cols).
 func (t *TorusGrid) M() int { return 2 * t.n }
-
-// Rows returns the grid row count.
-func (t *TorusGrid) Rows() int { return t.rows }
-
-// Cols returns the grid column count.
-func (t *TorusGrid) Cols() int { return t.cols }
 
 // Slots returns the vertex-slot count (sim.Topology).
 func (t *TorusGrid) Slots() int { return t.n }

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteEdgeList writes the graph in a plain text format:
@@ -25,51 +23,4 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeList parses the WriteEdgeList format. Blank lines and lines
-// starting with '#' are ignored.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	var g *Graph
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if g == nil {
-			if len(fields) != 2 || fields[0] != "n" {
-				return nil, fmt.Errorf("graph: line %d: expected header \"n <count>\", got %q", line, text)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad vertex count %q", line, fields[1])
-			}
-			g = New(n)
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: line %d: expected \"u v\", got %q", line, text)
-		}
-		u, err1 := strconv.Atoi(fields[0])
-		v, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("graph: line %d: bad edge %q", line, text)
-		}
-		if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
-			return nil, fmt.Errorf("graph: line %d: edge %d-%d out of range [0,%d)", line, u, v, g.N())
-		}
-		g.AddEdge(u, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if g == nil {
-		return nil, fmt.Errorf("graph: empty input")
-	}
-	return g, nil
 }

@@ -44,11 +44,7 @@ func TestGeneratorOverflowGuards(t *testing.T) {
 	wantOverflow(t, err, "edges")
 	_, err = Torus(1<<16, 1<<16)
 	wantOverflow(t, err, "edges")
-	_, err = Complete(1 << 20)
-	wantOverflow(t, err, "edges")
 	_, err = WattsStrogatz(1<<28, 17, 0, rng)
-	wantOverflow(t, err, "edges")
-	_, err = ConfigurationModel([]int{MaxEdges + 2, MaxEdges + 2}, rng)
 	wantOverflow(t, err, "edges")
 	_, err = NewRingLattice(1<<28, 16)
 	wantOverflow(t, err, "edges")

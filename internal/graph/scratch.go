@@ -54,19 +54,3 @@ func (sc *scratch) nextGen() uint32 {
 	}
 	return sc.gen
 }
-
-// nextGen2 starts a traversal that keeps TWO generations live at once
-// (membership stamps under inGen, emission stamps under outGen). Both
-// are drawn after a single wrap check, so the wrap-time wipe can never
-// fall between them and erase the first generation's stamps — which is
-// exactly what a nextGen();nextGen() pair would do at the counter wrap.
-func (sc *scratch) nextGen2() (inGen, outGen uint32) {
-	if sc.gen >= ^uint32(0)-1 {
-		for i := range sc.mark {
-			sc.mark[i] = 0
-		}
-		sc.gen = 0
-	}
-	sc.gen += 2
-	return sc.gen - 1, sc.gen
-}

@@ -9,7 +9,9 @@ package perf
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -57,14 +59,10 @@ func (r *DiffReport) ToleranceFor(name string) float64 {
 	return best
 }
 
-// DiffRecords compares two records. Workloads are matched by name;
-// tolerance is the allowed relative slowdown on ns/op.
-func DiffRecords(old, cur *Record, tolerance float64) *DiffReport {
-	return DiffRecordsOverrides(old, cur, tolerance, nil)
-}
-
-// DiffRecordsOverrides is DiffRecords with per-workload tolerance
-// overrides (see DiffReport.Overrides for matching rules).
+// DiffRecordsOverrides compares two records. Workloads are matched by
+// name; tolerance is the allowed relative slowdown on ns/op, and
+// overrides set per-workload tolerances (see DiffReport.Overrides for
+// matching rules).
 func DiffRecordsOverrides(old, cur *Record, tolerance float64, overrides map[string]float64) *DiffReport {
 	rep := &DiffReport{Tolerance: tolerance, Overrides: overrides}
 	oldByName := make(map[string]*Result, len(old.Results))
@@ -140,13 +138,8 @@ func (r *DiffReport) Render() string {
 	return sb.String()
 }
 
-// Diff reads two BENCH.json files and compares them; the convenience
-// wrapper the CLI calls.
-func Diff(oldPath, newPath string, tolerance float64) (*DiffReport, error) {
-	return DiffOverrides(oldPath, newPath, tolerance, nil)
-}
-
-// DiffOverrides is Diff with per-workload tolerance overrides.
+// DiffOverrides reads two BENCH.json files and compares them with
+// DiffRecordsOverrides; the wrapper the CLI calls.
 func DiffOverrides(oldPath, newPath string, tolerance float64, overrides map[string]float64) (*DiffReport, error) {
 	old, err := ReadFile(oldPath)
 	if err != nil {
@@ -160,16 +153,29 @@ func DiffOverrides(oldPath, newPath string, tolerance float64, overrides map[str
 }
 
 // ParseOverride parses one "name=tol" or "prefix*=tol" spec (the CLI's
-// repeatable -tolerance-override flag) into the overrides map.
+// repeatable -tolerance-override flag) into the overrides map. The
+// tolerance must be a plain finite number >= 0 with nothing after it;
+// anything else is a *toleranceError.
 func ParseOverride(overrides map[string]float64, spec string) error {
 	name, val, ok := strings.Cut(spec, "=")
 	if !ok || name == "" {
 		return fmt.Errorf("perf: bad tolerance override %q (want name=tol or prefix*=tol)", spec)
 	}
-	var tol float64
-	if _, err := fmt.Sscanf(val, "%g", &tol); err != nil || tol < 0 {
-		return fmt.Errorf("perf: bad tolerance in override %q", spec)
+	tol, err := strconv.ParseFloat(val, 64)
+	if err != nil || !(tol >= 0) || math.IsInf(tol, 1) {
+		return &toleranceError{spec: spec}
 	}
 	overrides[name] = tol
 	return nil
+}
+
+// toleranceError rejects an override tolerance that is not a finite
+// number >= 0. NaN would compare false against every ratio and so
+// disable the gate, and a negative tolerance fails an unchanged record.
+type toleranceError struct {
+	spec string
+}
+
+func (e *toleranceError) Error() string {
+	return fmt.Sprintf("perf: bad tolerance in override %q (want a finite number >= 0)", e.spec)
 }

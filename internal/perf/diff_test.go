@@ -1,6 +1,9 @@
 package perf
 
 import (
+	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,7 +22,7 @@ func mkRecord(pairs ...any) *Record {
 func TestDiffRecords(t *testing.T) {
 	old := mkRecord("a", 100.0, "b", 200.0, "gone", 50.0)
 	cur := mkRecord("a", 110.0, "b", 900.0, "new", 75.0)
-	rep := DiffRecords(old, cur, 0.5)
+	rep := DiffRecordsOverrides(old, cur, 0.5, nil)
 	if len(rep.Common) != 2 {
 		t.Fatalf("common = %v, want a and b", rep.Common)
 	}
@@ -57,7 +60,7 @@ func TestDiffRecords(t *testing.T) {
 func TestDiffRegressionsSortedWorstFirst(t *testing.T) {
 	old := mkRecord("a", 100.0, "b", 100.0)
 	cur := mkRecord("a", 300.0, "b", 1000.0)
-	regs := DiffRecords(old, cur, 0.1).Regressions()
+	regs := DiffRecordsOverrides(old, cur, 0.1, nil).Regressions()
 	if len(regs) != 2 || regs[0].Name != "b" || regs[1].Name != "a" {
 		t.Fatalf("Regressions() = %v, want b (10x) before a (3x)", regs)
 	}
@@ -66,7 +69,7 @@ func TestDiffRegressionsSortedWorstFirst(t *testing.T) {
 func TestDiffZeroOldNs(t *testing.T) {
 	// A zero old ns/op (corrupt or hand-written record) must not flag
 	// or divide by zero.
-	rep := DiffRecords(mkRecord("a", 0.0), mkRecord("a", 100.0), 0.5)
+	rep := DiffRecordsOverrides(mkRecord("a", 0.0), mkRecord("a", 100.0), 0.5, nil)
 	if rep.Common[0].Ratio != 0 || rep.Common[0].Regressed(0.5) {
 		t.Errorf("zero-old entry = %+v, want ratio 0, not regressed", rep.Common[0])
 	}
@@ -84,15 +87,15 @@ func TestDiffFiles(t *testing.T) {
 	if err := cur.WriteFile(newPath); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Diff(oldPath, newPath, 0.5)
+	rep, err := DiffOverrides(oldPath, newPath, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Common) != 1 || rep.Common[0].Ratio != 1.2 {
-		t.Fatalf("Diff() = %+v, want one 1.2x entry", rep.Common)
+		t.Fatalf("DiffOverrides() = %+v, want one 1.2x entry", rep.Common)
 	}
-	if _, err := Diff(oldPath, dir+"/missing.json", 0.5); err == nil {
-		t.Error("Diff() with a missing file succeeded")
+	if _, err := DiffOverrides(oldPath, dir+"/missing.json", 0.5, nil); err == nil {
+		t.Error("DiffOverrides() with a missing file succeeded")
 	}
 }
 
@@ -144,6 +147,17 @@ func TestParseOverride(t *testing.T) {
 			t.Errorf("ParseOverride(%q) accepted", bad)
 		}
 	}
+	// NaN passes every regression and so disables the gate for its
+	// prefix; a trailing tail used to be ignored (9junk read as 9).
+	for _, bad := range []string{"engine/*=NaN", "engine/*=9junk", "a=Inf"} {
+		var te *toleranceError
+		if err := ParseOverride(ov, bad); !errors.As(err, &te) {
+			t.Errorf("ParseOverride(%q) = %v, want a *toleranceError", bad, err)
+		}
+	}
+	if len(ov) != 1 {
+		t.Errorf("rejected overrides reached the map: %v", ov)
+	}
 }
 
 func TestScalingSuiteShape(t *testing.T) {
@@ -194,4 +208,37 @@ func TestScalingCellMeasures(t *testing.T) {
 	if res.Metrics["msgs_per_sec"] <= 0 || res.Metrics["rounds_per_sec"] <= 0 {
 		t.Errorf("scaling cell metrics = %v, want positive rates", res.Metrics)
 	}
+}
+
+// FuzzParseOverride: ParseOverride never panics, leaves the map alone on
+// error, and when it accepts a spec stores exactly one finite tolerance
+// >= 0, the number the whole text after the first '=' spells, under the
+// text before it. The committed corpus
+// (testdata/fuzz) holds the specs that once slipped through, such as
+// engine/*=NaN and engine/*=9junk.
+func FuzzParseOverride(f *testing.F) {
+	for _, spec := range []string{"engine/vt-*=3.5", "expt/*=3.0", "a=0", "noequals", "=2", "a=-1"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ov := map[string]float64{}
+		if err := ParseOverride(ov, spec); err != nil {
+			if len(ov) != 0 {
+				t.Fatalf("ParseOverride(%q) failed (%v) but stored %v", spec, err, ov)
+			}
+			return
+		}
+		name, val, _ := strings.Cut(spec, "=")
+		tol, ok := ov[name]
+		if len(ov) != 1 || !ok {
+			t.Fatalf("ParseOverride(%q) stored %v, want one entry under %q", spec, ov, name)
+		}
+		if !(tol >= 0) || math.IsInf(tol, 1) {
+			t.Fatalf("ParseOverride(%q) accepted tolerance %v", spec, tol)
+		}
+		// The whole text after '=' is the number: no ignored tail.
+		if want, err := strconv.ParseFloat(val, 64); err != nil || want != tol {
+			t.Fatalf("ParseOverride(%q) stored %v, but %q reads as %v, %v", spec, tol, val, want, err)
+		}
+	})
 }

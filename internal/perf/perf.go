@@ -19,7 +19,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 )
@@ -191,19 +190,4 @@ func ReadFile(path string) (*Record, error) {
 		return nil, fmt.Errorf("perf: %s: schema %q, want %q", path, r.Schema, Schema)
 	}
 	return &r, nil
-}
-
-// Find returns the result with the given name, or nil.
-func (r *Record) Find(name string) *Result {
-	for i := range r.Results {
-		if r.Results[i].Name == name {
-			return &r.Results[i]
-		}
-	}
-	return nil
-}
-
-// SortResults orders results by name for stable diffs between records.
-func (r *Record) SortResults() {
-	sort.Slice(r.Results, func(i, j int) bool { return r.Results[i].Name < r.Results[j].Name })
 }

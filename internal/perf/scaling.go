@@ -108,7 +108,8 @@ func NewLatticeSparseEngine(n, k, workers int) (*sim.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New(lat, sim.WithSeed(5), sim.WithDelayModel(delay))
+	eng := sim.New(lat, sim.WithSeed(5))
+	eng.SetDelayModel(delay)
 	eng.SetParallelism(workers)
 	procs := make([]sim.Proc, n)
 	for v := range procs {

@@ -66,18 +66,6 @@ func (*floodEdgesProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Ou
 
 func (*floodEdgesProc) Halted() bool { return false }
 
-// NewFloodEngine builds the flood workload over H(n,d): one engine,
-// one FloodProc per vertex, the given worker count.
-func NewFloodEngine(n, d, workers int) (*sim.Engine, error) {
-	return NewVTFloodEngine(n, d, workers, "")
-}
-
-// NewVTFloodEngine is NewFloodEngine with a delay-model spec (see
-// sim.ParseDelayModel): the event-queue throughput workload. The empty
-// spec and "unit" both run unit latency, the engine/flood/* lane, and
-// a jitter spec like "uniform:1-4" measures the calendar-queue ring
-// under real reordering, as the engine/vt-flood/* entries and the
-// TestSteadyStateAllocsVT* gates record.
 func NewVTFloodEngine(n, d, workers int, delaySpec string) (*sim.Engine, error) {
 	return newFloodEngine(n, d, workers, delaySpec, &FloodProc{})
 }
@@ -93,10 +81,13 @@ func newFloodEngine(n, d, workers int, delaySpec string, proc sim.Proc) (*sim.En
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New(g,
-		sim.WithSeed(5),
-		sim.WithParallelism(workers),
-		sim.WithDelayModel(delay))
+	eng := sim.New(g, sim.WithSeed(5))
+	if workers > 1 {
+		eng.SetParallelism(workers)
+	}
+	if delay != nil {
+		eng.SetDelayModel(delay)
+	}
 	procs := make([]sim.Proc, g.N())
 	for v := range procs {
 		procs[v] = proc
@@ -338,10 +329,11 @@ func NewVTSparseEngine(n, d, workers int, dense bool) (*sim.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New(g,
-		sim.WithSeed(5),
-		sim.WithParallelism(workers),
-		sim.WithDelayModel(delay))
+	eng := sim.New(g, sim.WithSeed(5))
+	if workers > 1 {
+		eng.SetParallelism(workers)
+	}
+	eng.SetDelayModel(delay)
 	procs := make([]sim.Proc, g.N())
 	for v := range procs {
 		if dense {
@@ -465,10 +457,11 @@ func NewVTSkipEngine(n, workers int, dense bool) (*sim.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New(g,
-		sim.WithSeed(5),
-		sim.WithParallelism(workers),
-		sim.WithDelayModel(delay))
+	eng := sim.New(g, sim.WithSeed(5))
+	if workers > 1 {
+		eng.SetParallelism(workers)
+	}
+	eng.SetDelayModel(delay)
 	procs := make([]sim.Proc, g.N())
 	if dense {
 		relay := &denseTokenRelayProc{N: n}

@@ -1,12 +1,10 @@
 // Package report renders experiment output in figure-like forms: CSV for
-// external tooling, horizontal ASCII bar charts for claim-vs-measured
-// comparisons, and sparklines for per-round time series (e.g. the phase
-// structure of Algorithm 2's message traffic). The paper has no numbered
-// figures, so these are the "figures" of the reproduction.
+// external tooling and sparklines for per-round time series (e.g. the
+// phase structure of Algorithm 2's message traffic). The paper has no
+// numbered figures, so these are the "figures" of the reproduction.
 package report
 
 import (
-	"fmt"
 	"math"
 	"strings"
 )
@@ -37,39 +35,6 @@ func escapeCSV(s string) string {
 		return s
 	}
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
-
-// Bars renders a horizontal bar chart: one row per label, bar length
-// proportional to value, annotated with the numeric value. Negative and
-// NaN values render as empty bars. width is the maximum bar width in
-// characters (minimum 10).
-func Bars(labels []string, values []float64, width int) string {
-	if len(labels) != len(values) {
-		panic("report: labels and values length mismatch")
-	}
-	if width < 10 {
-		width = 10
-	}
-	maxLabel := 0
-	maxVal := 0.0
-	for i, l := range labels {
-		if len(l) > maxLabel {
-			maxLabel = len(l)
-		}
-		if v := values[i]; !math.IsNaN(v) && v > maxVal {
-			maxVal = v
-		}
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		v := values[i]
-		n := 0
-		if maxVal > 0 && !math.IsNaN(v) && v > 0 {
-			n = int(math.Round(v / maxVal * float64(width)))
-		}
-		fmt.Fprintf(&b, "%-*s |%-*s| %.4g\n", maxLabel, l, width, strings.Repeat("#", n), v)
-	}
-	return b.String()
 }
 
 // sparkLevels are the eight block characters used by Sparkline.

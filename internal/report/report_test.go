@@ -1,7 +1,6 @@
 package report
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -19,39 +18,6 @@ func TestCSVNewlineQuoting(t *testing.T) {
 	if !strings.Contains(got, "\"line1\nline2\"") {
 		t.Errorf("newline cell not quoted: %q", got)
 	}
-}
-
-func TestBars(t *testing.T) {
-	out := Bars([]string{"aa", "b"}, []float64{10, 5}, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %v", lines)
-	}
-	if !strings.Contains(lines[0], strings.Repeat("#", 20)) {
-		t.Errorf("max bar not full width: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], strings.Repeat("#", 10)) {
-		t.Errorf("half bar wrong: %q", lines[1])
-	}
-	if strings.Count(lines[1], "#") != 10 {
-		t.Errorf("half bar length: %q", lines[1])
-	}
-}
-
-func TestBarsEdgeCases(t *testing.T) {
-	out := Bars([]string{"neg", "nan", "zero"}, []float64{-1, math.NaN(), 0}, 5)
-	if strings.Contains(out, "#") {
-		t.Errorf("degenerate values produced bars: %q", out)
-	}
-}
-
-func TestBarsPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched Bars did not panic")
-		}
-	}()
-	Bars([]string{"a"}, []float64{1, 2}, 10)
 }
 
 func TestSparkline(t *testing.T) {

@@ -8,9 +8,9 @@ package sim_test
 // bench-smoke job; a failure means someone reintroduced a per-round or
 // per-vertex allocation into the hot path.
 //
-// The workload is perf.NewFloodEngine — the exact configuration the
-// BENCH.json trajectory records as engine/flood/*, so the gate guards
-// what the record reports.
+// The workload is perf.NewVTFloodEngine with the empty delay spec —
+// the exact configuration the BENCH.json trajectory records as
+// engine/flood/*, so the gate guards what the record reports.
 
 import (
 	"testing"
@@ -29,7 +29,7 @@ import (
 // amortized regrowth, only the round loop itself.
 func warmFloodEngine(t *testing.T, workers int) *sim.Engine {
 	t.Helper()
-	eng, err := perf.NewFloodEngine(1024, 8, workers)
+	eng, err := perf.NewVTFloodEngine(1024, 8, workers, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,9 @@ func TestSteadyStateAllocsSequentialParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := sim.New(g, sim.WithSeed(5), sim.WithParallelism(8), sim.WithDelayModel(delay))
+			eng := sim.New(g, sim.WithSeed(5))
+			eng.SetParallelism(8)
+			eng.SetDelayModel(delay)
 			procs := make([]sim.Proc, n)
 			for v := range procs {
 				if v%16 == 0 {

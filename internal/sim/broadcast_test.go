@@ -146,8 +146,10 @@ func mixRun(t *testing.T, g *graph.Graph, variant string, workers int, delaySpec
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.New(g, sim.WithSeed(13), sim.WithParallelism(workers),
-		sim.WithDelayModel(delay), sim.WithFaultModel(fault))
+	eng := sim.New(g, sim.WithSeed(13))
+	eng.SetParallelism(workers)
+	eng.SetDelayModel(delay)
+	eng.SetFaultModel(fault)
 	eng.SetEdgeCapacity(capBits)
 	procs := make([]sim.Proc, n)
 	cores := make([]*mixCore, n)

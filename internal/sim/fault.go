@@ -100,7 +100,7 @@ func ParseFaultModel(spec string) (FaultModel, error) {
 		return nil, nil
 	case strings.HasPrefix(spec, "drop:"):
 		p, err := strconv.ParseFloat(strings.TrimPrefix(spec, "drop:"), 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails the range
 			return nil, fmt.Errorf("sim: bad fault spec %q (want drop:P with P in [0,1])", spec)
 		}
 		return DropFault{P: p}, nil
@@ -115,10 +115,11 @@ func ParseFaultModel(spec string) (FaultModel, error) {
 			return nil, fmt.Errorf("sim: bad fault spec %q (want partition:G@FROM[-HEAL] with G >= 2)", spec)
 		}
 		from, heal, err := parseIntRange(win)
-		if !strings.Contains(win, "-") {
+		heals := strings.Contains(win, "-")
+		if !heals {
 			heal = 0 // bare FROM: never heals
 		}
-		if err != nil || from < 0 || (heal != 0 && heal <= from) {
+		if err != nil || from < 0 || (heals && heal <= from) {
 			return nil, fmt.Errorf("sim: bad fault spec %q (want partition:G@FROM[-HEAL] with HEAL > FROM)", spec)
 		}
 		return PartitionFault{Groups: g, From: from, Heal: heal}, nil

@@ -221,8 +221,8 @@ func (e *Env) Rand() *xrand.Rand {
 }
 
 // WithRand returns a pointer to a copy of the env using rng as its
-// private stream — the constructor for standalone envs in tests and
-// examples. The receiver is never mutated: the copy shares the
+// private stream — the constructor for the standalone envs that
+// protocol tests in other packages step by hand. The receiver is never mutated: the copy shares the
 // receiver's slices (Neighbors, NeighborIDs, scratch) but replaces the
 // stream, so an engine-owned env passed through WithRand keeps its own
 // lazily-derived stream. Engine slots derive theirs from the engine
@@ -411,7 +411,7 @@ type Engine struct {
 	envs  []Env
 	ids   []NodeID
 
-	// vertexOf inverts ids for O(1) VertexOf lookups. Detach deletes the
+	// vertexOf inverts ids for O(1) duplicate-ID checks. Detach deletes the
 	// departed ID and AttachAt inserts the joiner's, so under balanced
 	// churn the map's population is stable and updates never allocate.
 	vertexOf map[NodeID]int
@@ -1027,10 +1027,6 @@ func (e *Engine) SetDelayModel(m DelayModel) {
 	e.window = 0
 }
 
-// DelayModel returns the installed delivery-latency model (nil = unit
-// latency).
-func (e *Engine) DelayModel() DelayModel { return e.delay }
-
 // SetFaultModel installs a message-fault model; nil removes it. Like
 // SetDelayModel, configure before the first Run.
 func (e *Engine) SetFaultModel(m FaultModel) {
@@ -1039,9 +1035,6 @@ func (e *Engine) SetFaultModel(m FaultModel) {
 	e.ring = nil
 	e.window = 0
 }
-
-// FaultModel returns the installed message-fault model (nil = none).
-func (e *Engine) FaultModel() FaultModel { return e.fault }
 
 // ReserveInbox pre-sizes every delivery-ring row to hold perRow
 // messages without growing. Under a jittered delay model the per-(slot,
@@ -1165,27 +1158,11 @@ func (e *Engine) Parallelism() int {
 	return e.workers
 }
 
-// Graph returns the underlying static network graph, or nil for an
-// engine built over a mutable Topology.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Topology returns the underlying mutable topology, or nil for an
-// engine built over a static graph.
-func (e *Engine) Topology() Topology { return e.topo }
-
 // Slots returns the engine's vertex-slot capacity (alive plus vacant).
 func (e *Engine) Slots() int { return e.n }
 
 // ID returns the node ID of vertex v.
 func (e *Engine) ID(v int) NodeID { return e.ids[v] }
-
-// VertexOf returns the vertex with the given ID, or -1.
-func (e *Engine) VertexOf(id NodeID) int {
-	if v, ok := e.vertexOf[id]; ok {
-		return v
-	}
-	return -1
-}
 
 // Proc returns the process attached to vertex v (nil before Attach).
 func (e *Engine) Proc(v int) Proc {
@@ -1194,9 +1171,6 @@ func (e *Engine) Proc(v int) Proc {
 	}
 	return e.procs[v]
 }
-
-// Env returns the environment of vertex v (engine-owned; do not mutate).
-func (e *Engine) Env(v int) *Env { return &e.envs[v] }
 
 // Metrics returns the measurements accumulated so far.
 func (e *Engine) Metrics() Metrics { return e.metrics }

@@ -94,19 +94,6 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
-func TestVertexOf(t *testing.T) {
-	g := mustRing(t, 5)
-	e := New(g, WithSeed(3))
-	for v := 0; v < 5; v++ {
-		if got := e.VertexOf(e.ID(v)); got != v {
-			t.Errorf("VertexOf(ID(%d)) = %d", v, got)
-		}
-	}
-	if e.VertexOf(NodeID(0)) != -1 && e.ID(e.VertexOf(NodeID(0))) != NodeID(0) {
-		t.Error("VertexOf(unknown) should be -1")
-	}
-}
-
 func TestAttachSizeMismatch(t *testing.T) {
 	g := mustRing(t, 4)
 	e := New(g, WithSeed(1))

@@ -121,11 +121,10 @@ func runSparseWorkload(t *testing.T, workers int, delaySpec, faultSpec string, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.New(g,
-		sim.WithSeed(9),
-		sim.WithParallelism(workers),
-		sim.WithDelayModel(delay),
-		sim.WithFaultModel(fault))
+	eng := sim.New(g, sim.WithSeed(9))
+	eng.SetParallelism(workers)
+	eng.SetDelayModel(delay)
+	eng.SetFaultModel(fault)
 	eng.SetTickSkip(skip)
 	procs := make([]sim.Proc, n)
 	sums := make([]*uint64, n)
@@ -295,7 +294,9 @@ func TestVTDropAllTerminates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := sim.New(g, sim.WithSeed(9), sim.WithDelayModel(delay), sim.WithFaultModel(fault))
+		eng := sim.New(g, sim.WithSeed(9))
+		eng.SetDelayModel(delay)
+		eng.SetFaultModel(fault)
 		procs := make([]sim.Proc, n)
 		procs[0] = &tokenInjector{}
 		for v := 1; v < n; v++ {
@@ -369,7 +370,8 @@ func runFloodDigest(t *testing.T, delaySpec string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.New(g, sim.WithSeed(11), sim.WithDelayModel(delay))
+	eng := sim.New(g, sim.WithSeed(11))
+	eng.SetDelayModel(delay)
 	procs := make([]sim.Proc, n)
 	recs := make([]*transcriptProc, n)
 	for v := range procs {
@@ -442,7 +444,8 @@ func runModelDigest(t *testing.T, m sim.DelayModel) (string, sim.Metrics) {
 	t.Helper()
 	const n, d = 48, 6
 	g := mustHND(t, n, d, 1301)
-	eng := sim.New(g, sim.WithSeed(11), sim.WithDelayModel(m))
+	eng := sim.New(g, sim.WithSeed(11))
+	eng.SetDelayModel(m)
 	procs := make([]sim.Proc, n)
 	recs := make([]*transcriptProc, n)
 	for v := range procs {

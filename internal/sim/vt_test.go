@@ -54,12 +54,11 @@ func runTranscriptSeeded(t *testing.T, seed uint64, workers int, delay sim.Delay
 	params.MaxPhase = 8
 	maxRounds := params.Schedule.RoundsThroughPhase(params.MaxPhase + 1)
 
-	eng := sim.New(g,
-		sim.WithSeed(seed),
-		sim.WithParallelism(workers),
-		sim.WithEdgeCapacity(512),
-		sim.WithDelayModel(delay),
-		sim.WithFaultModel(fault))
+	eng := sim.New(g, sim.WithSeed(seed))
+	eng.SetParallelism(workers)
+	eng.SetEdgeCapacity(512)
+	eng.SetDelayModel(delay)
+	eng.SetFaultModel(fault)
 	procs := make([]sim.Proc, n)
 	recs := make([]*transcriptProc, n)
 	spamRng := xrand.New(seed + 3)
@@ -267,7 +266,9 @@ func runProbePair(t *testing.T, delay sim.DelayModel, fault sim.FaultModel, roun
 	t.Helper()
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	eng := sim.New(g, sim.WithSeed(9), sim.WithDelayModel(delay), sim.WithFaultModel(fault))
+	eng := sim.New(g, sim.WithSeed(9))
+	eng.SetDelayModel(delay)
+	eng.SetFaultModel(fault)
 	sender := &proberProc{sendIn: sendIn}
 	receiver := &proberProc{}
 	if err := eng.Attach([]sim.Proc{sender, receiver}); err != nil {
@@ -344,8 +345,8 @@ func TestVTPartitionWindow(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		g.AddEdge(v, (v+1)%4)
 	}
-	eng := sim.New(g, sim.WithSeed(11),
-		sim.WithFaultModel(sim.PartitionFault{Groups: 2, From: from, Heal: heal}))
+	eng := sim.New(g, sim.WithSeed(11))
+	eng.SetFaultModel(sim.PartitionFault{Groups: 2, From: from, Heal: heal})
 	procs := make([]sim.Proc, 4)
 	recs := make([]*proberProc, 4)
 	for v := range procs {
@@ -443,10 +444,10 @@ func runSequentialWorkload(t *testing.T, workers int, sparse bool) (string, int,
 	if !sparse {
 		fault = sim.DropFault{P: 0.1}
 	}
-	eng := sim.New(g, sim.WithSeed(5),
-		sim.WithParallelism(workers),
-		sim.WithDelayModel(sim.UniformDelay{Min: 1, Max: 4}),
-		sim.WithFaultModel(fault))
+	eng := sim.New(g, sim.WithSeed(5))
+	eng.SetParallelism(workers)
+	eng.SetDelayModel(sim.UniformDelay{Min: 1, Max: 4})
+	eng.SetFaultModel(fault)
 	box := &ticketBox{}
 	procs := make([]sim.Proc, n)
 	sums := make([]*uint64, n)
@@ -538,7 +539,8 @@ func TestParseDelayModel(t *testing.T) {
 	if m, err := sim.ParseDelayModel(""); err != nil || m != nil {
 		t.Errorf("ParseDelayModel(\"\") = %v, %v; want nil, nil", m, err)
 	}
-	invalid := []string{"bogus", "uniform:", "uniform:0-4", "uniform:5-2", "geo:1.5@4", "geo:0.5", "region:1/1/2", "region:2/0/2", "gst:-1/unit", "gst:4/", "gst:4/bogus"}
+	invalid := []string{"bogus", "uniform:", "uniform:0-4", "uniform:5-2", "geo:1.5@4", "geo:0.5", "region:1/1/2", "region:2/0/2", "gst:-1/unit", "gst:4/", "gst:4/bogus",
+		"geo:NaN@4", "gst:2/geo:NaN@4"}
 	for _, spec := range invalid {
 		if _, err := sim.ParseDelayModel(spec); err == nil {
 			t.Errorf("ParseDelayModel(%q): expected error", spec)
@@ -591,7 +593,8 @@ func TestVTRingBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := sim.New(lat, sim.WithDelayModel(m))
+		eng := sim.New(lat)
+		eng.SetDelayModel(m)
 		procs := make([]sim.Proc, n)
 		for v := range procs {
 			procs[v] = byzantine.Silent{}
@@ -654,7 +657,8 @@ func TestParseFaultModel(t *testing.T) {
 			t.Errorf("ParseFaultModel(%q) = %v, %v; want nil, nil", spec, m, err)
 		}
 	}
-	invalid := []string{"bogus", "drop:", "drop:1.5", "drop:-0.1", "partition:1@5", "partition:2@5-3", "partition:2@-1", "partition:2"}
+	invalid := []string{"bogus", "drop:", "drop:1.5", "drop:-0.1", "partition:1@5", "partition:2@5-3", "partition:2@-1", "partition:2",
+		"drop:NaN", "partition:2@0-0"}
 	for _, spec := range invalid {
 		if _, err := sim.ParseFaultModel(spec); err == nil {
 			t.Errorf("ParseFaultModel(%q): expected error", spec)

@@ -41,8 +41,8 @@ func TestLockstepWarmupAllocs(t *testing.T) {
 		build func() (*sim.Engine, error)
 		maxMB float64
 	}{
-		{"workers=1", func() (*sim.Engine, error) { return perf.NewFloodEngine(n, 8, 1) }, 4.8},
-		{"workers=2", func() (*sim.Engine, error) { return perf.NewFloodEngine(n, 8, 2) }, 11.8},
+		{"workers=1", func() (*sim.Engine, error) { return perf.NewVTFloodEngine(n, 8, 1, "") }, 4.8},
+		{"workers=2", func() (*sim.Engine, error) { return perf.NewVTFloodEngine(n, 8, 2, "") }, 11.8},
 		{"lattice/workers=2", func() (*sim.Engine, error) { return perf.NewLatticeFloodEngine(n, 4, 2) }, 6.0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,7 @@
 package stats
 
 // Online aggregates: constant-memory counterparts of the batch
-// Mean/Variance/Quantile functions, for sweeps too large to retain
+// Mean and Quantile functions, for sweeps too large to retain
 // per-trial rows. A million-cell matrix run streams every completed
 // trial through one Online (and optionally one P2 per tracked
 // quantile) per row, so steady-state sweep memory is O(rows), not
@@ -39,8 +39,7 @@ func (o *Online) Add(x float64) {
 	if o.n == 1 {
 		o.min, o.max = math.Inf(1), math.Inf(-1)
 	}
-	// NaN comparisons are false, so NaNs never displace min/max —
-	// exactly the batch Min/Max behavior.
+	// NaN comparisons are false, so NaNs never displace min/max.
 	if x < o.min {
 		o.min = x
 	}
@@ -74,16 +73,13 @@ func (o *Online) SumMean() float64 {
 }
 
 // Variance returns the unbiased sample variance, or 0 when fewer than
-// two observations are present (matching the batch Variance).
+// two observations are present.
 func (o *Online) Variance() float64 {
 	if o.n < 2 {
 		return 0
 	}
 	return o.m2 / float64(o.n-1)
 }
-
-// StdDev returns the sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
 
 // Min returns the minimum observation, or +Inf when empty.
 func (o *Online) Min() float64 {
@@ -200,9 +196,6 @@ func (p *P2) linear(i int, s float64) float64 {
 	j := i + int(s)
 	return p.h[i] + s*(p.h[j]-p.h[i])/(p.pos[j]-p.pos[i])
 }
-
-// N returns the number of observations.
-func (p *P2) N() int64 { return p.n }
 
 // Quantile returns the current estimate: NaN when empty, exact for up
 // to five observations, the P-squared estimate beyond.

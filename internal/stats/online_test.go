@@ -174,3 +174,44 @@ func TestP2Extremes(t *testing.T) {
 		t.Errorf("P2(1)=%v max=%v", hi.Quantile(), o.Max())
 	}
 }
+
+// Batch references for the Online aggregate: the textbook two-pass
+// sample variance and the plain minimum and maximum of a slice.
+
+// Variance returns the unbiased sample variance of xs, or 0 when fewer than
+// two samples are present.
+func Variance(xs []float64) float64 {
+	n := len(xs)
+	if n < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	sum := 0.0
+	for _, x := range xs {
+		d := x - m
+		sum += d * d
+	}
+	return sum / float64(n-1)
+}
+
+// Min returns the minimum of xs, or +Inf for an empty slice.
+func Min(xs []float64) float64 {
+	m := math.Inf(1)
+	for _, x := range xs {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Max returns the maximum of xs, or -Inf for an empty slice.
+func Max(xs []float64) float64 {
+	m := math.Inf(-1)
+	for _, x := range xs {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}

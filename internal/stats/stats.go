@@ -1,6 +1,6 @@
 // Package stats provides the small set of descriptive statistics used by
-// the experiment harness: means, quantiles, histograms, and summaries of
-// repeated trials.
+// the experiment harness: means, quantiles, histograms, and constant-memory
+// aggregates of repeated trials.
 //
 // All functions treat their input as immutable: slices passed in are never
 // reordered in place (quantile computations copy first).
@@ -23,47 +23,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs, or 0 when fewer than
-// two samples are present.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Quantile returns the q-quantile of xs (0 <= q <= 1) using linear
@@ -94,21 +53,6 @@ func Quantile(xs []float64, q float64) float64 {
 // Median returns the median of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// FractionWithin returns the fraction of xs lying in the closed interval
-// [lo, hi]. An empty slice yields 0.
-func FractionWithin(xs []float64, lo, hi float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	in := 0
-	for _, x := range xs {
-		if x >= lo && x <= hi {
-			in++
-		}
-	}
-	return float64(in) / float64(len(xs))
-}
-
 // Ints converts an int slice to float64 for use with the functions above.
 func Ints(xs []int) []float64 {
 	out := make([]float64, len(xs))
@@ -116,42 +60,6 @@ func Ints(xs []int) []float64 {
 		out[i] = float64(x)
 	}
 	return out
-}
-
-// Summary bundles the descriptive statistics reported for one experiment
-// measurement across trials.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		P25:    Quantile(xs, 0.25),
-		Median: Median(xs),
-		P75:    Quantile(xs, 0.75),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary compactly, e.g. "n=10 mean=3.2±0.4 [1 3 5]".
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g±%.2g [min=%.3g med=%.3g max=%.3g]",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
 }
 
 // Histogram counts values into integer-valued buckets; it is used to show
@@ -171,21 +79,6 @@ func (h *Histogram) Add(v int) {
 	h.counts[v]++
 	h.total++
 }
-
-// AddN records n observations of value v.
-func (h *Histogram) AddN(v, n int) {
-	if n <= 0 {
-		return
-	}
-	h.counts[v] += n
-	h.total += n
-}
-
-// Count returns the number of observations of value v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the total number of observations.
-func (h *Histogram) Total() int { return h.total }
 
 // Buckets returns the observed values in ascending order.
 func (h *Histogram) Buckets() []int {

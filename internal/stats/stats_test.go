@@ -26,7 +26,7 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
+func TestVariance(t *testing.T) {
 	if got := Variance(nil); got != 0 {
 		t.Errorf("Variance(nil) = %g", got)
 	}
@@ -37,9 +37,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	// Sample variance of this classic data set is 32/7.
 	if got, want := Variance(xs), 32.0/7.0; !almostEqual(got, want, 1e-9) {
 		t.Errorf("Variance = %g, want %g", got, want)
-	}
-	if got, want := StdDev(xs), math.Sqrt(32.0/7.0); !almostEqual(got, want, 1e-9) {
-		t.Errorf("StdDev = %g, want %g", got, want)
 	}
 }
 
@@ -124,19 +121,6 @@ func TestMedianOddEven(t *testing.T) {
 	}
 }
 
-func TestFractionWithin(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := FractionWithin(xs, 2, 4); got != 0.6 {
-		t.Errorf("FractionWithin = %g, want 0.6", got)
-	}
-	if got := FractionWithin(xs, 10, 20); got != 0 {
-		t.Errorf("out-of-range fraction = %g", got)
-	}
-	if got := FractionWithin(nil, 0, 1); got != 0 {
-		t.Errorf("empty fraction = %g", got)
-	}
-}
-
 func TestInts(t *testing.T) {
 	got := Ints([]int{1, -2, 3})
 	want := []float64{1, -2, 3}
@@ -147,35 +131,19 @@ func TestInts(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("Summary.String empty")
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Errorf("empty Summarize N = %d", empty.N)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.Total() != 0 {
+	if h.total != 0 {
 		t.Fatal("fresh histogram not empty")
 	}
 	h.Add(3)
 	h.Add(3)
 	h.Add(5)
-	h.AddN(1, 4)
-	h.AddN(9, 0)  // no-op
-	h.AddN(9, -2) // no-op
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
+	addN(h, 1, 4)
+	if h.total != 7 {
+		t.Errorf("total = %d, want 7", h.total)
 	}
-	if h.Count(3) != 2 || h.Count(1) != 4 || h.Count(42) != 0 {
+	if h.counts[3] != 2 || h.counts[1] != 4 || h.counts[42] != 0 {
 		t.Errorf("counts wrong: %s", h)
 	}
 	want := []int{1, 3, 5}
@@ -199,8 +167,8 @@ func TestHistogramMode(t *testing.T) {
 	if v != 0 || c != 0 {
 		t.Errorf("empty Mode = %d,%d", v, c)
 	}
-	h.AddN(4, 3)
-	h.AddN(2, 3) // tie; smaller value wins
+	addN(h, 4, 3)
+	addN(h, 2, 3) // tie; smaller value wins
 	h.Add(7)
 	v, c = h.Mode()
 	if v != 2 || c != 3 {
@@ -213,9 +181,9 @@ func TestHistogramFraction(t *testing.T) {
 	if h.Fraction(0, 10) != 0 {
 		t.Error("empty Fraction != 0")
 	}
-	h.AddN(1, 2)
-	h.AddN(5, 2)
-	h.AddN(10, 4)
+	addN(h, 1, 2)
+	addN(h, 5, 2)
+	addN(h, 10, 4)
 	if got := h.Fraction(1, 5); got != 0.5 {
 		t.Errorf("Fraction(1,5) = %g", got)
 	}
@@ -227,7 +195,7 @@ func TestHistogramFraction(t *testing.T) {
 func TestHistogramString(t *testing.T) {
 	h := NewHistogram()
 	h.Add(2)
-	h.AddN(1, 3)
+	addN(h, 1, 3)
 	if got, want := h.String(), "1:3 2:1"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
@@ -245,12 +213,19 @@ func TestMeanQuantileConsistency(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		s := Summarize(xs)
-		return s.Min <= s.P25+1e-9 && s.P25 <= s.Median+1e-9 &&
-			s.Median <= s.P75+1e-9 && s.P75 <= s.Max+1e-9 &&
-			s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9
+		lo, p25, med, p75, hi := Min(xs), Quantile(xs, 0.25), Median(xs), Quantile(xs, 0.75), Max(xs)
+		mean := Mean(xs)
+		return lo <= p25+1e-9 && p25 <= med+1e-9 && med <= p75+1e-9 && p75 <= hi+1e-9 &&
+			lo <= mean+1e-9 && mean <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// addN records n observations of value v.
+func addN(h *Histogram, v, n int) {
+	for i := 0; i < n; i++ {
+		h.Add(v)
 	}
 }

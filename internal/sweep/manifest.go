@@ -147,20 +147,3 @@ func WriteCheckpoint(dir string, c *Checkpoint) error {
 	}
 	return syncDir(dir)
 }
-
-// ReadCheckpoint reads dir's checkpoint; missing file is not an error
-// (nil, nil).
-func ReadCheckpoint(dir string) (*Checkpoint, error) {
-	data, err := os.ReadFile(filepath.Join(dir, CheckpointName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var c Checkpoint
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}

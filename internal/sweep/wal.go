@@ -104,7 +104,6 @@ type Log struct {
 	f        *os.File
 	path     string
 	buf      []byte
-	records  int // records appended since open
 	unsynced int
 	// SyncEvery is the fsync batch size: the log syncs after every
 	// SyncEvery buffered appends (and on Sync/Close). Smaller batches
@@ -197,16 +196,12 @@ func (l *Log) Append(rec Record) error {
 		return fmt.Errorf("sweep: record payload contains newline") // cannot happen with json.Marshal
 	}
 	l.buf = appendFrame(l.buf, payload)
-	l.records++
 	l.unsynced++
 	if l.SyncEvery > 0 && l.unsynced >= l.SyncEvery {
 		return l.Sync()
 	}
 	return nil
 }
-
-// Records returns the number of records appended since open.
-func (l *Log) Records() int { return l.records }
 
 // Sync flushes buffered records and fsyncs the file, making every
 // append so far durable.

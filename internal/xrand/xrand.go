@@ -218,7 +218,7 @@ func (r *Rand) GeometricP(p float64) int {
 	if p >= 1 {
 		return 1
 	}
-	if p <= 0 {
+	if !(p > 0) { // NaN too: Bernoulli(NaN) never succeeds
 		panic("xrand: GeometricP requires p in (0, 1]")
 	}
 	n := 1

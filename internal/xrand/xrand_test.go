@@ -179,12 +179,17 @@ func TestGeometricPOne(t *testing.T) {
 }
 
 func TestGeometricPPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GeometricP(0) did not panic")
-		}
-	}()
-	New(1).GeometricP(0)
+	// NaN used to loop forever: Bernoulli(NaN) never succeeds.
+	for _, p := range []float64{0, -0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("GeometricP(%g) did not panic", p)
+				}
+			}()
+			New(1).GeometricP(p)
+		}()
+	}
 }
 
 func TestExponentialMean(t *testing.T) {
