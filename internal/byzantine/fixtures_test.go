@@ -137,8 +137,8 @@ func (d *DegreeLiarLocal) Step(env *sim.Env, round int, in []sim.Incoming) []sim
 	})
 }
 
-// FixedPlacement marks exactly the given slots — used for the Theorem 3
-// dumbbell bridge and hand-crafted scenarios.
+// FixedPlacement marks exactly the given slots, rejecting duplicates and
+// slots out of range or not alive.
 func FixedPlacement(vertices ...int) Placement {
 	return func(s Substrate, count int, rng *xrand.Rand) ([]bool, error) {
 		if count != len(vertices) {

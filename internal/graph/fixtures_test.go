@@ -55,11 +55,11 @@ func (g *Graph) Clone() *Graph {
 }
 
 // Validate checks internal consistency: every endpoint of the edge log is
-// in range and the derived CSR offsets cover exactly the logged arcs. It
-// returns nil for a well-formed graph. Graphs built only through AddEdge
-// are always valid; Validate guards deserialized or hand-built graphs.
-// (The seed-era asymmetric-adjacency check is structural now: both arc
-// directions derive from one edge-log entry, so they cannot disagree.)
+// in range and the degree array, which the CSR fill uses as its write
+// cursors, matches the logged arcs. It returns nil for a well-formed
+// graph; the chunked-log tests use it as their oracle. (Asymmetric
+// adjacency needs no check: both arc directions derive from one
+// edge-log entry, so they cannot disagree.)
 func (g *Graph) Validate() error {
 	i := 0
 	for _, ch := range g.log {

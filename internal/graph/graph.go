@@ -8,9 +8,9 @@
 // Definition 3).
 //
 // Vertices are dense integers 0..N()-1. Edges are undirected; parallel
-// edges and self-loops are representable because the H(n,d) model can
-// produce parallel edges (the paper notes the expected constant number
-// of multi-edges in Section 1.2).
+// edges and self-loops are representable, and the H(n,d) model produces
+// parallel edges (the paper notes the expected constant number of
+// multi-edges in Section 1.2).
 //
 // # Memory model
 //

@@ -66,6 +66,13 @@ func (*floodEdgesProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Ou
 
 func (*floodEdgesProc) Halted() bool { return false }
 
+// NewVTFloodEngine builds the flood workload over H(n,d): one engine,
+// one FloodProc per vertex, the given worker count, under a delay-model
+// spec (see sim.ParseDelayModel). The empty spec and "unit" both run
+// unit latency, the engine/flood/* lane, and a jitter spec like
+// "uniform:1-4" measures the calendar-queue ring under real reordering,
+// as the engine/vt-flood/* entries and the TestSteadyStateAllocsVT*
+// gates record.
 func NewVTFloodEngine(n, d, workers int, delaySpec string) (*sim.Engine, error) {
 	return newFloodEngine(n, d, workers, delaySpec, &FloodProc{})
 }

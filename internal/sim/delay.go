@@ -266,7 +266,7 @@ func parseDelayModel(spec string) (DelayModel, error) {
 		}
 		p, err1 := strconv.ParseFloat(ps, 64)
 		c, err2 := strconv.Atoi(cs)
-		// Written so that NaN, which compares false, fails the range.
+		// NaN compares false, so it fails the range.
 		if err1 != nil || err2 != nil || !(p > 0 && p <= 1) || c < 1 {
 			return nil, fmt.Errorf("sim: bad delay spec %q (want geo:P@CAP with P in (0,1] and CAP >= 1)", spec)
 		}

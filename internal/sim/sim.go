@@ -222,11 +222,11 @@ func (e *Env) Rand() *xrand.Rand {
 
 // WithRand returns a pointer to a copy of the env using rng as its
 // private stream — the constructor for the standalone envs that
-// protocol tests in other packages step by hand. The receiver is never mutated: the copy shares the
-// receiver's slices (Neighbors, NeighborIDs, scratch) but replaces the
-// stream, so an engine-owned env passed through WithRand keeps its own
-// lazily-derived stream. Engine slots derive theirs from the engine
-// seed instead.
+// protocol tests in other packages step by hand. The receiver is never
+// mutated: the copy shares the receiver's slices (Neighbors,
+// NeighborIDs, scratch) but replaces the stream, so an engine-owned env
+// passed through WithRand keeps its own lazily-derived stream. Engine
+// slots derive theirs from the engine seed instead.
 func (e *Env) WithRand(rng *xrand.Rand) *Env {
 	c := *e
 	c.rand = rng
