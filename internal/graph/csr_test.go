@@ -74,6 +74,29 @@ func TestCSRMatchesReference(t *testing.T) {
 			return g, err
 		}},
 		{"tree", func(rng *xrand.Rand) (*Graph, error) { return CompleteBinaryTree(6) }},
+		// The seed picks the size here, so the 20 runs cover 20 shapes,
+		// down to the 1-vertex path and the 2-vertex star.
+		{"path", func(rng *xrand.Rand) (*Graph, error) { return Path(1 + rng.Intn(64)) }},
+		{"ring-lattice", func(rng *xrand.Rand) (*Graph, error) {
+			n := 3 + rng.Intn(90)
+			lat, err := NewRingLattice(n, 1+rng.Intn((n-1)/2))
+			if err != nil {
+				return nil, err
+			}
+			return lat.Materialize()
+		}},
+		// One hub row of degree n-1 at a random position in the offsets.
+		{"star", func(rng *xrand.Rand) (*Graph, error) {
+			n := 2 + rng.Intn(60)
+			hub := rng.Intn(n)
+			g := New(n)
+			for v := 0; v < n; v++ {
+				if v != hub {
+					g.AddEdge(hub, v)
+				}
+			}
+			return g, nil
+		}},
 	}
 	for _, gn := range gens {
 		for seed := uint64(1); seed <= 20; seed++ {
