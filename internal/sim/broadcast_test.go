@@ -4,10 +4,10 @@ package sim_test
 // the per-edge encoding: a process that writes one Outgoing per
 // incident edge must produce the same transcript and the same Metrics,
 // field for field, as one that calls AppendBroadcast — under every
-// admission site (the serial inline arm, deliverVT, the parallel
-// admitVT and both merges, including the compact bucket entry of a
-// sender whose neighbors lie in one shard), every delivery model, with
-// and without an edge capacity that caps some copies.
+// delivery path (pull on lockstep ticks, serial and parallel, with
+// Sequential procs stepped on the coordinator; push through deliverVT,
+// the parallel admitVT and both merges), every delivery model, with and
+// without an edge capacity that caps some copies.
 
 import (
 	"fmt"
@@ -115,12 +115,8 @@ func (p *mixInjector) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 func (p *mixInjector) Halted() bool { return p.fired }
 
 // mixLattice is the ring lattice C_96^2 (each vertex joined to the two
-// nearest on either side) plus a second 8-9 edge. Under the 3- and
-// 8-worker shard splits most senders keep all their neighbors in one
-// shard, so their broadcasts take the parallel lane's compact entry,
-// while the two senders at each side of a shard boundary span two
-// shards and stay per copy; 8 and 9 share a shard at every split, so a
-// compact broadcast must deliver two copies over the parallel edge.
+// nearest on either side) plus a second 8-9 edge, which 8 and 9 pull
+// in a shard they share at every split.
 func mixLattice() *graph.Graph {
 	const n = 96
 	g := graph.New(n)
@@ -129,6 +125,22 @@ func mixLattice() *graph.Graph {
 		g.AddEdge(v, (v+2)%n)
 	}
 	g.AddEdge(8, 9)
+	return g
+}
+
+// mixMultigraph is mixLattice with, at every shard boundary b of the
+// 3- and 8-worker splits, a second (b-1, b) edge and a self-loop at b,
+// so the pulls that count a sender's copies read it across a shard
+// boundary.
+func mixMultigraph() *graph.Graph {
+	g := mixLattice()
+	for _, w := range []int{3, 8} {
+		for i := 1; i < w; i++ {
+			b := i * g.N() / w
+			g.AddEdge(b-1, b)
+			g.AddEdge(b, b)
+		}
+	}
 	return g
 }
 
@@ -192,8 +204,8 @@ func mixRun(t *testing.T, g *graph.Graph, variant string, workers int, delaySpec
 
 // TestBroadcastEntryTranscriptMatchesPerEdge pins the one-entry broadcast to the
 // per-edge reference encoding on an H(n,d), whose senders mostly span
-// shards, and on mixLattice, whose senders mostly do not; both have
-// parallel edges.
+// shards, on mixLattice, whose senders mostly do not, and on
+// mixMultigraph; all have parallel edges.
 func TestBroadcastEntryTranscriptMatchesPerEdge(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -201,6 +213,7 @@ func TestBroadcastEntryTranscriptMatchesPerEdge(t *testing.T) {
 	}{
 		{"hnd", mustHND(t, 48, 8, 1301)},
 		{"lattice", mixLattice()},
+		{"multigraph", mixMultigraph()},
 	}
 	for _, gc := range graphs {
 		if gc.g.IsSimple() {

@@ -10,7 +10,7 @@
 // worker-pool mode that steps vertices concurrently and then merges
 // outboxes in ascending vertex order, so delivery order, edge-capacity
 // decisions, and metrics are byte-for-byte identical to the serial
-// engine (see the ordering notes on roundParallelVT and mergeShardVT).
+// engine (see the ordering notes on roundVT and mergeShardVT).
 //
 // The network may be static (a graph.Graph — the zero-overhead fast
 // path) or mutable (any other Topology): a mutable topology is
@@ -162,10 +162,8 @@ type Outgoing struct {
 // (see Env.AppendBroadcast). Any other negative To is a violation. The
 // engine takes the targets from the sender's Env.Neighbors without a
 // neighbor check, so that slice must hold the engine's adjacency (see
-// Env). On a parallel engine's fixed-latency, fault-free tick without
-// an edge capacity — a lockstep round — the entry of a sender whose
-// neighbors all lie in one shard also stays one outbox bucket entry,
-// expanded when the bucket is merged into the destination rows.
+// Env). On an engine that pulls (see Engine.Run) the entry stays in the
+// sender's outbox and each neighbor copies it from there.
 const AllNeighbors = -1
 
 // Env carries the static, strictly local knowledge a process is allowed:
@@ -199,13 +197,16 @@ type Env struct {
 	rand *xrand.Rand
 	root *xrand.Rand
 
-	// scratch is the env's reusable outgoing buffer. Each vertex is
-	// stepped by exactly one goroutine per round, and the engine consumes
-	// the slice returned by Step before that vertex's next Step, so the
-	// buffer can be recycled round after round. After a Step returns, the
-	// engine adopts the returned slice back into scratch (keeping any
-	// growth), which is what makes steady-state sending allocation-free.
-	scratch []Outgoing
+	// scratch[p] is the output of the env's last Step at a tick of
+	// parity p, and the buffer Scratch hands out at the next such tick
+	// (par is the parity of the tick being stepped). Two buffers because
+	// a pulling engine reads a sender's output during the tick after it
+	// was sent, while the sender already builds the next one. Each
+	// vertex is stepped by exactly one goroutine per round, and the
+	// engine adopts every returned slice here (keeping any growth),
+	// which is what makes steady-state sending allocation-free.
+	scratch [2][]Outgoing
+	par     uint8
 }
 
 // Rand returns the slot's private random stream, deriving it from the
@@ -238,9 +239,9 @@ func (e *Env) WithRand(rng *xrand.Rand) *Env {
 // AppendBroadcast) and return it; once the buffer has grown to the
 // workload's high-water mark, building the round's output allocates
 // nothing. The returned slice is engine-owned from the moment Step
-// returns until the process's next Step — processes must not retain it
-// across rounds or mix it with Broadcast in the same Step.
-func (e *Env) Scratch() []Outgoing { return e.scratch[:0] }
+// returns until the process's Step after next (see Proc) — processes
+// must not retain it or mix it with Broadcast in the same Step.
+func (e *Env) Scratch() []Outgoing { return e.scratch[e.par][:0] }
 
 // AppendBroadcast appends one entry carrying payload to buf, addressed
 // to AllNeighbors, and returns the extended slice. The engine delivers
@@ -258,8 +259,8 @@ func (e *Env) AppendBroadcast(buf []Outgoing, payload Payload) []Outgoing {
 // (see Scratch for the ownership rules): after the first round it
 // performs no allocation.
 func (e *Env) Broadcast(payload Payload) []Outgoing {
-	out := e.AppendBroadcast(e.scratch[:0], payload)
-	e.scratch = out
+	out := e.AppendBroadcast(e.scratch[e.par][:0], payload)
+	e.scratch[e.par] = out
 	return out
 }
 
@@ -268,10 +269,13 @@ func (e *Env) Broadcast(payload Payload) []Outgoing {
 // Halted processes are skipped (they neither receive nor send); once
 // Halted returns true it must remain true.
 //
-// Ownership: the slice returned by Step (and the inbox slice passed in)
-// belongs to the engine until the process's next Step. The engine
-// recycles returned slices as the vertex's future scratch buffer (see
-// Env.Scratch), so processes must not retain either across rounds.
+// Ownership: the inbox slice passed in is valid only during Step — the
+// engine builds the next vertex's inbox in the same buffer — so a
+// process copies what it keeps. The slice Step returns belongs to the
+// engine until the process's Step after next: a pulling engine's
+// receivers read it during the next round, and the engine recycles it
+// as the vertex's scratch buffer for the round after (see Env.Scratch).
+// Processes must not retain either.
 type Proc interface {
 	Step(env *Env, round int, in []Incoming) []Outgoing
 	Halted() bool
@@ -317,10 +321,8 @@ type Metrics struct {
 	MessagesByRound []int64
 }
 
-// routed is an admitted message waiting in an outbox for the merge
-// phase of a parallel round: one copy for to, or, when to is
-// AllNeighbors, a whole broadcast of from, all of whose neighbors lie
-// in the bucket's destination shard (see admitVT).
+// routed is one admitted copy waiting in an outbox bucket for the
+// merge phase of a parallel push round.
 type routed struct {
 	to      int32
 	from    int32
@@ -351,20 +353,14 @@ type workerState struct {
 	// worker's first such sender (see unicastMarks).
 	nbrMark []uint64
 
-	// inbox carves lockstep ring rows (window == 2) at their
-	// destination's degree on first delivery, for the destinations this
-	// worker delivers to: every vertex on a serial engine, destination
-	// shard i on a parallel one, whose merge worker it is. A row then
-	// fits one message per edge per round from the start instead of
-	// growing 1, 2, 4, ... per slot (see carveRow).
-	inbox slab[Incoming]
+	// in is the inbox a pulling worker builds for the vertex it is about
+	// to step (see pull); it grows to the largest inbox and is reused.
+	in []Incoming
 
-	// vtb[s*(window-1)+d-1] holds this worker's admitted messages
+	// vtb[s*(window-1)+d-1] holds this worker's admitted copies
 	// destined for shard s with latency d, in ascending sender order
-	// (the worker steps a contiguous vertex range in order); an entry
-	// may be a whole broadcast, expanded by the merge (see routed), so
-	// on a lockstep round a local substrate's buckets hold about one
-	// entry per broadcast instead of one per copy. Keying by
+	// (the worker steps a contiguous vertex range in order), on a
+	// parallel engine that pushes. Keying by
 	// delay rather than ring slot keeps one bucket set per shard under
 	// unit latency; the merge maps d to slot (tick+d) mod window. The
 	// merge phase for shard s concatenates workers' buckets in worker
@@ -385,9 +381,7 @@ type workerState struct {
 	// liveAlways / tdHalts are the sparse halt bookkeeping of one
 	// round: how many live always-step procs this worker stepped, and
 	// how many TickDriven procs halted during their own Step. Reset by
-	// roundParallelVT before the step phase and summed by the
-	// coordinator after the merge barrier — the parallel split of
-	// roundSparseVT's liveAlways counter and tdLive decrements.
+	// roundVT before the step phase and summed after the last barrier.
 	liveAlways int
 	tdHalts    int
 }
@@ -459,9 +453,12 @@ type Engine struct {
 	// A sender with a unicast entry stamps these into its worker's
 	// nbrMark array so destination checks are one compare (replaces the
 	// old []map[int]bool, whose per-vertex maps dominated setup memory),
-	// and its first and last entries tell admitVT in O(1) whether all of
-	// v's neighbors lie in one shard.
+	// and a pulling receiver walks them to visit its senders in order.
 	sortedAdj [][]int32
+	// multi[v] marks a vertex that lists a neighbor more than once — a
+	// parallel edge, or a self-loop that a graph lists twice — whose
+	// pull takes the multiplicity walk (see pullMulti).
+	multi []bool
 
 	// --- virtual time ---
 	// delay/fault are the delivery models; nil delay means unit latency
@@ -473,16 +470,23 @@ type Engine struct {
 	// least 2, so an in-flight message's slot (tick+d) mod window never
 	// collides with the slot currently being delivered.
 	window int
-	// ring[s][v] is vertex v's inbox for virtual ticks ≡ s (mod window):
-	// a calendar queue whose unit-latency form (window == 2) is a
-	// current/next double buffer. This is the inbox arena — rows are
-	// truncated after delivery, never freed, so each row stays at its
-	// high-water capacity and steady-state rounds allocate nothing. A
-	// lockstep row starts at its destination's degree, carved from a
-	// worker slab on first delivery (see carveRow). Together with the
-	// Env scratch buffers on the send side this is what makes warm
-	// rounds allocation-free (see DESIGN.md, "Memory model").
+	// ring[s][v] is vertex v's inbox for virtual ticks ≡ s (mod window)
+	// on an engine that pushes: a calendar queue whose unit-latency form
+	// (window == 2) is a current/next double buffer. This is the inbox
+	// arena — rows are truncated after delivery, never freed, so each
+	// row stays at its high-water capacity and steady-state rounds
+	// allocate nothing. Together with the Env scratch buffers on the
+	// send side this is what makes warm rounds allocation-free (see
+	// DESIGN.md, "Memory model"). An engine that only pulls never
+	// builds it.
 	ring [][][]Incoming
+	// pulled reports that the messages sent at the last tick wait in
+	// the senders' outboxes (Env.scratch) for a pull, not in the ring;
+	// nothing is in flight on a fresh engine, so it starts true.
+	pulled bool
+	// pullMode is the delivery the worker state was built for (see
+	// canPull): pull needs neither buckets nor a shard map.
+	pullMode bool
 	// delayRng[v] / faultRng[v] are v's private latency/fault streams
 	// (pure functions of the engine seed and v), derived lazily on v's
 	// first draw. Only models that draw get streams at all (see
@@ -574,7 +578,7 @@ type Engine struct {
 type poolPhase uint8
 
 const (
-	phaseStepVT        poolPhase = iota // step contiguous range into per-(shard, delay) buckets
+	phaseStep          poolPhase = iota // dense walk of the worker's range (stepRange)
 	phaseMergeVT                        // merge this worker's destination shard into the ring
 	phaseStepVTSparse                   // step only occupied/always-step vertices of the range
 	phaseMergeVTSparse                  // merge this worker's shard, folding in occupancy
@@ -626,6 +630,7 @@ func newStaticEngine(g *graph.Graph, seed uint64) *Engine {
 			ids = append(ids, e.ids[w])
 		}
 		e.sortedAdj[v] = g.SortedAdj(v)
+		e.multi[v] = len(adj) != len(e.sortedAdj[v])
 		e.envs[v].ID = e.ids[v]
 		e.envs[v].Degree = len(adj)
 		e.envs[v].Neighbors = nbrs
@@ -689,11 +694,13 @@ func newEngine(n int, seed uint64) *Engine {
 		n:         n,
 		root:      root,
 		skip:      true,
+		pulled:    true,
 		idStream:  root.Split("ids"),
 		envs:      make([]Env, n),
 		ids:       make([]NodeID, n),
 		vertexOf:  make(map[NodeID]int, n),
 		sortedAdj: make([][]int32, n),
+		multi:     make([]bool, n),
 	}
 	e.metrics.PerNodeMaxBit = make([]int, n)
 	for v := 0; v < n; v++ {
@@ -772,6 +779,7 @@ func (e *Engine) Detach(v int) error {
 	if v < 0 || v >= e.n || e.procs == nil || e.procs[v] == nil {
 		return fmt.Errorf("sim: Detach of vacant vertex %d", v)
 	}
+	e.toPush()
 	delete(e.vertexOf, e.ids[v])
 	if e.isTD != nil && v < len(e.isTD) && e.isTD[v] {
 		if !e.procs[v].Halted() {
@@ -824,6 +832,7 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	if e.procs == nil {
 		return errors.New("sim: AttachAt before Attach")
 	}
+	e.toPush()
 	if v >= e.n {
 		if e.topo == nil {
 			return fmt.Errorf("sim: AttachAt(%d) beyond the static graph's %d vertices", v, e.n)
@@ -926,6 +935,7 @@ func (e *Engine) growTo(m int) {
 		e.ids = append(e.ids, 0)
 		e.envs = append(e.envs, Env{Vertex: v, root: e.root})
 		e.sortedAdj = append(e.sortedAdj, nil)
+		e.multi = append(e.multi, false)
 		e.metrics.PerNodeMaxBit = append(e.metrics.PerNodeMaxBit, 0)
 		if e.epochOf != nil {
 			e.epochOf = append(e.epochOf, staleEpoch)
@@ -986,6 +996,7 @@ func (e *Engine) refreshVertex(v int) {
 	}
 	slices.Sort(sa)
 	e.sortedAdj[v] = dedupSorted(sa)
+	e.multi[v] = len(nbrs) != len(e.sortedAdj[v])
 	// Stamp the topology's live epoch, not the per-round cache: during a
 	// round they are equal (topologies mutate only between rounds), but
 	// an AttachAt-time refresh runs after the hook's mutations bumped the
@@ -1022,18 +1033,25 @@ func (e *Engine) SetEdgeCapacity(bits int) {
 // still in flight do not survive that.
 func (e *Engine) SetDelayModel(m DelayModel) {
 	e.delay = m
-	e.ws = nil // ring and buckets are (re)built by ensureState
-	e.ring = nil
-	e.window = 0
+	e.dropInFlight()
 }
 
 // SetFaultModel installs a message-fault model; nil removes it. Like
 // SetDelayModel, configure before the first Run.
 func (e *Engine) SetFaultModel(m FaultModel) {
 	e.fault = m
+	e.dropInFlight()
+}
+
+// dropInFlight discards the ring, the buckets and what the outboxes
+// hold for a pull (before the first tick nothing is in flight, and an
+// engine that goes on pulling needs no ring); ensureState rebuilds the
+// state the models need.
+func (e *Engine) dropInFlight() {
 	e.ws = nil
 	e.ring = nil
 	e.window = 0
+	e.pulled = e.metrics.Rounds == 0
 }
 
 // ReserveInbox pre-sizes every delivery-ring row to hold perRow
@@ -1076,12 +1094,10 @@ func (e *Engine) ReserveInbox(perRow int) {
 // only asymptotically and long runs keep paying rare amortized
 // regrowth; a workload that knows a burst bound can reserve it up front
 // and make warm parallel sparse rounds strictly allocation-free. Size
-// the bound in copies: jittered, faulted and capped traffic and the
-// broadcasts of senders whose neighbors span shards still take one
-// entry per copy (only a lockstep broadcast from a sender whose
-// neighbors lie in one shard is one entry). The reservation is
+// the bound in copies: a bucket entry is one copy. The reservation is
 // remembered and re-applied when worker state is rebuilt
-// (SetParallelism, topology growth). No-op before Attach.
+// (SetParallelism, topology growth). No-op before Attach; a pulling
+// engine has no buckets.
 func (e *Engine) ReserveOutbox(perBucket int) {
 	if perBucket <= 0 || e.procs == nil {
 		return
@@ -1175,10 +1191,11 @@ func (e *Engine) Proc(v int) Proc {
 // Metrics returns the measurements accumulated so far.
 func (e *Engine) Metrics() Metrics { return e.metrics }
 
-// ensureState builds (or rebuilds) the delivery ring, the worker ranges
-// and the scratch used by Run. Serial mode uses ws[0] only. It builds
-// nothing and returns a *RingBudgetError when the delay model's ring
-// would exceed MaxRingBytes.
+// ensureState builds (or rebuilds) the worker ranges and scratch used
+// by Run, the send buffers, and, for an engine that pushes, the
+// delivery ring and the outbox buckets. Serial mode uses ws[0] only.
+// It builds nothing and returns a *RingBudgetError when the delay
+// model's ring would exceed MaxRingBytes.
 func (e *Engine) ensureState() error {
 	if e.ws != nil {
 		return nil
@@ -1196,18 +1213,17 @@ func (e *Engine) ensureState() error {
 		lo, hi := i*n/w, (i+1)*n/w
 		e.ranges = append(e.ranges, [2]int{lo, hi})
 	}
-	e.ensureVT()
 	e.ws = make([]*workerState, w)
-	for i, r := range e.ranges {
+	for i := range e.ws {
 		e.ws[i] = &workerState{}
-		if e.window == 2 {
-			arcs := 0
-			for v := r[0]; v < r[1]; v++ {
-				arcs += cap(e.envs[v].Neighbors)
-			}
-			e.ws[i].inbox.remaining = 2 * arcs
-		}
 	}
+	e.carveScratch()
+	e.pullMode = e.canPull()
+	if e.pullMode {
+		e.sparse = false
+		return nil
+	}
+	e.ensureVT()
 	if w > 1 {
 		e.shardOf = make([]int32, n)
 		for i, r := range e.ranges {
@@ -1372,8 +1388,8 @@ func (e *Engine) poolWorker(i int) {
 		case phaseExit:
 			e.poolWG.Done()
 			return
-		case phaseStepVT:
-			e.stepRangeVT(i)
+		case phaseStep:
+			e.stepRange(i)
 		case phaseMergeVT:
 			e.mergeShardVT(i)
 		case phaseStepVTSparse:
@@ -1391,13 +1407,7 @@ func (e *Engine) poolWorker(i int) {
 // buckets are merged EVERY round rather than held until their delivery
 // tick, each ring row accumulates its messages round-major,
 // sender-major: exactly the order the serial lanes append them, so
-// parallel delivery is byte-identical to serial. A compact broadcast
-// entry (to == AllNeighbors, see admitVT) expands over its sender's
-// Neighbors in order, all of them in shard s: the copies land where
-// the sender's per-copy entries would have. Only a sender whose
-// neighbors lie in one shard is compact, since the spanning variant ran
-// the H(1024,8) flood at 8 workers 1.84x as long per round (see
-// admitVT).
+// parallel delivery is byte-identical to serial.
 func (e *Engine) mergeShardVT(s int) {
 	window := e.window
 	span := window - 1
@@ -1407,19 +1417,6 @@ func (e *Engine) mergeShardVT(s int) {
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[idx]
 			for _, m := range bucket {
-				if m.to == AllNeighbors {
-					in := Incoming{From: int(m.from), FromID: e.ids[m.from], Payload: m.payload}
-					for _, to := range e.envs[m.from].Neighbors {
-						if cap(box[to]) == 0 {
-							box[to] = e.carveRow(e.ws[s], to)
-						}
-						box[to] = append(box[to], in)
-					}
-					continue
-				}
-				if cap(box[m.to]) == 0 {
-					box[m.to] = e.carveRow(e.ws[s], int(m.to))
-				}
 				// Keep x[i] = append(x[i], ...) in place: no header store (see deliverVT).
 				box[m.to] = append(box[m.to], Incoming{
 					From:    int(m.from),
@@ -1432,25 +1429,31 @@ func (e *Engine) mergeShardVT(s int) {
 	}
 }
 
-// roundParallelVT executes one round with the sharded worker pool:
+// roundVT executes one tick, serial or parallel, by pull or push:
 //
-//  1. Sequential pass — the coordinator steps every Sequential proc in
-//     ascending vertex order (the serial mutation order among them) and
-//     parks each output in seqOut (see stepSequential).
-//  2. Step phase — each worker steps a contiguous vertex range, taking
-//     the parked output for Sequential vertices, and admits the range's
-//     messages in vertex order into per-(worker, destination-shard,
-//     delay) buckets. Admission (neighbor check, edge-capacity budget,
-//     fault verdict, latency draw) is sender-local, so each decision is
-//     identical to the serial engine's.
-//  3. Merge phase — each worker owns a destination shard and drains
-//     every worker's buckets into the ring in worker order (see
-//     mergeShardVT for the ordering argument).
+//  1. Sequential pass (parallel engines) — the coordinator steps every
+//     Sequential proc in ascending vertex order (the serial mutation
+//     order among them) and parks each output in seqOut (see
+//     stepSequential).
+//  2. Step phase — each worker walks a contiguous vertex range in
+//     ascending order (one range, on the calling goroutine, when
+//     serial): the dense walk (stepRange) or, with TickDriven procs,
+//     the sparse one (stepShardSparseVT). A pulling walk builds each
+//     inbox from the last tick's outboxes and counts what is sent; a
+//     pushing walk admits it (deliverVT), on a parallel engine into
+//     per-(worker, destination-shard, delay) buckets. Admission and
+//     counting are sender-local, so every decision is identical to the
+//     serial engine's.
+//  3. Merge phase (parallel push only) — each worker owns a destination
+//     shard and drains every worker's buckets into the ring in worker
+//     order (see mergeShardVT for the ordering argument). A pull needs
+//     none: receivers read only the last tick's outboxes and senders
+//     write only this tick's (Env.scratch is double-buffered).
 //
-// Metrics are shard-local sums/maxes flushed after the round. The net
-// effect is byte-for-byte equivalence with roundSerialVT, at zero heap
-// allocations per steady-state round (see the pool fields).
-func (e *Engine) roundParallelVT(r int) bool {
+// Metrics are worker-local sums/maxes flushed after the round. The net
+// effect is byte-for-byte equivalence across worker counts, at zero
+// heap allocations per steady-state round (see the pool fields).
+func (e *Engine) roundVT(r int) bool {
 	e.round = r
 	e.tick = e.metrics.Rounds
 	e.vtr = e.resolveVT(e.tick)
@@ -1460,26 +1463,35 @@ func (e *Engine) roundParallelVT(r int) bool {
 		ws.tdHalts = 0
 	}
 	live := 0
-	if len(e.seq) > 0 {
-		live = e.stepSequential(r)
+	switch {
+	case len(e.ranges) == 1 && e.sparse:
+		e.stepShardSparseVT(0)
+	case len(e.ranges) == 1:
+		e.stepRange(0)
+	default:
+		if len(e.seq) > 0 {
+			live = e.stepSequential(r)
+		}
+		if e.sparse {
+			e.dispatch(phaseStepVTSparse)
+			e.dispatch(phaseMergeVTSparse)
+		} else {
+			e.dispatch(phaseStep)
+			if !e.pullMode {
+				e.dispatch(phaseMergeVT)
+			}
+		}
 	}
+	e.pulled = e.pullMode
 	if e.sparse {
-		// The sparse lane: each worker walks the union of its shard's
-		// always-step vertices and occupied rows (stepShardSparseVT),
-		// then folds occupancy into its destination shard's overlay
-		// while merging (mergeShardVTSparse). The halt verdict mirrors
-		// roundSparseVT's: per-worker liveAlways/tdHalts counters are
-		// summed here, after the merge barrier published them.
-		e.dispatch(phaseStepVTSparse)
-		e.dispatch(phaseMergeVTSparse)
+		// The sparse verdict: no always-step proc was live, and no
+		// TickDriven proc is live after the tick's own halts.
 		for _, ws := range e.ws {
 			live += ws.liveAlways
 			e.tdLive -= ws.tdHalts
 		}
 		return live == 0 && e.tdLive == 0
 	}
-	e.dispatch(phaseStepVT)
-	e.dispatch(phaseMergeVT)
 	allHalted := live == 0
 	for _, ws := range e.ws {
 		allHalted = allHalted && ws.allHalted
@@ -1501,13 +1513,13 @@ func (e *Engine) stepSequential(r int) int {
 	if len(e.seqOut) < e.n {
 		e.seqOut = make([][]Outgoing, e.n)
 	}
-	box := e.ring[e.tick%e.window]
+	box := e.curBox()
 	live := 0
 	for _, v := range e.seq {
 		e.seqOut[v] = nil
 		p := e.procs[v]
 		if p == nil || p.Halted() {
-			box[v] = box[v][:0]
+			e.idle(v, box)
 			continue
 		}
 		td := e.sparse && e.isTD[v]
@@ -1517,11 +1529,8 @@ func (e *Engine) stepSequential(r int) int {
 		if !td {
 			live++
 		}
-		if e.topo != nil && e.epochOf[v] != e.curEpoch {
-			e.catchUpVertex(v)
-		}
-		e.seqOut[v] = p.Step(&e.envs[v], r, box[v])
-		box[v] = box[v][:0]
+		// The pool is parked, so the coordinator may pull into ws[0].
+		e.seqOut[v] = e.step(e.ws[0], v, r, box)
 		if td && p.Halted() {
 			e.tdLive--
 		}
@@ -1548,8 +1557,21 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 		e.regrow = false
 		e.ws = nil
 	}
+	// A configuration change since the last Run can move the engine
+	// between pull and push, whose worker state differs; messages a
+	// pull tick left in the outboxes then move to the ring, and so they
+	// do when the topology changed since they were sent.
+	if e.ws != nil && e.pullMode != e.canPull() {
+		e.ws = nil
+	}
 	if err := e.ensureState(); err != nil {
 		return 0, err
+	}
+	if e.pulled && (!e.pullMode || e.topo != nil && e.topo.Epoch() != e.curEpoch) {
+		e.toPush()
+	}
+	if !e.pulled {
+		e.ensureVT()
 	}
 	if e.sparse {
 		e.recountTickDriven()
@@ -1607,12 +1629,7 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 			}
 			continue
 		}
-		var allHalted bool
-		if parallel {
-			allHalted = e.roundParallelVT(r)
-		} else {
-			allHalted = e.roundSerialVT(r)
-		}
+		allHalted := e.roundVT(r)
 		// The ring advances by tick index: the next tick's slot already
 		// holds its pending messages.
 		roundMsgs := e.flushRound()

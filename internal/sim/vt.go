@@ -1,7 +1,7 @@
 package sim
 
 // The round loop's hot path: devirtualized delay/fault dispatch, the
-// serial and parallel round lanes, sparse (occupancy-tracked) ring
+// dense and sparse walks of a tick, sparse (occupancy-tracked) ring
 // delivery, and the marker contract behind tick fast-forwarding.
 //
 // The installed DelayModel/FaultModel are type-switched ONCE per tick
@@ -13,9 +13,9 @@ package sim
 // window, and hoists the per-sender stream lookups out of the message
 // loop. Every inlined arm consumes exactly the draws the model's own
 // Delay/Drop would, so transcripts are bit-identical to the interface
-// path. The dense serial lane goes one step further for fixed-latency
-// ticks with no fault — lockstep rounds, the paper's model — and admits
-// inline into the one destination slot, with no per-sender call.
+// path. Lockstep ticks of the paper's model on an engine without a
+// hook, a capacity or a TickDriven proc skip admission altogether: they
+// pull (see pull.go).
 //
 // Sparse delivery generalizes this from messages to ticks: each
 // (shard, ring slot) pair tracks its pending-message count and a
@@ -179,27 +179,40 @@ func (e *Engine) resolveVT(tick int) vtRound {
 	return r
 }
 
-// deliverVT admits and schedules one sender's outgoing messages for a
-// serial round. An AllNeighbors entry expands in place over the
-// sender's incident edges, in Neighbors order (one SizeBits call per
-// entry, no neighbor check); a unicast entry passes the neighbor check
-// and is its own one copy. Each copy then runs the fixed per-edge
-// pipeline —
+// deliverVT admits and schedules one sender's outgoing messages on a
+// tick that pushes: into the ring on a serial engine, and on a parallel
+// one into the worker's per-(destination-shard, delay) buckets, which
+// the merge phase drains into the ring in sender order. An
+// AllNeighbors entry expands in place over the sender's incident edges,
+// in Neighbors order (one SizeBits call per entry, no neighbor check);
+// a unicast entry passes the neighbor check and is its own one copy.
+// Each copy then runs the fixed per-edge pipeline —
 //
 //	capacity budget -> fault verdict -> latency draw
 //
 // — so a faulted message has spent the edge but is counted in Dropped,
-// not Messages, and does not advance the latency stream. The admission
-// logic is hand-inlined: this is the engine's hot path. The pipeline is
-// written out twice, for a unicast and in the broadcast loop. Through
-// one shared copy loop a flood sent as one unicast per edge ran 1.18x
-// to 1.24x slower per round under uniform:1-4 jitter (medians of 15
-// interleaved -cpu 1 rounds, 2-core Xeon VM, go1.24; DESIGN.md has
-// the figures for admitFixedVT and admitVT).
-func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Outgoing) {
+// not Messages, and does not advance the latency stream. Every stage is
+// sender-local, so each decision is identical however vertices are
+// scheduled; the tick's dispatch record e.vtr is read-only meanwhile.
+// The admission logic is hand-inlined: this is the engine's hot path.
+// The pipeline is written out twice, for a unicast and in the broadcast
+// loop. Through one shared copy loop a flood sent as one unicast per
+// edge ran 1.18x to 1.24x slower per round under uniform:1-4 jitter
+// (medians of 15 interleaved -cpu 1 rounds, 2-core Xeon VM, go1.24;
+// DESIGN.md has the figure for the bucketed form).
+func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
+	if len(out) == 0 {
+		return
+	}
 	n := e.n
-	window := e.window
+	tick, window := e.tick, e.window
+	span := window - 1
+	vtr := &e.vtr
 	capBits := e.edgeCapBits
+	if capBits > 0 && ws.budget == nil {
+		ws.budget = make([]int, n)
+		ws.budgetGen = make([]uint64, n)
+	}
 	ws.gen++
 	gen := ws.gen
 	nbrMark := e.unicastMarks(ws, v, out)
@@ -208,6 +221,7 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 	perNodeMax := e.metrics.PerNodeMaxBit
 	maxSent := perNodeMax[v]
 	sparse := e.sparse
+	bucketed := len(e.ranges) > 1
 	var dRng, fRng *xrand.Rand
 	if vtr.needD {
 		dRng = e.delayStream(v)
@@ -294,11 +308,13 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 			if bits > maxSent {
 				maxSent = bits
 			}
+			if bucketed {
+				idx := int(e.shardOf[to])*span + d - 1
+				ws.vtb[idx] = append(ws.vtb[idx], routed{to: int32(to), from: int32(v), payload: payload})
+				continue
+			}
 			si := (tick + d) % window
 			dst := e.ring[si]
-			if cap(dst[to]) == 0 {
-				dst[to] = e.carveRow(ws, to)
-			}
 			if sparse {
 				if len(dst[to]) == 0 {
 					e.occRows[si] = append(e.occRows[si], int32(to))
@@ -381,11 +397,13 @@ func (e *Engine) deliverVT(ws *workerState, v, tick int, vtr *vtRound, out []Out
 			if bits > maxSent {
 				maxSent = bits
 			}
+			if bucketed {
+				idx := int(e.shardOf[to])*span + d - 1
+				ws.vtb[idx] = append(ws.vtb[idx], routed{to: int32(to), from: int32(v), payload: payload})
+				continue
+			}
 			si := (tick + d) % window
 			dst := e.ring[si]
-			if cap(dst[to]) == 0 {
-				dst[to] = e.carveRow(ws, to)
-			}
 			if sparse {
 				if len(dst[to]) == 0 {
 					e.occRows[si] = append(e.occRows[si], int32(to))
@@ -424,230 +442,40 @@ func (e *Engine) unicastMarks(ws *workerState, v int, out []Outgoing) []uint64 {
 	return nil
 }
 
-// carveRow returns the row for vertex to's first delivery, an empty
-// row with room for one message per incident edge carved from ws's
-// inbox slab, on lockstep engines (window == 2), where each edge
-// carries at most one message per round in the paper's model. Growing
-// the row by doubling instead costs a flood's row four objects per
-// slot, three of them garbage by round two; at 160k vertices that
-// warm-up is what the collector marks. Jittered rings (window > 2) keep
-// plain growth: a slot there holds about a (window-1)th of the degree
-// per tick, so a full carve in every slot reserves memory most rows
-// never fill. It returns nil when no carve applies (jitter, or a degree
-// not yet known).
-func (e *Engine) carveRow(ws *workerState, to int) []Incoming {
-	if e.window != 2 {
-		return nil
+// step steps live vertex v at this tick on its inbox — its row of box,
+// emptied for the slot's next use, or with box nil a pull from its
+// neighbors' outboxes — and records the output as v's outbox of the
+// tick's parity, where a pull reads it next tick.
+func (e *Engine) step(ws *workerState, v, r int, box [][]Incoming) []Outgoing {
+	if e.topo != nil && e.epochOf[v] != e.curEpoch {
+		e.catchUpVertex(v)
 	}
-	if d := cap(e.envs[to].Neighbors); d > 0 {
-		return ws.inbox.carve(d)
+	env := &e.envs[v]
+	par := e.tick & 1
+	env.par = uint8(par)
+	var in []Incoming
+	if box != nil {
+		in = box[v]
+		box[v] = in[:0]
+	} else {
+		in = e.pull(ws, v, par^1)
 	}
-	return nil
+	out := e.procs[v].Step(env, r, in)
+	if len(out) == 0 {
+		out = env.scratch[par][:0]
+	}
+	env.scratch[par] = out
+	return out
 }
 
-// roundSerialVT executes one round on the calling goroutine: resolve
-// the tick's dispatch record, then either the sparse lane
-// (occupancy-tracked engines) or the dense lane, which steps every
-// vertex in ascending order. A dense tick with a fixed latency d0 and
-// no fault — every tick of a lockstep run — admits inline into ring
-// slot (tick+d0) mod window; any other tick hands each sender's output
-// to deliverVT. The inline arm (admitFixedVT) is deliverVT's pipeline
-// with the fault and latency stages constant-folded and the destination
-// slot hoisted: through deliverVT the serial flood takes ~1.5x as long
-// per round.
-func (e *Engine) roundSerialVT(r int) bool {
-	n := e.n
-	ws := e.ws[0]
-	capBits := e.edgeCapBits
-	if capBits > 0 && ws.budget == nil {
-		ws.budget = make([]int, n)
-		ws.budgetGen = make([]uint64, n)
-	}
-	tick := e.metrics.Rounds
-	e.tick = tick
-	vtr := e.resolveVT(tick)
-	if e.sparse {
-		return e.roundSparseVT(r, tick, &vtr)
-	}
-	box := e.ring[tick%e.window]
-	fixed := vtr.dk == dkFixed && vtr.fk == fkNone
-	dst := e.ring[(tick+vtr.d0)%e.window]
-	dyn := e.topo != nil
-	allHalted := true
-	for v := 0; v < n; v++ {
-		p := e.procs[v]
-		if p == nil || p.Halted() {
-			box[v] = box[v][:0]
-			continue
-		}
-		allHalted = false
-		if dyn && e.epochOf[v] != e.curEpoch {
-			e.catchUpVertex(v)
-		}
-		out := p.Step(&e.envs[v], r, box[v])
+// idle records that vertex v, not stepped this tick, sends nothing,
+// and drops what box holds for it.
+func (e *Engine) idle(v int, box [][]Incoming) {
+	par := e.tick & 1
+	e.envs[v].scratch[par] = e.envs[v].scratch[par][:0]
+	if box != nil {
 		box[v] = box[v][:0]
-		if len(out) == 0 {
-			continue
-		}
-		if cap(out) > cap(e.envs[v].scratch) {
-			e.envs[v].scratch = out[:0]
-		}
-		if !fixed {
-			e.deliverVT(ws, v, tick, &vtr, out)
-			continue
-		}
-		e.admitFixedVT(ws, v, dst, out)
 	}
-	return allHalted
-}
-
-// admitFixedVT is roundSerialVT's inline arm for one sender: deliverVT
-// with the fault stage gone (no fault this tick) and the latency stage
-// constant-folded into the one destination slot dst. Like deliverVT it
-// writes the pipeline out for a unicast and in the broadcast loop (see
-// there for why).
-func (e *Engine) admitFixedVT(ws *workerState, v int, dst [][]Incoming, out []Outgoing) {
-	n := e.n
-	capBits := e.edgeCapBits
-	ws.gen++
-	gen := ws.gen
-	nbrMark := e.unicastMarks(ws, v, out)
-	nbrs := e.envs[v].Neighbors
-	fromID := e.ids[v]
-	maxSent := e.metrics.PerNodeMaxBit[v]
-	var msgs, totalBits int64
-	for _, msg := range out {
-		to, payload := msg.To, msg.Payload
-		if to != AllNeighbors && (uint(to) >= uint(n) || nbrMark[to] != gen) {
-			ws.violations++
-			continue
-		}
-		bits := 0
-		if payload != nil {
-			bits = payload.SizeBits()
-		}
-		if to != AllNeighbors {
-			if capBits > 0 {
-				if ws.budgetGen[to] != gen {
-					ws.budgetGen[to] = gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			msgs++
-			totalBits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			if cap(dst[to]) == 0 {
-				dst[to] = e.carveRow(ws, to)
-			}
-			// Keep x[i] = append(x[i], ...) in place: no header store (see deliverVT).
-			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
-			continue
-		}
-		for _, to := range nbrs {
-			if capBits > 0 {
-				if ws.budgetGen[to] != gen {
-					ws.budgetGen[to] = gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			msgs++
-			totalBits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			if cap(dst[to]) == 0 {
-				dst[to] = e.carveRow(ws, to)
-			}
-			// In place, as above: no header store.
-			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
-		}
-	}
-	ws.messages += msgs
-	ws.bits += totalBits
-	e.metrics.PerNodeMaxBit[v] = maxSent
-}
-
-// roundSparseVT executes one occupancy-tracked round: it
-// steps the union of the always-step vertices (procs without the
-// TickDriven marker — stepped every tick, exactly the dense semantics)
-// and the rows occupied in this tick's ring slot, in ascending vertex
-// order — the dense lane's order restricted to vertices whose Step
-// could observably differ from a no-op. Occupied-row lists may carry
-// stale entries (a Detach truncated the row) and duplicates (a slot
-// recycled mid-flight); sorting plus the prev-dedupe below makes both
-// harmless. The slot's list and counter are reset afterwards — O(1)
-// amortized per delivered message, never O(n) per tick.
-func (e *Engine) roundSparseVT(r, tick int, vtr *vtRound) bool {
-	ws := e.ws[0]
-	si := tick % e.window
-	box := e.ring[si]
-	occ := e.occRows[si]
-	slices.Sort(occ)
-	always := e.alwaysStep
-	dyn := e.topo != nil
-	liveAlways := 0
-	ai, oi := 0, 0
-	prev := int32(-1)
-	for ai < len(always) || oi < len(occ) {
-		var v32 int32
-		if oi >= len(occ) || (ai < len(always) && always[ai] <= occ[oi]) {
-			v32 = always[ai]
-			ai++
-		} else {
-			v32 = occ[oi]
-			oi++
-		}
-		if v32 == prev {
-			continue
-		}
-		prev = v32
-		v := int(v32)
-		p := e.procs[v]
-		if p == nil || p.Halted() {
-			box[v] = box[v][:0]
-			continue
-		}
-		td := e.isTD[v]
-		if !td {
-			liveAlways++
-		}
-		if dyn && e.epochOf[v] != e.curEpoch {
-			e.catchUpVertex(v)
-		}
-		out := p.Step(&e.envs[v], r, box[v])
-		box[v] = box[v][:0]
-		if td && p.Halted() {
-			e.tdLive--
-		}
-		if len(out) == 0 {
-			continue
-		}
-		e.deliverVT(ws, v, tick, vtr, out)
-		if cap(out) > cap(e.envs[v].scratch) {
-			e.envs[v].scratch = out[:0]
-		}
-	}
-	e.occRows[si] = occ[:0]
-	e.occCnt[si] = 0
-	return liveAlways == 0 && e.tdLive == 0
 }
 
 // vtCanSkip reports whether fast-forwarding over an empty tick is a
@@ -685,7 +513,7 @@ func (e *Engine) recountTickDriven() {
 // layout is shard-major — occ[shard*window+slot] — so each merge worker
 // owns one contiguous region and folds occupancy in race-free. Serial
 // engines have one shard and the index degenerates to the slot itself,
-// which is what the serial lanes (deliverVT, roundSparseVT) address
+// which is what the serial walks (deliverVT, stepShardSparseVT) address
 // directly. The shardOf length guard covers mid-hook growth: a vertex
 // beyond the old capacity lands in slot-only indexing, and the pending
 // regrow rebuilds the overlay from ring ground truth before the next
@@ -740,20 +568,20 @@ func (e *Engine) ensureOccupancy() {
 	}
 }
 
-// stepShardSparseVT is the sparse step phase of one parallel round:
-// worker i walks the union of its shard's always-step vertices
-// (binary-searched out of the engine-wide sorted list) and the rows
-// occupied in this tick's ring slot, in ascending vertex order —
-// roundSparseVT's walk restricted to the shard, which is the dense
-// parallel lane's order restricted to vertices whose Step could
-// observably differ from a no-op. Sequential vertices were stepped by
-// the coordinator; the walk only admits their parked output. Occupancy
-// reads and clears are worker-private: the overlay region belongs to
-// shard i, and in-flight messages can never target the tick being
-// delivered (delays are >= 1), so the merge phase never touches what
-// this phase just cleared. Halt bookkeeping lands in the worker-local
-// liveAlways/tdHalts counters; the coordinator folds them after the
-// merge barrier.
+// stepShardSparseVT is the sparse walk of one tick over range i (the
+// whole slot space on a serial engine): the union of the range's
+// always-step vertices (procs without the TickDriven marker, stepped
+// every tick — binary-searched out of the engine-wide sorted list) and
+// the rows occupied in this tick's ring slot, in ascending vertex
+// order — the dense walk's order restricted to vertices whose Step
+// could observably differ from a no-op. Occupied-row lists may carry
+// stale entries (a Detach truncated the row) and duplicates (a slot
+// recycled mid-flight); sorting plus the prev-dedupe makes both
+// harmless. Occupancy reads and clears are worker-private: the overlay
+// region belongs to shard i, and in-flight messages can never target
+// the tick being delivered (delays are >= 1), so the merge phase never
+// touches what this walk just cleared. Halt bookkeeping lands in the
+// worker-local liveAlways/tdHalts counters, which roundVT folds.
 func (e *Engine) stepShardSparseVT(i int) {
 	ws := e.ws[i]
 	r := e.round
@@ -767,7 +595,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 	aHi, _ := slices.BinarySearch(always, int32(hi))
 	always = always[aLo:aHi]
 	box := e.ring[slot]
-	seq := len(e.seq) > 0
+	seq := len(e.seq) > 0 && len(e.ranges) > 1
 	ai, oi := 0, 0
 	prev := int32(-1)
 	for ai < len(always) || oi < len(occ) {
@@ -785,7 +613,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 		prev = v32
 		v := int(v32)
 		if seq && e.isSeq[v] {
-			e.admitVT(v, ws, e.seqOut[v])
+			e.deliverVT(ws, v, e.seqOut[v])
 			continue
 		}
 		p := e.procs[v]
@@ -797,7 +625,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 		if !td {
 			ws.liveAlways++
 		}
-		e.stepVertexVT(v, r, ws, box)
+		e.deliverVT(ws, v, e.step(ws, v, r, box))
 		if td && p.Halted() {
 			ws.tdHalts++
 		}
@@ -814,12 +642,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 // counts every delivered message, exactly the accounting deliverVT does
 // on the serial path. Rows left nonempty by a stale overlay entry
 // (Detach truncation, slot recycling) duplicate their entry here, which
-// delivery's sort+dedupe tolerates — the same contract as serial. A
-// compact broadcast entry expands as in mergeShardVT, folding occupancy
-// per copy. As there, only a sender whose neighbors lie in one shard
-// sends one: an entry per spanned shard, each merge filtering the
-// sender's whole neighbor list, ran the H(1024,8) flood at 8 workers
-// 1.84x as long per round (see admitVT).
+// delivery's sort+dedupe tolerates — the same contract as serial.
 func (e *Engine) mergeShardVTSparse(s int) {
 	window := e.window
 	span := window - 1
@@ -833,23 +656,6 @@ func (e *Engine) mergeShardVTSparse(s int) {
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[bi]
 			for _, m := range bucket {
-				if m.to == AllNeighbors {
-					in := Incoming{From: int(m.from), FromID: e.ids[m.from], Payload: m.payload}
-					for _, to := range e.envs[m.from].Neighbors {
-						if cap(box[to]) == 0 {
-							box[to] = e.carveRow(e.ws[s], to)
-						}
-						if len(box[to]) == 0 {
-							rows = append(rows, int32(to))
-						}
-						box[to] = append(box[to], in)
-						cnt++
-					}
-					continue
-				}
-				if cap(box[m.to]) == 0 {
-					box[m.to] = e.carveRow(e.ws[s], int(m.to))
-				}
 				if len(box[m.to]) == 0 {
 					rows = append(rows, m.to)
 				}
@@ -884,274 +690,33 @@ func (e *Engine) hasTickDriven() bool {
 // the toggle exists for A/B measurement and paranoia, not semantics.
 func (e *Engine) SetTickSkip(on bool) { e.skip = on }
 
-// stepRangeVT is the dense step phase of one parallel round: worker i
-// steps its vertex range in ascending order — taking the coordinator's
-// parked output for Sequential vertices — and admits each sender's
-// messages into its buckets.
-func (e *Engine) stepRangeVT(i int) {
+// stepRange is the dense walk of one tick over range i (the whole slot
+// space on a serial engine): it steps the range's live vertices in
+// ascending order — taking the coordinator's output for Sequential
+// vertices of a parallel engine — and pulls each one's inbox and counts
+// what it sends, or, on an engine that pushes, takes the inbox from the
+// ring and admits the output (see deliverVT). Every vertex is owned by
+// exactly one goroutine per tick, so its inbox row, env, proc and
+// PerNodeMaxBit entry are touched race-free.
+func (e *Engine) stepRange(i int) {
 	ws := e.ws[i]
-	r := e.round
-	box := e.ring[e.tick%e.window]
-	seq := len(e.seq) > 0
+	box := e.curBox()
+	seq := len(e.seq) > 0 && len(e.ranges) > 1
 	for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
+		var out []Outgoing
 		if seq && e.isSeq[v] {
-			e.admitVT(v, ws, e.seqOut[v])
+			out = e.seqOut[v]
+		} else if p := e.procs[v]; p == nil || p.Halted() {
+			e.idle(v, box)
 			continue
+		} else {
+			ws.allHalted = false
+			out = e.step(ws, v, e.round, box)
 		}
-		p := e.procs[v]
-		if p == nil || p.Halted() {
-			box[v] = box[v][:0]
-			continue
-		}
-		ws.allHalted = false
-		e.stepVertexVT(v, r, ws, box)
-	}
-}
-
-// stepVertexVT steps live vertex v of a parallel round on its range
-// worker and admits the output. Every vertex is owned by exactly one
-// goroutine per round, so its inbox row, env, proc and PerNodeMaxBit
-// entry are touched race-free.
-func (e *Engine) stepVertexVT(v, r int, ws *workerState, box [][]Incoming) {
-	if e.topo != nil && e.epochOf[v] != e.curEpoch {
-		e.catchUpVertex(v)
-	}
-	out := e.procs[v].Step(&e.envs[v], r, box[v])
-	box[v] = box[v][:0]
-	e.admitVT(v, ws, out)
-}
-
-// admitVT admits vertex v's outgoing messages of a parallel round into
-// the worker's per-(destination-shard, delay) buckets. Same pipeline
-// as deliverVT, broadcast expansion included (see there); the dispatch
-// record was resolved once by roundParallelVT and is read-only during
-// the phase. Every stage is sender-local, so each decision is identical
-// however vertices are scheduled. Like deliverVT it writes the pipeline
-// out for a unicast and in the broadcast loop (see there for why).
-//
-// On a fixed-latency, fault-free tick of an engine without an edge
-// capacity, a compact copy has no budget, verdict or draw, so an
-// AllNeighbors entry of a sender whose neighbors all lie in one shard
-// (its sorted adjacency's first and last entries fall in one range)
-// stays one bucket entry, routed{to: AllNeighbors}; its copies count
-// in the metrics here and the merge expands it over Neighbors in order,
-// where the per-copy entries would have stood in the same bucket. A
-// sender whose neighbors span shards stays per copy: a variant that
-// sent one entry to each spanned shard, each merge walking the whole
-// neighbor list for its own targets, ran the H(1024,8) flood at 8
-// workers 1.84x [1.79, 1.97] as long per round as this code (10
-// interleaved -test.cpu 2 pairs, 2-core VM, go1.24), where nearly every
-// sender spans shards.
-func (e *Engine) admitVT(v int, ws *workerState, out []Outgoing) {
-	if cap(out) > cap(e.envs[v].scratch) {
-		e.envs[v].scratch = out[:0]
-	}
-	if len(out) == 0 {
-		return
-	}
-	ws.gen++
-	gen := ws.gen
-	nbrMark := e.unicastMarks(ws, v, out)
-	nbrs := e.envs[v].Neighbors
-	vtr := &e.vtr
-	tick, window := e.tick, e.window
-	span := window - 1
-	n := e.n
-	capBits := e.edgeCapBits
-	if capBits > 0 && ws.budget == nil {
-		ws.budget = make([]int, n)
-		ws.budgetGen = make([]uint64, n)
-	}
-	var dRng, fRng *xrand.Rand
-	if vtr.needD {
-		dRng = e.delayStream(v)
-	}
-	if vtr.needF {
-		fRng = e.faultStream(v)
-	}
-	perNodeMax := e.metrics.PerNodeMaxBit
-	maxSent := perNodeMax[v]
-	// home is the bucket a compact broadcast of v goes to, or -1.
-	home := -1
-	if vtr.dk == dkFixed && vtr.fk == fkNone && capBits == 0 {
-		if sa := e.sortedAdj[v]; len(sa) > 0 {
-			s := int(e.shardOf[sa[0]])
-			if int(sa[len(sa)-1]) < e.ranges[s][1] {
-				home = s*span + vtr.d0 - 1
-			}
+		if e.pullMode {
+			e.countSent(ws, v, out)
+		} else {
+			e.deliverVT(ws, v, out)
 		}
 	}
-	var clamped int64
-	for _, msg := range out {
-		to, payload := msg.To, msg.Payload
-		if to != AllNeighbors && (uint(to) >= uint(n) || nbrMark[to] != gen) {
-			ws.violations++
-			continue
-		}
-		bits := 0
-		if payload != nil {
-			bits = payload.SizeBits()
-		}
-		if to != AllNeighbors {
-			if capBits > 0 {
-				if ws.budgetGen[to] != gen {
-					ws.budgetGen[to] = gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			switch vtr.fk {
-			case fkNone:
-			case fkPartition:
-				if v%vtr.fGroups != to%vtr.fGroups {
-					ws.dropped++
-					continue
-				}
-			case fkDrop:
-				if fRng.Bernoulli(vtr.fP) {
-					ws.dropped++
-					continue
-				}
-			case fkDropAll:
-				ws.dropped++
-				continue
-			default:
-				if e.fault.Drop(fRng, tick, v, to) {
-					ws.dropped++
-					continue
-				}
-			}
-			var d int
-			switch vtr.dk {
-			case dkFixed:
-				d = vtr.d0
-			case dkUniform:
-				d = vtr.d0 + dRng.Intn(vtr.dSpan)
-			case dkGeo:
-				d = dRng.GeometricP(vtr.dP)
-				if d > vtr.d1 {
-					d = vtr.d1
-				}
-			case dkRegion:
-				if v%vtr.dRegions == to%vtr.dRegions {
-					d = vtr.d0
-				} else {
-					d = vtr.d1
-				}
-			default:
-				d = e.delay.Delay(dRng, tick, v, to)
-				if d < 1 {
-					d = 1
-					clamped++
-				} else if d >= window {
-					d = window - 1
-					clamped++
-				}
-			}
-			ws.messages++
-			ws.bits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			idx := int(e.shardOf[to])*span + d - 1
-			ws.vtb[idx] = append(ws.vtb[idx],
-				routed{to: int32(to), from: int32(v), payload: payload})
-			continue
-		}
-		if home >= 0 {
-			copies := int64(len(nbrs))
-			ws.messages += copies
-			ws.bits += copies * int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			ws.vtb[home] = append(ws.vtb[home],
-				routed{to: AllNeighbors, from: int32(v), payload: payload})
-			continue
-		}
-		for _, to := range nbrs {
-			if capBits > 0 {
-				if ws.budgetGen[to] != gen {
-					ws.budgetGen[to] = gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			switch vtr.fk {
-			case fkNone:
-			case fkPartition:
-				if v%vtr.fGroups != to%vtr.fGroups {
-					ws.dropped++
-					continue
-				}
-			case fkDrop:
-				if fRng.Bernoulli(vtr.fP) {
-					ws.dropped++
-					continue
-				}
-			case fkDropAll:
-				ws.dropped++
-				continue
-			default:
-				if e.fault.Drop(fRng, tick, v, to) {
-					ws.dropped++
-					continue
-				}
-			}
-			var d int
-			switch vtr.dk {
-			case dkFixed:
-				d = vtr.d0
-			case dkUniform:
-				d = vtr.d0 + dRng.Intn(vtr.dSpan)
-			case dkGeo:
-				d = dRng.GeometricP(vtr.dP)
-				if d > vtr.d1 {
-					d = vtr.d1
-				}
-			case dkRegion:
-				if v%vtr.dRegions == to%vtr.dRegions {
-					d = vtr.d0
-				} else {
-					d = vtr.d1
-				}
-			default:
-				d = e.delay.Delay(dRng, tick, v, to)
-				if d < 1 {
-					d = 1
-					clamped++
-				} else if d >= window {
-					d = window - 1
-					clamped++
-				}
-			}
-			ws.messages++
-			ws.bits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			idx := int(e.shardOf[to])*span + d - 1
-			ws.vtb[idx] = append(ws.vtb[idx],
-				routed{to: int32(to), from: int32(v), payload: payload})
-		}
-	}
-	ws.delayClamped += clamped
-	perNodeMax[v] = maxSent
 }

@@ -3,47 +3,44 @@
 package sim_test
 
 // Warm-up allocation gate for lockstep engines. Algorithm 2 and the
-// flood send at most one message per edge per round, so an inbox row
-// carved at its destination's degree on first delivery never regrows,
-// and a broadcast is one 24-byte AllNeighbors entry, so a flood's send
-// buffer is one entry whatever the degree. Growing rows and buffers by
-// doubling instead cost 12 heap objects per vertex over a flood's first
-// three rounds, most of them garbage the collector marks at scale, and
-// a degree-sized send buffer per vertex cost 1.3 MB more than one entry
-// at n=8192, d=8. On a parallel engine a lockstep broadcast from a
-// sender whose neighbors all lie in one shard also stays one outbox
-// bucket entry, so on a local substrate such as the ring lattice, where
-// almost every sender is such a sender, the buckets no longer grow to a
-// round's copies. The race detector changes allocation behavior, so
-// this file is excluded under -race (same convention as
-// topo_alloc_test.go).
+// flood send at most one broadcast per round, a broadcast is one
+// 24-byte AllNeighbors entry, and a lockstep engine without a hook, a
+// capacity or a TickDriven proc delivers by pull: a sender's output
+// stays in its own outbox and each receiver builds its inbox in its
+// worker's reused buffer, so there are no inbox rows and no outbox
+// buckets to grow. What is left is one one-entry send buffer per tick
+// parity, both carved from one slab. Growing buffers by doubling
+// instead cost 12 heap objects per vertex over a flood's first three
+// rounds, most of them garbage the collector marks at scale. The race
+// detector changes allocation behavior, so this file is excluded under
+// -race (same convention as topo_alloc_test.go).
 
 import (
 	"testing"
 
+	"byzcount/internal/graph"
 	"byzcount/internal/perf"
 	"byzcount/internal/sim"
 )
 
-// TestLockstepWarmupAllocs pins the first Run(3) of a fresh flood
-// engine — the rounds in which every ring row, send buffer and outbox
-// bucket gets its first capacity — at about one object per vertex (the
-// one-entry send buffer) plus a constant number of slab chunks, and
-// bounds the bytes: on H(8192,8), 4.6 MB serially and 11.2 MB on two
-// workers (senders there span shards, so the buckets hold a round's
-// copies), where degree-sized send buffers took 5.9 and 12.7 MB; on the
-// C_8192^4 ring lattice on two workers, 5.3 MB, where one bucket entry
-// per copy took 11.9 MB.
+// TestLockstepWarmupAllocs pins the first Run(3) of a fresh
+// 8192-vertex flood engine — the rounds in which every send buffer gets
+// its first capacity — at about one object per vertex plus a constant
+// number of slab chunks, and bounds the bytes at 0.5 MB: pull measures
+// 0.38 MB (the send-buffer slab) on H(n,8) serially and on two workers,
+// on the C_n^4 ring lattice on two workers and on the 64x128 implicit
+// torus on two workers. Push took 4.6, 11.2 and 5.3 MB on the first
+// three, for degree-carved inbox rows and outbox buckets.
 func TestLockstepWarmupAllocs(t *testing.T) {
 	const n = 8192
 	for _, tc := range []struct {
 		name  string
 		build func() (*sim.Engine, error)
-		maxMB float64
 	}{
-		{"workers=1", func() (*sim.Engine, error) { return perf.NewVTFloodEngine(n, 8, 1, "") }, 4.8},
-		{"workers=2", func() (*sim.Engine, error) { return perf.NewVTFloodEngine(n, 8, 2, "") }, 11.8},
-		{"lattice/workers=2", func() (*sim.Engine, error) { return perf.NewLatticeFloodEngine(n, 4, 2) }, 6.0},
+		{"workers=1", func() (*sim.Engine, error) { return perf.NewVTFloodEngine(n, 8, 1, "") }},
+		{"workers=2", func() (*sim.Engine, error) { return perf.NewVTFloodEngine(n, 8, 2, "") }},
+		{"lattice/workers=2", func() (*sim.Engine, error) { return perf.NewLatticeFloodEngine(n, 4, 2) }},
+		{"torus/workers=2", func() (*sim.Engine, error) { return torusFloodEngine(64, n/64, 2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := tc.build()
@@ -57,14 +54,31 @@ func TestLockstepWarmupAllocs(t *testing.T) {
 			})
 			perVertex := float64(allocs) / n
 			mb := float64(bytes) / (1 << 20)
-			t.Logf("first Run(3): %d objects (%.2f per vertex), %.1f MB", allocs, perVertex, mb)
+			t.Logf("first Run(3): %d objects (%.2f per vertex), %.3f MB", allocs, perVertex, mb)
 			if perVertex > 1.1 {
 				t.Errorf("first Run(3) of a %d-vertex flood allocated %d objects (%.2f per vertex), want <= 1.1 per vertex",
 					n, allocs, perVertex)
 			}
-			if mb > tc.maxMB {
-				t.Errorf("first Run(3) of a %d-vertex flood allocated %.2f MB, want <= %.1f MB", n, mb, tc.maxMB)
+			if mb > 0.5 {
+				t.Errorf("first Run(3) of a %d-vertex flood allocated %.2f MB, want <= 0.5 MB", n, mb)
 			}
 		})
 	}
+}
+
+// torusFloodEngine is the flood on the implicit rows x cols torus, the
+// substrate of the 160k-node scale cell: a Topology engine with no
+// between-rounds hook.
+func torusFloodEngine(rows, cols, workers int) (*sim.Engine, error) {
+	torus, err := graph.NewTorusGrid(rows, cols)
+	if err != nil {
+		return nil, err
+	}
+	eng := sim.New(torus, sim.WithSeed(5))
+	eng.SetParallelism(workers)
+	procs := make([]sim.Proc, torus.N())
+	for v := range procs {
+		procs[v] = &perf.FloodProc{}
+	}
+	return eng, eng.Attach(procs)
 }
