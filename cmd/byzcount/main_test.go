@@ -448,6 +448,24 @@ func TestBadSpecRejectedAtOnce(t *testing.T) {
 	}
 }
 
+// TestTinyGeometricPFinishes: a geometric latency drew about 1/P
+// Bernoulli trials per message before capping at CAP, so geo:1e-9@4
+// ran for minutes; a capped draw now stops at CAP-1 trials.
+func TestTinyGeometricPFinishes(t *testing.T) {
+	for _, spec := range []string{"geo:1e-9@4", "geo:1e-300@4"} {
+		done := make(chan error, 1)
+		go func() { done <- run([]string{"run", "-n", "64", "-delay", spec}) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("run -delay %s: %v", spec, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("run -delay %s: still running after 10 s", spec)
+		}
+	}
+}
+
 // TestBenchDiffToleranceRejected: -tolerance NaN passed every
 // regression (exit 0) and -tolerance -1 failed unchanged records; each
 // must be a typed flag error.

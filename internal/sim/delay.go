@@ -106,14 +106,12 @@ func (m GeometricDelay) MaxDelay() int { return m.Cap }
 // Draws returns true.
 func (m GeometricDelay) Draws() bool { return true }
 
-// Delay returns min(GeometricP(P), Cap). The draw happens even when the
-// result caps, so the stream advances identically however Cap is set.
+// Delay returns min(GeometricP(P), Cap), drawing at most Cap-1
+// Bernoulli trials (see xrand.GeometricCapped): the trials stop once
+// the count reaches Cap, so a capped draw advances the stream less than
+// an uncapped one, and a tiny P costs Cap-1 trials, not about 1/P.
 func (m GeometricDelay) Delay(rng *xrand.Rand, _, _, _ int) int {
-	d := rng.GeometricP(m.P)
-	if d > m.Cap {
-		d = m.Cap
-	}
-	return d
+	return rng.GeometricCapped(m.P, m.Cap)
 }
 
 // RegionDelay models per-region latency asymmetry: vertices are

@@ -62,7 +62,7 @@ type TickDriven interface {
 const (
 	dkFixed   uint8 = iota // constant latency d0; no draw
 	dkUniform              // d0 + Intn(dSpan)
-	dkGeo                  // GeometricP(dP) capped at d1
+	dkGeo                  // GeometricCapped(dP, d1)
 	dkRegion               // d0 within a region, d1 across (mod dRegions)
 	dkIface                // unknown model: interface call + counted clamps
 )
@@ -280,10 +280,7 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			case dkUniform:
 				d = vtr.d0 + dRng.Intn(vtr.dSpan)
 			case dkGeo:
-				d = dRng.GeometricP(vtr.dP)
-				if d > vtr.d1 {
-					d = vtr.d1
-				}
+				d = dRng.GeometricCapped(vtr.dP, vtr.d1)
 			case dkRegion:
 				if v%vtr.dRegions == to%vtr.dRegions {
 					d = vtr.d0
@@ -369,10 +366,7 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			case dkUniform:
 				d = vtr.d0 + dRng.Intn(vtr.dSpan)
 			case dkGeo:
-				d = dRng.GeometricP(vtr.dP)
-				if d > vtr.d1 {
-					d = vtr.d1
-				}
+				d = dRng.GeometricCapped(vtr.dP, vtr.d1)
 			case dkRegion:
 				if v%vtr.dRegions == to%vtr.dRegions {
 					d = vtr.d0

@@ -90,15 +90,12 @@ func (r *refRand) Geometric() int {
 	return flips
 }
 
-func (r *refRand) GeometricP(p float64) int {
-	if p >= 1 {
-		return 1
-	}
+func (r *refRand) GeometricCapped(p float64, cap int) int {
 	if p <= 0 {
-		panic("xrand: GeometricP requires p in (0, 1]")
+		panic("xrand: GeometricCapped requires p in (0, 1]")
 	}
 	n := 1
-	for !r.Bernoulli(p) {
+	for n < cap && !r.Bernoulli(p) {
 		n++
 	}
 	return n
@@ -146,7 +143,7 @@ type stream interface {
 	Float64() float64
 	Bernoulli(p float64) bool
 	Geometric() int
-	GeometricP(p float64) int
+	GeometricCapped(p float64, cap int) int
 	Exponential(lambda float64) float64
 	Perm(n int) []int
 	Shuffle(n int, swap func(i, j int))
@@ -172,7 +169,7 @@ var streamOps = []struct {
 		return 0
 	}},
 	{"Geometric", func(r stream) uint64 { return uint64(r.Geometric()) }},
-	{"GeometricP", func(r stream) uint64 { return uint64(r.GeometricP(0.2)) }},
+	{"GeometricCapped", func(r stream) uint64 { return uint64(r.GeometricCapped(0.2, 6)) }},
 	{"Exponential", func(r stream) uint64 { return math.Float64bits(r.Exponential(2)) }},
 	{"Perm", func(r stream) uint64 { return fold(r.Perm(9)) }},
 	{"Shuffle", func(r stream) uint64 {
@@ -310,7 +307,7 @@ func FuzzSourceMatchesStdlib(f *testing.F) {
 //
 //	0 Reseed(8 bytes)             1 Intn(int from 8 bytes, any sign)
 //	2 Float64 ×(b+1)              3 Bernoulli(int8(b)/100) ×(c+1)
-//	4 Geometric ×(b+1)            5 GeometricP(int8(b)/64)
+//	4 Geometric ×(b+1)            5 GeometricCapped(int8(b)/64, c+1)
 //	6 Sample(n=b, k=int8(c) mod (n+2))  7 Int63 ×(b+1)
 //
 // Intn's operand covers n <= 0 (which must panic as math/rand does),
@@ -338,7 +335,8 @@ func FuzzRandMatchesStdlib(f *testing.F) {
 				}
 			case 5:
 				prob := float64(int8(p.next())) / 64
-				sameCall(t, seed, fmt.Sprintf("GeometricP(%g)", prob), got, want, func(r stream) int { return r.GeometricP(prob) })
+				capped := int(p.next()) + 1
+				sameCall(t, seed, fmt.Sprintf("GeometricCapped(%g, %d)", prob, capped), got, want, func(r stream) int { return r.GeometricCapped(prob, capped) })
 			case 6:
 				n := int(p.next())
 				k := int(int8(p.next())) % (n + 2)

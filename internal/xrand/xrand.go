@@ -212,17 +212,18 @@ func (r *Rand) Geometric() int {
 	return flips
 }
 
-// GeometricP returns a geometric random variable with success probability
-// p in (0, 1]: the number of trials up to and including the first success.
-func (r *Rand) GeometricP(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if !(p > 0) { // NaN too: Bernoulli(NaN) never succeeds
-		panic("xrand: GeometricP requires p in (0, 1]")
+// GeometricCapped returns min(G, cap) for a geometric random variable G
+// with success probability p in (0, 1] — the number of trials up to and
+// including the first success — and cap >= 1. It stops drawing once
+// the count reaches cap, since the capped result needs no more trials:
+// a draw costs at most cap-1 Bernoulli trials however small p is, where
+// drawing G itself costs about 1/p.
+func (r *Rand) GeometricCapped(p float64, cap int) int {
+	if !(p > 0) { // NaN too
+		panic("xrand: GeometricCapped requires p in (0, 1]")
 	}
 	n := 1
-	for !r.Bernoulli(p) {
+	for n < cap && !r.Bernoulli(p) {
 		n++
 	}
 	return n

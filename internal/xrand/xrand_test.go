@@ -159,12 +159,12 @@ func TestGeometricPMean(t *testing.T) {
 	for _, p := range []float64{0.25, 0.5, 0.8} {
 		sum := 0
 		for i := 0; i < trials; i++ {
-			sum += r.GeometricP(p)
+			sum += r.GeometricCapped(p, math.MaxInt)
 		}
 		mean := float64(sum) / trials
 		want := 1 / p
 		if math.Abs(mean-want)/want > 0.05 {
-			t.Errorf("GeometricP(%g) mean = %g, want ~%g", p, mean, want)
+			t.Errorf("GeometricCapped(%g, MaxInt) mean = %g, want ~%g", p, mean, want)
 		}
 	}
 }
@@ -172,8 +172,8 @@ func TestGeometricPMean(t *testing.T) {
 func TestGeometricPOne(t *testing.T) {
 	r := New(6)
 	for i := 0; i < 100; i++ {
-		if g := r.GeometricP(1); g != 1 {
-			t.Fatalf("GeometricP(1) = %d, want 1", g)
+		if g := r.GeometricCapped(1, 8); g != 1 {
+			t.Fatalf("GeometricCapped(1, 8) = %d, want 1", g)
 		}
 	}
 }
@@ -184,11 +184,30 @@ func TestGeometricPPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("GeometricP(%g) did not panic", p)
+					t.Errorf("GeometricCapped(%g, 4) did not panic", p)
 				}
 			}()
-			New(1).GeometricP(p)
+			New(1).GeometricCapped(p, 4)
 		}()
+	}
+}
+
+// TestGeometricCappedStopsAtCap: a capped draw stops its trials at the
+// cap. With p = 1e-300 (about 10^300 trials uncapped) and cap 4 it
+// returns 4 after exactly three Bernoulli trials, each one Float64
+// draw, and cap 1 draws nothing.
+func TestGeometricCappedStopsAtCap(t *testing.T) {
+	for _, cap := range []int{1, 4, 1024} {
+		r, ref := New(9), New(9)
+		if g := r.GeometricCapped(1e-300, cap); g != cap {
+			t.Fatalf("GeometricCapped(1e-300, %d) = %d", cap, g)
+		}
+		for range cap - 1 {
+			ref.Float64()
+		}
+		if got, want := r.Uint64(), ref.Uint64(); got != want {
+			t.Errorf("cap %d: the stream advanced by other than %d trials", cap, cap-1)
+		}
 	}
 }
 
