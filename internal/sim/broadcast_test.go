@@ -5,9 +5,10 @@ package sim_test
 // incident edge must produce the same transcript and the same Metrics,
 // field for field, as one that calls AppendBroadcast — under every
 // delivery path (pull on lockstep ticks, serial and parallel, with
-// Sequential procs stepped on the coordinator; push through deliverVT,
-// the parallel admitVT and both merges), every delivery model, with and
-// without an edge capacity that caps some copies.
+// Sequential procs stepped on the coordinator; push through deliverVT
+// into the ring or the parallel buckets and both merges), every
+// delivery model, with and without an edge capacity that caps some
+// copies.
 
 import (
 	"fmt"

@@ -106,10 +106,9 @@ func (m GeometricDelay) MaxDelay() int { return m.Cap }
 // Draws returns true.
 func (m GeometricDelay) Draws() bool { return true }
 
-// Delay returns min(GeometricP(P), Cap), drawing at most Cap-1
+// Delay returns min(1 + a geometric tail, Cap), drawing at most Cap-1
 // Bernoulli trials (see xrand.GeometricCapped): the trials stop once
-// the count reaches Cap, so a capped draw advances the stream less than
-// an uncapped one, and a tiny P costs Cap-1 trials, not about 1/P.
+// the count reaches Cap, so a tiny P costs Cap-1 trials, not about 1/P.
 func (m GeometricDelay) Delay(rng *xrand.Rand, _, _, _ int) int {
 	return rng.GeometricCapped(m.P, m.Cap)
 }

@@ -7,10 +7,11 @@
 // The engine is deterministic: identical seeds and processes produce
 // identical executions, which makes every experiment row reproducible.
 // It runs serially by default; SetParallelism switches it to a sharded
-// worker-pool mode that steps vertices concurrently and then merges
-// outboxes in ascending vertex order, so delivery order, edge-capacity
-// decisions, and metrics are byte-for-byte identical to the serial
-// engine (see the ordering notes on roundVT and mergeShardVT).
+// worker-pool mode that steps vertex ranges concurrently, with every
+// inbox still assembled in ascending sender order, so delivery order,
+// edge-capacity decisions, and metrics are byte-for-byte identical to
+// the serial engine (see the ordering notes on roundVT and
+// mergeShardVT).
 //
 // The network may be static (a graph.Graph — the zero-overhead fast
 // path) or mutable (any other Topology): a mutable topology is
@@ -26,11 +27,13 @@
 // message into a calendar-queue delivery ring, keyed on (deliver tick,
 // sender slot, per-sender send sequence). Lockstep synchrony is the
 // unit-latency model — the default when no DelayModel is installed —
-// whose two-slot ring is the classic current/next double buffer.
-// Partial synchrony is a configuration of the same loop, not a
-// different engine: a DelayModel (and/or FaultModel) draws latencies
-// and losses from per-sender split streams — see delay.go for the
-// determinism argument.
+// whose two-slot ring is the classic current/next double buffer; on an
+// engine without a hook, a capacity or a TickDriven proc a lockstep
+// tick skips the ring and each receiver pulls its inbox from its
+// neighbors' outboxes instead (see pull.go). Partial synchrony is a
+// configuration of the same loop, not a different engine: a DelayModel
+// (and/or FaultModel) draws latencies and losses from per-sender split
+// streams — see delay.go for the determinism argument.
 package sim
 
 import (
@@ -503,8 +506,8 @@ type Engine struct {
 	// across consecutive Run calls.
 	tick int
 	// vtr is the tick's devirtualized model dispatch (see resolveVT),
-	// resolved once per parallel round before the step phase and read
-	// by every worker; serial rounds resolve into a local instead.
+	// resolved once per round before the step phase and read by every
+	// worker.
 	vtr vtRound
 
 	// --- sparse delivery ---
