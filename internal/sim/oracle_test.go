@@ -343,9 +343,13 @@ func oracleSwitch(t *testing.T, kind int, eng *sim.Engine, ref *refEngine, seed 
 }
 
 func TestOracleMatchesEngine(t *testing.T) {
-	configs := []struct{ delay, fault string }{
-		{"", ""}, {"uniform:1-3", ""}, {"gst:5/uniform:1-4", ""},
-		{"", "drop:0.25"}, {"unit", "partition:2@3-9"}, {"unit", ""},
+	configs := []struct {
+		delay, fault string
+		capBits      int
+	}{
+		{"", "", 0}, {"uniform:1-3", "", 0}, {"gst:5/uniform:1-4", "", 0},
+		{"", "drop:0.25", 0}, {"unit", "partition:2@3-9", 0}, {"unit", "", 0},
+		{"", "", 150},
 	}
 	var seen sim.Metrics // sums over all cases, to check what they reached
 	for gseed := uint64(1); gseed <= 4; gseed++ {
@@ -356,9 +360,9 @@ func TestOracleMatchesEngine(t *testing.T) {
 			for _, workers := range workerCounts {
 				for _, skip := range []bool{true, false} {
 					seed := 100*gseed + uint64(ci)
-					name := fmt.Sprintf("g%d/n=%d/%q/%q/workers=%d/skip=%v", gseed, n, c.delay, c.fault, workers, skip)
+					name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/workers=%d/skip=%v", gseed, n, c.delay, c.fault, c.capBits, workers, skip)
 					t.Run(name, func(t *testing.T) {
-						m := oracleCase(t, g, seed, c.delay, c.fault, workers, skip)
+						m := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, workers, skip)
 						seen.Violations += m.Violations
 						seen.Capped += m.Capped
 						seen.Dropped += m.Dropped
@@ -377,7 +381,7 @@ func TestOracleMatchesEngine(t *testing.T) {
 // and compares the engine with the reference. The seed's hundreds
 // (the graph) pick the substrate path, and its parity with the
 // configuration index whether TickDriven programs are attached.
-func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, workers int, skip bool) sim.Metrics {
+func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, workers int, skip bool) sim.Metrics {
 	delay, err := sim.ParseDelayModel(delaySpec)
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +398,7 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 	eng := sim.New(topo, sim.WithSeed(seed))
 	eng.SetParallelism(workers)
 	eng.SetTickSkip(skip)
+	eng.SetEdgeCapacity(capBits)
 	if delay != nil {
 		eng.SetDelayModel(delay)
 	}
@@ -427,7 +432,7 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 		t.Fatal(err)
 	}
 	ref := newRefEngine(g, seed, ids, refProcs)
-	ref.delay, ref.fault, ref.noSkip = delay, fault, !skip
+	ref.delay, ref.fault, ref.capBits, ref.noSkip = delay, fault, capBits, !skip
 	for left := 40; left > 0; {
 		chunk := 1 + rng.Intn(min(left, 12))
 		left -= chunk

@@ -201,13 +201,14 @@ type Env struct {
 	root *xrand.Rand
 
 	// scratch[p] is the output of the env's last Step at a tick of
-	// parity p, and the buffer Scratch hands out at the next such tick
-	// (par is the parity of the tick being stepped). Two buffers because
-	// a pulling engine reads a sender's output during the tick after it
-	// was sent, while the sender already builds the next one. Each
-	// vertex is stepped by exactly one goroutine per round, and the
-	// engine adopts every returned slice here (keeping any growth),
-	// which is what makes steady-state sending allocation-free.
+	// parity p — its outbox — and the buffer Scratch hands out at the
+	// next such tick (par is the parity of the tick being stepped). Two
+	// buffers, because a pulling engine's receivers read a sender's
+	// output during the tick after it was sent, while the sender
+	// already builds the next one. Each vertex is stepped by exactly one
+	// goroutine per round, and the engine adopts every returned slice
+	// here (keeping any growth), which is what makes steady-state
+	// sending allocation-free.
 	scratch [2][]Outgoing
 	par     uint8
 }
@@ -373,6 +374,7 @@ type workerState struct {
 	vtb [][]routed
 
 	messages     int64
+	senders      int // vertices with a non-empty output (pull ticks)
 	bits         int64
 	violations   int64
 	capped       int64
@@ -452,16 +454,26 @@ type Engine struct {
 
 	metrics Metrics
 
-	// sortedAdj[v] is v's adjacency, deduplicated and sorted ascending.
-	// A sender with a unicast entry stamps these into its worker's
-	// nbrMark array so destination checks are one compare (replaces the
-	// old []map[int]bool, whose per-vertex maps dominated setup memory),
-	// and a pulling receiver walks them to visit its senders in order.
+	// sortedAdj[v] is v's neighbor multiset sorted ascending. A sender
+	// with a unicast entry stamps these into its worker's nbrMark array
+	// so destination checks are one compare (replaces the old
+	// []map[int]bool, whose per-vertex maps dominated setup memory), and
+	// a pulling receiver walks them to visit its senders in order.
 	sortedAdj [][]int32
 	// multi[v] marks a vertex that lists a neighbor more than once — a
 	// parallel edge, or a self-loop that a graph lists twice — whose
 	// pull takes the multiplicity walk (see pullMulti).
 	multi []bool
+	// bcast[p][v] summarizes v's outbox of tick parity p
+	// (Env.scratch[p]) for a pull in one load from a compact array: the
+	// Incoming every neighbor receives when the output is one
+	// AllNeighbors entry, else From is outEmpty or outMixed.
+	bcast [2][]Incoming
+	// senders counts the vertices whose output of the last tick is
+	// non-empty, and mail[v] marks, on a tick after a sparse one, a
+	// receiver with a sending neighbor (see pullScope).
+	senders int
+	mail    []bool
 
 	// --- virtual time ---
 	// delay/fault are the delivery models; nil delay means unit latency
@@ -484,7 +496,7 @@ type Engine struct {
 	// builds it.
 	ring [][][]Incoming
 	// pulled reports that the messages sent at the last tick wait in
-	// the senders' outboxes (Env.scratch) for a pull, not in the ring;
+	// the senders' outboxes for a pull, not in the ring;
 	// nothing is in flight on a fresh engine, so it starts true.
 	pulled bool
 	// pullMode is the delivery the worker state was built for (see
@@ -632,8 +644,12 @@ func newStaticEngine(g *graph.Graph, seed uint64) *Engine {
 			nbrs = append(nbrs, int(w))
 			ids = append(ids, e.ids[w])
 		}
-		e.sortedAdj[v] = g.SortedAdj(v)
-		e.multi[v] = len(adj) != len(e.sortedAdj[v])
+		e.sortedAdj[v] = g.SortedAdj(v) // deduplicated
+		if len(adj) != len(e.sortedAdj[v]) {
+			e.sortedAdj[v] = slices.Clone(adj)
+			slices.Sort(e.sortedAdj[v])
+			e.multi[v] = true
+		}
 		e.envs[v].ID = e.ids[v]
 		e.envs[v].Degree = len(adj)
 		e.envs[v].Neighbors = nbrs
@@ -704,10 +720,13 @@ func newEngine(n int, seed uint64) *Engine {
 		vertexOf:  make(map[NodeID]int, n),
 		sortedAdj: make([][]int32, n),
 		multi:     make([]bool, n),
+		mail:      make([]bool, n),
+		bcast:     [2][]Incoming{make([]Incoming, n), make([]Incoming, n)},
 	}
 	e.metrics.PerNodeMaxBit = make([]int, n)
 	for v := 0; v < n; v++ {
 		e.envs[v] = Env{Vertex: v, root: root}
+		e.bcast[0][v].From, e.bcast[1][v].From = outEmpty, outEmpty
 	}
 	return e
 }
@@ -721,17 +740,6 @@ func (e *Engine) assignID(v int) {
 	}
 	e.vertexOf[id] = v
 	e.ids[v] = id
-}
-
-// dedupSorted compacts consecutive duplicates (parallel edges) in place.
-func dedupSorted(s []int32) []int32 {
-	out := s[:0]
-	for i, x := range s {
-		if i == 0 || x != s[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // Attach installs one process per vertex slot. It must be called before
@@ -939,6 +947,9 @@ func (e *Engine) growTo(m int) {
 		e.envs = append(e.envs, Env{Vertex: v, root: e.root})
 		e.sortedAdj = append(e.sortedAdj, nil)
 		e.multi = append(e.multi, false)
+		e.mail = append(e.mail, false)
+		e.bcast[0] = append(e.bcast[0], Incoming{From: outEmpty})
+		e.bcast[1] = append(e.bcast[1], Incoming{From: outEmpty})
 		e.metrics.PerNodeMaxBit = append(e.metrics.PerNodeMaxBit, 0)
 		if e.epochOf != nil {
 			e.epochOf = append(e.epochOf, staleEpoch)
@@ -998,8 +1009,11 @@ func (e *Engine) refreshVertex(v int) {
 		sa = append(sa, int32(w))
 	}
 	slices.Sort(sa)
-	e.sortedAdj[v] = dedupSorted(sa)
-	e.multi[v] = len(nbrs) != len(e.sortedAdj[v])
+	e.sortedAdj[v] = sa
+	e.multi[v] = false
+	for i := 1; i < len(sa); i++ {
+		e.multi[v] = e.multi[v] || sa[i] == sa[i-1]
+	}
 	// Stamp the topology's live epoch, not the per-round cache: during a
 	// round they are equal (topologies mutate only between rounds), but
 	// an AttachAt-time refresh runs after the hook's mutations bumped the
@@ -1325,8 +1339,11 @@ func (e *Engine) faultStream(v int) *xrand.Rand {
 // independent of worker scheduling.
 func (e *Engine) flushRound() int64 {
 	var roundMsgs int64
+	e.senders = 0
 	for _, ws := range e.ws {
 		roundMsgs += ws.messages
+		e.senders += ws.senders
+		ws.senders = 0
 		e.metrics.Messages += ws.messages
 		e.metrics.Bits += ws.bits
 		e.metrics.Violations += ws.violations
@@ -1451,7 +1468,7 @@ func (e *Engine) mergeShardVT(s int) {
 //     shard and drains every worker's buckets into the ring in worker
 //     order (see mergeShardVT for the ordering argument). A pull needs
 //     none: receivers read only the last tick's outboxes and senders
-//     write only this tick's (Env.scratch is double-buffered).
+//     write only this tick's (the outboxes are double-buffered).
 //
 // Metrics are worker-local sums/maxes flushed after the round. The net
 // effect is byte-for-byte equivalence across worker counts, at zero
@@ -1533,7 +1550,7 @@ func (e *Engine) stepSequential(r int) int {
 			live++
 		}
 		// The pool is parked, so the coordinator may pull into ws[0].
-		e.seqOut[v] = e.step(e.ws[0], v, r, box)
+		e.seqOut[v] = e.step(e.ws[0], v, r, box, true)
 		if td && p.Halted() {
 			e.tdLive--
 		}

@@ -207,7 +207,10 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 	n := e.n
 	tick, window := e.tick, e.window
 	span := window - 1
-	vtr := &e.vtr
+	// base+d is the copy's slot (tick+d) mod window, less one window
+	// when it wraps: 1 <= d < window, so no division per copy.
+	base := tick % window
+	vtr := e.vtr
 	capBits := e.edgeCapBits
 	if capBits > 0 && ws.budget == nil {
 		ws.budget = make([]int, n)
@@ -222,6 +225,14 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 	maxSent := perNodeMax[v]
 	sparse := e.sparse
 	bucketed := len(e.ranges) > 1
+	// A lockstep tick that pushes (churn, or past a GST) on a serial
+	// engine without a capacity or TickDriven procs puts each broadcast
+	// straight into the one destination slot: through the per-copy
+	// pipeline below the churn experiments took about a fifth more CPU.
+	var lockstep [][]Incoming
+	if vtr.dk == dkFixed && vtr.fk == fkNone && capBits == 0 && !bucketed && !sparse {
+		lockstep = e.ring[(tick+vtr.d0)%window]
+	}
 	var dRng, fRng *xrand.Rand
 	if vtr.needD {
 		dRng = e.delayStream(v)
@@ -310,7 +321,10 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 				ws.vtb[idx] = append(ws.vtb[idx], routed{to: int32(to), from: int32(v), payload: payload})
 				continue
 			}
-			si := (tick + d) % window
+			si := base + d
+			if si >= window {
+				si -= window
+			}
 			dst := e.ring[si]
 			if sparse {
 				if len(dst[to]) == 0 {
@@ -324,6 +338,20 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			// header, pointer included, under the GC write barrier on
 			// every message.
 			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
+			continue
+		}
+		if lockstep != nil {
+			in := Incoming{From: v, FromID: fromID, Payload: payload}
+			for _, to := range nbrs {
+				// In place: no header store (see the unicast arm).
+				lockstep[to] = append(lockstep[to], in)
+			}
+			if len(nbrs) > 0 {
+				msgs += int64(len(nbrs))
+				totalBits += int64(len(nbrs)) * int64(bits)
+				ws.maxMsgBits = max(ws.maxMsgBits, bits)
+				maxSent = max(maxSent, bits)
+			}
 			continue
 		}
 		for _, to := range nbrs {
@@ -396,7 +424,10 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 				ws.vtb[idx] = append(ws.vtb[idx], routed{to: int32(to), from: int32(v), payload: payload})
 				continue
 			}
-			si := (tick + d) % window
+			si := base + d
+			if si >= window {
+				si -= window
+			}
 			dst := e.ring[si]
 			if sparse {
 				if len(dst[to]) == 0 {
@@ -438,27 +469,40 @@ func (e *Engine) unicastMarks(ws *workerState, v int, out []Outgoing) []uint64 {
 
 // step steps live vertex v at this tick on its inbox — its row of box,
 // emptied for the slot's next use, or with box nil a pull from its
-// neighbors' outboxes — and records the output as v's outbox of the
-// tick's parity, where a pull reads it next tick.
-func (e *Engine) step(ws *workerState, v, r int, box [][]Incoming) []Outgoing {
+// neighbors' outboxes, or nothing when pull is false (no neighbor
+// sent) — and records the output as v's outbox of the tick's parity,
+// where a pull reads it next tick.
+func (e *Engine) step(ws *workerState, v, r int, box [][]Incoming, pull bool) []Outgoing {
 	if e.topo != nil && e.epochOf[v] != e.curEpoch {
 		e.catchUpVertex(v)
 	}
-	env := &e.envs[v]
 	par := e.tick & 1
-	env.par = uint8(par)
 	var in []Incoming
 	if box != nil {
 		in = box[v]
 		box[v] = in[:0]
-	} else {
+	} else if pull {
 		in = e.pull(ws, v, par^1)
 	}
+	env := &e.envs[v]
+	env.par = uint8(par)
 	out := e.procs[v].Step(env, r, in)
-	if len(out) == 0 {
-		out = env.scratch[par][:0]
+	ob, b := &env.scratch[par], &e.bcast[par][v]
+	switch {
+	case len(out) == 0:
+		*ob = (*ob)[:0]
+		b.From = outEmpty
+		return out
+	case cap(out) == cap(*ob) && &out[:1][0] == &(*ob)[:1][0]:
+		*ob = (*ob)[:len(out)] // the scratch buffer itself: no pointer store
+	default:
+		*ob = out
 	}
-	env.scratch[par] = out
+	if len(out) == 1 && out[0].To == AllNeighbors {
+		*b = Incoming{From: v, FromID: e.ids[v], Payload: out[0].Payload}
+	} else {
+		b.From = outMixed
+	}
 	return out
 }
 
@@ -467,6 +511,7 @@ func (e *Engine) step(ws *workerState, v, r int, box [][]Incoming) []Outgoing {
 func (e *Engine) idle(v int, box [][]Incoming) {
 	par := e.tick & 1
 	e.envs[v].scratch[par] = e.envs[v].scratch[par][:0]
+	e.bcast[par][v].From = outEmpty
 	if box != nil {
 		box[v] = box[v][:0]
 	}
@@ -619,7 +664,7 @@ func (e *Engine) stepShardSparseVT(i int) {
 		if !td {
 			ws.liveAlways++
 		}
-		e.deliverVT(ws, v, e.step(ws, v, r, box))
+		e.deliverVT(ws, v, e.step(ws, v, r, box, true))
 		if td && p.Halted() {
 			ws.tdHalts++
 		}
@@ -687,29 +732,38 @@ func (e *Engine) SetTickSkip(on bool) { e.skip = on }
 // stepRange is the dense walk of one tick over range i (the whole slot
 // space on a serial engine): it steps the range's live vertices in
 // ascending order — taking the coordinator's output for Sequential
-// vertices of a parallel engine — and pulls each one's inbox and counts
-// what it sends, or, on an engine that pushes, takes the inbox from the
-// ring and admits the output (see deliverVT). Every vertex is owned by
-// exactly one goroutine per tick, so its inbox row, env, proc and
-// PerNodeMaxBit entry are touched race-free.
+// vertices of a parallel engine — and pulls each one's inbox (see
+// pullScope) and counts what it sends, or, on an engine that pushes,
+// takes the inbox from the ring and admits the output (see deliverVT).
+// Every vertex is owned by exactly one goroutine per tick, so its inbox
+// row, env, proc and PerNodeMaxBit entry are touched race-free.
 func (e *Engine) stepRange(i int) {
 	ws := e.ws[i]
 	box := e.curBox()
+	scope := pullAll
+	if box == nil {
+		scope = e.pullScope(i)
+	}
 	seq := len(e.seq) > 0 && len(e.ranges) > 1
 	for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
 		var out []Outgoing
-		if seq && e.isSeq[v] {
+		switch p := e.procs[v]; {
+		case seq && e.isSeq[v]:
 			out = e.seqOut[v]
-		} else if p := e.procs[v]; p == nil || p.Halted() {
+		case p == nil || p.Halted():
 			e.idle(v, box)
-			continue
-		} else {
+		default:
 			ws.allHalted = false
-			out = e.step(ws, v, e.round, box)
+			out = e.step(ws, v, e.round, box, scope == pullAll || scope == pullMarked && e.mail[v])
 		}
-		if e.pullMode {
+		if scope == pullMarked {
+			e.mail[v] = false
+		}
+		switch {
+		case len(out) == 0:
+		case e.pullMode:
 			e.countSent(ws, v, out)
-		} else {
+		default:
 			e.deliverVT(ws, v, out)
 		}
 	}
