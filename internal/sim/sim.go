@@ -1171,10 +1171,11 @@ func (e *Engine) applyOutboxReserve() {
 // SetParallelism sets the number of Step-shard workers used by Run.
 // Values <= 1 select the serial engine. Parallel execution is
 // deterministic and bit-identical to serial execution for any worker
-// count: vertices are stepped concurrently into per-shard outboxes that
-// are merged in ascending sender order, and processes that share mutable
-// state across vertices (see Sequential) are stepped on one goroutine in
-// vertex order.
+// count: vertex ranges are stepped concurrently, every inbox is still
+// assembled in ascending sender order (pulled from the senders'
+// outboxes, or merged from per-shard buckets), and processes that share
+// mutable state across vertices (see Sequential) are stepped on one
+// goroutine in vertex order. Messages in flight survive the change.
 func (e *Engine) SetParallelism(workers int) {
 	if workers < 1 {
 		workers = 1
