@@ -8,7 +8,10 @@ package sim_test
 // must agree under every delivery configuration, with Run split into
 // random chunks and the configuration switched between chunks (edge
 // capacity, a between-rounds hook, parallelism, a Detach/AttachAt
-// replacement), tick skipping on and off.
+// replacement), tick skipping on and off. One of the hooks churns:
+// at round boundaries it detaches random vertices and attaches fresh
+// plain, Sequential and, where the case has them, TickDriven programs
+// in their place.
 
 import (
 	"fmt"
@@ -29,19 +32,24 @@ type refMsg struct {
 }
 
 type refEngine struct {
-	g            *graph.Graph
-	seed         uint64
-	procs        []sim.Proc
-	envs         []sim.Env
-	ids          []sim.NodeID
-	delay        sim.DelayModel
-	fault        sim.FaultModel
-	capBits      int
-	hook, noSkip bool
-	sparse       bool // a TickDriven proc was attached by Attach
-	streams      map[string]*xrand.Rand
-	flight       []refMsg
-	m            sim.Metrics
+	g       *graph.Graph
+	seed    uint64
+	procs   []sim.Proc
+	envs    []sim.Env
+	ids     []sim.NodeID
+	delay   sim.DelayModel
+	fault   sim.FaultModel
+	capBits int
+	noSkip  bool
+	// hook, if non-nil, runs at every round boundary, as the engine's
+	// between-rounds hook does, and reports whether it attached a
+	// process; kept counts the rounds that would have ended the run
+	// had it not.
+	hook    func(tick int) bool
+	kept    int
+	streams map[string]*xrand.Rand
+	flight  []refMsg
+	m       sim.Metrics
 }
 
 func newRefEngine(g *graph.Graph, seed uint64, ids []sim.NodeID, procs []sim.Proc) *refEngine {
@@ -54,9 +62,6 @@ func newRefEngine(g *graph.Graph, seed uint64, ids []sim.NodeID, procs []sim.Pro
 		r.envs[v].Vertex, r.envs[v].Degree = v, len(r.envs[v].Neighbors)
 	}
 	r.setIDs()
-	for _, p := range procs {
-		r.sparse = r.sparse || isTickDriven(p)
-	}
 	r.m.PerNodeMaxBit = make([]int, g.N())
 	return r
 }
@@ -81,7 +86,8 @@ func (r *refEngine) stream(label string, v int) *xrand.Rand {
 	return r.streams[key]
 }
 
-// replace is Detach(v) followed by AttachAt(v, id, p) between Runs.
+// replace is Detach(v) followed by AttachAt(v, id, p): the leaver's
+// copies in flight are dropped.
 func (r *refEngine) replace(v int, id sim.NodeID, p sim.Proc) {
 	r.flight = slices.DeleteFunc(r.flight, func(m refMsg) bool { return m.to == v })
 	r.procs[v], r.ids[v] = p, id
@@ -98,15 +104,16 @@ func (r *refEngine) live(td bool) int {
 	return n
 }
 
-// Run has sim.Engine.Run's contract: a round in which no proc was live
-// ends the run (counted, but not in the return value). With TickDriven
-// procs attached the verdict is taken after the round instead, and an
-// empty round is skipped when only TickDriven procs are live.
+// Run has sim.Engine.Run's contract: a round ends the run (counted,
+// but not in the return value) when no round-driven proc was live at
+// its start, no TickDriven proc is live at its end, and the hook
+// attached nothing. Without a hook, an empty round is skipped when only
+// TickDriven procs are live.
 func (r *refEngine) Run(maxRounds int) int {
 	for round := 0; round < maxRounds; round++ {
 		tick := r.m.Rounds
 		due := slices.ContainsFunc(r.flight, func(m refMsg) bool { return m.due == tick })
-		if r.sparse && !r.noSkip && !r.hook && !due && r.live(false) == 0 && r.live(true) > 0 {
+		if !r.noSkip && r.hook == nil && !due && r.live(false) == 0 && r.live(true) > 0 {
 			r.m.Rounds++
 			r.m.TicksSkipped++
 			r.m.MessagesByRound = append(r.m.MessagesByRound, 0)
@@ -123,7 +130,6 @@ func (r *refEngine) Run(maxRounds int) int {
 		}
 		r.flight = rest
 		liveAlways, sent := r.live(false), r.m.Messages
-		anyLive := liveAlways+r.live(true) > 0
 		for v, p := range r.procs {
 			if p != nil && !p.Halted() {
 				r.admit(v, tick, p.Step(&r.envs[v], round, inbox[v]))
@@ -131,7 +137,12 @@ func (r *refEngine) Run(maxRounds int) int {
 		}
 		r.m.Rounds++
 		r.m.MessagesByRound = append(r.m.MessagesByRound, r.m.Messages-sent)
-		if (r.sparse && liveAlways == 0 && r.live(true) == 0) || (!r.sparse && !anyLive) {
+		halted := liveAlways == 0 && r.live(true) == 0
+		if r.hook != nil && r.hook(r.m.Rounds) {
+			r.kept += boolInt(halted)
+			halted = false
+		}
+		if halted {
 			return round
 		}
 	}
@@ -303,55 +314,141 @@ func oracleGraph(n int, rng *xrand.Rand) *graph.Graph {
 // path over the same adjacency.
 type topoOf struct{ *graph.Graph }
 
-// oracleSwitch is one configuration change applied between two Run
-// chunks, to the engine and the reference alike. A replaced program's
-// engine and reference cores are appended to cores.
-func oracleSwitch(t *testing.T, kind int, eng *sim.Engine, ref *refEngine, seed uint64, cores *[][2]*prog) {
+// oracleRun is one case's state shared by the configuration switches
+// and the churning hook: the two engines, and the cores of every
+// program attached, whose transcripts must agree.
+type oracleRun struct {
+	t     *testing.T
+	eng   *sim.Engine
+	ref   *refEngine
+	seed  uint64
+	kinds int // program kinds the case attaches (see oracleCase)
+	halt  int // per-mille halt chance of every program, if not zero
+	cores [][2]*prog
+	// swap draws the replacements made between Runs, and churn those of
+	// the churning hook; replay holds the hook's replacements the
+	// reference has yet to apply, and churned counts them all.
+	swap    *xrand.Rand
+	churn   *xrand.Rand
+	replay  []churnStep
+	churned int
+}
+
+// churnStep is one replacement made by the engine's hook, which the
+// reference applies at the same round boundary.
+type churnStep struct {
+	tick, v int
+	id      sim.NodeID
+	p       sim.Proc
+}
+
+// fresh builds a new program of the given kind for vertex v, one copy
+// for each engine, and a node ID no other program holds.
+func (o *oracleRun) fresh(v, kind int) (eng, ref sim.Proc, id sim.NodeID) {
+	k := o.seed<<8 + uint64(len(o.cores))
+	eng, core := newProg(k, v, kind)
+	ref, refCore := newProg(k, v, kind)
+	o.attached([2]*prog{core, refCore})
+	return eng, ref, sim.NodeID(k<<24 | 0xabc)
+}
+
+// attached sets the halt chance of a new program's two cores by the
+// case's rule and records them.
+func (o *oracleRun) attached(c [2]*prog) {
+	switch {
+	case o.halt > 0:
+		c[0].haltPerMill, c[1].haltPerMill = o.halt, o.halt
+	case o.kinds == 4 && !c[0].td:
+		// Round-driven programs halt early, so runs of relays-only
+		// ticks, which the engine may skip when empty, follow.
+		c[0].haltPerMill, c[1].haltPerMill = 120, 120
+	}
+	o.cores = append(o.cores, c)
+}
+
+// churnEngine is the churning hook on the engine: at half the
+// boundaries it replaces one or two random vertices with fresh
+// programs of the case's kinds.
+func (o *oracleRun) churnEngine(int) error {
+	tick := o.eng.Metrics().Rounds
+	for k := o.churn.Intn(4) - 1; k > 0; k-- {
+		v := o.churn.Intn(len(o.ref.procs))
+		np, rp, id := o.fresh(v, o.churn.Intn(o.kinds))
+		if err := o.eng.Detach(v); err != nil {
+			return err
+		}
+		if err := o.eng.AttachAt(v, id, np); err != nil {
+			return err
+		}
+		o.replay = append(o.replay, churnStep{tick: tick, v: v, id: id, p: rp})
+		o.churned++
+	}
+	return nil
+}
+
+// churnRef is the churning hook on the reference: it applies the
+// engine's replacements made at the same boundary.
+func (o *oracleRun) churnRef(tick int) bool {
+	attached := false
+	for len(o.replay) > 0 && o.replay[0].tick == tick {
+		s := o.replay[0]
+		o.ref.replace(s.v, s.id, s.p)
+		o.replay = o.replay[1:]
+		attached = true
+	}
+	return attached
+}
+
+// setHook installs hook on the engine and ref on the reference, or
+// removes both when a hook is installed already.
+func (o *oracleRun) setHook(hook func(int) error, ref func(int) bool) {
+	if o.ref.hook != nil {
+		hook, ref = nil, nil
+	}
+	o.ref.hook = ref
+	o.eng.SetBetweenRounds(hook)
+}
+
+// switchConfig applies one configuration change between two Run
+// chunks, to the engine and the reference alike.
+func (o *oracleRun) switchConfig(kind int) {
+	eng, ref := o.eng, o.ref
 	switch kind {
 	case 1: // edge capacity on or off
 		ref.capBits = 150 - ref.capBits
 		eng.SetEdgeCapacity(ref.capBits)
-	case 2: // between-rounds hook on or off
-		ref.hook = !ref.hook
-		if ref.hook {
-			eng.SetBetweenRounds(func(int) error { return nil })
-		} else {
-			eng.SetBetweenRounds(nil)
-		}
+	case 2: // a hook that does nothing, on or off
+		o.setHook(func(int) error { return nil }, func(int) bool { return false })
 	case 3:
 		eng.SetParallelism(map[bool]int{true: 1, false: 3}[eng.Parallelism() > 1])
-	case 4: // replace the first live plain program
-		for v, p := range ref.procs {
-			if pp, ok := p.(*prog); !ok || pp.halted {
-				continue
-			}
-			k := seed<<8 + uint64(len(*cores))
-			id := sim.NodeID(k<<24 | 0xabc)
-			np, core := newProg(k, v, 0)
-			rp, refCore := newProg(k, v, 0)
-			if err := eng.Detach(v); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.AttachAt(v, id, np); err != nil {
-				t.Fatal(err)
-			}
-			ref.replace(v, id, rp)
-			*cores = append(*cores, [2]*prog{core, refCore})
-			return
+	case 4: // replace a random program
+		v := o.swap.Intn(len(ref.procs))
+		np, rp, id := o.fresh(v, o.swap.Intn(o.kinds))
+		if err := eng.Detach(v); err != nil {
+			o.t.Fatal(err)
 		}
+		if err := eng.AttachAt(v, id, np); err != nil {
+			o.t.Fatal(err)
+		}
+		ref.replace(v, id, rp)
+	case 5: // the churning hook, on or off
+		o.setHook(o.churnEngine, o.churnRef)
 	}
 }
 
 func TestOracleMatchesEngine(t *testing.T) {
+	// The last configuration's programs halt often, so that runs end
+	// and the churning hook meets rounds in which every program halted.
 	configs := []struct {
-		delay, fault string
-		capBits      int
+		delay, fault  string
+		capBits, halt int
 	}{
-		{"", "", 0}, {"uniform:1-3", "", 0}, {"gst:5/uniform:1-4", "", 0},
-		{"", "drop:0.25", 0}, {"unit", "partition:2@3-9", 0}, {"unit", "", 0},
-		{"", "", 150},
+		{"", "", 0, 0}, {"uniform:1-3", "", 0, 0}, {"gst:5/uniform:1-4", "", 0, 0},
+		{"", "drop:0.25", 0, 0}, {"unit", "partition:2@3-9", 0, 0}, {"unit", "", 0, 0},
+		{"", "", 150, 0}, {"uniform:1-2", "", 0, 250},
 	}
 	var seen sim.Metrics // sums over all cases, to check what they reached
+	churned, kept := 0, 0
 	for gseed := uint64(1); gseed <= 4; gseed++ {
 		rng := xrand.New(7000 + gseed)
 		n := 16 + rng.Intn(25)
@@ -360,9 +457,11 @@ func TestOracleMatchesEngine(t *testing.T) {
 			for _, workers := range workerCounts {
 				for _, skip := range []bool{true, false} {
 					seed := 100*gseed + uint64(ci)
-					name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/workers=%d/skip=%v", gseed, n, c.delay, c.fault, c.capBits, workers, skip)
+					name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/halt=%d/workers=%d/skip=%v", gseed, n, c.delay, c.fault, c.capBits, c.halt, workers, skip)
 					t.Run(name, func(t *testing.T) {
-						m := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, workers, skip)
+						m, o := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, c.halt, workers, skip)
+						churned += o.churned
+						kept += o.ref.kept
 						seen.Violations += m.Violations
 						seen.Capped += m.Capped
 						seen.Dropped += m.Dropped
@@ -372,16 +471,18 @@ func TestOracleMatchesEngine(t *testing.T) {
 			}
 		}
 	}
-	if seen.Violations == 0 || seen.Capped == 0 || seen.Dropped == 0 || seen.TicksSkipped == 0 {
-		t.Errorf("the cases never reached one of violations, capping, drops and tick skips: %+v", seen)
+	if seen.Violations == 0 || seen.Capped == 0 || seen.Dropped == 0 || seen.TicksSkipped == 0 || churned == 0 || kept == 0 {
+		t.Errorf("the cases never reached one of violations, capping, drops, tick skips, hook churn and a run kept going by it: %+v, %d replacements, %d rounds kept", seen, churned, kept)
 	}
 }
 
 // oracleCase runs one configuration for 40 rounds in random Run chunks
-// and compares the engine with the reference. The seed's hundreds
-// (the graph) pick the substrate path, and its parity with the
-// configuration index whether TickDriven programs are attached.
-func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, workers int, skip bool) sim.Metrics {
+// and compares the engine with the reference; it returns the engine's
+// metrics and the case's state. The seed's hundreds (the graph) pick
+// the substrate path, and its parity with the configuration index
+// whether TickDriven programs are attached. A nonzero halt is every
+// program's per-mille chance to halt at a step.
+func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, halt, workers int, skip bool) (sim.Metrics, *oracleRun) {
 	delay, err := sim.ParseDelayModel(delaySpec)
 	if err != nil {
 		t.Fatal(err)
@@ -408,24 +509,19 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 	n := g.N()
 	procs, refProcs := make([]sim.Proc, n), make([]sim.Proc, n)
 	ids := make([]sim.NodeID, n)
-	var cores [][2]*prog
 	// Kinds: 0 plain, 1 Sequential, 2 TickDriven, 3 both. TickDriven
 	// programs only relay, so plain programs stay among them.
-	kinds := 2
+	o := &oracleRun{t: t, eng: eng, seed: seed, kinds: 2, halt: halt,
+		swap: xrand.New(seed).Split("swap"), churn: xrand.New(seed).Split("churn")}
 	if (seed/100+seed%100)%2 == 1 {
-		kinds = 4
+		o.kinds = 4
 	}
 	for v := range procs {
-		kind := rng.Intn(kinds)
+		kind := rng.Intn(o.kinds)
 		var c [2]*prog
 		procs[v], c[0] = newProg(seed, v, kind)
 		refProcs[v], c[1] = newProg(seed, v, kind)
-		if kinds == 4 && !c[0].td {
-			// Plain programs halt early, so runs of relays-only ticks,
-			// which the engine may skip when empty, follow.
-			c[0].haltPerMill, c[1].haltPerMill = 120, 120
-		}
-		cores = append(cores, c)
+		o.attached(c)
 		ids[v] = eng.ID(v)
 	}
 	if err := eng.Attach(procs); err != nil {
@@ -433,6 +529,7 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 	}
 	ref := newRefEngine(g, seed, ids, refProcs)
 	ref.delay, ref.fault, ref.capBits, ref.noSkip = delay, fault, capBits, !skip
+	o.ref = ref
 	for left := 40; left > 0; {
 		chunk := 1 + rng.Intn(min(left, 12))
 		left -= chunk
@@ -443,9 +540,12 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 		if want := ref.Run(chunk); got != want {
 			t.Fatalf("Run(%d) = %d, reference %d", chunk, got, want)
 		}
-		oracleSwitch(t, rng.Intn(6), eng, ref, seed, &cores)
+		o.switchConfig(rng.Intn(6))
 	}
-	for i, c := range cores {
+	if len(o.replay) > 0 {
+		t.Errorf("the reference never reached the boundary of %d hook replacements", len(o.replay))
+	}
+	for i, c := range o.cores {
 		if c[0].sum != c[1].sum {
 			t.Errorf("program %d (vertex %d) transcript %016x, reference %016x", i, i%n, c[0].sum, c[1].sum)
 			break
@@ -458,5 +558,5 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 	if got.Messages == 0 {
 		t.Error("no message was delivered")
 	}
-	return got
+	return got, o
 }
