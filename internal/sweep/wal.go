@@ -24,6 +24,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // LogName is the cell log's filename inside a sweep directory.
@@ -148,9 +149,12 @@ func OpenLog(dir string) (*Log, []Record, error) {
 
 // decodeAll parses every whole record in data, returning them plus the
 // byte offset of the end of the last whole record. An incomplete
-// suffix (truncated header or payload at EOF) is tolerated; anything
-// malformed that is followed by more data, or a checksum mismatch on a
-// complete record, is a *CorruptError.
+// suffix (truncated header or payload at EOF) is tolerated as a torn
+// tail; anything malformed, a checksum mismatch on a complete record,
+// or an incomplete suffix holding a newline is a *CorruptError. A torn
+// tail never holds one: payloads are newline-free JSON and a frame's
+// newline is its last byte, so a newline after the last whole frame
+// means a damaged length field claims whole records that follow.
 func decodeAll(path string, data []byte) ([]Record, int64, error) {
 	var recs []Record
 	off := int64(0)
@@ -159,20 +163,21 @@ func decodeAll(path string, data []byte) ([]Record, int64, error) {
 		if len(rest) < headerLen {
 			break // torn tail: header cut off by a crash
 		}
-		var plen, sum uint32
-		if _, err := fmt.Sscanf(string(rest[:headerLen]), "%08x %08x ", &plen, &sum); err != nil ||
-			rest[8] != ' ' || rest[17] != ' ' {
+		plen, errLen := strconv.ParseUint(string(rest[:8]), 16, 32)
+		sum, errSum := strconv.ParseUint(string(rest[9:17]), 16, 32)
+		if errLen != nil || errSum != nil || rest[8] != ' ' || rest[17] != ' ' {
 			return nil, 0, &CorruptError{Path: path, Offset: off, Reason: "malformed frame header"}
 		}
-		end := headerLen + int(plen) + 1
-		if len(rest) < end {
+		// plen < 2^32, so the sum cannot overflow even where int is 32 bits.
+		if uint64(len(rest)) < headerLen+plen+1 {
 			break // torn tail: payload cut off by a crash
 		}
-		payload := rest[headerLen : headerLen+int(plen)]
+		end := headerLen + int(plen) + 1
+		payload := rest[headerLen : end-1]
 		if rest[end-1] != '\n' {
 			return nil, 0, &CorruptError{Path: path, Offset: off, Reason: "missing record terminator"}
 		}
-		if got := crc32.Checksum(payload, castagnoli); got != sum {
+		if got := crc32.Checksum(payload, castagnoli); got != uint32(sum) {
 			return nil, 0, &CorruptError{Path: path, Offset: off,
 				Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", sum, got)}
 		}
@@ -182,6 +187,9 @@ func decodeAll(path string, data []byte) ([]Record, int64, error) {
 		}
 		recs = append(recs, rec)
 		off += int64(end)
+	}
+	if bytes.IndexByte(data[off:], '\n') >= 0 {
+		return nil, 0, &CorruptError{Path: path, Offset: off, Reason: "frame runs past a newline: not a torn tail"}
 	}
 	return recs, off, nil
 }

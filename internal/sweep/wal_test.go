@@ -167,21 +167,53 @@ func TestWALMidFileCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestWALHeaderCorruptionRejected mangles a mid-file frame header.
+// TestWALHeaderCorruptionRejected damages a frame header: a non-hex
+// length digit mid-file, a length running past the end of the file
+// over whole records, and a length past 2^31 (which a 32-bit int would
+// read as negative). Each must be a *CorruptError at the damaged
+// frame's offset, with the file left as it was.
 func TestWALHeaderCorruptionRejected(t *testing.T) {
-	dir := t.TempDir()
-	writeAll(t, dir, testRecords(4))
-	path := filepath.Join(dir, LogName)
-	data, _ := os.ReadFile(path)
-	lines := strings.SplitAfter(string(data), "\n")
-	off := len(lines[0])
-	b := []byte(strings.Join(lines, ""))
-	b[off] = 'z' // not hex
-	os.WriteFile(path, b, 0o644)
-	_, _, err := OpenLog(dir)
-	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Offset != int64(off) {
-		t.Fatalf("header corruption not rejected with offset %d: %v", off, err)
+	for _, tc := range []struct {
+		name string
+		recs int
+		// damage returns the log's damaged content, given its lines, and
+		// the damaged frame's offset.
+		damage func(lines []string) (string, int)
+	}{
+		{"non-hex-length", 4, func(lines []string) (string, int) {
+			b := []byte(strings.Join(lines, ""))
+			b[len(lines[0])] = 'z'
+			return string(b), len(lines[0])
+		}},
+		{"length-past-eof", 3, func(lines []string) (string, int) {
+			lines[1] = "7fffffff" + lines[1][8:]
+			return strings.Join(lines, ""), len(lines[0])
+		}},
+		{"length-past-int32", 0, func([]string) (string, int) {
+			return "ffffffff 00000000 {}\n", 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, LogName)
+			var data []byte
+			if tc.recs > 0 {
+				writeAll(t, dir, testRecords(tc.recs))
+				data, _ = os.ReadFile(path)
+			}
+			content, off := tc.damage(strings.SplitAfter(string(data), "\n"))
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := OpenLog(dir)
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Offset != int64(off) {
+				t.Fatalf("header corruption not rejected with offset %d: %v", off, err)
+			}
+			if after, _ := os.ReadFile(path); string(after) != content {
+				t.Errorf("the rejected log changed from %d to %d bytes", len(content), len(after))
+			}
+		})
 	}
 }
 
