@@ -209,13 +209,14 @@ func (p progPayload) SizeBits() int { return p.bits }
 // receives: each step it folds the inbox into its digest and state,
 // then sends zero to four entries — broadcasts, unicasts to a neighbor,
 // unicasts to a non-neighbor, out of range or to -2 — and halts with a
-// small probability. A TickDriven prog keeps the marker's contract: on
-// an empty inbox it sends nothing and changes nothing.
+// small probability. A flooding prog instead broadcasts once and
+// halts. A TickDriven prog keeps the marker's contract: on an empty
+// inbox it sends nothing and changes nothing.
 type prog struct {
-	rng         *xrand.Rand
-	sum, acc    uint64
-	halted, td  bool
-	haltPerMill int
+	rng               *xrand.Rand
+	sum, acc          uint64
+	halted, td, flood bool
+	haltPerMill       int
 }
 
 func (p *prog) Halted() bool { return p.halted }
@@ -227,6 +228,10 @@ func (p *prog) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 	p.sum = foldTranscript(p.sum, round, env, true, in)
 	for _, m := range in {
 		p.acc = p.acc*1099511628211 + uint64(m.Payload.SizeBits()) + uint64(m.FromID)
+	}
+	if p.flood {
+		p.halted = true
+		return env.AppendBroadcast(env.Scratch(), progPayload{bits: 1 + int(p.acc%200)})
 	}
 	if p.rng.Intn(7) < 1+2*boolInt(p.td) {
 		return nil
@@ -322,8 +327,9 @@ type oracleRun struct {
 	eng   *sim.Engine
 	ref   *refEngine
 	seed  uint64
-	kinds int // program kinds the case attaches (see oracleCase)
-	halt  int // per-mille halt chance of every program, if not zero
+	kinds int  // program kinds the case attaches (see oracleCase)
+	halt  int  // per-mille halt chance of every program, if not zero
+	flood bool // every program floods (see prog)
 	cores [][2]*prog
 	// swap draws the replacements made between Runs, and churn those of
 	// the churning hook; replay holds the hook's replacements the
@@ -355,6 +361,7 @@ func (o *oracleRun) fresh(v, kind int) (eng, ref sim.Proc, id sim.NodeID) {
 // attached sets the halt chance of a new program's two cores by the
 // case's rule and records them.
 func (o *oracleRun) attached(c [2]*prog) {
+	c[0].flood, c[1].flood = o.flood, o.flood
 	switch {
 	case o.halt > 0:
 		c[0].haltPerMill, c[1].haltPerMill = o.halt, o.halt
@@ -437,15 +444,17 @@ func (o *oracleRun) switchConfig(kind int) {
 }
 
 func TestOracleMatchesEngine(t *testing.T) {
-	// The last configuration's programs halt often, so that runs end
-	// and the churning hook meets rounds in which every program halted.
+	// The last two configurations' programs halt often or flood, so
+	// that runs end, with TickDriven programs too, and the churning hook
+	// meets rounds in which every program halted.
 	configs := []struct {
 		delay, fault  string
 		capBits, halt int
+		flood         bool
 	}{
-		{"", "", 0, 0}, {"uniform:1-3", "", 0, 0}, {"gst:5/uniform:1-4", "", 0, 0},
-		{"", "drop:0.25", 0, 0}, {"unit", "partition:2@3-9", 0, 0}, {"unit", "", 0, 0},
-		{"", "", 150, 0}, {"uniform:1-2", "", 0, 250},
+		{"", "", 0, 0, false}, {"uniform:1-3", "", 0, 0, false}, {"gst:5/uniform:1-4", "", 0, 0, false},
+		{"", "drop:0.25", 0, 0, false}, {"unit", "partition:2@3-9", 0, 0, false}, {"unit", "", 0, 0, false},
+		{"", "", 150, 0, false}, {"uniform:1-2", "", 0, 250, false}, {"uniform:1-2", "", 0, 0, true},
 	}
 	var seen sim.Metrics // sums over all cases, to check what they reached
 	churned, kept := 0, 0
@@ -457,9 +466,9 @@ func TestOracleMatchesEngine(t *testing.T) {
 			for _, workers := range workerCounts {
 				for _, skip := range []bool{true, false} {
 					seed := 100*gseed + uint64(ci)
-					name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/halt=%d/workers=%d/skip=%v", gseed, n, c.delay, c.fault, c.capBits, c.halt, workers, skip)
+					name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/halt=%d/flood=%v/workers=%d/skip=%v", gseed, n, c.delay, c.fault, c.capBits, c.halt, c.flood, workers, skip)
 					t.Run(name, func(t *testing.T) {
-						m, o := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, c.halt, workers, skip)
+						m, o := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, c.halt, c.flood, workers, skip)
 						churned += o.churned
 						kept += o.ref.kept
 						seen.Violations += m.Violations
@@ -481,8 +490,9 @@ func TestOracleMatchesEngine(t *testing.T) {
 // metrics and the case's state. The seed's hundreds (the graph) pick
 // the substrate path, and its parity with the configuration index
 // whether TickDriven programs are attached. A nonzero halt is every
-// program's per-mille chance to halt at a step.
-func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, halt, workers int, skip bool) (sim.Metrics, *oracleRun) {
+// program's per-mille chance to halt at a step, and with flood every
+// program floods.
+func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, halt int, flood bool, workers int, skip bool) (sim.Metrics, *oracleRun) {
 	delay, err := sim.ParseDelayModel(delaySpec)
 	if err != nil {
 		t.Fatal(err)
@@ -511,7 +521,7 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 	ids := make([]sim.NodeID, n)
 	// Kinds: 0 plain, 1 Sequential, 2 TickDriven, 3 both. TickDriven
 	// programs only relay, so plain programs stay among them.
-	o := &oracleRun{t: t, eng: eng, seed: seed, kinds: 2, halt: halt,
+	o := &oracleRun{t: t, eng: eng, seed: seed, kinds: 2, halt: halt, flood: flood,
 		swap: xrand.New(seed).Split("swap"), churn: xrand.New(seed).Split("churn")}
 	if (seed/100+seed%100)%2 == 1 {
 		o.kinds = 4
