@@ -11,7 +11,10 @@
 // inbox still assembled in ascending sender order, so delivery order,
 // edge-capacity decisions, and metrics are byte-for-byte identical to
 // the serial engine (see the ordering notes on roundVT and
-// mergeShardVT).
+// mergeShardVT). Serial or parallel, every tick is one step walk over
+// each range (stepRange), followed on a parallel engine that pushes by
+// one merge; on an engine with TickDriven procs the walk steps only
+// the round-driven procs and the vertices with messages (see vt.go).
 //
 // The network may be static (a graph.Graph — the zero-overhead fast
 // path) or mutable (any other Topology): a mutable topology is
@@ -381,14 +384,17 @@ type workerState struct {
 	dropped      int64
 	delayClamped int64
 	maxMsgBits   int
-	allHalted    bool
 
-	// liveAlways / tdHalts are the sparse halt bookkeeping of one
-	// round: how many live always-step procs this worker stepped, and
-	// how many TickDriven procs halted during their own Step. Reset by
-	// roundVT before the step phase and summed after the last barrier.
-	liveAlways int
-	tdHalts    int
+	// live reports that this worker stepped a live proc without the
+	// TickDriven marker at the tick, and tdHalts counts the TickDriven
+	// procs that halted in their own Step; roundVT folds both into the
+	// tick's halt verdict.
+	live    bool
+	tdHalts int
+
+	// always and occ are the always and occupancy words of the worker's
+	// range for the tick a sparse walk is on (see nextSparse).
+	always, occ []uint64
 }
 
 // Engine drives a set of processes over a network in lock-step rounds.
@@ -522,38 +528,41 @@ type Engine struct {
 	// worker.
 	vtr vtRound
 
-	// --- sparse delivery ---
+	// --- sparse stepping ---
 	// sparse is set by ensureState when at least one TickDriven proc is
-	// attached: ring slots then maintain the occupancy overlay below
-	// and rounds step only the union of always-step vertices and
-	// occupied rows — serially on the calling goroutine, in parallel
-	// via the phaseStepVTSparse/phaseMergeVTSparse pool phases. Dense
-	// workloads (no marked procs) keep the plain lanes and pay nothing.
+	// attached: the engine then keeps the bitsets below, and a tick
+	// steps only the vertices set in always or in the tick's occupancy
+	// (see stepRange). Engines without marked procs write no bits.
 	sparse bool
 	// skip enables fast-forwarding over empty ticks when every live
 	// proc is TickDriven (default on; see SetTickSkip / TickDriven).
 	skip bool
-	// occRows[shard*window+slot] lists the vertex rows of shard `shard`
-	// that may hold pending messages in ring slot `slot`
-	// (append-on-first-message; entries can be stale after a Detach
-	// truncated the row, and duplicated after slot recycling — delivery
-	// sorts and dedupes). occCnt[shard*window+slot] is the exact
-	// pending-message count, so the all-empty-tick test is an O(shards)
-	// reduction (see occSlotEmpty). The layout is shard-major so each
-	// merge worker owns one contiguous [window]-sized region; serial
-	// engines have one shard and the index degenerates to the slot
-	// itself, which is what the serial lanes address directly.
-	occRows [][]int32
-	occCnt  []int64
-	// alwaysStep lists (ascending) the vertices whose procs do NOT
-	// carry the TickDriven marker — they are stepped on every tick,
-	// preserving the dense semantics for round-driven procs. isTD is
-	// the marker membership mask; tdLive counts live marked procs
-	// (maintained at Step-time halts and membership changes, recounted
-	// at Run entry).
-	alwaysStep []int32
-	isTD       []bool
-	tdLive     int
+	// The bitsets are per shard and count from the shard's first
+	// vertex: bit b of shard s is vertex ranges[s][0]+b, so each merge
+	// worker owns whole words. occ[s*window+slot] marks the vertices of
+	// shard s whose row in that ring slot may hold messages: a bit is
+	// set on delivery and cleared when the slot's tick is walked, and
+	// goes stale when Detach or AttachAt empties the row, which costs
+	// the vertex an empty Step. occCnt[s*window+slot] is the exact
+	// number of those messages, so the all-empty-tick test is an
+	// O(shards) reduction (see occSlotEmpty). always[s] marks the
+	// shard's attached procs without the TickDriven marker, which are
+	// stepped on every tick.
+	occ    [][]uint64
+	occCnt []int64
+	always [][]uint64
+	// isTD marks the vertices whose procs carry the TickDriven marker,
+	// and tdLive counts those not halted: set by Attach, and kept by
+	// AttachAt, Detach and the halts the step walks see. Every tick's
+	// halt verdict reads it.
+	isTD   []bool
+	tdLive int
+	// alwaysLive reports that a proc without the marker may be live:
+	// set by attaching one and by a tick that stepped one, and cleared
+	// by a tick that stepped none or a skip test that found none (see
+	// vtCanSkip). Procs halt for good, so a clear flag stays true to
+	// the procs until the next attach.
+	alwaysLive bool
 
 	// --- parallel mode ---
 	workers int            // requested Step-shard workers; <=1 means serial
@@ -593,11 +602,9 @@ type Engine struct {
 type poolPhase uint8
 
 const (
-	phaseStep          poolPhase = iota // dense walk of the worker's range (stepRange)
-	phaseMergeVT                        // merge this worker's destination shard into the ring
-	phaseStepVTSparse                   // step only occupied/always-step vertices of the range
-	phaseMergeVTSparse                  // merge this worker's shard, folding in occupancy
-	phaseExit                           // unwind the worker goroutine
+	phaseStep    poolPhase = iota // walk of the worker's range (stepRange)
+	phaseMergeVT                  // merge this worker's destination shard into the ring
+	phaseExit                     // unwind the worker goroutine
 )
 
 // ErrSizeMismatch is returned when the number of attached processes does
@@ -753,8 +760,8 @@ func (e *Engine) Attach(procs []Proc) error {
 	e.ws = nil // worker scratch depends on which procs are Sequential
 	e.seq = e.seq[:0]
 	e.isSeq = make([]bool, len(procs))
-	e.alwaysStep = e.alwaysStep[:0]
 	e.isTD = make([]bool, len(procs))
+	e.tdLive, e.alwaysLive = 0, true
 	for v, p := range procs {
 		if _, ok := p.(Sequential); ok {
 			e.seq = append(e.seq, v)
@@ -762,8 +769,9 @@ func (e *Engine) Attach(procs []Proc) error {
 		}
 		if _, ok := p.(TickDriven); ok {
 			e.isTD[v] = true
-		} else if p != nil {
-			e.alwaysStep = append(e.alwaysStep, int32(v))
+			if !p.Halted() {
+				e.tdLive++
+			}
 		}
 	}
 	return nil
@@ -792,30 +800,16 @@ func (e *Engine) Detach(v int) error {
 	}
 	e.toPush()
 	delete(e.vertexOf, e.ids[v])
-	if e.isTD != nil && v < len(e.isTD) && e.isTD[v] {
+	if e.isTD[v] {
 		if !e.procs[v].Halted() {
 			e.tdLive--
 		}
 		e.isTD[v] = false
-	} else if i, found := slices.BinarySearch(e.alwaysStep, int32(v)); found {
-		e.alwaysStep = slices.Delete(e.alwaysStep, i, i+1)
 	}
 	e.procs[v] = nil
-	// Pending deliveries live in the ring, up to window-1 ticks out;
-	// drop them all (the departed node never sees them). Sparse engines
-	// keep the per-slot counts exact; the occupied-row entries go stale,
-	// which delivery tolerates (it re-checks row lengths).
-	for s := range e.ring {
-		if row := e.ring[s][v]; len(row) > 0 {
-			if e.sparse {
-				if idx := e.occIdx(v, s); idx < len(e.occCnt) {
-					e.occCnt[idx] -= int64(len(row))
-				}
-			}
-			e.ring[s][v] = row[:0]
-		}
-	}
-	if e.isSeq != nil && e.isSeq[v] {
+	e.setAlways(v)
+	e.dropPending(v)
+	if e.isSeq[v] {
 		e.isSeq[v] = false
 		if i := slices.Index(e.seq, v); i >= 0 {
 			e.seq = slices.Delete(e.seq, i, i+1)
@@ -860,39 +854,19 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	e.vertexOf[id] = v
 	env := &e.envs[v]
 	env.ID = id
-	for s := range e.ring {
-		if row := e.ring[s][v]; len(row) > 0 {
-			if e.sparse {
-				if idx := e.occIdx(v, s); idx < len(e.occCnt) {
-					e.occCnt[idx] -= int64(len(row))
-				}
-			}
-			e.ring[s][v] = row[:0]
-		}
-	}
+	e.dropPending(v)
 	e.procs[v] = p
 	e.hookAttached = true
 	if _, ok := p.(TickDriven); ok {
-		if e.isTD == nil || len(e.isTD) < e.n {
-			grown := make([]bool, e.n)
-			copy(grown, e.isTD)
-			e.isTD = grown
-		}
 		e.isTD[v] = true
 		if !p.Halted() {
 			e.tdLive++
 		}
 	} else {
-		if i, found := slices.BinarySearch(e.alwaysStep, int32(v)); !found {
-			e.alwaysStep = slices.Insert(e.alwaysStep, i, int32(v))
-		}
+		e.alwaysLive = true
 	}
+	e.setAlways(v)
 	if _, ok := p.(Sequential); ok {
-		if e.isSeq == nil || len(e.isSeq) < e.n {
-			grown := make([]bool, e.n)
-			copy(grown, e.isSeq)
-			e.isSeq = grown
-		}
 		e.isSeq[v] = true
 		if i, found := slices.BinarySearch(e.seq, v); !found {
 			e.seq = slices.Insert(e.seq, i, v)
@@ -954,12 +928,8 @@ func (e *Engine) growTo(m int) {
 		if e.epochOf != nil {
 			e.epochOf = append(e.epochOf, staleEpoch)
 		}
-		if e.isSeq != nil {
-			e.isSeq = append(e.isSeq, false)
-		}
-		if e.isTD != nil {
-			e.isTD = append(e.isTD, false)
-		}
+		e.isSeq = append(e.isSeq, false)
+		e.isTD = append(e.isTD, false)
 	}
 	for s := range e.ring {
 		for len(e.ring[s]) < m {
@@ -1104,17 +1074,15 @@ func (e *Engine) ReserveInbox(perRow int) {
 
 // ReserveOutbox pre-sizes every per-(worker, destination-shard, delay)
 // outbox bucket of the parallel engine to hold perBucket messages
-// without growing, and — on sparse engines — every
-// occupied-row list to its shard's full size. It is ReserveInbox's
-// send-side twin: under a jittered delay model the per-bucket load is
-// stochastic, so bucket capacities converge to their high-water marks
-// only asymptotically and long runs keep paying rare amortized
-// regrowth; a workload that knows a burst bound can reserve it up front
-// and make warm parallel sparse rounds strictly allocation-free. Size
-// the bound in copies: a bucket entry is one copy. The reservation is
-// remembered and re-applied when worker state is rebuilt
-// (SetParallelism, topology growth). No-op before Attach; a pulling
-// engine has no buckets.
+// without growing. It is ReserveInbox's send-side twin: under a
+// jittered delay model the per-bucket load is stochastic, so bucket
+// capacities converge to their high-water marks only asymptotically
+// and long runs keep paying rare amortized regrowth; a workload that
+// knows a burst bound can reserve it up front and make warm parallel
+// rounds strictly allocation-free. Size the bound in copies: a bucket
+// entry is one copy. The reservation is remembered and re-applied when
+// worker state is rebuilt (SetParallelism, topology growth). No-op
+// before Attach; a pulling engine has no buckets.
 func (e *Engine) ReserveOutbox(perBucket int) {
 	if perBucket <= 0 || e.procs == nil {
 		return
@@ -1127,9 +1095,8 @@ func (e *Engine) ReserveOutbox(perBucket int) {
 
 // applyOutboxReserve carves each worker's outbox buckets out of one
 // slab at the recorded per-bucket capacity (three-index slices, so a
-// bucket overflowing its reservation regrows independently), and brings
-// occupied-row lists up to shard capacity. Buckets already at or above
-// the reservation are left alone.
+// bucket overflowing its reservation regrows independently). Buckets
+// already at or above the reservation are left alone.
 func (e *Engine) applyOutboxReserve() {
 	per := e.vtbReserve
 	if per <= 0 {
@@ -1150,20 +1117,6 @@ func (e *Engine) applyOutboxReserve() {
 			bucket := slab[len(slab) : len(slab) : len(slab)+per]
 			slab = slab[:len(slab)+per]
 			ws.vtb[i] = append(bucket, ws.vtb[i]...)
-		}
-	}
-	if !e.sparse {
-		return
-	}
-	for s, r := range e.ranges {
-		size := r[1] - r[0]
-		for slot := 0; slot < e.window; slot++ {
-			idx := s*e.window + slot
-			if idx < len(e.occRows) && cap(e.occRows[idx]) < size {
-				grown := make([]int32, len(e.occRows[idx]), size)
-				copy(grown, e.occRows[idx])
-				e.occRows[idx] = grown
-			}
 		}
 	}
 }
@@ -1253,14 +1206,13 @@ func (e *Engine) ensureState() error {
 			ws.vtb = make([][]routed, w*(e.window-1))
 		}
 	}
-	// Sparse delivery needs at least one marked proc to pay for itself;
-	// rebuilding the overlay from the ring here means messages in
-	// flight across a reconfiguration (parallelism or capacity change)
-	// are re-discovered, never stranded. Parallel engines keep the
-	// overlay race-free by ownership: the serial lanes append
-	// single-threaded, the parallel lanes fold occupancy in during the
-	// merge phase, where each worker owns exactly its destination
-	// shard's overlay region.
+	// Sparse stepping needs at least one marked proc to pay for itself;
+	// rebuilding the bitsets from the ring here means messages in flight
+	// across a reconfiguration (parallelism or capacity change) are
+	// re-discovered, never stranded. The bitsets stay race-free by
+	// ownership: a serial engine writes occupancy as it admits, and a
+	// parallel one in the merge phase, where each worker owns exactly
+	// its destination shard's words.
 	e.sparse = e.hasTickDriven()
 	if e.sparse {
 		e.ensureOccupancy()
@@ -1413,10 +1365,6 @@ func (e *Engine) poolWorker(i int) {
 			e.stepRange(i)
 		case phaseMergeVT:
 			e.mergeShardVT(i)
-		case phaseStepVTSparse:
-			e.stepShardSparseVT(i)
-		case phaseMergeVTSparse:
-			e.mergeShardVTSparse(i)
 		}
 		e.poolWG.Done()
 	}
@@ -1427,13 +1375,18 @@ func (e *Engine) poolWorker(i int) {
 // window, in worker order, which is ascending sender order. Because
 // buckets are merged EVERY round rather than held until their delivery
 // tick, each ring row accumulates its messages round-major,
-// sender-major: exactly the order the serial lanes append them, so
-// parallel delivery is byte-identical to serial.
+// sender-major: exactly the order the serial walk appends them, so
+// parallel delivery is byte-identical to serial. On a sparse engine it
+// also sets each destination's occupancy bit and counts the messages,
+// as deliverVT does on a serial one; shard s's words and counts are
+// this worker's alone.
 func (e *Engine) mergeShardVT(s int) {
 	window := e.window
 	span := window - 1
+	lo := e.ranges[s][0]
 	for d := 1; d < window; d++ {
-		box := e.ring[(e.tick+d)%window]
+		slot := (e.tick + d) % window
+		box := e.ring[slot]
 		idx := s*span + d - 1
 		for i := range e.ranges {
 			bucket := e.ws[i].vtb[idx]
@@ -1445,79 +1398,68 @@ func (e *Engine) mergeShardVT(s int) {
 					Payload: m.payload,
 				})
 			}
+			if e.sparse {
+				occ := e.occ[s*window+slot]
+				for _, m := range bucket {
+					b := int(m.to) - lo
+					occ[b>>6] |= 1 << (b & 63)
+				}
+				e.occCnt[s*window+slot] += int64(len(bucket))
+			}
 			e.ws[i].vtb[idx] = bucket[:0]
 		}
 	}
 }
 
-// roundVT executes one tick, serial or parallel, by pull or push:
+// roundVT executes one tick, serial or parallel, by pull or push: one
+// call of the step walk on a serial engine, and on a parallel one this
+// sequence:
 //
-//  1. Sequential pass (parallel engines) — the coordinator steps every
-//     Sequential proc in ascending vertex order (the serial mutation
-//     order among them) and parks each output in seqOut (see
-//     stepSequential).
-//  2. Step phase — each worker walks a contiguous vertex range in
-//     ascending order (one range, on the calling goroutine, when
-//     serial): the dense walk (stepRange) or, with TickDriven procs,
-//     the sparse one (stepShardSparseVT). A pulling walk builds each
-//     inbox from the last tick's outboxes and counts what is sent; a
-//     pushing walk admits it (deliverVT), on a parallel engine into
+//  1. Sequential pass — the coordinator steps every Sequential proc in
+//     ascending vertex order (the serial mutation order among them) and
+//     parks each output in seqOut (see stepSequential).
+//  2. Step phase — each worker walks its contiguous vertex range in
+//     ascending order (stepRange): every vertex, or on an engine with
+//     TickDriven procs those that are round-driven or hold messages. A
+//     pulling walk builds each inbox from the last tick's outboxes and
+//     counts what is sent; a pushing walk admits it (deliverVT) into
 //     per-(worker, destination-shard, delay) buckets. Admission and
 //     counting are sender-local, so every decision is identical to the
 //     serial engine's.
-//  3. Merge phase (parallel push only) — each worker owns a destination
-//     shard and drains every worker's buckets into the ring in worker
-//     order (see mergeShardVT for the ordering argument). A pull needs
-//     none: receivers read only the last tick's outboxes and senders
-//     write only this tick's (the outboxes are double-buffered).
+//  3. Merge phase (push only) — each worker owns a destination shard
+//     and drains every worker's buckets into the ring in worker order
+//     (see mergeShardVT for the ordering argument). A pull needs none:
+//     receivers read only the last tick's outboxes and senders write
+//     only this tick's (the outboxes are double-buffered).
 //
 // Metrics are worker-local sums/maxes flushed after the round. The net
 // effect is byte-for-byte equivalence across worker counts, at zero
-// heap allocations per steady-state round (see the pool fields).
+// heap allocations per steady-state round (see the pool fields). It
+// reports the tick's halt verdict: no round-driven proc was live at
+// the tick, and no TickDriven proc is live after it.
 func (e *Engine) roundVT(r int) bool {
 	e.round = r
 	e.tick = e.metrics.Rounds
 	e.vtr = e.resolveVT(e.tick)
-	for _, ws := range e.ws {
-		ws.allHalted = true
-		ws.liveAlways = 0
-		ws.tdHalts = 0
-	}
-	live := 0
-	switch {
-	case len(e.ranges) == 1 && e.sparse:
-		e.stepShardSparseVT(0)
-	case len(e.ranges) == 1:
+	live := false
+	if len(e.ranges) == 1 {
 		e.stepRange(0)
-	default:
+	} else {
 		if len(e.seq) > 0 {
 			live = e.stepSequential(r)
 		}
-		if e.sparse {
-			e.dispatch(phaseStepVTSparse)
-			e.dispatch(phaseMergeVTSparse)
-		} else {
-			e.dispatch(phaseStep)
-			if !e.pullMode {
-				e.dispatch(phaseMergeVT)
-			}
+		e.dispatch(phaseStep)
+		if !e.pullMode {
+			e.dispatch(phaseMergeVT)
 		}
 	}
 	e.pulled = e.pullMode
-	if e.sparse {
-		// The sparse verdict: no always-step proc was live, and no
-		// TickDriven proc is live after the tick's own halts.
-		for _, ws := range e.ws {
-			live += ws.liveAlways
-			e.tdLive -= ws.tdHalts
-		}
-		return live == 0 && e.tdLive == 0
-	}
-	allHalted := live == 0
 	for _, ws := range e.ws {
-		allHalted = allHalted && ws.allHalted
+		live = live || ws.live
+		e.tdLive -= ws.tdHalts
 	}
-	return allHalted
+	e.alwaysLive = live
+	return !live && e.tdLive == 0
 }
 
 // stepSequential is the Sequential pass of a parallel round: it steps
@@ -1525,17 +1467,16 @@ func (e *Engine) roundVT(r int) bool {
 // order, and parks each output in seqOut[v] for the range worker owning
 // v to admit in vertex order. On a sparse engine a TickDriven
 // Sequential proc is stepped only when its row holds messages — a
-// stale occupancy entry would earn it an empty Step in the serial walk,
-// which the TickDriven contract makes a no-op. It returns how many live
-// procs it stepped that the halt verdict must count (all of them on a
-// dense engine, the always-step ones on a sparse engine) and applies
-// TickDriven halts to tdLive directly.
-func (e *Engine) stepSequential(r int) int {
+// stale occupancy bit would earn it an empty Step in the serial walk,
+// which the TickDriven contract makes a no-op. It reports whether it
+// stepped a live proc without the marker, which the halt verdict
+// reads, and applies TickDriven halts to tdLive directly.
+func (e *Engine) stepSequential(r int) bool {
 	if len(e.seqOut) < e.n {
 		e.seqOut = make([][]Outgoing, e.n)
 	}
 	box := e.curBox()
-	live := 0
+	live := false
 	for _, v := range e.seq {
 		e.seqOut[v] = nil
 		p := e.procs[v]
@@ -1543,13 +1484,11 @@ func (e *Engine) stepSequential(r int) int {
 			e.idle(v, box)
 			continue
 		}
-		td := e.sparse && e.isTD[v]
-		if td && len(box[v]) == 0 {
+		td := e.isTD[v]
+		if td && e.sparse && len(box[v]) == 0 {
 			continue
 		}
-		if !td {
-			live++
-		}
+		live = live || !td
 		// The pool is parked, so the coordinator may pull into ws[0].
 		e.seqOut[v] = e.step(e.ws[0], v, r, box, true)
 		if td && p.Halted() {
@@ -1560,10 +1499,13 @@ func (e *Engine) stepSequential(r int) int {
 }
 
 // Run executes up to maxRounds rounds and returns the number of rounds
-// executed. The run ends early when every process has halted or the stop
-// condition fires. Attach must have been called. A delay model whose
-// delivery ring would exceed MaxRingBytes gets a *RingBudgetError
-// before any of the ring is allocated.
+// executed. The run ends early when the stop condition fires, or when
+// every process has halted: after a round in which no process without
+// the TickDriven marker was live and after which no marked one is, and
+// whose between-rounds hook attached none (that round is not counted
+// in the return value). Attach must have been called. A delay model
+// whose delivery ring would exceed MaxRingBytes gets a
+// *RingBudgetError before any of the ring is allocated.
 func (e *Engine) Run(maxRounds int) (int, error) {
 	if e.procs == nil {
 		return 0, errors.New("sim: Run called before Attach")
@@ -1593,9 +1535,6 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 	}
 	if !e.pulled {
 		e.ensureVT()
-	}
-	if e.sparse {
-		e.recountTickDriven()
 	}
 	// Reserve the traffic series up front (rounded to a power of two,
 	// bounded so a huge maxRounds with an early stop condition cannot

@@ -1,8 +1,8 @@
 package sim
 
 // The round loop's hot path: devirtualized delay/fault dispatch, the
-// dense and sparse walks of a tick, sparse (occupancy-tracked) ring
-// delivery, and the marker contract behind tick fast-forwarding.
+// walk of a tick, occupancy-tracked stepping, and the marker contract
+// behind tick fast-forwarding.
 //
 // The installed DelayModel/FaultModel are type-switched ONCE per tick
 // into a small plain-data dispatch record (vtRound) instead of being
@@ -17,20 +17,24 @@ package sim
 // hook, a capacity or a TickDriven proc skip admission altogether: they
 // pull (see pull.go).
 //
-// Sparse delivery generalizes this from messages to ticks: each
-// (shard, ring slot) pair tracks its pending-message count and a
-// compact list of occupied rows, so a tick's delivery scans and clears
-// O(delivered) rows instead of O(n) — per worker, O(delivered/shards +
-// shard-local always-step) under the pool — and an all-empty tick is
-// detected in O(shards), at which point the scheduler may fast-forward
-// the virtual clock (see TickDriven). The parallel overlay is race-free
-// by ownership: step worker i reads and clears only shard i's
-// current-slot region, merge worker s appends only to shard s's
-// regions, the two phases are barrier-separated, and no message can
-// target the slot being delivered (delays are >= 1).
+// Sparse stepping generalizes this from messages to ticks: on an
+// engine with TickDriven procs each (shard, ring slot) pair keeps a
+// bitset of the rows that may hold messages and their exact count, and
+// each shard a bitset of its round-driven procs. The one walk
+// (stepRange) steps every vertex of its range on an ordinary engine;
+// on a sparse one it jumps, a 64-vertex word at a time, to the next
+// vertex set in either bitset. Ascending bit order is vertex order, so
+// nothing is sorted, and a tick scans O(n/64) words and steps only the
+// delivered rows and round-driven procs. An all-empty tick is detected
+// in O(shards), at which point the scheduler may fast-forward the
+// virtual clock (see TickDriven). The bitsets are race-free by
+// ownership: step worker i reads and clears only shard i's
+// current-slot words, merge worker s sets only shard s's words, the
+// two phases are barrier-separated, and no message can target the slot
+// being delivered (delays are >= 1).
 
 import (
-	"slices"
+	"math/bits"
 
 	"byzcount/internal/xrand"
 )
@@ -50,7 +54,7 @@ import (
 // load per shard. Round-driven processes — timers, beacon schedules,
 // flood sources that broadcast unprompted — must NOT carry the marker:
 // they are stepped on every tick, empty or not, and their presence
-// disables fast-forwarding (but not sparse delivery) automatically.
+// disables fast-forwarding (but not sparse stepping) automatically.
 type TickDriven interface {
 	StepsOnMessagesOnly()
 }
@@ -83,8 +87,7 @@ const (
 // the resolution tick-dependent). needD/needF gate the per-vertex
 // stream hoists so non-drawing ticks never derive streams.
 type vtRound struct {
-	dk, dk2      uint8 // dk2 spare for alignment; unused
-	fk           uint8
+	dk, fk       uint8
 	needD, needF bool
 	d0, d1       int     // fixed/min/near; cap/far
 	dSpan        int     // uniform: Max-Min+1
@@ -223,6 +226,8 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 	fromID := e.ids[v]
 	perNodeMax := e.metrics.PerNodeMaxBit
 	maxSent := perNodeMax[v]
+	// A serial sparse engine marks each delivery in its one shard's
+	// occupancy (a parallel one does in the merge).
 	sparse := e.sparse
 	bucketed := len(e.ranges) > 1
 	// A lockstep tick that pushes (churn, or past a GST) on a serial
@@ -327,9 +332,7 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			}
 			dst := e.ring[si]
 			if sparse {
-				if len(dst[to]) == 0 {
-					e.occRows[si] = append(e.occRows[si], int32(to))
-				}
+				e.occ[si][to>>6] |= 1 << (to & 63)
 				e.occCnt[si]++
 			}
 			// Keep the in-place form x[i] = append(x[i], ...): it stores
@@ -430,9 +433,7 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			}
 			dst := e.ring[si]
 			if sparse {
-				if len(dst[to]) == 0 {
-					e.occRows[si] = append(e.occRows[si], int32(to))
-				}
+				e.occ[si][to>>6] |= 1 << (to & 63)
 				e.occCnt[si]++
 			}
 			// In place, as above: no header store.
@@ -518,55 +519,90 @@ func (e *Engine) idle(v int, box [][]Incoming) {
 }
 
 // vtCanSkip reports whether fast-forwarding over an empty tick is a
-// provable no-op: no live always-step proc remains (each would be owed
-// a Step), and at least one live TickDriven proc does (otherwise the
-// round would end the run via the all-halted return, which a skip must
-// not preempt). The scan early-exits on the first live always-step
-// proc, so steady skipping costs O(1) per tick for message-driven
-// populations.
+// provable no-op: at least one live TickDriven proc remains (otherwise
+// the round would end the run via the all-halted return, which a skip
+// must not preempt), and no live round-driven proc does (each would be
+// owed a Step). The always bitsets are scanned, up to the first live
+// proc, only while alwaysLive says one may remain.
 func (e *Engine) vtCanSkip() bool {
-	for _, v := range e.alwaysStep {
-		if p := e.procs[v]; p != nil && !p.Halted() {
-			return false
-		}
+	if e.tdLive == 0 {
+		return false
 	}
-	return e.tdLive > 0
+	if e.alwaysLive {
+		e.alwaysLive = e.anyLiveAlways()
+	}
+	return !e.alwaysLive
 }
 
-// recountTickDriven re-derives the live TickDriven count at Run entry.
-// Within a run the count is maintained incrementally (Step-time halts,
-// AttachAt, Detach); between runs procs may only halt during their own
-// Step — part of the TickDriven contract — so this recount is a cheap
-// O(n) belt-and-braces pass, not a correctness requirement.
-func (e *Engine) recountTickDriven() {
-	live := 0
-	for v, p := range e.procs {
-		if p != nil && v < len(e.isTD) && e.isTD[v] && !p.Halted() {
-			live++
+// anyLiveAlways reports whether a proc set in the always bitsets has
+// not halted.
+func (e *Engine) anyLiveAlways() bool {
+	for s, words := range e.always {
+		for k, word := range words {
+			for ; word != 0; word &= word - 1 {
+				if !e.procs[e.ranges[s][0]+k<<6+bits.TrailingZeros64(word)].Halted() {
+					return true
+				}
+			}
 		}
 	}
-	e.tdLive = live
+	return false
 }
 
-// occIdx maps (vertex, ring slot) to the occupancy overlay index. The
-// layout is shard-major — occ[shard*window+slot] — so each merge worker
-// owns one contiguous region and folds occupancy in race-free. Serial
-// engines have one shard and the index degenerates to the slot itself,
-// which is what the serial walks (deliverVT, stepShardSparseVT) address
-// directly. The shardOf length guard covers mid-hook growth: a vertex
-// beyond the old capacity lands in slot-only indexing, and the pending
-// regrow rebuilds the overlay from ring ground truth before the next
-// round anyway.
-func (e *Engine) occIdx(v, slot int) int {
-	if len(e.ranges) > 1 && v < len(e.shardOf) {
-		return int(e.shardOf[v])*e.window + slot
+// shardBit returns the shard owning vertex v and v's bit in that
+// shard's bitsets. ok is false for a vertex past the ranges: growth in
+// a between-rounds hook leaves those until the rebuild, which recounts
+// the bitsets from the procs and the ring.
+func (e *Engine) shardBit(v int) (s, b int, ok bool) {
+	if len(e.ranges) == 0 || v >= e.ranges[len(e.ranges)-1][1] {
+		return 0, 0, false
 	}
-	return slot
+	if len(e.ranges) > 1 {
+		s = int(e.shardOf[v])
+	}
+	return s, v - e.ranges[s][0], true
+}
+
+// setAlways brings v's always bit up to date after a membership change
+// on a sparse engine: set while v holds a proc without the TickDriven
+// marker.
+func (e *Engine) setAlways(v int) {
+	if !e.sparse {
+		return
+	}
+	s, b, ok := e.shardBit(v)
+	if !ok {
+		return
+	}
+	if word, bit := &e.always[s][b>>6], uint64(1)<<(b&63); e.procs[v] != nil && !e.isTD[v] {
+		*word |= bit
+	} else {
+		*word &^= bit
+	}
+}
+
+// dropPending empties v's ring rows — a leaver never sees the messages
+// pending for it, nor a joiner those sent before it joined — keeping
+// the pending counts exact. The occupancy bits stay set: a stale bit
+// costs v an empty Step, which the TickDriven contract makes a no-op.
+func (e *Engine) dropPending(v int) {
+	for slot := range e.ring {
+		row := e.ring[slot][v]
+		if len(row) == 0 {
+			continue
+		}
+		if e.sparse {
+			if s, _, ok := e.shardBit(v); ok {
+				e.occCnt[s*e.window+slot] -= int64(len(row))
+			}
+		}
+		e.ring[slot][v] = row[:0]
+	}
 }
 
 // occSlotEmpty reports whether ring slot `slot` holds no pending
 // messages in any shard — the all-empty-tick test behind fast-forward,
-// an O(shards) reduction over the shard-major overlay.
+// an O(shards) reduction over the shard-major counts.
 func (e *Engine) occSlotEmpty(slot int) bool {
 	for idx := slot; idx < len(e.occCnt); idx += e.window {
 		if e.occCnt[idx] != 0 {
@@ -576,140 +612,41 @@ func (e *Engine) occSlotEmpty(slot int) bool {
 	return true
 }
 
-// ensureOccupancy (re)builds the shard-major occupancy overlay from the
-// ring's ground truth. Called whenever ensureState enables sparse mode,
-// so messages left in flight across a parallelism or capacity change
-// are re-discovered rather than stranded — and re-homed to whichever
-// shard owns their destination under the new ranges.
+// ensureOccupancy (re)builds the per-shard bitsets and the pending
+// counts from the procs and the ring's ground truth. ensureState calls
+// it whenever it enables sparse stepping, so messages left in flight
+// across a parallelism or capacity change are re-discovered rather than
+// stranded, under whichever shard now owns their destination. Each
+// shard's words sit together: its always bitset, then one occupancy
+// bitset per ring slot.
 func (e *Engine) ensureOccupancy() {
 	w := e.window
-	shards := len(e.ranges)
-	if shards < 1 {
-		shards = 1
+	words := 0
+	for _, r := range e.ranges {
+		words += (r[1] - r[0] + 63) >> 6
 	}
-	total := shards * w
-	if len(e.occCnt) != total {
-		e.occCnt = make([]int64, total)
-		e.occRows = make([][]int32, total)
+	slab := make([]uint64, words*(w+1))
+	e.always = make([][]uint64, len(e.ranges))
+	e.occ = make([][]uint64, len(e.ranges)*w)
+	e.occCnt = make([]int64, len(e.ranges)*w)
+	for s, r := range e.ranges {
+		k := (r[1] - r[0] + 63) >> 6
+		e.always[s], slab = slab[:k:k], slab[k:]
+		for slot := 0; slot < w; slot++ {
+			e.occ[s*w+slot], slab = slab[:k:k], slab[k:]
+		}
 	}
-	for i := range e.occCnt {
-		e.occCnt[i] = 0
-		e.occRows[i] = e.occRows[i][:0]
+	for v := range e.procs {
+		e.setAlways(v)
 	}
-	for s := 0; s < w; s++ {
-		for v, row := range e.ring[s] {
+	for slot, box := range e.ring {
+		for v, row := range box {
 			if len(row) > 0 {
-				idx := e.occIdx(v, s)
-				e.occRows[idx] = append(e.occRows[idx], int32(v))
-				e.occCnt[idx] += int64(len(row))
+				s, b, _ := e.shardBit(v)
+				e.occ[s*w+slot][b>>6] |= 1 << (b & 63)
+				e.occCnt[s*w+slot] += int64(len(row))
 			}
 		}
-	}
-}
-
-// stepShardSparseVT is the sparse walk of one tick over range i (the
-// whole slot space on a serial engine): the union of the range's
-// always-step vertices (procs without the TickDriven marker, stepped
-// every tick — binary-searched out of the engine-wide sorted list) and
-// the rows occupied in this tick's ring slot, in ascending vertex
-// order — the dense walk's order restricted to vertices whose Step
-// could observably differ from a no-op. Occupied-row lists may carry
-// stale entries (a Detach truncated the row) and duplicates (a slot
-// recycled mid-flight); sorting plus the prev-dedupe makes both
-// harmless. Occupancy reads and clears are worker-private: the overlay
-// region belongs to shard i, and in-flight messages can never target
-// the tick being delivered (delays are >= 1), so the merge phase never
-// touches what this walk just cleared. Halt bookkeeping lands in the
-// worker-local liveAlways/tdHalts counters, which roundVT folds.
-func (e *Engine) stepShardSparseVT(i int) {
-	ws := e.ws[i]
-	r := e.round
-	slot := e.tick % e.window
-	idx := i*e.window + slot
-	occ := e.occRows[idx]
-	slices.Sort(occ)
-	lo, hi := e.ranges[i][0], e.ranges[i][1]
-	always := e.alwaysStep
-	aLo, _ := slices.BinarySearch(always, int32(lo))
-	aHi, _ := slices.BinarySearch(always, int32(hi))
-	always = always[aLo:aHi]
-	box := e.ring[slot]
-	seq := len(e.seq) > 0 && len(e.ranges) > 1
-	ai, oi := 0, 0
-	prev := int32(-1)
-	for ai < len(always) || oi < len(occ) {
-		var v32 int32
-		if oi >= len(occ) || (ai < len(always) && always[ai] <= occ[oi]) {
-			v32 = always[ai]
-			ai++
-		} else {
-			v32 = occ[oi]
-			oi++
-		}
-		if v32 == prev {
-			continue
-		}
-		prev = v32
-		v := int(v32)
-		if seq && e.isSeq[v] {
-			e.deliverVT(ws, v, e.seqOut[v])
-			continue
-		}
-		p := e.procs[v]
-		if p == nil || p.Halted() {
-			box[v] = box[v][:0]
-			continue
-		}
-		td := e.isTD[v]
-		if !td {
-			ws.liveAlways++
-		}
-		e.deliverVT(ws, v, e.step(ws, v, r, box, true))
-		if td && p.Halted() {
-			ws.tdHalts++
-		}
-	}
-	e.occRows[idx] = occ[:0]
-	e.occCnt[idx] = 0
-}
-
-// mergeShardVTSparse is mergeShardVT plus occupancy folding: while
-// draining every worker's buckets for destination shard s into the ring
-// (same delay-major, worker-order walk — ascending sender order, so
-// transcripts stay byte-identical to serial), it appends each row that
-// transitions empty -> nonempty to the shard's occupied-row list and
-// counts every delivered message, exactly the accounting deliverVT does
-// on the serial path. Rows left nonempty by a stale overlay entry
-// (Detach truncation, slot recycling) duplicate their entry here, which
-// delivery's sort+dedupe tolerates — the same contract as serial.
-func (e *Engine) mergeShardVTSparse(s int) {
-	window := e.window
-	span := window - 1
-	for d := 1; d < window; d++ {
-		slot := (e.tick + d) % window
-		box := e.ring[slot]
-		idx := s*window + slot
-		rows := e.occRows[idx]
-		cnt := e.occCnt[idx]
-		bi := s*span + d - 1
-		for i := range e.ranges {
-			bucket := e.ws[i].vtb[bi]
-			for _, m := range bucket {
-				if len(box[m.to]) == 0 {
-					rows = append(rows, m.to)
-				}
-				// Keep x[i] = append(x[i], ...) in place: no header store (see deliverVT).
-				box[m.to] = append(box[m.to], Incoming{
-					From:    int(m.from),
-					FromID:  e.ids[m.from],
-					Payload: m.payload,
-				})
-				cnt++
-			}
-			e.ws[i].vtb[bi] = bucket[:0]
-		}
-		e.occRows[idx] = rows
-		e.occCnt[idx] = cnt
 	}
 }
 
@@ -729,14 +666,18 @@ func (e *Engine) hasTickDriven() bool {
 // the toggle exists for A/B measurement and paranoia, not semantics.
 func (e *Engine) SetTickSkip(on bool) { e.skip = on }
 
-// stepRange is the dense walk of one tick over range i (the whole slot
-// space on a serial engine): it steps the range's live vertices in
-// ascending order — taking the coordinator's output for Sequential
-// vertices of a parallel engine — and pulls each one's inbox (see
+// stepRange is the walk of one tick over range i (the whole slot space
+// on a serial engine), in ascending vertex order: every vertex of an
+// ordinary engine, and on a sparse one those set in always or in the
+// tick's occupancy (see nextSparse), whose words it clears. It steps
+// each live vertex visited — taking the coordinator's output for
+// Sequential vertices of a parallel engine — and pulls its inbox (see
 // pullScope) and counts what it sends, or, on an engine that pushes,
 // takes the inbox from the ring and admits the output (see deliverVT).
-// Every vertex is owned by exactly one goroutine per tick, so its inbox
-// row, env, proc and PerNodeMaxBit entry are touched race-free.
+// For the halt verdict it notes whether it stepped a live proc without
+// the TickDriven marker, and counts the marked ones that halt in their
+// Step. Every vertex is owned by exactly one goroutine per tick, so its
+// inbox row, env, proc and PerNodeMaxBit entry are touched race-free.
 func (e *Engine) stepRange(i int) {
 	ws := e.ws[i]
 	box := e.curBox()
@@ -745,15 +686,37 @@ func (e *Engine) stepRange(i int) {
 		scope = e.pullScope(i)
 	}
 	seq := len(e.seq) > 0 && len(e.ranges) > 1
-	for v := e.ranges[i][0]; v < e.ranges[i][1]; v++ {
+	lo, hi := e.ranges[i][0], e.ranges[i][1]
+	if e.sparse {
+		idx := i*e.window + e.tick%e.window
+		ws.always, ws.occ = e.always[i], e.occ[idx]
+		e.occCnt[idx] = 0
+	}
+	ws.live, ws.tdHalts = false, 0
+	// The walk counts v up and a sparse engine jumps it forward: taking
+	// every vertex from the bits of an all-ones word instead, with the
+	// word carried through each Step call, made the dense
+	// engine/vt-skip/token/full lane 1.16x slower (median of 12
+	// interleaved -cpu 1 runs, 2-core VM, go1.24).
+	for v := lo; v < hi; v++ {
+		if e.sparse {
+			if v = ws.nextSparse(lo, hi, v); v == hi {
+				break
+			}
+		}
 		var out []Outgoing
 		switch p := e.procs[v]; {
 		case seq && e.isSeq[v]:
 			out = e.seqOut[v]
 		case p == nil || p.Halted():
 			e.idle(v, box)
+		case e.tdLive > 0 && e.isTD[v]:
+			out = e.step(ws, v, e.round, box, scope == pullAll || scope == pullMarked && e.mail[v])
+			if p.Halted() {
+				ws.tdHalts++
+			}
 		default:
-			ws.allHalted = false
+			ws.live = true
 			out = e.step(ws, v, e.round, box, scope == pullAll || scope == pullMarked && e.mail[v])
 		}
 		if scope == pullMarked {
@@ -767,4 +730,20 @@ func (e *Engine) stepRange(i int) {
 			e.deliverVT(ws, v, out)
 		}
 	}
+	if e.sparse {
+		clear(ws.occ)
+	}
+}
+
+// nextSparse returns the first vertex at or after v, of the range
+// [lo, hi) the worker walks, whose bit is set in its always or
+// occupancy words, or hi if none is: ascending bit order is vertex
+// order, so the walk needs no sort.
+func (ws *workerState) nextSparse(lo, hi, v int) int {
+	for b := v - lo; b < hi-lo; b = b | 63 + 1 {
+		if word := (ws.always[b>>6] | ws.occ[b>>6]) >> (b & 63); word != 0 {
+			return lo + b + bits.TrailingZeros64(word)
+		}
+	}
+	return hi
 }
