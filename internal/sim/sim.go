@@ -392,9 +392,9 @@ type workerState struct {
 	live    bool
 	tdHalts int
 
-	// always and occ are the always and occupancy words of the worker's
-	// range for the tick a sparse walk is on (see nextSparse).
-	always, occ []uint64
+	// always and occ are the always and occupancy bitsets of the
+	// worker's range for the tick a sparse walk is on (see nextSparse).
+	always, occ bitset
 }
 
 // Engine drives a set of processes over a network in lock-step rounds.
@@ -548,9 +548,9 @@ type Engine struct {
 	// O(shards) reduction (see occSlotEmpty). always[s] marks the
 	// shard's attached procs without the TickDriven marker, which are
 	// stepped on every tick.
-	occ    [][]uint64
+	occ    []bitset
 	occCnt []int64
-	always [][]uint64
+	always []bitset
 	// isTD marks the vertices whose procs carry the TickDriven marker,
 	// and tdLive counts those not halted: set by Attach, and kept by
 	// AttachAt, Detach and the halts the step walks see. Every tick's
@@ -1401,8 +1401,7 @@ func (e *Engine) mergeShardVT(s int) {
 			if e.sparse {
 				occ := e.occ[s*window+slot]
 				for _, m := range bucket {
-					b := int(m.to) - lo
-					occ[b>>6] |= 1 << (b & 63)
+					occ.set(int(m.to) - lo)
 				}
 				e.occCnt[s*window+slot] += int64(len(bucket))
 			}

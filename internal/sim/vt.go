@@ -332,7 +332,7 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			}
 			dst := e.ring[si]
 			if sparse {
-				e.occ[si][to>>6] |= 1 << (to & 63)
+				e.occ[si].set(to)
 				e.occCnt[si]++
 			}
 			// Keep the in-place form x[i] = append(x[i], ...): it stores
@@ -433,7 +433,7 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			}
 			dst := e.ring[si]
 			if sparse {
-				e.occ[si][to>>6] |= 1 << (to & 63)
+				e.occ[si].set(to)
 				e.occCnt[si]++
 			}
 			// In place, as above: no header store.
@@ -537,8 +537,8 @@ func (e *Engine) vtCanSkip() bool {
 // anyLiveAlways reports whether a proc set in the always bitsets has
 // not halted.
 func (e *Engine) anyLiveAlways() bool {
-	for s, words := range e.always {
-		for k, word := range words {
+	for s, always := range e.always {
+		for k, word := range always.words {
 			for ; word != 0; word &= word - 1 {
 				if !e.procs[e.ranges[s][0]+k<<6+bits.TrailingZeros64(word)].Halted() {
 					return true
@@ -574,10 +574,10 @@ func (e *Engine) setAlways(v int) {
 	if !ok {
 		return
 	}
-	if word, bit := &e.always[s][b>>6], uint64(1)<<(b&63); e.procs[v] != nil && !e.isTD[v] {
-		*word |= bit
+	if e.procs[v] != nil && !e.isTD[v] {
+		e.always[s].set(b)
 	} else {
-		*word &^= bit
+		e.always[s].words[b>>6] &^= 1 << (b & 63)
 	}
 }
 
@@ -621,19 +621,25 @@ func (e *Engine) occSlotEmpty(slot int) bool {
 // bitset per ring slot.
 func (e *Engine) ensureOccupancy() {
 	w := e.window
-	words := 0
+	size := 0
 	for _, r := range e.ranges {
-		words += (r[1] - r[0] + 63) >> 6
+		k := (r[1] - r[0] + 63) >> 6
+		size += (k + (k+63)>>6) * (w + 1)
 	}
-	slab := make([]uint64, words*(w+1))
-	e.always = make([][]uint64, len(e.ranges))
-	e.occ = make([][]uint64, len(e.ranges)*w)
+	slab := make([]uint64, size)
+	carve := func(n int) []uint64 {
+		words := slab[:n:n]
+		slab = slab[n:]
+		return words
+	}
+	e.always = make([]bitset, len(e.ranges))
+	e.occ = make([]bitset, len(e.ranges)*w)
 	e.occCnt = make([]int64, len(e.ranges)*w)
 	for s, r := range e.ranges {
 		k := (r[1] - r[0] + 63) >> 6
-		e.always[s], slab = slab[:k:k], slab[k:]
+		e.always[s] = bitset{words: carve(k), sum: carve((k + 63) >> 6)}
 		for slot := 0; slot < w; slot++ {
-			e.occ[s*w+slot], slab = slab[:k:k], slab[k:]
+			e.occ[s*w+slot] = bitset{words: carve(k), sum: carve((k + 63) >> 6)}
 		}
 	}
 	for v := range e.procs {
@@ -643,10 +649,34 @@ func (e *Engine) ensureOccupancy() {
 		for v, row := range box {
 			if len(row) > 0 {
 				s, b, _ := e.shardBit(v)
-				e.occ[s*w+slot][b>>6] |= 1 << (b & 63)
+				e.occ[s*w+slot].set(b)
 				e.occCnt[s*w+slot] += int64(len(row))
 			}
 		}
+	}
+}
+
+// bitset is a set of one shard's vertices, bit b for its b-th vertex,
+// with a summary: bit k of sum marks a word k that may be nonzero, so a
+// walk reads only the summary and the words it marks. Every nonzero
+// word is marked; a clear bit may leave its word's mark behind.
+type bitset struct {
+	words, sum []uint64
+}
+
+// set adds bit b.
+func (s bitset) set(b int) {
+	s.words[b>>6] |= 1 << (b & 63)
+	s.sum[b>>12] |= 1 << (b >> 6 & 63)
+}
+
+// clear empties the set, touching only the words its summary marks.
+func (s bitset) clear() {
+	for j, sum := range s.sum {
+		for ; sum != 0; sum &= sum - 1 {
+			s.words[j<<6+bits.TrailingZeros64(sum)] = 0
+		}
+		s.sum[j] = 0
 	}
 }
 
@@ -731,18 +761,31 @@ func (e *Engine) stepRange(i int) {
 		}
 	}
 	if e.sparse {
-		clear(ws.occ)
+		ws.occ.clear()
 	}
 }
 
 // nextSparse returns the first vertex at or after v, of the range
 // [lo, hi) the worker walks, whose bit is set in its always or
-// occupancy words, or hi if none is: ascending bit order is vertex
-// order, so the walk needs no sort.
+// occupancy bitset, or hi if none is: ascending bit order is vertex
+// order, so the walk needs no sort, and the summaries let it pass 64
+// empty words with one load.
 func (ws *workerState) nextSparse(lo, hi, v int) int {
-	for b := v - lo; b < hi-lo; b = b | 63 + 1 {
-		if word := (ws.always[b>>6] | ws.occ[b>>6]) >> (b & 63); word != 0 {
-			return lo + b + bits.TrailingZeros64(word)
+	b := v - lo
+	for j := b >> 12; j < len(ws.occ.sum); j++ {
+		sum := ws.always.sum[j] | ws.occ.sum[j]
+		if j == b>>12 {
+			sum &^= 1<<(b>>6&63) - 1
+		}
+		for ; sum != 0; sum &= sum - 1 {
+			k := j<<6 + bits.TrailingZeros64(sum)
+			word := ws.always.words[k] | ws.occ.words[k]
+			if k == b>>6 {
+				word &^= 1<<(b&63) - 1
+			}
+			if word != 0 {
+				return lo + k<<6 + bits.TrailingZeros64(word)
+			}
 		}
 	}
 	return hi
