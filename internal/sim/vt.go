@@ -626,20 +626,18 @@ func (e *Engine) ensureOccupancy() {
 		k := (r[1] - r[0] + 63) >> 6
 		size += (k + (k+63)>>6) * (w + 1)
 	}
-	slab := make([]uint64, size)
-	carve := func(n int) []uint64 {
-		words := slab[:n:n]
-		slab = slab[n:]
-		return words
+	words := newSlab[uint64](size)
+	newSet := func(k int) bitset {
+		return bitset{words: words.carve(k)[:k], sum: words.carve((k + 63) >> 6)[:(k+63)>>6]}
 	}
 	e.always = make([]bitset, len(e.ranges))
 	e.occ = make([]bitset, len(e.ranges)*w)
 	e.occCnt = make([]int64, len(e.ranges)*w)
 	for s, r := range e.ranges {
 		k := (r[1] - r[0] + 63) >> 6
-		e.always[s] = bitset{words: carve(k), sum: carve((k + 63) >> 6)}
+		e.always[s] = newSet(k)
 		for slot := 0; slot < w; slot++ {
-			e.occ[s*w+slot] = bitset{words: carve(k), sum: carve((k + 63) >> 6)}
+			e.occ[s*w+slot] = newSet(k)
 		}
 	}
 	for v := range e.procs {
