@@ -392,9 +392,9 @@ type workerState struct {
 	live    bool
 	tdHalts int
 
-	// always and occ are the always and occupancy bitsets of the
-	// worker's range for the tick a sparse walk is on (see nextSparse).
-	always, occ bitset
+	// always and occ are the always and occupancy words of the worker's
+	// range for the tick a sparse walk is on (see nextSparse).
+	always, occ []uint64
 }
 
 // Engine drives a set of processes over a network in lock-step rounds.
@@ -548,9 +548,9 @@ type Engine struct {
 	// O(shards) reduction (see occSlotEmpty). always[s] marks the
 	// shard's attached procs without the TickDriven marker, which are
 	// stepped on every tick.
-	occ    []bitset
+	occ    [][]uint64
 	occCnt []int64
-	always []bitset
+	always [][]uint64
 	// isTD marks the vertices whose procs carry the TickDriven marker,
 	// and tdLive counts those not halted: set by Attach, and kept by
 	// AttachAt, Detach and the halts the step walks see. Every tick's
@@ -1401,7 +1401,8 @@ func (e *Engine) mergeShardVT(s int) {
 			if e.sparse {
 				occ := e.occ[s*window+slot]
 				for _, m := range bucket {
-					occ.set(int(m.to) - lo)
+					b := int(m.to) - lo
+					occ[b>>6] |= 1 << (b & 63)
 				}
 				e.occCnt[s*window+slot] += int64(len(bucket))
 			}

@@ -332,7 +332,7 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			}
 			dst := e.ring[si]
 			if sparse {
-				e.occ[si].set(to)
+				e.occ[si][to>>6] |= 1 << (to & 63)
 				e.occCnt[si]++
 			}
 			// Keep the in-place form x[i] = append(x[i], ...): it stores
@@ -433,7 +433,7 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			}
 			dst := e.ring[si]
 			if sparse {
-				e.occ[si].set(to)
+				e.occ[si][to>>6] |= 1 << (to & 63)
 				e.occCnt[si]++
 			}
 			// In place, as above: no header store.
@@ -537,8 +537,8 @@ func (e *Engine) vtCanSkip() bool {
 // anyLiveAlways reports whether a proc set in the always bitsets has
 // not halted.
 func (e *Engine) anyLiveAlways() bool {
-	for s, always := range e.always {
-		for k, word := range always.words {
+	for s, words := range e.always {
+		for k, word := range words {
 			for ; word != 0; word &= word - 1 {
 				if !e.procs[e.ranges[s][0]+k<<6+bits.TrailingZeros64(word)].Halted() {
 					return true
@@ -574,10 +574,10 @@ func (e *Engine) setAlways(v int) {
 	if !ok {
 		return
 	}
-	if e.procs[v] != nil && !e.isTD[v] {
-		e.always[s].set(b)
+	if word, bit := &e.always[s][b>>6], uint64(1)<<(b&63); e.procs[v] != nil && !e.isTD[v] {
+		*word |= bit
 	} else {
-		e.always[s].words[b>>6] &^= 1 << (b & 63)
+		*word &^= bit
 	}
 }
 
@@ -621,23 +621,19 @@ func (e *Engine) occSlotEmpty(slot int) bool {
 // bitset per ring slot.
 func (e *Engine) ensureOccupancy() {
 	w := e.window
-	size := 0
+	words := 0
 	for _, r := range e.ranges {
-		k := (r[1] - r[0] + 63) >> 6
-		size += (k + (k+63)>>6) * (w + 1)
+		words += (r[1] - r[0] + 63) >> 6
 	}
-	words := newSlab[uint64](size)
-	newSet := func(k int) bitset {
-		return bitset{words: words.carve(k)[:k], sum: words.carve((k + 63) >> 6)[:(k+63)>>6]}
-	}
-	e.always = make([]bitset, len(e.ranges))
-	e.occ = make([]bitset, len(e.ranges)*w)
+	slab := make([]uint64, words*(w+1))
+	e.always = make([][]uint64, len(e.ranges))
+	e.occ = make([][]uint64, len(e.ranges)*w)
 	e.occCnt = make([]int64, len(e.ranges)*w)
 	for s, r := range e.ranges {
 		k := (r[1] - r[0] + 63) >> 6
-		e.always[s] = newSet(k)
+		e.always[s], slab = slab[:k:k], slab[k:]
 		for slot := 0; slot < w; slot++ {
-			e.occ[s*w+slot] = newSet(k)
+			e.occ[s*w+slot], slab = slab[:k:k], slab[k:]
 		}
 	}
 	for v := range e.procs {
@@ -647,34 +643,10 @@ func (e *Engine) ensureOccupancy() {
 		for v, row := range box {
 			if len(row) > 0 {
 				s, b, _ := e.shardBit(v)
-				e.occ[s*w+slot].set(b)
+				e.occ[s*w+slot][b>>6] |= 1 << (b & 63)
 				e.occCnt[s*w+slot] += int64(len(row))
 			}
 		}
-	}
-}
-
-// bitset is a set of one shard's vertices, bit b for its b-th vertex,
-// with a summary: bit k of sum marks a word k that may be nonzero, so a
-// walk reads only the summary and the words it marks. Every nonzero
-// word is marked; a clear bit may leave its word's mark behind.
-type bitset struct {
-	words, sum []uint64
-}
-
-// set adds bit b.
-func (s bitset) set(b int) {
-	s.words[b>>6] |= 1 << (b & 63)
-	s.sum[b>>12] |= 1 << (b >> 6 & 63)
-}
-
-// clear empties the set, touching only the words its summary marks.
-func (s bitset) clear() {
-	for j, sum := range s.sum {
-		for ; sum != 0; sum &= sum - 1 {
-			s.words[j<<6+bits.TrailingZeros64(sum)] = 0
-		}
-		s.sum[j] = 0
 	}
 }
 
@@ -759,31 +731,18 @@ func (e *Engine) stepRange(i int) {
 		}
 	}
 	if e.sparse {
-		ws.occ.clear()
+		clear(ws.occ)
 	}
 }
 
 // nextSparse returns the first vertex at or after v, of the range
 // [lo, hi) the worker walks, whose bit is set in its always or
-// occupancy bitset, or hi if none is: ascending bit order is vertex
-// order, so the walk needs no sort, and the summaries let it pass 64
-// empty words with one load.
+// occupancy words, or hi if none is: ascending bit order is vertex
+// order, so the walk needs no sort.
 func (ws *workerState) nextSparse(lo, hi, v int) int {
-	b := v - lo
-	for j := b >> 12; j < len(ws.occ.sum); j++ {
-		sum := ws.always.sum[j] | ws.occ.sum[j]
-		if j == b>>12 {
-			sum &^= 1<<(b>>6&63) - 1
-		}
-		for ; sum != 0; sum &= sum - 1 {
-			k := j<<6 + bits.TrailingZeros64(sum)
-			word := ws.always.words[k] | ws.occ.words[k]
-			if k == b>>6 {
-				word &^= 1<<(b&63) - 1
-			}
-			if word != 0 {
-				return lo + k<<6 + bits.TrailingZeros64(word)
-			}
+	for b := v - lo; b < hi-lo; b = b | 63 + 1 {
+		if word := (ws.always[b>>6] | ws.occ[b>>6]) >> (b & 63); word != 0 {
+			return lo + b + bits.TrailingZeros64(word)
 		}
 	}
 	return hi

@@ -333,6 +333,106 @@ func TestVTDropAllTerminates(t *testing.T) {
 	}
 }
 
+// lateBeacon is round-driven: it broadcasts in its second Step and has
+// halted after it.
+type lateBeacon struct{ steps int }
+
+func (p *lateBeacon) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
+	p.steps++
+	if p.steps == 2 {
+		return env.Broadcast(hopPayload{hops: 1})
+	}
+	return nil
+}
+
+func (p *lateBeacon) Halted() bool { return p.steps >= 2 }
+
+// haltOnMail halts in the Step that delivers its first message, and
+// markedHaltOnMail is the same proc with the TickDriven marker.
+type haltOnMail struct{ got bool }
+
+func (p *haltOnMail) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
+	p.got = p.got || len(in) > 0
+	return nil
+}
+
+func (p *haltOnMail) Halted() bool { return p.got }
+
+type markedHaltOnMail struct{ haltOnMail }
+
+func (*markedHaltOnMail) StepsOnMessagesOnly() {}
+
+// haltedProc has halted before the run starts, and markedHalted is the
+// same proc with the TickDriven marker.
+type haltedProc struct{}
+
+func (haltedProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing { return nil }
+func (haltedProc) Halted() bool                                                   { return true }
+
+type markedHalted struct{ haltedProc }
+
+func (markedHalted) StepsOnMessagesOnly() {}
+
+// TestHookAttachedTickDrivenHalt: the halt verdict is the same on every
+// engine. A between-rounds hook swaps a neighbor of a late beacon for a
+// proc that halts on its first message. A marked joiner ends the run in
+// the round it halts, on an engine built without a marked proc (every
+// vertex stepped, messages pushed through the ring because of the hook)
+// as on one built with a halted marked proc (sparse stepping); an
+// unmarked joiner was live at that round, so the run takes one more.
+func TestHookAttachedTickDrivenHalt(t *testing.T) {
+	const n = 16
+	g := mustHND(t, n, 4, 1201)
+	joiner := g.Neighbors(0)[0]
+	cases := []struct {
+		name           string
+		sparse, marked bool
+		want           int
+	}{
+		{"dense/marked-joiner", false, true, 2},
+		{"sparse/marked-joiner", true, true, 2},
+		{"dense/plain-joiner", false, false, 3},
+		{"sparse/plain-joiner", true, false, 3},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 3} {
+			eng := sim.New(g, sim.WithSeed(9))
+			eng.SetParallelism(workers)
+			procs := make([]sim.Proc, n)
+			procs[0] = &lateBeacon{}
+			for v := 1; v < n; v++ {
+				procs[v] = haltedProc{}
+				if tc.sparse && v != joiner {
+					procs[v] = markedHalted{}
+				}
+			}
+			eng.SetBetweenRounds(func(round int) error {
+				if round != 0 {
+					return nil
+				}
+				id := eng.ID(joiner)
+				if err := eng.Detach(joiner); err != nil {
+					return err
+				}
+				if tc.marked {
+					return eng.AttachAt(joiner, id, &markedHaltOnMail{})
+				}
+				return eng.AttachAt(joiner, id, &haltOnMail{})
+			})
+			if err := eng.Attach(procs); err != nil {
+				t.Fatal(err)
+			}
+			rounds, err := eng.Run(100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds != tc.want {
+				t.Errorf("%s/workers=%d: Run returned %d, want %d", tc.name, workers, rounds, tc.want)
+			}
+		}
+	}
+}
+
 // TestVTWholeRunPartition: a partition from tick 0 that never heals
 // must suppress every cross-parity delivery for the entire run — the
 // parity counter folded by every relay stays zero while the intra-group
