@@ -87,7 +87,7 @@ func NewLatticeFloodEngine(n, k, workers int) (*sim.Engine, error) {
 // vertices in the sparse virtual-time sweep: n=10^5 runs 100 concurrent
 // pulse/relay neighborhoods, enough per-tick delivered work for the
 // shards to amortize the two phase barriers, while the other ~93% of
-// each tick's rows stay untouched — the occupancy overlay's case.
+// each tick's rows stay untouched — the occupancy bitsets' case.
 // Sources sit 1000 apart and a TTL-2 pulse reaches ~2k hops (~8 ring
 // positions) to a side, so neighborhoods never overlap and traffic
 // stays evenly spread across the contiguous worker shards.

@@ -669,9 +669,10 @@ func (e *Engine) SetTickSkip(on bool) { e.skip = on }
 // stepRange is the walk of one tick over range i (the whole slot space
 // on a serial engine), in ascending vertex order: every vertex of an
 // ordinary engine, and on a sparse one those set in always or in the
-// tick's occupancy (see nextSparse), whose words it clears. It steps
-// each live vertex visited — taking the coordinator's output for
-// Sequential vertices of a parallel engine — and pulls its inbox (see
+// tick's occupancy (see nextSparse), whose words it clears after the
+// last vertex (nextSparse reads them until then). It steps each live
+// vertex visited — taking the coordinator's output for Sequential
+// vertices of a parallel engine — and pulls its inbox (see
 // pullScope) and counts what it sends, or, on an engine that pushes,
 // takes the inbox from the ring and admits the output (see deliverVT).
 // For the halt verdict it notes whether it stepped a live proc without
