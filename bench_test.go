@@ -1,7 +1,8 @@
 // Package bench is the benchmark harness of the reproduction: one
-// testing.B benchmark per experiment E1-E18 (each regenerates its table
-// in quick mode; see DESIGN.md for the experiment index), plus
-// micro-benchmarks for the substrates the experiments stand on.
+// testing.B sub-benchmark per experiment (BenchmarkExperiments/E1 ...
+// /E20, each regenerating its table in quick mode; see DESIGN.md for
+// the experiment index), plus micro-benchmarks for the substrates the
+// experiments stand on.
 //
 // Run everything with:
 //
@@ -21,49 +22,28 @@ import (
 	"byzcount/internal/xrand"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	benchExperimentCfg(b, id, 1)
-}
-
-func benchExperimentCfg(b *testing.B, id string, parallel int) {
-	b.Helper()
-	// The seed is pinned: every iteration regenerates the identical
-	// table, so ns/op measures one workload and is comparable across
-	// runs and commits (a seed varying with i would average over
-	// different graphs and adversary draws).
-	for i := 0; i < b.N; i++ {
-		cfg := expt.Config{Seed: 42, Trials: 1, Quick: true, Parallel: parallel}
-		tbl, err := expt.Run(id, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkExperiments regenerates every experiment's table, one
+// sub-benchmark per expt.IDs() entry, so a new experiment is timed
+// without a new function here.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range expt.IDs() {
+		b.Run(id, func(b *testing.B) {
+			// The seed is pinned: every iteration regenerates the
+			// identical table, so ns/op measures one workload and is
+			// comparable across runs and commits (a seed varying with i
+			// would average over different graphs and adversary draws).
+			for i := 0; i < b.N; i++ {
+				tbl, err := expt.Run(id, expt.Config{Seed: 42, Trials: 1, Quick: true, Parallel: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tbl.Rows) == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
 	}
 }
-
-// The experiment benchmarks: each regenerates the corresponding table.
-
-func BenchmarkE1(b *testing.B)  { benchExperiment(b, "E1") }  // Theorem 1 sweep
-func BenchmarkE2(b *testing.B)  { benchExperiment(b, "E2") }  // Theorem 1 tolerance
-func BenchmarkE3(b *testing.B)  { benchExperiment(b, "E3") }  // Theorem 2 sweep
-func BenchmarkE4(b *testing.B)  { benchExperiment(b, "E4") }  // Remark 2 distribution
-func BenchmarkE5(b *testing.B)  { benchExperiment(b, "E5") }  // Corollary 1 benign
-func BenchmarkE6(b *testing.B)  { benchExperiment(b, "E6") }  // Section 1.2 baselines
-func BenchmarkE7(b *testing.B)  { benchExperiment(b, "E7") }  // blacklist ablation
-func BenchmarkE8(b *testing.B)  { benchExperiment(b, "E8") }  // Lemma 2 tree-like
-func BenchmarkE9(b *testing.B)  { benchExperiment(b, "E9") }  // message sizes
-func BenchmarkE10(b *testing.B) { benchExperiment(b, "E10") } // Theorem 3 dumbbell
-func BenchmarkE11(b *testing.B) { benchExperiment(b, "E11") } // Section 1.1 application
-func BenchmarkE12(b *testing.B) { benchExperiment(b, "E12") } // placement sensitivity
-func BenchmarkE13(b *testing.B) { benchExperiment(b, "E13") } // crash-fault churn (extension)
-func BenchmarkE14(b *testing.B) { benchExperiment(b, "E14") } // topology sensitivity (extension)
-func BenchmarkE15(b *testing.B) { benchExperiment(b, "E15") } // join/leave churn (extension)
-func BenchmarkE16(b *testing.B) { benchExperiment(b, "E16") } // spam + churn (extension)
-func BenchmarkE17(b *testing.B) { benchExperiment(b, "E17") } // placement under churn (extension)
-func BenchmarkE18(b *testing.B) { benchExperiment(b, "E18") } // byzantine joiner (extension)
 
 // Driver-level parallel benchmarks: the same table regenerated through
 // the sweep driver with all (row, trial) cells running concurrently.

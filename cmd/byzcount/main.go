@@ -6,7 +6,7 @@
 //	byzcount list
 //	byzcount expt <id> [-seed N] [-trials N] [-quick]
 //	byzcount all [-seed N] [-trials N] [-quick]
-//	byzcount run [-proto congest|local|geometric|support|kmv|walk|tree]
+//	byzcount run [-proto congest|congest-noblacklist|local|geometric|support|kmv|walk|tree]
 //	             [-n N] [-d D] [-byz B] [-attack spam|silent|fake|crash]
 //	             [-placement random|clustered|spread] [-seed N]
 //	             [-churn K [-churn-stop R]]
@@ -90,7 +90,8 @@ func usage() {
   byzcount bench [flags]                run the perf suite and write BENCH.json
   byzcount graph [flags]                generate a substrate and print its statistics
 flags for expt/all: -seed N  -trials N  -quick  -parallel N  -subcache=false
-flags for run:      -proto congest|local|geometric|support|kmv|walk|tree  -n N  -d D
+flags for run:      -proto congest|congest-noblacklist|local|geometric|support|kmv|walk|tree
+                    -n N  -d D
                     -substrate S (see list; implicit families scale to n=10^6)
                     -byz B  -attack spam|silent|fake|crash
                     -placement random|clustered|spread  -seed N  -parallel N
@@ -362,12 +363,13 @@ func graphCmd(args []string, prof *profiler) error {
 // the CLI's stable vocabulary; the registry holds the implementations.
 var attackAdversaries = map[string]map[string]string{
 	"spam": {
-		"congest":   "spam",
-		"geometric": "geo-max",
-		"support":   "support-min",
-		"kmv":       "kmv-poison",
-		"tree":      "tree-inflate",
-		"":          "silent", // protocols with no value-faking attack
+		"congest":             "spam",
+		"congest-noblacklist": "spam",
+		"geometric":           "geo-max",
+		"support":             "support-min",
+		"kmv":                 "kmv-poison",
+		"tree":                "tree-inflate",
+		"":                    "silent", // protocols with no value-faking attack
 	},
 	"silent": {"": "silent"},
 	"fake":   {"": "fake"},
@@ -399,7 +401,7 @@ func resolveAttack(attack, proto string) (string, error) {
 
 func runCmd(args []string, prof *profiler) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	proto := fs.String("proto", "congest", "protocol: congest|local|geometric|support|kmv|walk|tree")
+	proto := fs.String("proto", "congest", "protocol: congest|congest-noblacklist|local|geometric|support|kmv|walk|tree")
 	substrate := fs.String("substrate", "hnd",
 		"substrate family (see `byzcount list`; *-implicit and lattice families never materialize adjacency)")
 	n := fs.Int("n", 256, "network size")

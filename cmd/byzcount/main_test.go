@@ -156,6 +156,33 @@ func TestRunChurnStopWithoutChurnRejected(t *testing.T) {
 	}
 }
 
+// TestChurnPastNMinus3Rejected: a leave needs more than 3 nodes alive,
+// so a churn rate K above n-3 let the joins outgrow the leaves and the
+// network grow to K+3 nodes: run -churn 99999999999 -n 64 ran out of
+// memory within seconds. run must fail with the churn error before the
+// network exists, and matrix and sweep skip such a cell as
+// incompatible.
+func TestChurnPastNMinus3Rejected(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := run([]string{"run", "-churn", "99999999999", "-n", "64"})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "n-3 = 61") {
+		t.Fatalf("run: err = %v, want the churn error", err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 16<<20 {
+		t.Errorf("rejecting the churn rate allocated %d bytes", b)
+	}
+	for _, args := range [][]string{
+		{"matrix", "-churn", "99999999999", "-n", "64"},
+		{"sweep", "-churn", "99999999999", "-n", "64", "-out", filepath.Join(t.TempDir(), "sw")},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "1 cells skipped") {
+			t.Errorf("%s: err = %v, want an empty grid of skipped cells", args[0], err)
+		}
+	}
+}
+
 func TestRunUnknownPlacementFailsFast(t *testing.T) {
 	err := run([]string{"run", "-proto", "congest", "-n", "64", "-byz", "2", "-placement", "bogus"})
 	if err == nil {

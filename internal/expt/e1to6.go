@@ -42,10 +42,12 @@ func E1(cfg Config) (*Table, error) {
 				return res{}, err
 			}
 			params := counting.DefaultLocalParams(delta)
-
-			benign, err := runProtocol(g, nil, rng.Split("benign").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(params) },
-				nil2byz, params.MaxRounds+8, true)
+			local := func(int) sim.Proc { return counting.NewLocalProc(params) }
+			// Two engines on one graph, seeded "benign" and "attack": no
+			// scenario axis draws those labels, so both call the run
+			// body directly.
+			benign, err := runProcs(sim.New(g, sim.WithSeed(rng.Split("benign").Uint64())), nil,
+				local, nil, params.MaxRounds+8, 1)
 			if err != nil {
 				return res{}, err
 			}
@@ -59,10 +61,9 @@ func E1(cfg Config) (*Table, error) {
 			if err != nil {
 				return res{}, err
 			}
-			attack, err := runProtocol(g, byz, rng.Split("attack").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc { return byzantine.NewFakeNetworkLocal(world, 1) },
-				params.MaxRounds+8, true)
+			attack, err := runProcs(sim.New(g, sim.WithSeed(rng.Split("attack").Uint64())), byz,
+				local, func(int) sim.Proc { return byzantine.NewFakeNetworkLocal(world, 1) },
+				params.MaxRounds+8, 1)
 			if err != nil {
 				return res{}, err
 			}
@@ -70,9 +71,9 @@ func E1(cfg Config) (*Table, error) {
 				diam:       float64(diam),
 				benignMean: meanEstimate(benign),
 				attackMean: meanEstimate(attack),
-				boundedFrac: counting.FractionWithinFactor(attack.outcomes, attack.honest,
+				boundedFrac: counting.FractionWithinFactor(attack.Outcomes, attack.Honest,
 					1, float64(diam+3)),
-				rounds: float64(attack.rounds),
+				rounds: float64(attack.Rounds),
 			}, nil
 		})
 	if err != nil {
@@ -92,9 +93,6 @@ func E1(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// nil2byz is a placeholder byzProc for runs without Byzantine nodes.
-func nil2byz(v int, eng *sim.Engine) sim.Proc { return byzantine.Silent{} }
-
 // E2 — Theorem 1 tolerance sweep: vary gamma (so B = n^(1-gamma)) with
 // worst-case clustered placement.
 func E2(cfg Config) (*Table, error) {
@@ -105,7 +103,6 @@ func E2(cfg Config) (*Table, error) {
 		Columns: []string{"gamma", "B", "decided_frac", "bounded_frac", "mean_est", "far_mean_est"},
 	}
 	const d = 8
-	delta := d + 2
 	n := 256
 	if cfg.Quick {
 		n = 128
@@ -119,44 +116,30 @@ func E2(cfg Config) (*Table, error) {
 	results, err := sweepRows(cfg, root, gammas,
 		func(gamma float64) string { return fmt.Sprintf("e2-g%.2f", gamma) },
 		func(gamma float64, trial int, rng *xrand.Rand) (res, error) {
-			b := byzCount(n, 1-gamma)
-			g, err := hnd(n, d, rng.Split("graph"))
+			r, err := RunScenario(Scenario{
+				Proto: "local", Adversary: "fake", Placement: "clustered",
+				N: n, D: d, Byz: byzCount(n, 1-gamma), StopFrac: 1,
+			}, rng, RunOptions{})
 			if err != nil {
 				return res{}, err
 			}
-			diam, err := g.Diameter()
-			if err != nil {
-				return res{}, err
-			}
-			byz, err := byzantine.ClusteredPlacement(g, b, rng.Split("place"))
-			if err != nil {
-				return res{}, err
-			}
-			world, err := byzantine.NewFakeWorld(2*n, d, delta, max(b, 1), rng.Split("world"))
-			if err != nil {
-				return res{}, err
-			}
-			params := counting.DefaultLocalParams(delta)
-			r, err := runProtocol(g, byz, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc { return byzantine.NewFakeNetworkLocal(world, 1) },
-				params.MaxRounds+8, true)
+			diam, err := r.Graph.Diameter()
 			if err != nil {
 				return res{}, err
 			}
 			out := res{
-				decided: counting.DecidedFraction(r.outcomes, r.honest),
-				bounded: counting.FractionWithinFactor(r.outcomes, r.honest,
+				decided: counting.DecidedFraction(r.Outcomes, r.Honest),
+				bounded: counting.FractionWithinFactor(r.Outcomes, r.Honest,
 					1, float64(diam+3)),
 				meanAll: meanEstimate(r),
 			}
 			// "Far" nodes: distance > 2 from every Byzantine vertex — the
 			// Good set of Lemma 1 at this scale.
-			far := farMask(g, byz, 2)
+			far := farMask(r.Graph, r.Byz, 2)
 			var fsum float64
 			var fcnt int
-			for v, o := range r.outcomes {
-				if r.honest[v] && far[v] && o.Decided {
+			for v, o := range r.Outcomes {
+				if r.Honest[v] && far[v] && o.Decided {
 					fsum += float64(o.Estimate)
 					fcnt++
 				}
@@ -300,41 +283,23 @@ func E4(cfg Config) (*Table, error) {
 		n = 128
 	}
 	root := xrand.New(cfg.Seed)
-
+	b := byzCount(n, 0.45)
 	type scen struct {
-		label   string
-		withByz bool
+		label string
+		sc    Scenario
 	}
 	scens := []scen{
-		{"benign", false},
-		{"spam_B=" + fmt.Sprint(byzCount(n, 0.45)), true},
+		{"benign", Scenario{N: n, D: d, MaxPhase: 12, StopFrac: 1}},
+		{"spam_B=" + fmt.Sprint(b), Scenario{Adversary: "spam", N: n, D: d, Byz: b, MaxPhase: 12, StopFrac: 1}},
 	}
 	results, err := sweepRows(cfg, root, scens,
 		func(s scen) string { return "e4-" + s.label },
 		func(s scen, trial int, rng *xrand.Rand) ([]int, error) {
-			g, err := hnd(n, d, rng.Split("graph"))
+			r, err := RunScenario(s.sc, rng, RunOptions{})
 			if err != nil {
 				return nil, err
 			}
-			var byz []bool
-			if s.withByz {
-				byz, err = byzantine.RandomPlacement(g, byzCount(n, 0.45), rng.Split("place"))
-				if err != nil {
-					return nil, err
-				}
-			}
-			params := counting.DefaultCongestParams(d)
-			params.MaxPhase = 12
-			r, err := runProtocol(g, byz, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc {
-					return byzantine.NewBeaconSpammer(params.Schedule, 6, false, rng.SplitN("spam", v))
-				},
-				congestMaxRounds(params), true)
-			if err != nil {
-				return nil, err
-			}
-			return counting.DecidedEstimates(r.outcomes, r.honest), nil
+			return counting.DecidedEstimates(r.Outcomes, r.Honest), nil
 		})
 	if err != nil {
 		return nil, err
@@ -371,26 +336,20 @@ func E5(cfg Config) (*Table, error) {
 	results, err := sweepRows(cfg, root, ns,
 		func(n int) string { return fmt.Sprintf("e5-n%d", n) },
 		func(n, trial int, rng *xrand.Rand) (res, error) {
-			g, err := hnd(n, d, rng.Split("graph"))
-			if err != nil {
-				return res{}, err
-			}
-			params := counting.DefaultCongestParams(d)
-			r, err := runProtocol(g, nil, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				nil2byz, congestMaxRounds(params), false) // run to full halt
+			// StopFrac 0: run to full halt.
+			r, err := RunScenario(Scenario{N: n, D: d}, rng, RunOptions{})
 			if err != nil {
 				return res{}, err
 			}
 			hist := stats.NewHistogram()
-			for _, e := range counting.DecidedEstimates(r.outcomes, r.honest) {
+			for _, e := range counting.DecidedEstimates(r.Outcomes, r.Honest) {
 				hist.Add(e)
 			}
 			mode, _ := hist.Mode()
 			return res{
-				rounds:  float64(r.rounds),
+				rounds:  float64(r.Rounds),
 				frac:    hist.Fraction(mode-1, mode+1),
-				maxBits: float64(r.metrics.MaxMsgBits),
+				maxBits: float64(r.Metrics.MaxMsgBits),
 				mode:    float64(mode),
 			}, nil
 		})

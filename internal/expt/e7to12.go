@@ -22,7 +22,7 @@ func E7(cfg Config) (*Table, error) {
 		Claim:   "Section 5: without blacklisting, Byzantine nodes keep generating beacons and good nodes overshoot log n before deciding",
 		Columns: []string{"blacklist", "decided_frac", "mean_est", "inflated_frac", "rounds"},
 	}
-	const d = 8
+	const d, maxPhase = 8, 8
 	n := 128
 	root := xrand.New(cfg.Seed)
 	disables := []bool{false, true}
@@ -32,32 +32,23 @@ func E7(cfg Config) (*Table, error) {
 	results, err := sweepRows(cfg, root, disables,
 		func(disable bool) string { return fmt.Sprintf("e7-%v", disable) },
 		func(disable bool, trial int, rng *xrand.Rand) (res, error) {
-			g, err := hnd(n, d, rng.Split("graph"))
-			if err != nil {
-				return res{}, err
+			proto := "congest"
+			if disable {
+				proto = "congest-noblacklist"
 			}
-			byz, err := byzantine.RandomPlacement(g, 2, rng.Split("place"))
-			if err != nil {
-				return res{}, err
-			}
-			params := counting.DefaultCongestParams(d)
-			params.MaxPhase = 8
-			params.DisableBlacklist = disable
-			r, err := runProtocol(g, byz, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc {
-					return byzantine.NewBeaconSpammer(params.Schedule, 6, false, rng.SplitN("spam", v))
-				},
-				congestMaxRounds(params), true)
+			r, err := RunScenario(Scenario{
+				Proto: proto, Adversary: "spam",
+				N: n, D: d, Byz: 2, MaxPhase: maxPhase, StopFrac: 1,
+			}, rng, RunOptions{})
 			if err != nil {
 				return res{}, err
 			}
 			return res{
-				decided: counting.DecidedFraction(r.outcomes, r.honest),
+				decided: counting.DecidedFraction(r.Outcomes, r.Honest),
 				meanEst: meanEstimate(r),
-				inflated: counting.FractionWithinFactor(r.outcomes, r.honest,
-					float64(params.MaxPhase), 1e18),
-				rounds: float64(r.rounds),
+				inflated: counting.FractionWithinFactor(r.Outcomes, r.Honest,
+					maxPhase, 1e18),
+				rounds: float64(r.Rounds),
 			}, nil
 		})
 	if err != nil {
@@ -143,24 +134,25 @@ func E9(cfg Config) (*Table, error) {
 			if err != nil {
 				return res{}, err
 			}
+			// Both protocols on one graph, engines seeded "l" and "c":
+			// no scenario axis draws those labels, so both call the run
+			// body directly.
 			lp := counting.DefaultLocalParams(d)
-			lres, err := runProtocol(g, nil, rng.Split("l").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewLocalProc(lp) },
-				nil2byz, lp.MaxRounds+8, true)
+			lres, err := runProcs(sim.New(g, sim.WithSeed(rng.Split("l").Uint64())), nil,
+				func(int) sim.Proc { return counting.NewLocalProc(lp) }, nil, lp.MaxRounds+8, 1)
 			if err != nil {
 				return res{}, err
 			}
 			cp := counting.DefaultCongestParams(d)
-			cres, err := runProtocol(g, nil, rng.Split("c").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(cp) },
-				nil2byz, congestMaxRounds(cp), false)
+			cres, err := runProcs(sim.New(g, sim.WithSeed(rng.Split("c").Uint64())), nil,
+				func(int) sim.Proc { return counting.NewCongestProc(cp) }, nil, congestMaxRounds(cp), 0)
 			if err != nil {
 				return res{}, err
 			}
 			return res{
-				localTotal:   float64(lres.metrics.Bits),
-				congestMax:   float64(cres.metrics.MaxMsgBits),
-				congestTotal: float64(cres.metrics.Bits),
+				localTotal:   float64(lres.Metrics.Bits),
+				congestMax:   float64(cres.Metrics.MaxMsgBits),
+				congestTotal: float64(cres.Metrics.Bits),
 			}, nil
 		})
 	if err != nil {
@@ -210,20 +202,22 @@ func E10(cfg Config) (*Table, error) {
 				return res{}, err
 			}
 			out := res{hEst: g.EstimateVertexExpansion(8, rng.Split("sweep"))}
+			// The dumbbell and its bridge are no substrate or placement
+			// axis value, so this run calls the run body directly.
 			byz := make([]bool, g.N())
 			byz[bridge] = true
 			params := counting.DefaultCongestParams(d)
 			params.MaxPhase = 12
-			r, err := runProtocol(g, byz, rng.Split("run").Uint64(),
-				func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-				func(v int, eng *sim.Engine) sim.Proc { return byzantine.Silent{} },
-				congestMaxRounds(params), true)
+			r, err := runProcs(sim.New(g, sim.WithSeed(rng.Split("run").Uint64())), byz,
+				func(int) sim.Proc { return counting.NewCongestProc(params) },
+				func(int) sim.Proc { return byzantine.Silent{} },
+				congestMaxRounds(params), 1)
 			if err != nil {
 				return res{}, err
 			}
 			var lsum, rsum float64
 			var lcnt, rcnt int
-			for v, o := range r.outcomes {
+			for v, o := range r.Outcomes {
 				if v == bridge || !o.Decided {
 					continue
 				}
@@ -283,14 +277,13 @@ func E11(cfg Config) (*Table, error) {
 	}
 	counted := func(rng *xrand.Rand, g *graph.Graph) (int, error) {
 		params := counting.DefaultCongestParams(d)
-		res, err := runProtocol(g, nil, rng.Uint64(),
-			func(v int, eng *sim.Engine) sim.Proc { return counting.NewCongestProc(params) },
-			nil2byz, congestMaxRounds(params), true)
+		res, err := runProcs(sim.New(g, sim.WithSeed(rng.Uint64())), nil,
+			func(int) sim.Proc { return counting.NewCongestProc(params) }, nil, congestMaxRounds(params), 1)
 		if err != nil {
 			return 0, err
 		}
 		hist := stats.NewHistogram()
-		for _, e := range counting.DecidedEstimates(res.outcomes, res.honest) {
+		for _, e := range counting.DecidedEstimates(res.Outcomes, res.Honest) {
 			hist.Add(e)
 		}
 		mode, _ := hist.Mode()
@@ -357,30 +350,25 @@ func E11(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// runAgreeWithParams runs the agreement protocol with explicit params.
+// runAgreeWithParams runs the agreement protocol with explicit params:
+// honest nodes start on bit 1 except every fourth, which starts on 0
+// (a 75/25 split), and Byzantine nodes flip the tokens passing through
+// them and seed extra 0 tokens. It returns the fraction of honest nodes
+// holding 1 at the end.
 func runAgreeWithParams(rng *xrand.Rand, g *graph.Graph, byz []bool, params agreement.Params) (float64, error) {
-	eng := sim.New(g, sim.WithSeed(rng.Uint64()))
-	procs := make([]sim.Proc, g.N())
-	honest := make([]bool, g.N())
-	for v := range procs {
-		if byz != nil && byz[v] {
-			procs[v] = &agreement.ValueFlipper{Prefer: 0, Extra: 1}
-		} else {
-			honest[v] = true
-			var bit byte = 1
+	r, err := runProcs(sim.New(g, sim.WithSeed(rng.Uint64())), byz,
+		func(v int) sim.Proc {
 			if v%4 == 0 {
-				bit = 0
+				return agreement.NewProc(params, 0)
 			}
-			procs[v] = agreement.NewProc(params, bit)
-		}
-	}
-	if err := eng.Attach(procs); err != nil {
+			return agreement.NewProc(params, 1)
+		},
+		func(int) sim.Proc { return &agreement.ValueFlipper{Prefer: 0, Extra: 1} },
+		params.TotalRounds()+4, 0)
+	if err != nil {
 		return 0, err
 	}
-	if _, err := eng.Run(params.TotalRounds() + 4); err != nil {
-		return 0, err
-	}
-	return agreement.AgreementFraction(procs, honest, 1), nil
+	return agreement.AgreementFraction(r.Procs, r.Honest, 1), nil
 }
 
 // E12 — placement sensitivity: random vs clustered vs spread.

@@ -5,11 +5,13 @@ package expt
 // churn — with a named registry per axis, so the cross-product of
 // everything the reproduction can execute is enumerable (the `byzcount
 // matrix` subcommand) instead of hand-wired one runner at a time.
-// E3, E6, E12, and E15 are rebased onto RunScenario as proof the old
-// runners decompose; their tables are byte-identical to the
-// pre-scenario code because every axis implementation derives its
-// randomness with the exact split labels the hand-wired runners used
-// ("graph", "place", "run", "spam", "net", "eng", ...). New
+// E2-E7 and E12-E20 are Scenario cells; their tables are byte-identical
+// to the hand-wired runners they replaced because every axis
+// implementation derives its randomness with the exact split labels
+// those runners used ("graph", "place", "run", "spam", "world", "when",
+// "net", "eng", ...). Runs that no axis expresses — E1's and E9's
+// second engine seed, E10's dumbbell bridge, E11's counted estimate and
+// agreement run — call the same run body, runProcs, directly. New
 // cross-product cells — Byzantine adversaries on churning topologies —
 // are E16-E18.
 
@@ -209,6 +211,11 @@ func (sc Scenario) Validate() error {
 	if sc.N < 3 || sc.D < 1 {
 		return fmt.Errorf("expt: degenerate scale n=%d d=%d", sc.N, sc.D)
 	}
+	if k := max(sc.Churn.Leaves, sc.Churn.Joins); k > sc.N-3 {
+		// A leave needs more than 3 nodes alive: past n-3 per round the
+		// joins outgrow the leaves and the network grows to k+3 nodes.
+		return fmt.Errorf("expt: churn of %d leaves and %d joins per round exceeds n-3 = %d", sc.Churn.Leaves, sc.Churn.Joins, sc.N-3)
+	}
 	if proto.Congest && sc.D < 2 {
 		// Equation (3)'s trusted-suffix parameter divides by ln d.
 		return fmt.Errorf("expt: protocol %q needs degree d >= 2, got d=%d", sc.Proto, sc.D)
@@ -258,6 +265,17 @@ var Protocols = map[string]Protocol{
 		MaxRounds: func(ctx *scenarioCtx) int { return congestMaxRounds(ctx.congest) },
 		Proc:      func(ctx *scenarioCtx, v int) sim.Proc { return counting.NewCongestProc(ctx.congest) },
 	},
+	// The blacklist ablation of E7: Algorithm 2 with the blacklisting of
+	// lines 20-32 switched off.
+	"congest-noblacklist": {
+		Name: "congest-noblacklist", Congest: true,
+		MaxRounds: func(ctx *scenarioCtx) int { return congestMaxRounds(ctx.congest) },
+		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
+			p := ctx.congest
+			p.DisableBlacklist = true
+			return counting.NewCongestProc(p)
+		},
+	},
 	"local": {
 		Name:      "local",
 		MaxRounds: func(ctx *scenarioCtx) int { return ctx.local.MaxRounds + 8 },
@@ -305,9 +323,9 @@ type Substrate struct {
 	// Implicit, when set, marks an on-demand family: RunScenario runs it
 	// on a sim.New engine over the returned topology instead of
 	// materializing a CSR, so a million-vertex cell costs O(1) substrate
-	// memory. The run path mirrors the static split-label sequence and
-	// both engine constructors share their ID-stream derivation, so an
-	// implicit cell's outputs are byte-identical to its materialized
+	// memory. It takes the static path's split labels and both engine
+	// constructors share their ID-stream derivation, so an implicit
+	// cell's outputs are byte-identical to its materialized
 	// counterpart's (pinned by TestImplicitScenarioMatchesMaterialized).
 	// Implicit families bypass the substrate cache — building one is a
 	// couple of field writes, cheaper than the cache lookup (see
@@ -544,9 +562,9 @@ type RunOptions struct {
 
 // RunScenario executes one scenario cell. rng is the cell's root random
 // stream (a sweep driver sub-seed, or xrand.New(seed) from the CLI).
-// Static cells run on sim.New over the built graph, churning cells on
-// dynamic.Runner with a byzantine.Roster re-evaluating the placement as
-// members arrive; the Delay and Fault axes configure the engine's
+// Static cells run on sim.New over the built substrate, churning cells
+// on dynamic.Runner with a byzantine.Roster re-evaluating the placement
+// as members arrive; the Delay and Fault axes configure the engine's
 // delivery models either way.
 func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcome, error) {
 	sc = sc.withDefaults()
@@ -565,34 +583,57 @@ func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcom
 	if sc.Proto == "local" {
 		ctx.local = counting.DefaultLocalParams(sc.D + 2)
 	}
-	// Validate parsed these already; nil models (empty specs) mean unit
-	// latency and no faults.
-	eo := engineOpts{workers: opts.Workers}
-	if opts.Context != nil {
-		eo.done = opts.Context.Done()
+	maxRounds := sc.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = proto.MaxRounds(ctx)
 	}
-	eo.delay, _ = sim.ParseDelayModel(sc.Delay)
-	eo.fault, _ = sim.ParseFaultModel(sc.Fault)
 	if sc.Churn.Active() || sc.Dynamic {
-		return runScenarioChurn(sc, ctx, proto, adv, eo)
+		return runScenarioChurn(sc, ctx, proto, adv, maxRounds, opts)
 	}
-	if Substrates[sc.Substrate].Implicit != nil {
-		return runScenarioImplicit(sc, ctx, proto, adv, eo)
-	}
-	return runScenarioStatic(sc, ctx, proto, adv, eo)
+	return runScenarioStatic(sc, ctx, proto, adv, maxRounds, opts)
 }
 
-// runScenarioImplicit is the on-demand-substrate path: no CSR is
-// materialized — the engine resolves neighborhoods lazily from the
-// implicit topology. The split-label sequence ("graph", "place", "run")
-// mirrors runScenarioStatic call for call (the "graph" stream is split
-// even though deterministic implicit builds never draw from it), and
-// both sim.New dispatch paths assign IDs the same way, so a cell's
-// outputs are byte-identical to the materialized counterpart's.
-func runScenarioImplicit(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, eo engineOpts) (*ScenarioOutcome, error) {
+// setUp applies the execution shape and the scenario's delivery models
+// to eng. Validate parsed the specs already; empty specs parse to nil
+// models, which mean unit latency and a lossless network.
+func (opts RunOptions) setUp(eng *sim.Engine, sc Scenario) {
+	if delay, _ := sim.ParseDelayModel(sc.Delay); delay != nil {
+		eng.SetDelayModel(delay)
+	}
+	if fault, _ := sim.ParseFaultModel(sc.Fault); fault != nil {
+		eng.SetFaultModel(fault)
+	}
+	if opts.Context != nil {
+		eng.SetCancel(opts.Context.Done())
+	}
+	eng.SetParallelism(max(opts.Workers, 1))
+}
+
+// runScenarioStatic is the static-substrate path. A materialized family
+// is built through the substrate cache; an implicit one hands the
+// engine an on-demand topology, so no CSR exists. Its split-label
+// sequence ("graph", split even where a deterministic family never
+// draws from it; "place"; the adversary's Prepare labels; "run") is
+// exactly the hand-wired runners', which is what keeps the rebased
+// tables byte-identical, and both sim.New dispatch paths assign IDs the
+// same way, so an implicit cell's outputs equal its materialized
+// counterpart's (TestImplicitScenarioMatchesMaterialized).
+func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, maxRounds int, opts RunOptions) (*ScenarioOutcome, error) {
 	sub := Substrates[sc.Substrate]
-	_ = ctx.rng.Split("graph")
-	topo, err := sub.Implicit(sc.N, sc.D)
+	// The build stream is split off purely for this build, so its seed
+	// identifies the draw and the substrate cache can reuse one immutable
+	// graph across every cell that derives the same stream.
+	grng := ctx.rng.Split("graph")
+	var g *graph.Graph
+	var topo sim.Topology
+	var err error
+	if sub.Implicit != nil {
+		topo, err = sub.Implicit(sc.N, sc.D)
+	} else {
+		g, err = cachedSubstrate(sc.Substrate, sc.N, sc.D, grng.Seed(), sub.Deterministic,
+			func() (*graph.Graph, error) { return sub.Build(sc.N, sc.D, grng) })
+		topo = g
+	}
 	if err != nil {
 		return nil, fmt.Errorf("expt: building %s(n=%d,d=%d): %w", sc.Substrate, sc.N, sc.D, err)
 	}
@@ -610,78 +651,72 @@ func runScenarioImplicit(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adve
 			return nil, err
 		}
 	}
-	maxRounds := sc.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = proto.MaxRounds(ctx)
-	}
-	r, err := runProtocolOnEngine(sim.New(topo, sim.WithSeed(ctx.rng.Split("run").Uint64())), topo.Slots(), byz,
-		func(v int, eng *sim.Engine) sim.Proc { return proto.Proc(ctx, v) },
-		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v) },
-		maxRounds, sc.StopFrac, eo)
+	eng := sim.New(topo, sim.WithSeed(ctx.rng.Split("run").Uint64()))
+	opts.setUp(eng, sc)
+	out, err := runProcs(eng, byz,
+		func(v int) sim.Proc { return proto.Proc(ctx, v) },
+		func(v int) sim.Proc { return adv.Proc(ctx, v) },
+		maxRounds, sc.StopFrac)
 	if err != nil {
 		return nil, err
 	}
-	return &ScenarioOutcome{
-		Outcomes: r.outcomes,
-		Honest:   r.honest,
-		Procs:    r.procs,
-		Rounds:   r.rounds,
-		Metrics:  r.metrics,
-		Byz:      byz,
-		Topology: topo,
-		Engine:   r.engine,
-	}, nil
+	out.Graph = g
+	if g == nil {
+		out.Topology = topo
+	}
+	return out, nil
 }
 
-// runScenarioStatic is the static-substrate path; its split-label
-// sequence ("graph", "place", adversary Prepare labels, "run") is
-// exactly the hand-wired runners', which is what keeps the rebased
-// E3/E6/E12 tables byte-identical.
-func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, eo engineOpts) (*ScenarioOutcome, error) {
-	sub := Substrates[sc.Substrate]
-	// The build stream is split off purely for this build, so its seed
-	// identifies the draw and the substrate cache can reuse one immutable
-	// graph across every cell that derives the same stream.
-	grng := ctx.rng.Split("graph")
-	g, err := cachedSubstrate(sc.Substrate, sc.N, sc.D, grng.Seed(), sub.Deterministic,
-		func() (*graph.Graph, error) { return sub.Build(sc.N, sc.D, grng) })
-	if err != nil {
-		return nil, fmt.Errorf("expt: building %s(n=%d,d=%d): %w", sc.Substrate, sc.N, sc.D, err)
-	}
-	count, _ := sc.byzBudget()
-	byz := make([]bool, g.N())
-	if count > 0 {
-		byz, err = Placements[sc.Placement](g, count, ctx.rng.Split("place"))
-		if err != nil {
-			return nil, err
+// runProcs is the run body of every static run: it attaches one process
+// per slot of eng — byzProc(v) where byz[v] is set, honestProc(v)
+// elsewhere (byz nil: all honest) — and runs for at most maxRounds. The
+// run ends once at least stopFrac of the honest nodes have decided
+// (Theorem 2 only promises (1-beta)n deciders — Byzantine-adjacent
+// stragglers may never decide on their own); stopFrac <= 0 runs to
+// halt. Runs are bit-identical for every worker count.
+func runProcs(eng *sim.Engine, byz []bool, honestProc, byzProc func(v int) sim.Proc,
+	maxRounds int, stopFrac float64) (*ScenarioOutcome, error) {
+	procs := make([]sim.Proc, eng.Slots())
+	honest := make([]bool, len(procs))
+	honestTotal := 0
+	for v := range procs {
+		if byz != nil && byz[v] {
+			procs[v] = byzProc(v)
+		} else {
+			procs[v] = honestProc(v)
+			honest[v] = true
+			honestTotal++
 		}
 	}
-	ctx.byz = byz
-	if adv.Prepare != nil {
-		if err := adv.Prepare(ctx); err != nil {
-			return nil, err
-		}
+	if err := eng.Attach(procs); err != nil {
+		return nil, err
 	}
-	maxRounds := sc.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = proto.MaxRounds(ctx)
+	if stopFrac > 0 {
+		eng.SetStopCondition(func(round int) bool {
+			decided := 0
+			for v, p := range procs {
+				if !honest[v] {
+					continue
+				}
+				if e, ok := p.(counting.Estimator); ok && e.Outcome().Decided {
+					decided++
+				}
+			}
+			return honestTotal == 0 || float64(decided) >= stopFrac*float64(honestTotal)
+		})
 	}
-	r, err := runProtocolOnEngine(sim.New(g, sim.WithSeed(ctx.rng.Split("run").Uint64())), g.N(), byz,
-		func(v int, eng *sim.Engine) sim.Proc { return proto.Proc(ctx, v) },
-		func(v int, eng *sim.Engine) sim.Proc { return adv.Proc(ctx, v) },
-		maxRounds, sc.StopFrac, eo)
+	rounds, err := eng.Run(maxRounds)
 	if err != nil {
 		return nil, err
 	}
 	return &ScenarioOutcome{
-		Outcomes: r.outcomes,
-		Honest:   r.honest,
-		Procs:    r.procs,
-		Rounds:   r.rounds,
-		Metrics:  r.metrics,
+		Outcomes: counting.Outcomes(procs),
+		Honest:   honest,
+		Procs:    procs,
+		Rounds:   rounds,
+		Metrics:  eng.Metrics(),
 		Byz:      byz,
-		Graph:    g,
-		Engine:   r.engine,
+		Engine:   eng,
 	}, nil
 }
 
@@ -691,7 +726,7 @@ func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Advers
 // Split labels ("net", "place", "roster", "eng") match E15's, so its
 // rebased tables stay byte-identical (a benign scenario draws nothing
 // from "place"/"roster").
-func runScenarioChurn(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, eo engineOpts) (*ScenarioOutcome, error) {
+func runScenarioChurn(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, maxRounds int, opts RunOptions) (*ScenarioOutcome, error) {
 	net, err := dynamic.NewNetwork(sc.N, sc.D, ctx.rng.Split("net"))
 	if err != nil {
 		return nil, err
@@ -746,22 +781,13 @@ func runScenarioChurn(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversa
 	}
 	initial = false
 	run.SetLeaveHook(roster.OnLeave)
-	run.SetParallelism(max(eo.workers, 1))
-	if eo.done != nil {
-		run.Engine().SetCancel(eo.done)
-	}
-	if eo.delay != nil {
-		run.SetDelayModel(eo.delay)
-	}
-	if eo.fault != nil {
-		run.SetFaultModel(eo.fault)
-	}
+	eng := run.Engine()
+	opts.setUp(eng, sc)
 	if sc.StopFrac > 0 {
 		// Stop once StopFrac of the currently alive honest nodes have
 		// decided. While churn is active fresh joiners keep the decided
 		// fraction down, so the condition effectively fires after the
 		// churn quiesces — exactly the "let the survivors finish" read.
-		eng := run.Engine()
 		eng.SetStopCondition(func(round int) bool {
 			honestTotal, decided := 0, 0
 			for s := 0; s < eng.Slots(); s++ {
@@ -775,10 +801,6 @@ func runScenarioChurn(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversa
 			}
 			return honestTotal == 0 || float64(decided) >= sc.StopFrac*float64(honestTotal)
 		})
-	}
-	maxRounds := sc.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = proto.MaxRounds(ctx)
 	}
 	rounds, err := run.Run(maxRounds)
 	if err != nil {

@@ -6,6 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"byzcount/internal/byzantine"
+	"byzcount/internal/counting"
+	"byzcount/internal/graph"
+	"byzcount/internal/sim"
 	"byzcount/internal/xrand"
 )
 
@@ -25,6 +29,13 @@ func TestScenarioValidate(t *testing.T) {
 			Churn: ChurnProfile{Leaves: 1, Joins: 1}}, "benign"},
 		{Scenario{Byz: 2}, "adversary"}, // Byzantine nodes with adversary "none"
 		{Scenario{N: 2}, "degenerate"},
+		{Scenario{N: 2, Churn: ChurnProfile{Leaves: 1, Joins: 1}}, "degenerate"},
+		// A leave needs more than 3 nodes alive: past n-3 per round the
+		// joins outgrow the leaves and the network grows to k+3 nodes.
+		{Scenario{N: 64, Churn: ChurnProfile{Leaves: 62, Joins: 62}}, "n-3 = 61"},
+		{Scenario{N: 64, Churn: ChurnProfile{Leaves: 62}}, "n-3 = 61"},
+		{Scenario{N: 64, Churn: ChurnProfile{Joins: 62}}, "n-3 = 61"},
+		{Scenario{N: 64, Churn: ChurnProfile{Leaves: 99999999999, Joins: 99999999999}}, "n-3 = 61"},
 		{Scenario{Proto: "congest", D: 1}, `protocol "congest" needs degree d >= 2, got d=1`},
 		{Scenario{Delay: "bogus"}, "delay"},
 		{Scenario{Delay: "uniform:4-1"}, "uniform"},
@@ -41,10 +52,13 @@ func TestScenarioValidate(t *testing.T) {
 			t.Errorf("scenario %+v: error %q does not mention %q", tc.sc, err, tc.want)
 		}
 	}
-	good := Scenario{Proto: "congest", Adversary: "spam", Byz: 4,
-		Churn: ChurnProfile{Leaves: 1, Joins: 1}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid scenario rejected: %v", err)
+	for _, good := range []Scenario{
+		{Proto: "congest", Adversary: "spam", Byz: 4, Churn: ChurnProfile{Leaves: 1, Joins: 1}},
+		{N: 64, Churn: ChurnProfile{Leaves: 61, Joins: 61}},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid scenario %+v rejected: %v", good, err)
+		}
 	}
 	// The d >= 2 bound is the CONGEST protocol's alone.
 	if err := (Scenario{Proto: "local", D: 1}).Validate(); err != nil {
@@ -223,29 +237,51 @@ func TestScenarioChurnByzDeterminism(t *testing.T) {
 }
 
 // TestScenarioStaticMatchesHandWired: the scenario layer's static path
-// is the old runner decomposed, not a reimplementation — for the E3
-// cell shape it must produce the exact runProtocol outcome.
+// is the hand-wired runner decomposed, not a reimplementation. The E3
+// cell shape wired by hand over the run body — H(n,d) built from
+// "graph", a random placement from "place", spammers from
+// SplitN("spam", v), the engine seeded from "run" — must produce
+// RunScenario's exact outcome. This pins the split-label contract the
+// rebased tables rest on, apart from their digests.
 func TestScenarioStaticMatchesHandWired(t *testing.T) {
-	rngA := xrand.New(1234)
+	const n, d, byzN, maxPhase, seed = 64, 8, 4, 6, 1234
 	out, err := RunScenario(Scenario{
 		Proto: "congest", Adversary: "spam", Placement: "random",
-		N: 64, D: 8, Byz: 4, MaxPhase: 6, StopFrac: 1,
-	}, rngA, RunOptions{})
+		N: n, D: d, Byz: byzN, MaxPhase: maxPhase, StopFrac: 1,
+	}, xrand.New(seed), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rounds == 0 || out.Metrics.Messages == 0 {
 		t.Fatal("degenerate run")
 	}
-	// Same seed, same cell: byte-identical outcome set.
-	out2, err := RunScenario(Scenario{
-		Proto: "congest", Adversary: "spam", Placement: "random",
-		N: 64, D: 8, Byz: 4, MaxPhase: 6, StopFrac: 1,
-	}, xrand.New(1234), RunOptions{})
+	rng := xrand.New(seed)
+	g, err := graph.HND(n, d, rng.Split("graph"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Outcomes, out2.Outcomes) || !reflect.DeepEqual(out.Metrics, out2.Metrics) {
-		t.Error("same-seed scenario runs diverge")
+	byz, err := byzantine.RandomPlacement(g, byzN, rng.Split("place"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := counting.DefaultCongestParams(d)
+	params.MaxPhase = maxPhase
+	hand, err := runProcs(sim.New(g, sim.WithSeed(rng.Split("run").Uint64())), byz,
+		func(int) sim.Proc { return counting.NewCongestProc(params) },
+		func(v int) sim.Proc {
+			return byzantine.NewBeaconSpammer(params.Schedule, 6, false, rng.SplitN("spam", v))
+		},
+		params.Schedule.RoundsThroughPhase(maxPhase+1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Outcomes, hand.Outcomes) {
+		t.Error("outcomes diverge from the hand-wired run")
+	}
+	if out.Rounds != hand.Rounds {
+		t.Errorf("rounds %d, hand-wired %d", out.Rounds, hand.Rounds)
+	}
+	if !reflect.DeepEqual(out.Metrics, hand.Metrics) {
+		t.Errorf("metrics diverge from the hand-wired run:\nscenario: %+v\nhand:     %+v", out.Metrics, hand.Metrics)
 	}
 }
