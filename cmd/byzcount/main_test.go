@@ -161,11 +161,11 @@ func TestRunChurnStopWithoutChurnRejected(t *testing.T) {
 // network grow to K+3 nodes: run -churn 99999999999 -n 64 ran out of
 // memory within seconds. run must fail with the churn error before the
 // network exists, and matrix and sweep skip such a cell as
-// incompatible.
+// incompatible. (The rate here fits a 32-bit int.)
 func TestChurnPastNMinus3Rejected(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := run([]string{"run", "-churn", "99999999999", "-n", "64"})
+	err := run([]string{"run", "-churn", "2147483647", "-n", "64"})
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "n-3 = 61") {
 		t.Fatalf("run: err = %v, want the churn error", err)
@@ -174,8 +174,8 @@ func TestChurnPastNMinus3Rejected(t *testing.T) {
 		t.Errorf("rejecting the churn rate allocated %d bytes", b)
 	}
 	for _, args := range [][]string{
-		{"matrix", "-churn", "99999999999", "-n", "64"},
-		{"sweep", "-churn", "99999999999", "-n", "64", "-out", filepath.Join(t.TempDir(), "sw")},
+		{"matrix", "-churn", "2147483647", "-n", "64"},
+		{"sweep", "-churn", "2147483647", "-n", "64", "-out", filepath.Join(t.TempDir(), "sw")},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "1 cells skipped") {
 			t.Errorf("%s: err = %v, want an empty grid of skipped cells", args[0], err)

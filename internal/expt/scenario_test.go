@@ -2,6 +2,7 @@ package expt
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func TestScenarioValidate(t *testing.T) {
 		{Scenario{N: 64, Churn: ChurnProfile{Leaves: 62, Joins: 62}}, "n-3 = 61"},
 		{Scenario{N: 64, Churn: ChurnProfile{Leaves: 62}}, "n-3 = 61"},
 		{Scenario{N: 64, Churn: ChurnProfile{Joins: 62}}, "n-3 = 61"},
-		{Scenario{N: 64, Churn: ChurnProfile{Leaves: 99999999999, Joins: 99999999999}}, "n-3 = 61"},
+		{Scenario{N: 64, Churn: ChurnProfile{Leaves: math.MaxInt, Joins: math.MaxInt}}, "n-3 = 61"},
 		{Scenario{Proto: "congest", D: 1}, `protocol "congest" needs degree d >= 2, got d=1`},
 		{Scenario{Delay: "bogus"}, "delay"},
 		{Scenario{Delay: "uniform:4-1"}, "uniform"},
