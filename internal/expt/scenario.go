@@ -611,25 +611,24 @@ func (opts RunOptions) setUp(eng *sim.Engine, sc Scenario) {
 
 // runScenarioStatic is the static-substrate path. A materialized family
 // is built through the substrate cache; an implicit one hands the
-// engine an on-demand topology, so no CSR exists. Its split-label
-// sequence ("graph", split even where a deterministic family never
-// draws from it; "place"; the adversary's Prepare labels; "run") is
-// exactly the hand-wired runners', which is what keeps the rebased
-// tables byte-identical, and both sim.New dispatch paths assign IDs the
-// same way, so an implicit cell's outputs equal its materialized
+// engine an on-demand topology, so no CSR exists. Its split labels
+// ("graph", "place", the adversary's Prepare labels, "run") are the
+// hand-wired runners', which is what keeps the rebased tables
+// byte-identical, and both sim.New dispatch paths assign IDs the same
+// way, so an implicit cell's outputs equal its materialized
 // counterpart's (TestImplicitScenarioMatchesMaterialized).
 func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, maxRounds int, opts RunOptions) (*ScenarioOutcome, error) {
 	sub := Substrates[sc.Substrate]
-	// The build stream is split off purely for this build, so its seed
-	// identifies the draw and the substrate cache can reuse one immutable
-	// graph across every cell that derives the same stream.
-	grng := ctx.rng.Split("graph")
 	var g *graph.Graph
 	var topo sim.Topology
 	var err error
 	if sub.Implicit != nil {
 		topo, err = sub.Implicit(sc.N, sc.D)
 	} else {
+		// The build stream is split off purely for this build, so its
+		// seed identifies the draw and the substrate cache can reuse one
+		// immutable graph across every cell that derives the same stream.
+		grng := ctx.rng.Split("graph")
 		g, err = cachedSubstrate(sc.Substrate, sc.N, sc.D, grng.Seed(), sub.Deterministic,
 			func() (*graph.Graph, error) { return sub.Build(sc.N, sc.D, grng) })
 		topo = g
