@@ -19,6 +19,7 @@ import (
 // receiver beyond the trusted suffix).
 type BeaconSpammer struct {
 	Schedule counting.Schedule
+	bound    counting.Schedule // the schedule locator caches phases of
 	locator  counting.Locator
 	// PrefixLen is the number of fabricated IDs prepended to each spam
 	// beacon, mimicking an origin PrefixLen hops beyond the spammer.
@@ -35,7 +36,7 @@ var _ sim.Proc = (*BeaconSpammer)(nil)
 // schedule must match the honest nodes' so spam lands inside beacon
 // windows.
 func NewBeaconSpammer(sched counting.Schedule, prefixLen int, everyRound bool, rng *xrand.Rand) *BeaconSpammer {
-	return &BeaconSpammer{Schedule: sched, locator: counting.NewLocator(sched), PrefixLen: prefixLen, EveryRound: everyRound, rng: rng}
+	return &BeaconSpammer{Schedule: sched, bound: sched, PrefixLen: prefixLen, EveryRound: everyRound, rng: rng}
 }
 
 // Halted is always false: the adversary never stops.
@@ -44,8 +45,12 @@ func (b *BeaconSpammer) Halted() bool { return false }
 // Step emits fabricated beacons at iteration starts (or every beacon-
 // window round when EveryRound is set).
 func (b *BeaconSpammer) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	b.locator.Bind(b.Schedule) // Schedule is an exported field; track rewrites
-	loc := b.locator.Locate(round)
+	// Schedule is an exported field: a struct literal or a rewrite must
+	// never run on a stale phase cache.
+	if b.bound != b.Schedule {
+		b.bound, b.locator = b.Schedule, counting.Locator{}
+	}
+	loc := b.locator.Locate(&b.Schedule, round)
 	inBeaconWindow := loc.Offset <= loc.Phase+1
 	if !inBeaconWindow {
 		return nil

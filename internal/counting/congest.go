@@ -127,16 +127,17 @@ func DefaultCongestParams(d int) CongestParams {
 	}
 }
 
-// CongestProc is the per-node process of Algorithm 2. Create one per
-// honest vertex with NewCongestProc.
+// CongestProc is the per-node process of Algorithm 2. Create one with
+// NewCongestProc, or a run's worth in one allocation with
+// NewCongestProcs. Every proc of a run points at the run's one
+// read-only CongestParams, so a proc holds only its own state and fits
+// in 128 bytes.
 type CongestProc struct {
-	params  CongestParams
-	locator Locator
+	params *CongestParams
+	phases Locator // Locate cache over params.Schedule
 
-	decided  bool
 	estimate int
 	decRound int
-	exited   bool
 
 	lastPhase int // phase of the previous step, to reset blacklists
 
@@ -146,19 +147,39 @@ type CongestProc struct {
 	// current iteration, nil until it accepts one.
 	sp *Beacon
 
+	decided           bool
+	exited            bool
 	receivedContinue  bool
 	forwardedContinue bool
 }
 
 var _ Estimator = (*CongestProc)(nil)
 
-// NewCongestProc returns a fresh process with the given parameters.
+// NewCongestProc returns a fresh process with the given parameters. The
+// process and its copy of params share one allocation.
 func NewCongestProc(params CongestParams) *CongestProc {
-	return &CongestProc{
-		params:    params,
-		locator:   NewLocator(params.Schedule),
-		lastPhase: -1,
+	own := &struct {
+		proc   CongestProc
+		params CongestParams
+	}{params: params}
+	own.proc.init(&own.params)
+	return &own.proc
+}
+
+// NewCongestProcs returns n fresh processes in one allocation, all
+// pointing at params, which must not change while they run.
+func NewCongestProcs(params *CongestParams, n int) []CongestProc {
+	procs := make([]CongestProc, n)
+	for i := range procs {
+		procs[i].init(params)
 	}
+	return procs
+}
+
+// init readies a zero proc to run under params.
+func (c *CongestProc) init(params *CongestParams) {
+	c.params = params
+	c.lastPhase = -1
 }
 
 // Outcome reports the node's decision state.
@@ -171,7 +192,7 @@ func (c *CongestProc) Halted() bool { return c.exited }
 
 // Step advances the node by one synchronous round.
 func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	loc := c.locator.Locate(round)
+	loc := c.phases.Locate(&c.params.Schedule, round)
 	i := loc.Phase
 	suffix := BlacklistSuffix(i, c.params.Epsilon)
 

@@ -2,9 +2,11 @@ package counting
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"byzcount/internal/graph"
 	"byzcount/internal/sim"
@@ -402,6 +404,59 @@ func TestCongestStepAllocs(t *testing.T) {
 		if p.decided || p.blacklist.count != 20+4*j {
 			t.Fatalf("iteration %d: decided=%v, blacklist holds %d IDs", j+1, p.decided, p.blacklist.count)
 		}
+	}
+}
+
+// TestCongestProcFootprint gates the per-node size: a proc points at
+// its run's shared parameters and caches phases without a copy of the
+// schedule, so it fits the 128-byte size class. NewCongestProc is one
+// allocation, and NewCongestProcs one whatever n.
+func TestCongestProcFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(CongestProc{}); size > 128 {
+		t.Errorf("CongestProc is %d bytes, want <= 128", size)
+	}
+	params := DefaultCongestParams(8)
+	if allocs := testing.AllocsPerRun(20, func() { NewCongestProc(params) }); allocs != 1 {
+		t.Errorf("NewCongestProc costs %.0f allocations, want 1", allocs)
+	}
+	for _, n := range []int{16, 4096} {
+		if allocs := testing.AllocsPerRun(20, func() { NewCongestProcs(&params, n) }); allocs != 1 {
+			t.Errorf("NewCongestProcs(n=%d) costs %.0f allocations, want 1", n, allocs)
+		}
+	}
+}
+
+// TestCongestProcsMatchSingles: procs from one NewCongestProcs slab
+// sharing one params run exactly like separately built ones.
+func TestCongestProcsMatchSingles(t *testing.T) {
+	const n, d = 256, 8
+	g, err := graph.HND(n, d, xrand.New(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultCongestParams(d)
+	run := func(proc func(v int) sim.Proc) ([]Outcome, sim.Metrics) {
+		eng := sim.New(g, sim.WithSeed(22))
+		procs := make([]sim.Proc, n)
+		for v := range procs {
+			procs[v] = proc(v)
+		}
+		if err := eng.Attach(procs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(params.Schedule.RoundsThroughPhase(params.MaxPhase + 1)); err != nil {
+			t.Fatal(err)
+		}
+		return Outcomes(procs), eng.Metrics()
+	}
+	singles, singleMetrics := run(func(int) sim.Proc { return NewCongestProc(params) })
+	slab := NewCongestProcs(&params, n)
+	shared, sharedMetrics := run(func(v int) sim.Proc { return &slab[v] })
+	if !reflect.DeepEqual(singles, shared) || !reflect.DeepEqual(singleMetrics, sharedMetrics) {
+		t.Error("slab procs diverge from separately built ones")
+	}
+	if !slices.ContainsFunc(shared, func(o Outcome) bool { return o.Decided }) {
+		t.Error("degenerate run: nobody decided")
 	}
 }
 

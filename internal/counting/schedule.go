@@ -47,25 +47,11 @@ func (s Schedule) PhaseRounds(i int) int {
 	return s.Iterations(i) * IterationRounds(i)
 }
 
-// Locate converts a global round number to phase coordinates.
+// Locate converts a global round number to phase coordinates, walking
+// the phases from StartPhase.
 func (s Schedule) Locate(round int) Loc {
-	if round < 0 {
-		panic("counting: negative round")
-	}
-	i := s.StartPhase
-	for {
-		pr := s.PhaseRounds(i)
-		if round < pr {
-			iterLen := IterationRounds(i)
-			return Loc{
-				Phase:     i,
-				Iteration: round/iterLen + 1,
-				Offset:    round % iterLen,
-			}
-		}
-		round -= pr
-		i++
-	}
+	var l Locator
+	return l.Locate(&s, round)
 }
 
 // Locator is an incremental Locate cache for the common access pattern —
@@ -75,46 +61,36 @@ func (s Schedule) Locate(round int) Loc {
 // per phase transition instead of once per phase per call (the seed
 // code's per-round Locate walked every phase from StartPhase, which made
 // the schedule arithmetic a top cost of E3-scale CONGEST runs). A round
-// before the cached phase resets the walk, so results are identical to
+// before the cached phase restarts the walk, so results are identical to
 // Schedule.Locate for any access order.
+//
+// The cache holds no schedule: its holder passes the same one to every
+// Locate, so a CongestProc pointing at its run's shared parameters keeps
+// only three integers here. The zero value is an empty cache; a holder
+// whose schedule changes resets it to the zero value.
 type Locator struct {
-	sched  Schedule
-	init   bool
 	phase  int // cached phase
 	start  int // first round of the cached phase
-	rounds int // PhaseRounds(phase)
+	rounds int // PhaseRounds(phase); 0 while the cache is empty
 }
 
-// NewLocator returns a Locator for s.
-func NewLocator(s Schedule) Locator { return Locator{sched: s} }
-
-// Bind points the locator at s, resetting its cache if s differs from
-// the schedule it was built for. Holders whose schedule lives in an
-// exported, reassignable field (e.g. byzantine.BeaconSpammer) call this
-// before Locate so a struct-literal construction or a field rewrite
-// never runs on a stale (or zero-value) schedule.
-func (l *Locator) Bind(s Schedule) {
-	if l.sched != s {
-		*l = Locator{sched: s}
-	}
-}
-
-// Locate converts a global round number to phase coordinates; it returns
-// exactly what l.sched.Locate(round) would.
-func (l *Locator) Locate(round int) Loc {
+// Locate converts a global round number to phase coordinates under s;
+// it returns exactly what s.Locate(round) would. A phase is never 0
+// rounds long (at least one iteration of 2i+5 rounds, an odd number),
+// so rounds == 0 marks the empty cache.
+func (l *Locator) Locate(s *Schedule, round int) Loc {
 	if round < 0 {
 		panic("counting: negative round")
 	}
-	if !l.init || round < l.start {
-		l.init = true
-		l.phase = l.sched.StartPhase
+	if l.rounds == 0 || round < l.start {
+		l.phase = s.StartPhase
 		l.start = 0
-		l.rounds = l.sched.PhaseRounds(l.phase)
+		l.rounds = s.PhaseRounds(l.phase)
 	}
 	for round >= l.start+l.rounds {
 		l.start += l.rounds
 		l.phase++
-		l.rounds = l.sched.PhaseRounds(l.phase)
+		l.rounds = s.PhaseRounds(l.phase)
 	}
 	rel := round - l.start
 	iterLen := IterationRounds(l.phase)

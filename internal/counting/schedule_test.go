@@ -2,6 +2,7 @@ package counting
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +75,24 @@ func TestLocateConsistentWithPhaseRounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocatorMatchesLocate: one cache walked through rounds in any
+// order — forward inside a phase, across phases, and back — returns
+// what a fresh walk from StartPhase does.
+func TestLocatorMatchesLocate(t *testing.T) {
+	s := Schedule{StartPhase: 2, Gamma: 0.45}
+	rng := rand.New(rand.NewSource(3))
+	var l Locator
+	for k := 0; k < 3000; k++ {
+		round := k
+		if k%3 == 0 {
+			round = rng.Intn(5000)
+		}
+		if got, want := l.Locate(&s, round), s.Locate(round); got != want {
+			t.Fatalf("step %d: cached Locate(%d) = %+v, fresh %+v", k, round, got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -297,6 +298,43 @@ func TestSweepRejectsExistingDir(t *testing.T) {
 	if _, err := RunMatrixSweep(context.Background(), cfg, m, dir, SweepOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "resume") {
 		t.Fatalf("second sweep into the same dir: %v", err)
+	}
+}
+
+// TestSweepResumeRejectsDamagedManifest: a manifest recording fewer than
+// one trial or cell is corrupt, so resume fails and leaves table.txt as
+// the recorded sweep wrote it, instead of building a table the sweep
+// never asked for.
+func TestSweepResumeRejectsDamagedManifest(t *testing.T) {
+	m := Matrix{Protos: []string{"congest"}, Ns: []int{64}, StopFrac: 1.0}
+	for _, damage := range []string{`"trials": 0,`, `"trials": -5,`, `"cells": 0,`} {
+		dir := t.TempDir()
+		if _, err := RunMatrixSweep(context.Background(), Config{Seed: 3, Trials: 1}, m, dir, SweepOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, sweep.ManifestName)
+		man, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		field := damage[:strings.Index(damage, ":")]
+		damaged := regexp.MustCompile(field+`: -?\d+,`).ReplaceAllString(string(man), damage)
+		if damaged == string(man) {
+			t.Fatalf("no %s field to damage in %s", field, man)
+		}
+		if err := os.WriteFile(path, []byte(damaged), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		table, err := os.ReadFile(filepath.Join(dir, "table.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResumeMatrixSweep(context.Background(), dir, Config{}, SweepOptions{}); err == nil {
+			t.Errorf("%s: resume accepted the damaged manifest", damage)
+		}
+		if after, err := os.ReadFile(filepath.Join(dir, "table.txt")); err != nil || string(after) != string(table) {
+			t.Errorf("%s: resume rewrote table.txt (err=%v)", damage, err)
+		}
 	}
 }
 

@@ -145,7 +145,7 @@ func E9(cfg Config) (*Table, error) {
 			}
 			cp := counting.DefaultCongestParams(d)
 			cres, err := runProcs(sim.New(g, sim.WithSeed(rng.Split("c").Uint64())), nil,
-				func(int) sim.Proc { return counting.NewCongestProc(cp) }, nil, congestMaxRounds(cp), 0)
+				newCongestSlab(cp, g.N()).proc, nil, congestMaxRounds(cp), 0)
 			if err != nil {
 				return res{}, err
 			}
@@ -209,7 +209,7 @@ func E10(cfg Config) (*Table, error) {
 			params := counting.DefaultCongestParams(d)
 			params.MaxPhase = 12
 			r, err := runProcs(sim.New(g, sim.WithSeed(rng.Split("run").Uint64())), byz,
-				func(int) sim.Proc { return counting.NewCongestProc(params) },
+				newCongestSlab(params, g.N()-1).proc,
 				func(int) sim.Proc { return byzantine.Silent{} },
 				congestMaxRounds(params), 1)
 			if err != nil {
@@ -278,7 +278,7 @@ func E11(cfg Config) (*Table, error) {
 	counted := func(rng *xrand.Rand, g *graph.Graph) (int, error) {
 		params := counting.DefaultCongestParams(d)
 		res, err := runProcs(sim.New(g, sim.WithSeed(rng.Uint64())), nil,
-			func(int) sim.Proc { return counting.NewCongestProc(params) }, nil, congestMaxRounds(params), 1)
+			newCongestSlab(params, g.N()).proc, nil, congestMaxRounds(params), 1)
 		if err != nil {
 			return 0, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"byzcount/internal/counting"
 	"byzcount/internal/graph"
+	"byzcount/internal/sim"
 	"byzcount/internal/xrand"
 )
 
@@ -37,6 +38,34 @@ func meanEstimate(o *ScenarioOutcome) float64 {
 // congestMaxRounds bounds a CONGEST run safely past the MaxPhase wall.
 func congestMaxRounds(p counting.CongestParams) int {
 	return p.Schedule.RoundsThroughPhase(p.MaxPhase + 1)
+}
+
+// congestSlab hands out a run's CONGEST procs in slot order. They come
+// from one allocation of the expected count and point at the slab's one
+// copy of the run's parameters; if a churning run's joiners outrun it,
+// it refills in chunks of an eighth of that count.
+type congestSlab struct {
+	params counting.CongestParams
+	free   []counting.CongestProc
+	chunk  int
+}
+
+// newCongestSlab returns a slab of n procs under params.
+func newCongestSlab(params counting.CongestParams, n int) *congestSlab {
+	s := &congestSlab{params: params, chunk: max(n/8, 16)}
+	s.free = counting.NewCongestProcs(&s.params, n)
+	return s
+}
+
+// proc returns the slab's next proc. It ignores its argument, so it
+// serves as runProcs' honestProc.
+func (s *congestSlab) proc(int) sim.Proc {
+	if len(s.free) == 0 {
+		s.free = counting.NewCongestProcs(&s.params, s.chunk)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
 }
 
 // hnd builds the H(n,d) substrate or fails the experiment. Builds go

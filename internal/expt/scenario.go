@@ -244,6 +244,23 @@ type scenarioCtx struct {
 
 	world *byzantine.FakeWorld // fake adversary: the shared region
 	when  *xrand.Rand          // crash adversary: the crash-round stream
+	slab  *congestSlab         // congest protocols: the run's procs
+}
+
+// congestProc returns the run's next CONGEST proc under params, the
+// protocol's (the same on every call of a run). The first call sizes
+// the run's slab to the honest slots of the initial placement.
+func (ctx *scenarioCtx) congestProc(params counting.CongestParams) sim.Proc {
+	if ctx.slab == nil {
+		honest := 0
+		for _, b := range ctx.byz {
+			if !b {
+				honest++
+			}
+		}
+		ctx.slab = newCongestSlab(params, honest)
+	}
+	return ctx.slab.proc(0)
 }
 
 // Protocol is one value of the protocol axis: how honest nodes count.
@@ -263,7 +280,7 @@ var Protocols = map[string]Protocol{
 	"congest": {
 		Name: "congest", Congest: true,
 		MaxRounds: func(ctx *scenarioCtx) int { return congestMaxRounds(ctx.congest) },
-		Proc:      func(ctx *scenarioCtx, v int) sim.Proc { return counting.NewCongestProc(ctx.congest) },
+		Proc:      func(ctx *scenarioCtx, v int) sim.Proc { return ctx.congestProc(ctx.congest) },
 	},
 	// The blacklist ablation of E7: Algorithm 2 with the blacklisting of
 	// lines 20-32 switched off.
@@ -273,7 +290,7 @@ var Protocols = map[string]Protocol{
 		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
 			p := ctx.congest
 			p.DisableBlacklist = true
-			return counting.NewCongestProc(p)
+			return ctx.congestProc(p)
 		},
 	},
 	"local": {

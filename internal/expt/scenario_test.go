@@ -286,3 +286,56 @@ func TestScenarioStaticMatchesHandWired(t *testing.T) {
 		t.Errorf("metrics diverge from the hand-wired run:\nscenario: %+v\nhand:     %+v", out.Metrics, hand.Metrics)
 	}
 }
+
+// TestCongestSlabAllocs: a congest cell's procs come from the run's
+// slab, so building them through the protocol axis costs the same
+// allocations at n=1024 and n=16384, for the honest slots and for
+// joiners half as many again, which the slab serves from chunks of an
+// eighth of its size.
+func TestCongestSlabAllocs(t *testing.T) {
+	for _, proto := range []string{"congest", "congest-noblacklist"} {
+		build := func(n int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				ctx := &scenarioCtx{congest: counting.DefaultCongestParams(8), byz: make([]bool, n)}
+				ctx.byz[0] = true
+				for v := 1; v < n+n/2; v++ {
+					Protocols[proto].Proc(ctx, v)
+				}
+			})
+		}
+		if small, large := build(1024), build(16384); small != large {
+			t.Errorf("%s: building the procs costs %.0f allocations at n=1024 and %.0f at n=16384", proto, small, large)
+		}
+	}
+	ctx := &scenarioCtx{congest: counting.DefaultCongestParams(8), byz: make([]bool, 4)}
+	a, b := Protocols["congest-noblacklist"].Proc(ctx, 0), Protocols["congest-noblacklist"].Proc(ctx, 1)
+	if a == b || !ctx.slab.params.DisableBlacklist {
+		t.Error("the slab hands out one proc twice or drops the protocol's params")
+	}
+}
+
+// TestSpamAdversaryStream pins the spam adversary's stream label: the
+// spammer at vertex v draws from SplitN("spam", v) of the cell's root
+// stream, so its first beacon carries the same fabricated origin and
+// path as a spammer built by hand on that stream.
+func TestSpamAdversaryStream(t *testing.T) {
+	const seed = 31
+	params := counting.DefaultCongestParams(8)
+	ctx := &scenarioCtx{rng: xrand.New(seed), congest: params}
+	for _, v := range []int{0, 1, 7, 200} {
+		beacon := func(p sim.Proc) (sim.NodeID, []sim.NodeID) {
+			env := (&sim.Env{Vertex: v, ID: 1, Degree: 1, Neighbors: []int{0}}).WithRand(xrand.New(1))
+			out := p.Step(env, 0, nil)
+			if len(out) != 1 {
+				t.Fatalf("vertex %d: %d messages at round 0, want one broadcast", v, len(out))
+			}
+			b := out[0].Payload.(*counting.Beacon)
+			return b.Origin(), b.AppendPath(nil)
+		}
+		origin, path := beacon(Adversaries["spam"].Proc(ctx, v))
+		wantOrigin, wantPath := beacon(byzantine.NewBeaconSpammer(params.Schedule, 6, false, xrand.New(seed).SplitN("spam", v)))
+		if origin != wantOrigin || !reflect.DeepEqual(path, wantPath) || len(path) != 6 {
+			t.Errorf("vertex %d: beacon from %#x via %x, want from %#x via %x", v, origin, path, wantOrigin, wantPath)
+		}
+	}
+}

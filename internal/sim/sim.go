@@ -407,16 +407,13 @@ type Engine struct {
 	n    int          // slot capacity (== g.N() for static engines)
 	root *xrand.Rand  // engine seed stream; derives per-slot streams on growth
 
-	// idStream assigns node IDs: the initially alive slots draw in slot
-	// order at construction, and assignID serves any engine-assigned ID
-	// later (joiner IDs normally arrive explicitly via AttachAt).
-	idStream *xrand.Rand
-
 	procs []Proc
 	envs  []Env
 	ids   []NodeID
 
-	// vertexOf inverts ids for O(1) duplicate-ID checks. Detach deletes the
+	// vertexOf inverts the occupied slots' ids for O(1) duplicate-ID
+	// checks. It is nil until the first Detach or AttachAt builds it
+	// (index), so a run without churn never builds it. Detach deletes the
 	// departed ID and AttachAt inserts the joiner's, so under balanced
 	// churn the map's population is stable and updates never allocate.
 	vertexOf map[NodeID]int
@@ -634,9 +631,7 @@ var ErrCanceled = errors.New("sim: run canceled")
 func newStaticEngine(g *graph.Graph, seed uint64) *Engine {
 	e := newEngine(g.N(), seed)
 	e.g = g
-	for v := 0; v < e.n; v++ {
-		e.assignID(v)
-	}
+	e.assignIDs(func(int) bool { return true })
 	arcs := 0
 	for v := 0; v < e.n; v++ {
 		arcs += g.Degree(v)
@@ -657,7 +652,6 @@ func newStaticEngine(g *graph.Graph, seed uint64) *Engine {
 			slices.Sort(e.sortedAdj[v])
 			e.multi[v] = true
 		}
-		e.envs[v].ID = e.ids[v]
 		e.envs[v].Degree = len(adj)
 		e.envs[v].Neighbors = nbrs
 		e.envs[v].NeighborIDs = ids
@@ -684,13 +678,10 @@ func newTopologyEngine(topo Topology, seed uint64) *Engine {
 	e := newEngine(topo.Slots(), seed)
 	e.topo = topo
 	e.epochOf = make([]uint64, e.n)
-	for v := 0; v < e.n; v++ {
+	for v := range e.epochOf {
 		e.epochOf[v] = staleEpoch
-		if topo.Alive(v) {
-			e.assignID(v)
-			e.envs[v].ID = e.ids[v]
-		}
 	}
+	e.assignIDs(topo.Alive)
 	if dg, ok := topo.(TopologyDegrees); ok {
 		arcs := 0
 		for v := 0; v < e.n; v++ {
@@ -721,10 +712,8 @@ func newEngine(n int, seed uint64) *Engine {
 		root:      root,
 		skip:      true,
 		pulled:    true,
-		idStream:  root.Split("ids"),
 		envs:      make([]Env, n),
 		ids:       make([]NodeID, n),
-		vertexOf:  make(map[NodeID]int, n),
 		sortedAdj: make([][]int32, n),
 		multi:     make([]bool, n),
 		mail:      make([]bool, n),
@@ -738,15 +727,57 @@ func newEngine(n int, seed uint64) *Engine {
 	return e
 }
 
-// assignID draws a fresh unique ID for vertex v from the engine's ID
-// stream.
-func (e *Engine) assignID(v int) {
-	id := NodeID(e.idStream.ID())
-	for _, dup := e.vertexOf[id]; dup; _, dup = e.vertexOf[id] {
-		id = NodeID(e.idStream.ID())
+// idMask masks every drawn node ID. It is all ones; the package's tests
+// narrow it to force ID collisions.
+var idMask = ^NodeID(0)
+
+// assignIDs gives every slot that alive reports a unique node ID, drawn
+// in slot order from the engine's "ids" stream. IDs are 64-bit draws, so
+// a collision is rare: the draws are checked by sorting a copy, and only
+// on a collision are they drawn again sequentially, each checked
+// against a map and a duplicate replaced by the stream's next draw. So
+// every ID is the one that sequential draw gives.
+func (e *Engine) assignIDs(alive func(int) bool) {
+	ids := e.root.Split("ids")
+	drawn := make([]NodeID, 0, e.n)
+	for v := 0; v < e.n; v++ {
+		if alive(v) {
+			e.ids[v] = NodeID(ids.ID()) & idMask
+			e.envs[v].ID = e.ids[v]
+			drawn = append(drawn, e.ids[v])
+		}
 	}
-	e.vertexOf[id] = v
-	e.ids[v] = id
+	slices.Sort(drawn)
+	if len(slices.Compact(drawn)) == len(drawn) {
+		return
+	}
+	ids = e.root.Split("ids")
+	seen := make(map[NodeID]bool, len(drawn))
+	for v := 0; v < e.n; v++ {
+		if alive(v) {
+			id := NodeID(ids.ID()) & idMask
+			for seen[id] {
+				id = NodeID(ids.ID()) & idMask
+			}
+			seen[id] = true
+			e.ids[v] = id
+			e.envs[v].ID = id
+		}
+	}
+}
+
+// index returns the ID index, building it from the occupied slots on
+// first use.
+func (e *Engine) index() map[NodeID]int {
+	if e.vertexOf == nil {
+		e.vertexOf = make(map[NodeID]int, e.n)
+		for v, p := range e.procs {
+			if p != nil {
+				e.vertexOf[e.ids[v]] = v
+			}
+		}
+	}
+	return e.vertexOf
 }
 
 // Attach installs one process per vertex slot. It must be called before
@@ -799,7 +830,7 @@ func (e *Engine) Detach(v int) error {
 		return fmt.Errorf("sim: Detach of vacant vertex %d", v)
 	}
 	e.toPush()
-	delete(e.vertexOf, e.ids[v])
+	delete(e.index(), e.ids[v])
 	if e.isTD[v] {
 		if !e.procs[v].Halted() {
 			e.tdLive--
@@ -847,11 +878,12 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	if e.procs[v] != nil {
 		return fmt.Errorf("sim: AttachAt(%d): slot already occupied", v)
 	}
-	if w, dup := e.vertexOf[id]; dup {
+	index := e.index()
+	if w, dup := index[id]; dup {
 		return fmt.Errorf("sim: AttachAt(%d): ID already held by vertex %d", v, w)
 	}
 	e.ids[v] = id
-	e.vertexOf[id] = v
+	index[id] = v
 	env := &e.envs[v]
 	env.ID = id
 	e.dropPending(v)

@@ -83,6 +83,76 @@ func TestEngineDistinctIDs(t *testing.T) {
 	}
 }
 
+// TestIDCollisionFallsBackToSequentialDraw: when the slot-order draws
+// collide, the IDs are those of the map-checked sequential draw, each
+// duplicate replaced by the stream's next draw, on both engine paths.
+// Narrowing the draws to 8 bits makes 64 of them collide.
+func TestIDCollisionFallsBackToSequentialDraw(t *testing.T) {
+	defer func(m NodeID) { idMask = m }(idMask)
+	idMask = 0xff
+	const n, seed = 64, 9
+	ids := xrand.New(seed).Split("ids")
+	want := make([]NodeID, n)
+	seen := make(map[NodeID]bool)
+	collided := false
+	for v := range want {
+		id := NodeID(ids.ID()) & idMask
+		for seen[id] {
+			collided = true
+			id = NodeID(ids.ID()) & idMask
+		}
+		seen[id] = true
+		want[v] = id
+	}
+	if !collided {
+		t.Fatal("the narrowed draws do not collide")
+	}
+	lat, err := graph.NewRingLattice(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := lat.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []Topology{g, lat} {
+		e := New(topo, WithSeed(seed))
+		for v := range n {
+			if e.ID(v) != want[v] || e.envs[v].ID != want[v] {
+				t.Fatalf("%T: vertex %d has ID %#x (env %#x), want %#x", topo, v, e.ID(v), e.envs[v].ID, want[v])
+			}
+		}
+		if e.vertexOf != nil {
+			t.Errorf("%T: construction built the ID index", topo)
+		}
+	}
+}
+
+// TestAttachAtDuplicateIDWithoutIndex: an engine that never detached
+// has built no ID index; its first AttachAt builds it from the occupied
+// slots and still rejects a joiner whose ID one of them holds.
+func TestAttachAtDuplicateIDWithoutIndex(t *testing.T) {
+	e := New(mustRing(t, 8), WithSeed(4))
+	procs := make([]Proc, 8)
+	for v := range procs {
+		if v != 5 {
+			procs[v] = &floodProc{}
+		}
+	}
+	if err := e.Attach(procs); err != nil {
+		t.Fatal(err)
+	}
+	if e.vertexOf != nil {
+		t.Fatal("the ID index exists before any Detach or AttachAt")
+	}
+	if err := e.AttachAt(5, e.ID(3), &floodProc{}); err == nil {
+		t.Error("AttachAt with vertex 3's ID accepted")
+	}
+	if err := e.AttachAt(5, 0xfeedface, &floodProc{}); err != nil {
+		t.Errorf("AttachAt with a fresh ID rejected: %v", err)
+	}
+}
+
 func TestEngineDeterministic(t *testing.T) {
 	g := mustRing(t, 10)
 	a := New(g, WithSeed(42))

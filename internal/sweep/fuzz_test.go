@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -53,6 +54,31 @@ func FuzzOpenLog(f *testing.F) {
 		}
 		if err := tiles(after, recs); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzReadManifest: for any file content ReadManifest does not panic,
+// and either fails with an error naming the file or returns a v1
+// manifest with at least one trial and one cell. The committed corpus
+// (testdata/fuzz) holds a manifest a sweep wrote, its trials set to 0
+// and -5 and its cells to 0, a truncated copy, and a wrong schema.
+func FuzzReadManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, ManifestName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			if m != nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %v (manifest %v): want no manifest and an error naming %s", err, m, path)
+			}
+			return
+		}
+		if m.Schema != ManifestSchema || m.Trials < 1 || m.Cells < 1 {
+			t.Fatalf("accepted schema %q with %d trials and %d cells", m.Schema, m.Trials, m.Cells)
 		}
 	})
 }

@@ -83,18 +83,24 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// ReadManifest reads and schema-checks dir's manifest.
+// ReadManifest reads and checks dir's manifest: the schema, and a trial
+// and cell count of at least 1 each, which every written manifest
+// records. Every error names the file.
 func ReadManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("sweep: %s: %w", filepath.Join(dir, ManifestName), err)
+		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
 	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("sweep: %s: schema %q, want %q", filepath.Join(dir, ManifestName), m.Schema, ManifestSchema)
+		return nil, fmt.Errorf("sweep: %s: schema %q, want %q", path, m.Schema, ManifestSchema)
+	}
+	if m.Trials < 1 || m.Cells < 1 {
+		return nil, fmt.Errorf("sweep: %s: %d trials and %d cells, want at least 1 of each", path, m.Trials, m.Cells)
 	}
 	return &m, nil
 }

@@ -296,6 +296,29 @@ func TestManifestSchemaChecked(t *testing.T) {
 	}
 }
 
+// TestManifestCountsChecked: a manifest recording fewer than one trial
+// or cell is corrupt (every written manifest records at least one of
+// each), so reading it fails with an error that names the file.
+func TestManifestCountsChecked(t *testing.T) {
+	for _, body := range []string{
+		`{"schema":"byzcount-sweep/v1","trials":0,"cells":3}`,
+		`{"schema":"byzcount-sweep/v1","trials":-5,"cells":3}`,
+		`{"schema":"byzcount-sweep/v1","trials":1,"cells":0}`,
+		`{"schema":"byzcount-sweep/v1","cells":3}`,
+	} {
+		dir := t.TempDir()
+		os.WriteFile(filepath.Join(dir, ManifestName), []byte(body), 0o644)
+		if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, ManifestName)) {
+			t.Errorf("%s: got %v, want an error naming the file", body, err)
+		}
+	}
+	dir := t.TempDir()
+	os.WriteFile(filepath.Join(dir, ManifestName), []byte(`{"schema":"byzcount-sweep/v1","trials":1,"cells":1}`), 0o644)
+	if _, err := ReadManifest(dir); err != nil {
+		t.Errorf("one trial of one cell rejected: %v", err)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := &Checkpoint{UpdatedAt: "now", Completed: 7, Quarantined: 1, Total: 20, Interrupted: true}

@@ -8,6 +8,7 @@ Run from the repository root:
         [--traced scale:42 ...] [--check tables:2718 ...] \\
         [--gobench .:BenchmarkEngineRoundThroughput$:10 ...] \\
         [--benchtime 2000x] [--cpu 2] \\
+        [--cmd 'run -proto congest -n 1000000 -seed 42:5' ...] \\
         [--claim sweep:wall_s] [--note TEXT] --out BENCH_E2E_PR<n>.json
 
 Each side is exported from the local git object store with
@@ -36,6 +37,15 @@ Commit the change first: only committed trees are measured.
                 value, both recorded; the record holds every sample and,
                 per benchmark, the per-pair ns/op ratios, medians with
                 quartiles and win counts
+--cmd ARGS:N    N interleaved pairs of one byzcount command line: each
+                side's CLI is built once from its tree (go build
+                ./cmd/byzcount) and run with ARGS (split like a shell
+                line; N after the last colon); each run records its wall
+                time, its CPU time (user + system) and its max RSS, both
+                from wait4's rusage, its exit status and the sha256 of its
+                stdout. A pair fails when a run exits non-zero or the two
+                stdout digests differ; the record is written either way,
+                and the script then exits 1
 --claim W:M     the claimed metric M on workload W, judged on every
                 --pairs set of W (one per seed): the change must win at
                 least 9 in 10 of the pairs and its median must beat the
@@ -49,11 +59,13 @@ BENCHMARK.json, and uses only the Python standard library.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import platform
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -63,6 +75,7 @@ SCHEMA = "byzcount-bench-e2e/v1"
 END_TO_END = ["wall_s", "setup_s", "cpu_s", "peak_rss_mb", "cells_per_s", "msgs_per_s"]
 HIGHER_IS_BETTER = {"cells_per_s", "msgs_per_s"}
 SAMPLE_KEYS = ["wall", "cpu_s", "peak_rss_mb", "setup_s", "msgs", "attempted", "failed"]
+CMD_METRICS = ["wall_s", "cpu_s", "peak_rss_mb"]
 
 
 def git(*args):
@@ -143,6 +156,38 @@ def gobench(binary, pkgdir, regex, benchtime, cpu):
     return results
 
 
+def build_byzcount(tree):
+    """Build the byzcount CLI in tree once; return its path."""
+    out = os.path.join(tree, ".bench_build", "byzcount")
+    if not os.path.exists(out):
+        env = dict(os.environ, GOPROXY="off", GOTOOLCHAIN="local", GOFLAGS="")
+        subprocess.run(["go", "build", "-buildvcs=false", "-o", out, "./cmd/byzcount"], cwd=tree, env=env,
+                       check=True)
+    return out
+
+
+def run_cmd(binary, argv):
+    """Run binary with argv once; return its wait4 measurements and stdout digest."""
+    t0 = time.monotonic()
+    proc = subprocess.Popen([binary, *argv], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+        digest.update(chunk)
+    _, status, ru = os.wait4(proc.pid, 0)
+    wall = time.monotonic() - t0
+    proc.stdout.close()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "metrics": {
+            "wall_s": round(wall, 4),
+            "cpu_s": round(ru.ru_utime + ru.ru_stime, 4),
+            "peak_rss_mb": round(ru.ru_maxrss / 1024, 2),  # Linux reports KiB
+        },
+        "exit": proc.returncode,
+        "stdout_sha256": digest.hexdigest(),
+    }
+
+
 def summarize_gobench(pairs):
     """Per benchmark: ns/op quartiles per side, per-pair ratio quartiles, wins."""
     summary = {}
@@ -183,9 +228,9 @@ def quartiles(xs):
     return list(statistics.quantiles(xs, n=4, method="inclusive"))
 
 
-def summarize(pairs):
+def summarize(pairs, metrics=END_TO_END):
     summary = {}
-    for m in END_TO_END:
+    for m in metrics:
         par = [p["parent"]["metrics"][m] for p in pairs]
         chg = [p["change"]["metrics"][m] for p in pairs]
         ratios = [p["ratio"][m] for p in pairs if p["ratio"][m] is not None]
@@ -226,6 +271,7 @@ def main():
     ap.add_argument("--gobench", action="append", default=[], metavar="P:R:N")
     ap.add_argument("--benchtime", default="2000x", help="-test.benchtime of every --gobench run (Nx)")
     ap.add_argument("--cpu", type=int, default=2, help="-test.cpu of every --gobench run")
+    ap.add_argument("--cmd", action="append", default=[], metavar="ARGS:N")
     ap.add_argument("--claim", metavar="W:M")
     ap.add_argument("--note", default="", help="one-line description of the change")
     ap.add_argument("--out", required=True)
@@ -312,6 +358,35 @@ def main():
             "summary": summarize_gobench(pairs),
         })
 
+    cmd_failed = False
+    for spec in args.cmd:
+        line, n = spec.rsplit(":", 1) if ":" in spec else (spec, "")
+        if not n.isdigit() or int(n) < 1 or not line.strip():
+            raise SystemExit(f"benchpair: bad spec {spec!r}")
+        argv = shlex.split(line)
+        bins = {side: build_byzcount(trees[side]) for side in trees}
+        pairs = []
+        for i in range(int(n)):
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            res = {side: run_cmd(bins[side], argv) for side in order}
+            ok = (res["parent"]["exit"] == 0 and res["change"]["exit"] == 0
+                  and res["parent"]["stdout_sha256"] == res["change"]["stdout_sha256"])
+            cmd_failed = cmd_failed or not ok
+            print(f"cmd pair {i}: " + " ".join(f"{side} wall {res[side]['metrics']['wall_s']:.2f}s "
+                                             f"rss {res[side]['metrics']['peak_rss_mb']:.0f}MB" for side in order)
+                  + ("" if ok else " FAILED"), file=sys.stderr, flush=True)
+            pairs.append({"pair": i, "first": order[0], "parent": res["parent"], "change": res["change"],
+                          "ok": ok,
+                          "ratio": {m: ratio(res["parent"]["metrics"][m], res["change"]["metrics"][m])
+                                    for m in CMD_METRICS}})
+        doc.setdefault("commands", []).append({
+            "args": line,
+            "command": f"go build -o B ./cmd/byzcount && B {line}",
+            "pairs": pairs,
+            "all_ok": all(p["ok"] for p in pairs),
+            "summary": summarize(pairs, CMD_METRICS),
+        })
+
     for key, specs, trace in (("traced", args.traced, 1), ("checks", args.check, 0)):
         runs = []
         for spec in specs:
@@ -383,8 +458,17 @@ def main():
         for b, sm in gb["summary"].items():
             r = sm["ratio_q1_median_q3"]
             print(f"{b}: median ratio {r[1]:.3f} [{r[0]:.3f}, {r[2]:.3f}] wins {sm['change_wins']}/{sm['pairs']}")
+    for c in doc.get("commands", []):
+        for m in CMD_METRICS:
+            sm = c["summary"][m]
+            r = sm["ratio_q1_median_q3"]
+            print(f"byzcount {c['args']}: {m} median ratio {r[1]:.3f} [{r[0]:.3f}, {r[2]:.3f}] "
+                  f"wins {sm['change_wins']}/{sm['pairs']}")
     if "claim" in doc:
         print(f"claim {doc['claim']['workload']} {doc['claim']['metric']}: met={doc['claim']['met']}")
+    if cmd_failed:
+        print("benchpair: a --cmd pair failed: a run exited non-zero or the stdout digests differ", file=sys.stderr)
+        return 1
     return 0
 
 
