@@ -42,17 +42,16 @@ func congestMaxRounds(p counting.CongestParams) int {
 
 // congestSlab hands out a run's CONGEST procs in slot order. They come
 // from one allocation of the expected count and point at the slab's one
-// copy of the run's parameters; if a churning run's joiners outrun it,
-// it refills in chunks of an eighth of that count.
+// copy of the run's parameters. A proc past that count (a joiner) is an
+// allocation of its own.
 type congestSlab struct {
 	params counting.CongestParams
 	free   []counting.CongestProc
-	chunk  int
 }
 
 // newCongestSlab returns a slab of n procs under params.
 func newCongestSlab(params counting.CongestParams, n int) *congestSlab {
-	s := &congestSlab{params: params, chunk: max(n/8, 16)}
+	s := &congestSlab{params: params}
 	s.free = counting.NewCongestProcs(&s.params, n)
 	return s
 }
@@ -61,7 +60,7 @@ func newCongestSlab(params counting.CongestParams, n int) *congestSlab {
 // serves as runProcs' honestProc.
 func (s *congestSlab) proc(int) sim.Proc {
 	if len(s.free) == 0 {
-		s.free = counting.NewCongestProcs(&s.params, s.chunk)
+		return &counting.NewCongestProcs(&s.params, 1)[0]
 	}
 	p := &s.free[0]
 	s.free = s.free[1:]

@@ -247,18 +247,22 @@ type scenarioCtx struct {
 	slab  *congestSlab         // congest protocols: the run's procs
 }
 
-// congestProc returns the run's next CONGEST proc under params, the
-// protocol's (the same on every call of a run). The first call sizes
-// the run's slab to the honest slots of the initial placement.
-func (ctx *scenarioCtx) congestProc(params counting.CongestParams) sim.Proc {
+// congestProc returns the run's next CONGEST proc under ctx.congest.
+// The first call sizes the run's slab to the honest slots of the initial
+// placement. A slab lives until its last proc departs, so where churn
+// detaches members it is empty and every proc is an allocation of its
+// own (a departed one is collected at once).
+func (ctx *scenarioCtx) congestProc() sim.Proc {
 	if ctx.slab == nil {
 		honest := 0
-		for _, b := range ctx.byz {
-			if !b {
-				honest++
+		if ctx.sc.Churn.Leaves == 0 {
+			for _, b := range ctx.byz {
+				if !b {
+					honest++
+				}
 			}
 		}
-		ctx.slab = newCongestSlab(params, honest)
+		ctx.slab = newCongestSlab(ctx.congest, honest)
 	}
 	return ctx.slab.proc(0)
 }
@@ -280,18 +284,14 @@ var Protocols = map[string]Protocol{
 	"congest": {
 		Name: "congest", Congest: true,
 		MaxRounds: func(ctx *scenarioCtx) int { return congestMaxRounds(ctx.congest) },
-		Proc:      func(ctx *scenarioCtx, v int) sim.Proc { return ctx.congestProc(ctx.congest) },
+		Proc:      func(ctx *scenarioCtx, v int) sim.Proc { return ctx.congestProc() },
 	},
 	// The blacklist ablation of E7: Algorithm 2 with the blacklisting of
-	// lines 20-32 switched off.
+	// lines 20-32 switched off (newScenarioCtx sets DisableBlacklist).
 	"congest-noblacklist": {
 		Name: "congest-noblacklist", Congest: true,
 		MaxRounds: func(ctx *scenarioCtx) int { return congestMaxRounds(ctx.congest) },
-		Proc: func(ctx *scenarioCtx, v int) sim.Proc {
-			p := ctx.congest
-			p.DisableBlacklist = true
-			return ctx.congestProc(p)
-		},
+		Proc:      func(ctx *scenarioCtx, v int) sim.Proc { return ctx.congestProc() },
 	},
 	"local": {
 		Name:      "local",
@@ -588,18 +588,9 @@ func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcom
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	ctx := &scenarioCtx{sc: sc, rng: rng}
+	ctx := newScenarioCtx(sc, rng)
 	proto := Protocols[sc.Proto]
 	adv := Adversaries[sc.Adversary]
-	if proto.Congest {
-		ctx.congest = counting.DefaultCongestParams(sc.D)
-		if sc.MaxPhase > 0 {
-			ctx.congest.MaxPhase = sc.MaxPhase
-		}
-	}
-	if sc.Proto == "local" {
-		ctx.local = counting.DefaultLocalParams(sc.D + 2)
-	}
 	maxRounds := sc.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = proto.MaxRounds(ctx)
@@ -608,6 +599,23 @@ func RunScenario(sc Scenario, rng *xrand.Rand, opts RunOptions) (*ScenarioOutcom
 		return runScenarioChurn(sc, ctx, proto, adv, maxRounds, opts)
 	}
 	return runScenarioStatic(sc, ctx, proto, adv, maxRounds, opts)
+}
+
+// newScenarioCtx resolves the protocol's parameters for a run of sc,
+// once, so every proc of the run shares them.
+func newScenarioCtx(sc Scenario, rng *xrand.Rand) *scenarioCtx {
+	ctx := &scenarioCtx{sc: sc, rng: rng}
+	if Protocols[sc.Proto].Congest {
+		ctx.congest = counting.DefaultCongestParams(sc.D)
+		if sc.MaxPhase > 0 {
+			ctx.congest.MaxPhase = sc.MaxPhase
+		}
+		ctx.congest.DisableBlacklist = sc.Proto == "congest-noblacklist"
+	}
+	if sc.Proto == "local" {
+		ctx.local = counting.DefaultLocalParams(sc.D + 2)
+	}
+	return ctx
 }
 
 // setUp applies the execution shape and the scenario's delivery models

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -287,30 +288,44 @@ func TestScenarioStaticMatchesHandWired(t *testing.T) {
 	}
 }
 
-// TestCongestSlabAllocs: a congest cell's procs come from the run's
-// slab, so building them through the protocol axis costs the same
-// allocations at n=1024 and n=16384, for the honest slots and for
-// joiners half as many again, which the slab serves from chunks of an
-// eighth of its size.
+// TestCongestSlabAllocs: a static congest cell's honest procs come from
+// the run's slab, so building them through the protocol axis costs the
+// same allocations at n=1024 and n=16384. A proc past the slab (a
+// joiner), and every proc of a run whose churn detaches members, is one
+// allocation of its own, so it can be collected once it departs. The
+// ablation's parameters reach the slab.
 func TestCongestSlabAllocs(t *testing.T) {
+	// A process's first collection starts the runtime's mark workers;
+	// run it here, so their allocations land in no measured run.
+	runtime.GC()
 	for _, proto := range []string{"congest", "congest-noblacklist"} {
-		build := func(n int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				ctx := &scenarioCtx{congest: counting.DefaultCongestParams(8), byz: make([]bool, n)}
-				ctx.byz[0] = true
-				for v := 1; v < n+n/2; v++ {
-					Protocols[proto].Proc(ctx, v)
-				}
-			})
+		placed := func(sc Scenario, n int) *scenarioCtx {
+			ctx := newScenarioCtx(sc, nil)
+			ctx.byz = make([]bool, n)
+			ctx.byz[0] = true
+			for v := 1; v < n; v++ {
+				Protocols[proto].Proc(ctx, v)
+			}
+			return ctx
 		}
+		static := Scenario{Proto: proto, D: 8}
+		build := func(n int) float64 { return testing.AllocsPerRun(5, func() { placed(static, n) }) }
 		if small, large := build(1024), build(16384); small != large {
 			t.Errorf("%s: building the procs costs %.0f allocations at n=1024 and %.0f at n=16384", proto, small, large)
 		}
-	}
-	ctx := &scenarioCtx{congest: counting.DefaultCongestParams(8), byz: make([]bool, 4)}
-	a, b := Protocols["congest-noblacklist"].Proc(ctx, 0), Protocols["congest-noblacklist"].Proc(ctx, 1)
-	if a == b || !ctx.slab.params.DisableBlacklist {
-		t.Error("the slab hands out one proc twice or drops the protocol's params")
+		ctx := placed(static, 4)
+		joiners := make([]sim.Proc, 0, 6)
+		if allocs := testing.AllocsPerRun(5, func() { joiners = append(joiners, Protocols[proto].Proc(ctx, 4)) }); allocs != 1 {
+			t.Errorf("%s: a joiner costs %.0f allocations, want 1", proto, allocs)
+		}
+		if joiners[0] == joiners[1] || ctx.slab.params.DisableBlacklist != (proto == "congest-noblacklist") {
+			t.Errorf("%s: the slab hands out one proc twice or drops the protocol's params", proto)
+		}
+		churning := newScenarioCtx(Scenario{Proto: proto, D: 8, Churn: ChurnProfile{Leaves: 1, Joins: 1}}, nil)
+		churning.byz = make([]bool, 64)
+		if allocs := testing.AllocsPerRun(5, func() { Protocols[proto].Proc(churning, 1) }); allocs != 1 {
+			t.Errorf("%s: a proc of a run whose churn detaches members costs %.0f allocations, want 1", proto, allocs)
+		}
 	}
 }
 
