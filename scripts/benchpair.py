@@ -43,7 +43,8 @@ Commit the change first: only committed trees are measured.
                 line; N after the last colon); each run records its wall
                 time, its CPU time (user + system) and its max RSS, both
                 from wait4's rusage, its exit status and the sha256 of its
-                stdout. A pair fails when a run exits non-zero or the two
+                stdout. A small launcher forks each run, so its max RSS
+                holds ~5 MB of inherited pages, not this script's. A pair fails when a run exits non-zero or the two
                 stdout digests differ; the record is written either way,
                 and the script then exits 1
 --claim W:M     the claimed metric M on workload W, judged on every
@@ -166,24 +167,46 @@ def build_byzcount(tree):
     return out
 
 
+# A child's max RSS starts at what it inherits: a child this script
+# spawned directly would read at least this script's own peak RSS (tens
+# of MB), which Linux carries through vfork and exec. So a small fresh
+# interpreter forks the command (it inherits ~5 MB) and reports its
+# exit status, wall time and wait4 rusage on stderr.
+LAUNCHER = r"""
+import os, sys, time
+t0 = time.monotonic()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+    try:
+        os.execv(sys.argv[1], sys.argv[1:])
+    finally:
+        os._exit(127)
+_, status, ru = os.wait4(pid, 0)
+wall = time.monotonic() - t0
+print(os.waitstatus_to_exitcode(status), wall, ru.ru_utime + ru.ru_stime, ru.ru_maxrss, file=sys.stderr)
+"""
+
+
 def run_cmd(binary, argv):
     """Run binary with argv once; return its wait4 measurements and stdout digest."""
-    t0 = time.monotonic()
-    proc = subprocess.Popen([binary, *argv], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen([sys.executable, "-S", "-c", LAUNCHER, binary, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     digest = hashlib.sha256()
     for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
         digest.update(chunk)
-    _, status, ru = os.wait4(proc.pid, 0)
-    wall = time.monotonic() - t0
-    proc.stdout.close()
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    report = proc.stderr.read().split()
+    proc.wait()
+    if proc.returncode != 0 or len(report) != 4:
+        raise SystemExit(f"benchpair: the launcher of {binary} failed (exit {proc.returncode})")
+    code, wall, cpu, maxrss = int(report[0]), float(report[1]), float(report[2]), int(report[3])
     return {
         "metrics": {
             "wall_s": round(wall, 4),
-            "cpu_s": round(ru.ru_utime + ru.ru_stime, 4),
-            "peak_rss_mb": round(ru.ru_maxrss / 1024, 2),  # Linux reports KiB
+            "cpu_s": round(cpu, 4),
+            "peak_rss_mb": round(maxrss / 1024, 2),  # Linux reports KiB
         },
-        "exit": proc.returncode,
+        "exit": code,
         "stdout_sha256": digest.hexdigest(),
     }
 
