@@ -136,10 +136,10 @@ func (t *TreeCountInflater) Step(env *sim.Env, round int, in []sim.Incoming) []s
 	}
 	if t.joined && t.hasParent && !t.reported {
 		t.reported = true
-		for k, id := range env.NeighborIDs {
-			if id == t.parent {
+		for k, w := range env.Neighbors {
+			if env.NeighborID(k) == t.parent {
 				out = append(out, sim.Outgoing{
-					To:      env.Neighbors[k],
+					To:      w,
 					Payload: counting.TreeCount{Count: t.Inflation},
 				})
 				break

@@ -82,10 +82,10 @@ func (s *SplitBrainLocal) Step(env *sim.Env, round int, in []sim.Incoming) []sim
 	if round > 0 {
 		return env.Broadcast(counting.LocalDelta{})
 	}
-	uniq := make(map[sim.NodeID]bool, len(env.NeighborIDs))
-	base := make([]sim.NodeID, 0, len(env.NeighborIDs)+1)
-	for _, id := range env.NeighborIDs {
-		if !uniq[id] {
+	uniq := make(map[sim.NodeID]bool, len(env.Neighbors))
+	base := make([]sim.NodeID, 0, len(env.Neighbors)+1)
+	for k := range env.Neighbors {
+		if id := env.NeighborID(k); !uniq[id] {
 			uniq[id] = true
 			base = append(base, id)
 		}
@@ -128,7 +128,10 @@ func (d *DegreeLiarLocal) Step(env *sim.Env, round int, in []sim.Incoming) []sim
 		return env.Broadcast(counting.LocalDelta{})
 	}
 	d.sent = true
-	nbrs := append([]sim.NodeID(nil), env.NeighborIDs...)
+	nbrs := make([]sim.NodeID, len(env.Neighbors), len(env.Neighbors)+d.Extra)
+	for k := range nbrs {
+		nbrs[k] = env.NeighborID(k)
+	}
 	for i := 0; i < d.Extra; i++ {
 		nbrs = append(nbrs, sim.NodeID(d.rng.Uint64()))
 	}

@@ -213,10 +213,10 @@ func (f *FakeNetworkLocal) Step(env *sim.Env, round int, in []sim.Incoming) []si
 	if round == 0 {
 		f.roots = f.world.AttachK(env.ID, f.edges)
 		f.layers = f.world.LayersMulti(f.roots)
-		uniq := make(map[sim.NodeID]bool, len(env.NeighborIDs))
-		nbrs := make([]sim.NodeID, 0, len(env.NeighborIDs)+len(f.roots))
-		for _, id := range env.NeighborIDs {
-			if !uniq[id] {
+		uniq := make(map[sim.NodeID]bool, len(env.Neighbors))
+		nbrs := make([]sim.NodeID, 0, len(env.Neighbors)+len(f.roots))
+		for k := range env.Neighbors {
+			if id := env.NeighborID(k); !uniq[id] {
 				uniq[id] = true
 				nbrs = append(nbrs, id)
 			}

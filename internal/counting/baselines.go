@@ -308,9 +308,9 @@ func (p *TreeCountProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.O
 		p.sentCount = true
 		if p.hasParent {
 			// Unicast to the parent: find its vertex among neighbors.
-			for k, id := range env.NeighborIDs {
-				if id == p.parent {
-					out = append(out, sim.Outgoing{To: env.Neighbors[k], Payload: TreeCount{Count: sum}})
+			for k, w := range env.Neighbors {
+				if env.NeighborID(k) == p.parent {
+					out = append(out, sim.Outgoing{To: w, Payload: TreeCount{Count: sum}})
 					break
 				}
 			}

@@ -14,15 +14,14 @@ import (
 // A beacon travels as a *Beacon and its path is a shared-prefix chain:
 // each Beacon holds the path's last ID and points at the beacon it
 // extends, down to a root with an empty path that holds the origin, so
-// an honest forward is one 24-byte node instead of a copy of the path.
-// Beacons are immutable once built — every receiver of a broadcast reads
-// the same chain — and only NewBeacon, an origin's newRootBeacon and the
-// honest forward build them, so every chain is finite and its lengths
-// agree.
+// an honest forward is one 16-byte node instead of a copy of the path.
+// A node stores no path length: the walks below stop at the root, and
+// every chain is finite because Beacons are immutable once built — every
+// receiver of a broadcast reads the same chain — and only NewBeacon, an
+// origin's newRootBeacon and the honest forward build them.
 type Beacon struct {
-	prev *Beacon    // the beacon this one extends; nil at the root (n == 0)
-	id   sim.NodeID // path[n-1], or the origin at the root
-	n    int        // path length
+	prev *Beacon    // the beacon this one extends; nil at the root
+	id   sim.NodeID // the path's last ID, or the origin at the root
 }
 
 // NewBeacon returns a beacon from origin carrying a copy of path, built
@@ -31,7 +30,7 @@ func NewBeacon(origin sim.NodeID, path []sim.NodeID) *Beacon {
 	chain := make([]Beacon, len(path)+1)
 	chain[0] = Beacon{id: origin}
 	for k, id := range path {
-		chain[k+1] = Beacon{prev: &chain[k], id: id, n: k + 1}
+		chain[k+1] = Beacon{prev: &chain[k], id: id}
 	}
 	return &chain[len(path)]
 }
@@ -42,13 +41,22 @@ func newRootBeacon(origin sim.NodeID) *Beacon { return &Beacon{id: origin} }
 // extend returns the beacon that forwards b with id appended to its path
 // (line 16), sharing b's path instead of copying it.
 func (b *Beacon) extend(id sim.NodeID) *Beacon {
-	return &Beacon{prev: b, id: id, n: b.n + 1}
+	return &Beacon{prev: b, id: id}
+}
+
+// pathLen returns the number of IDs in the path field.
+func (b *Beacon) pathLen() int {
+	n := 0
+	for ; b.prev != nil; b = b.prev {
+		n++
+	}
+	return n
 }
 
 // Origin returns the ID the beacon claims to originate from, read at the
 // chain's root.
 func (b *Beacon) Origin() sim.NodeID {
-	for b.n > 0 {
+	for b.prev != nil {
 		b = b.prev
 	}
 	return b.id
@@ -57,23 +65,21 @@ func (b *Beacon) Origin() sim.NodeID {
 // AppendPath appends the path field, first forwarder first, to dst and
 // returns the extended slice.
 func (b *Beacon) AppendPath(dst []sim.NodeID) []sim.NodeID {
-	dst = append(dst, make([]sim.NodeID, b.n)...)
-	path := dst[len(dst)-b.n:]
-	for ; b.n > 0; b = b.prev {
-		path[b.n-1] = b.id
+	n := b.pathLen()
+	dst = append(dst, make([]sim.NodeID, n)...)
+	for k := len(dst) - 1; b.prev != nil; k-- {
+		dst[k] = b.id
+		b = b.prev
 	}
 	return dst
 }
 
 // untrusted returns the chain node ending the path prefix that lies
 // outside the trusted suffix of the last suffix IDs (lines 20 and 31),
-// or nil when the suffix covers the whole path. Walking prev from it
-// while n > 0 visits that prefix, last ID first.
+// or the root when the suffix covers the whole path. Walking prev from
+// it until the root visits that prefix, last ID first.
 func (b *Beacon) untrusted(suffix int) *Beacon {
-	if b.n <= suffix {
-		return nil
-	}
-	for ; suffix > 0; suffix-- {
+	for ; suffix > 0 && b.prev != nil; suffix-- {
 		b = b.prev
 	}
 	return b
@@ -81,7 +87,7 @@ func (b *Beacon) untrusted(suffix int) *Beacon {
 
 // SizeBits counts the origin, the path IDs, and a small tag. A beacon is
 // a "small-sized message" as long as its path stays O(log n) long.
-func (b *Beacon) SizeBits() int { return 16 + 64 + 64*b.n }
+func (b *Beacon) SizeBits() int { return 16 + 64 + 64*b.pathLen() }
 
 // Continue is the keep-going signal broadcast by undecided nodes at the
 // end of each iteration and forwarded for i+3 rounds (line 35).
@@ -131,21 +137,26 @@ func DefaultCongestParams(d int) CongestParams {
 // NewCongestProc, or a run's worth in one allocation with
 // NewCongestProcs. Every proc of a run points at the run's one
 // read-only CongestParams, so a proc holds only its own state and fits
-// in 128 bytes.
+// in 96 bytes. Phases and set sizes are held in 32 bits: each phase
+// lasts at least 2i+5 rounds, so a run reaches phase 2^31 only after
+// more rounds than it could step. Round numbers stay int.
 type CongestProc struct {
 	params *CongestParams
 	phases Locator // Locate cache over params.Schedule
 
-	estimate int
 	decRound int
-
-	lastPhase int // phase of the previous step, to reset blacklists
 
 	blacklist idSet
 
 	// sp is shortestPath (line 4): the beacon this node accepted in the
 	// current iteration, nil until it accepts one.
 	sp *Beacon
+
+	estimate  int32
+	lastPhase int32 // phase of the previous step, to reset blacklists
+	// suffix is BlacklistSuffix(lastPhase, params.Epsilon), set when
+	// the phase begins.
+	suffix int32
 
 	decided           bool
 	exited            bool
@@ -184,7 +195,7 @@ func (c *CongestProc) init(params *CongestParams) {
 
 // Outcome reports the node's decision state.
 func (c *CongestProc) Outcome() Outcome {
-	return Outcome{Decided: c.decided, Estimate: c.estimate, Round: c.decRound, Exited: c.exited}
+	return Outcome{Decided: c.decided, Estimate: int(c.estimate), Round: c.decRound, Exited: c.exited}
 }
 
 // Halted reports whether the node exited the protocol for good.
@@ -194,13 +205,15 @@ func (c *CongestProc) Halted() bool { return c.exited }
 func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 	loc := c.phases.Locate(&c.params.Schedule, round)
 	i := loc.Phase
-	suffix := BlacklistSuffix(i, c.params.Epsilon)
 
-	// Phase transition: reset the phase blacklist (line 2).
-	if i != c.lastPhase {
-		c.lastPhase = i
+	// Phase transition: reset the phase blacklist (line 2) and fix the
+	// phase's trusted suffix (line 20).
+	if i != int(c.lastPhase) {
+		c.lastPhase = int32(i)
+		c.suffix = int32(BlacklistSuffix(i, c.params.Epsilon))
 		c.blacklist.reset()
 	}
+	suffix := int(c.suffix)
 	// Iteration start: reset shortestPath (line 4).
 	if loc.Offset == 0 {
 		c.sp = nil
@@ -255,9 +268,7 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 				c.decide(i, round)
 			}
 			if c.sp != nil && !c.params.DisableBlacklist {
-				for p := c.sp.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
-					c.blacklist.add(p.id)
-				}
+				c.blacklistUntrusted(c.sp, suffix)
 			}
 			// Continue window starts now: undecided nodes broadcast
 			// continue (lines 34-36).
@@ -284,8 +295,8 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 			if c.decided {
 				if !c.receivedContinue {
 					c.exited = true
-					if c.params.UpdateOnReentry && i > c.estimate {
-						c.estimate = i
+					if c.params.UpdateOnReentry && i > int(c.estimate) {
+						c.estimate = int32(i)
 					}
 				}
 			}
@@ -296,7 +307,7 @@ func (c *CongestProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 
 func (c *CongestProc) decide(i, round int) {
 	c.decided = true
-	c.estimate = i
+	c.estimate = int32(i)
 	c.decRound = round
 }
 
@@ -307,12 +318,20 @@ func (c *CongestProc) acceptable(b *Beacon, suffix int) bool {
 	if c.params.DisableBlacklist {
 		return true
 	}
-	for p := b.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
+	for p := b.untrusted(suffix); p.prev != nil; p = p.prev {
 		if c.blacklist.has(p.id) {
 			return false
 		}
 	}
 	return true
+}
+
+// blacklistUntrusted implements lines 31-32: every ID of b's path
+// outside the trusted suffix joins the phase blacklist.
+func (c *CongestProc) blacklistUntrusted(b *Beacon, suffix int) {
+	for p := b.untrusted(suffix); p.prev != nil; p = p.prev {
+		c.blacklist.add(p.id)
+	}
 }
 
 // firstBeacon returns the first beacon in the inbox, matching line 14's

@@ -232,10 +232,11 @@ func prefixToBlacklist(path []sim.NodeID, suffix int) []sim.NodeID {
 	return path[:len(path)-suffix]
 }
 
-// untrustedIDs collects the IDs the blacklist walk visits, in path order.
+// untrustedIDs collects the IDs the walk from untrusted visits, in path
+// order.
 func untrustedIDs(b *Beacon, suffix int) []sim.NodeID {
 	var ids []sim.NodeID
-	for p := b.untrusted(suffix); p != nil && p.n > 0; p = p.prev {
+	for p := b.untrusted(suffix); p.prev != nil; p = p.prev {
 		ids = append(ids, p.id)
 	}
 	slices.Reverse(ids)
@@ -255,26 +256,35 @@ func TestPrefixToBlacklist(t *testing.T) {
 	}
 }
 
-// TestBeaconChainMatchesSlice checks the chain against the slice path it
-// replaced: built whole by NewBeacon or hop by hop by the honest extend,
-// a chain reads back its path, reports its length and size, and its
-// blacklist walk visits exactly prefixToBlacklist's entries.
+// TestBeaconChainMatchesSlice checks the chain against the slice path
+// it replaced, whose values a chain with a stored length computed too:
+// a chain built by NewBeacon from a prefix of 0-40 IDs and extended hop
+// by hop by the honest forward reads back its path, reports its length,
+// size and origin, and for every suffix 0-45 the walk from untrusted
+// visits exactly prefixToBlacklist's entries, in order. The walk is
+// also checked where Algorithm 2 takes it: the blacklist update adds
+// exactly those IDs, and the filter rejects the beacon exactly when
+// one of them is blacklisted.
 func TestBeaconChainMatchesSlice(t *testing.T) {
 	rng := xrand.New(11)
-	paths := [][]sim.NodeID{nil, {1, 2, 3, 4, 5}} // TestPrefixToBlacklist's path
-	for range 300 {
-		p := make([]sim.NodeID, rng.Intn(41))
-		for k := range p {
-			switch rng.Intn(4) {
-			case 0:
-				p[k] = 0
-			case 1:
-				p[k] = p[rng.Intn(k+1)] // a repeat (or 0 from the unset tail)
-			default:
-				p[k] = sim.NodeID(rng.Uint64())
+	randomID := func(path []sim.NodeID) sim.NodeID {
+		switch rng.Intn(4) {
+		case 0:
+			return 0 // the idSet keeps ID 0 out of its table
+		case 1:
+			if len(path) > 0 {
+				return path[rng.Intn(len(path))] // a repeat
 			}
 		}
-		paths = append(paths, p)
+		return sim.NodeID(rng.Uint64())
+	}
+	params := DefaultCongestParams(8)
+	c := NewCongestProc(params)
+	blacklisted := func(ids ...sim.NodeID) {
+		c.blacklist.reset()
+		for _, id := range ids {
+			c.blacklist.add(id)
+		}
 	}
 	check := func(b *Beacon, origin sim.NodeID, p []sim.NodeID) {
 		t.Helper()
@@ -284,26 +294,64 @@ func TestBeaconChainMatchesSlice(t *testing.T) {
 		if got, want := b.AppendPath([]sim.NodeID{7}), append([]sim.NodeID{7}, p...); !slices.Equal(got, want) {
 			t.Fatalf("AppendPath onto [7] = %v, want %v", got, want)
 		}
-		if b.Origin() != origin || b.n != len(p) || b.SizeBits() != 16+64+64*len(p) {
-			t.Fatalf("path %v: Origin %d Len %d SizeBits %d", p, b.Origin(), b.n, b.SizeBits())
+		if b.Origin() != origin || b.pathLen() != len(p) || b.SizeBits() != 16+64+64*len(p) {
+			t.Fatalf("path %v: Origin %d Len %d SizeBits %d", p, b.Origin(), b.pathLen(), b.SizeBits())
 		}
-		for suffix := 1; suffix <= 45; suffix++ {
-			if got, want := untrustedIDs(b, suffix), prefixToBlacklist(p, suffix); !slices.Equal(got, want) {
-				t.Fatalf("path %v suffix %d: walk visits %v, want %v", p, suffix, got, want)
+		for suffix := 0; suffix <= 45; suffix++ {
+			prefix := prefixToBlacklist(p, suffix)
+			if got := untrustedIDs(b, suffix); !slices.Equal(got, prefix) {
+				t.Fatalf("path %v suffix %d: walk visits %v, want %v", p, suffix, got, prefix)
+			}
+			blacklisted()
+			c.blacklistUntrusted(b, suffix)
+			distinct := slices.Compact(slices.Sorted(slices.Values(prefix)))
+			nonZero := len(distinct)
+			if len(distinct) > 0 && distinct[0] == 0 {
+				nonZero--
+			}
+			if int(c.blacklist.count) != nonZero || c.blacklist.hasZero != slices.Contains(prefix, 0) {
+				t.Fatalf("path %v suffix %d: update blacklisted %d IDs (zero %v), want %v",
+					p, suffix, c.blacklist.count, c.blacklist.hasZero, distinct)
+			}
+			for _, id := range distinct {
+				if !c.blacklist.has(id) {
+					t.Fatalf("path %v suffix %d: update missed %d", p, suffix, id)
+				}
+			}
+			for _, id := range distinct {
+				blacklisted(id)
+				if c.acceptable(b, suffix) {
+					t.Fatalf("path %v suffix %d: accepted with %d blacklisted", p, suffix, id)
+				}
+			}
+			// Every ID the walk does not visit, blacklisted at once.
+			var others []sim.NodeID
+			for _, id := range append([]sim.NodeID{origin}, p...) {
+				if !slices.Contains(prefix, id) {
+					others = append(others, id)
+				}
+			}
+			blacklisted(others...)
+			if !c.acceptable(b, suffix) {
+				t.Fatalf("path %v suffix %d: rejected with only unvisited IDs %v blacklisted", p, suffix, others)
 			}
 		}
 	}
-	for _, p := range paths {
-		origin := sim.NodeID(rng.Uint64())
-		check(NewBeacon(origin, p), origin, p)
-		// Build the same path by forwarding a beacon whose path is a
-		// random prefix of it, one hop per forward.
-		k := rng.Intn(len(p) + 1)
-		b := NewBeacon(origin, p[:k])
-		for _, id := range p[k:] {
-			b = b.extend(id)
+	check(NewBeacon(5, []sim.NodeID{1, 2, 3, 4, 5}), 5, []sim.NodeID{1, 2, 3, 4, 5}) // TestPrefixToBlacklist's path
+	for range 300 {
+		var p []sim.NodeID
+		for range rng.Intn(41) {
+			p = append(p, randomID(p))
 		}
+		origin := randomID(p)
+		b := NewBeacon(origin, p)
 		check(b, origin, p)
+		for range rng.Intn(13) {
+			id := randomID(p)
+			b = b.extend(id)
+			p = append(p, id)
+			check(b, origin, p)
+		}
 	}
 }
 
@@ -329,7 +377,7 @@ func stepMallocs(p *CongestProc, env *sim.Env, round int, in []sim.Incoming) (ob
 }
 
 // TestCongestStepAllocs gates Algorithm 2's step: forwarding a beacon
-// costs one object of at most 24 bytes (the chain node; the path is
+// costs one object of at most 16 bytes (the chain node; the path is
 // shared and the pointer payload is stored without boxing), a beacon
 // received in the last receipt round by a node that already holds
 // shortestPath is neither sent nor kept and costs nothing, and decision
@@ -391,8 +439,8 @@ func TestCongestStepAllocs(t *testing.T) {
 			switch {
 			case off >= 1 && off <= i+1:
 				want = 1
-				if bytes > 24 {
-					t.Errorf("iteration %d offset %d: a forward allocated %d bytes, want <= 24", j+1, off, bytes)
+				if bytes > 16 {
+					t.Errorf("iteration %d offset %d: a forward allocated %d bytes, want <= 16", j+1, off, bytes)
 				}
 			case off == i+2 && j == 0:
 				continue // the blacklist grows to its high-water mark
@@ -401,19 +449,26 @@ func TestCongestStepAllocs(t *testing.T) {
 				t.Errorf("iteration %d offset %d: %d allocations, want %d", j+1, off, got, want)
 			}
 		}
-		if p.decided || p.blacklist.count != 20+4*j {
+		if p.decided || int(p.blacklist.count) != 20+4*j {
 			t.Fatalf("iteration %d: decided=%v, blacklist holds %d IDs", j+1, p.decided, p.blacklist.count)
 		}
 	}
 }
 
-// TestCongestProcFootprint gates the per-node size: a proc points at
-// its run's shared parameters and caches phases without a copy of the
-// schedule, so it fits the 128-byte size class. NewCongestProc is one
-// allocation, and NewCongestProcs one whatever n.
+// TestCongestProcFootprint gates the per-node sizes: a proc points at
+// its run's shared parameters, caches phases without a copy of the
+// schedule and holds phases and set sizes in 32 bits, so it fits in 96
+// bytes; a beacon chain node is two words, and an Outcome three.
+// NewCongestProc is one allocation, and NewCongestProcs one whatever n.
 func TestCongestProcFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(CongestProc{}); size > 128 {
-		t.Errorf("CongestProc is %d bytes, want <= 128", size)
+	if size := unsafe.Sizeof(CongestProc{}); size > 96 {
+		t.Errorf("CongestProc is %d bytes, want <= 96", size)
+	}
+	if size := unsafe.Sizeof(Beacon{}); size != 16 {
+		t.Errorf("Beacon is %d bytes, want 16", size)
+	}
+	if size := unsafe.Sizeof(Outcome{}); size != 24 {
+		t.Errorf("Outcome is %d bytes, want 24", size)
 	}
 	params := DefaultCongestParams(8)
 	if allocs := testing.AllocsPerRun(20, func() { NewCongestProc(params) }); allocs != 1 {
@@ -422,6 +477,24 @@ func TestCongestProcFootprint(t *testing.T) {
 	for _, n := range []int{16, 4096} {
 		if allocs := testing.AllocsPerRun(20, func() { NewCongestProcs(&params, n) }); allocs != 1 {
 			t.Errorf("NewCongestProcs(n=%d) costs %.0f allocations, want 1", n, allocs)
+		}
+	}
+}
+
+// TestCongestSuffixFollowsPhase: the trusted suffix a proc fixes when
+// a phase begins is that phase's BlacklistSuffix at every round.
+func TestCongestSuffixFollowsPhase(t *testing.T) {
+	params := DefaultCongestParams(8)
+	params.C1 = 0
+	params.Epsilon = 0.5 // the suffix grows every second phase
+	params.Schedule.IterationCap = 1
+	env := (&sim.Env{Vertex: 0, ID: 1, Degree: 1, Neighbors: []int{1}}).WithRand(xrand.New(5))
+	p := NewCongestProc(params)
+	for r := range params.Schedule.RoundsThroughPhase(12) {
+		p.Step(env, r, nil)
+		i := params.Schedule.Locate(r).Phase
+		if want := BlacklistSuffix(i, params.Epsilon); int(p.suffix) != want {
+			t.Fatalf("round %d (phase %d): suffix %d, want %d", r, i, p.suffix, want)
 		}
 	}
 }
@@ -487,8 +560,14 @@ func TestOutcomesHelpers(t *testing.T) {
 		t.Errorf("DecidedFraction = %g", got)
 	}
 	vals := DecidedEstimates(outcomes, honest)
-	if len(vals) != 2 || vals[0] != 4 || vals[1] != 8 {
-		t.Errorf("DecidedEstimates = %v", vals)
+	if len(vals) != 2 || vals[0] != 4 || vals[1] != 8 || cap(vals) != 2 {
+		t.Errorf("DecidedEstimates = %v (cap %d)", vals, cap(vals))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { DecidedEstimates(outcomes, honest) }); allocs != 1 {
+		t.Errorf("DecidedEstimates costs %.0f allocations, want 1", allocs)
+	}
+	if vals := DecidedEstimates(outcomes, []bool{false, false, true, false}); vals != nil {
+		t.Errorf("DecidedEstimates with none decided = %v, want nil", vals)
 	}
 	if got := FractionWithinFactor(outcomes, honest, 3, 5); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("FractionWithinFactor = %g", got)

@@ -14,8 +14,8 @@ import (
 // to its high-water mark.
 type idSet struct {
 	slots   []sim.NodeID
-	shift   uint // 64 - log2(len(slots)): slot = hash >> shift
-	count   int  // non-zero IDs held
+	count   int32 // non-zero IDs held
+	shift   uint8 // 64 - log2(len(slots)): slot = hash >> shift
 	hasZero bool
 }
 
@@ -43,7 +43,7 @@ func (s *idSet) add(id sim.NodeID) {
 	if s.slots[i] == id {
 		return
 	}
-	if 2*(s.count+1) > len(s.slots) {
+	if 2*(int(s.count)+1) > len(s.slots) {
 		s.rehash(2 * len(s.slots))
 		i = s.find(id)
 	}
@@ -77,7 +77,7 @@ func (s *idSet) find(id sim.NodeID) int {
 func (s *idSet) rehash(size int) {
 	old := s.slots
 	s.slots = make([]sim.NodeID, size)
-	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	for _, id := range old {
 		if id != 0 {
 			s.slots[s.find(id)] = id

@@ -41,7 +41,7 @@ func TestIDSetMatchesMap(t *testing.T) {
 				clear(ref)
 			}
 			peak = max(peak, len(ref))
-			if 2*s.count > len(s.slots) {
+			if 2*int(s.count) > len(s.slots) {
 				t.Fatalf("seed %d step %d: %d IDs in %d slots", seed, step, s.count, len(s.slots))
 			}
 		}

@@ -96,10 +96,10 @@ func (l *LocalProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgo
 	if round == 0 {
 		// Round 1 of the paper: B-hat(u,1) is the inclusive neighborhood.
 		// Parallel edges collapse to one topological edge in the seal.
-		uniq := make(map[sim.NodeID]bool, len(env.NeighborIDs))
-		nbrs := make([]sim.NodeID, 0, len(env.NeighborIDs))
-		for _, id := range env.NeighborIDs {
-			if !uniq[id] {
+		uniq := make(map[sim.NodeID]bool, len(env.Neighbors))
+		nbrs := make([]sim.NodeID, 0, len(env.Neighbors))
+		for k := range env.Neighbors {
+			if id := env.NeighborID(k); !uniq[id] {
 				uniq[id] = true
 				nbrs = append(nbrs, id)
 			}

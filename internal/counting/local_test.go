@@ -158,8 +158,10 @@ func (dl *degreeLiar) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Out
 		return env.Broadcast(LocalDelta{})
 	}
 	dl.sent = true
-	fake := make([]sim.NodeID, 0, len(env.NeighborIDs)+8)
-	fake = append(fake, env.NeighborIDs...)
+	fake := make([]sim.NodeID, len(env.Neighbors), len(env.Neighbors)+8)
+	for k := range fake {
+		fake[k] = env.NeighborID(k)
+	}
 	for i := 0; i < 8; i++ {
 		fake = append(fake, sim.NodeID(0xdead0000+uint64(i)))
 	}

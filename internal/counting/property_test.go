@@ -230,7 +230,7 @@ func TestBeaconShortcutProperties(t *testing.T) {
 			c.blacklist.add(randomID(path))
 		}
 		if got := b.Origin(); got != origin {
-			t.Fatalf("trial %d: chain of %d IDs reports origin %d, root holds %d", trial, b.n, got, origin)
+			t.Fatalf("trial %d: chain of %d IDs reports origin %d, root holds %d", trial, len(path), got, origin)
 		}
 		if got := b.AppendPath(nil); !slices.Equal(got, path) {
 			t.Fatalf("trial %d: AppendPath = %v, built from %v", trial, got, path)

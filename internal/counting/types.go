@@ -24,11 +24,12 @@ import (
 	"byzcount/internal/sim"
 )
 
-// Outcome records one node's final state after a run.
+// Outcome records one node's final state after a run. The ints come
+// first, so the two flags share one word: 24 bytes.
 type Outcome struct {
-	Decided  bool
 	Estimate int // the decided estimate L_u (scale depends on the protocol)
 	Round    int // round at which the decision was made
+	Decided  bool
 	Exited   bool
 }
 
@@ -52,10 +53,20 @@ func Outcomes(procs []sim.Proc) []Outcome {
 	return out
 }
 
-// DecidedEstimates returns the estimates of decided honest vertices.
-// honest[v] must be true for vertices controlled by the protocol.
+// DecidedEstimates returns the estimates of decided honest vertices, or
+// nil when none decided. honest[v] must be true for vertices controlled
+// by the protocol. The slice is allocated once, at its final length.
 func DecidedEstimates(outcomes []Outcome, honest []bool) []int {
-	var vals []int
+	n := 0
+	for v, o := range outcomes {
+		if honest[v] && o.Decided {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	vals := make([]int, 0, n)
 	for v, o := range outcomes {
 		if honest[v] && o.Decided {
 			vals = append(vals, o.Estimate)

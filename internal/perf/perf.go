@@ -16,6 +16,7 @@ package perf
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -176,7 +177,11 @@ func (r *Record) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadFile parses a BENCH.json and validates its schema tag.
+// ReadFile parses a BENCH.json and validates it: the schema tag, and
+// for every result a name no other result has and a positive, finite
+// ns_per_op. Against a baseline entry of 0 ns/op any time reads as
+// ratio 0, never a regression, and a name listed twice would be
+// compared twice, so bench -diff must not see either.
 func ReadFile(path string) (*Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -188,6 +193,16 @@ func ReadFile(path string) (*Record, error) {
 	}
 	if r.Schema != Schema {
 		return nil, fmt.Errorf("perf: %s: schema %q, want %q", path, r.Schema, Schema)
+	}
+	seen := make(map[string]bool, len(r.Results))
+	for _, res := range r.Results {
+		if !(res.NsPerOp > 0) || math.IsInf(res.NsPerOp, 1) {
+			return nil, fmt.Errorf("perf: %s: result %q: ns_per_op %v, want a positive finite number", path, res.Name, res.NsPerOp)
+		}
+		if seen[res.Name] {
+			return nil, fmt.Errorf("perf: %s: result %q listed twice", path, res.Name)
+		}
+		seen[res.Name] = true
 	}
 	return &r, nil
 }

@@ -1,6 +1,9 @@
 package perf
 
 import (
+	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -185,4 +188,103 @@ func TestReadFileRejectsWrongSchema(t *testing.T) {
 	if _, err := ReadFile(path); err == nil {
 		t.Error("wrong schema accepted")
 	}
+}
+
+// TestReadFileRejectsBadEntries: a baseline entry of 0 or negative
+// ns/op read as ratio 0.00x, so bench -diff passed a 10^12 ns/op entry
+// against it, and a record naming one result twice had both rows
+// compared. ReadFile rejects both with an error naming the file and
+// the entry, and so does the diff that reads it.
+func TestReadFileRejectsBadEntries(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, results ...Result) string {
+		rec := NewRecord(false)
+		rec.Results = results
+		path := filepath.Join(dir, name)
+		if err := rec.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cur := write("cur.json", Result{Name: "engine/x", NsPerOp: 1e12})
+	for _, tc := range []struct {
+		name    string
+		results []Result
+		entry   string
+	}{
+		{"zero", []Result{{Name: "engine/x", NsPerOp: 0}}, "engine/x"},
+		{"negative", []Result{{Name: "a", NsPerOp: 3}, {Name: "engine/x", NsPerOp: -5}}, "engine/x"},
+		{"duplicate", []Result{{Name: "engine/x", NsPerOp: 3}, {Name: "b", NsPerOp: 3}, {Name: "engine/x", NsPerOp: 4}}, "engine/x"},
+	} {
+		path := write(tc.name+".json", tc.results...)
+		rec, err := ReadFile(path)
+		if err == nil || rec != nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.entry) {
+			t.Errorf("%s: ReadFile = %v, %v; want an error naming %s and %q", tc.name, rec, err, path, tc.entry)
+		}
+		if _, err := DiffOverrides(path, cur, 0.5, nil); err == nil {
+			t.Errorf("%s: bench -diff accepted the baseline", tc.name)
+		}
+		if _, err := DiffOverrides(cur, path, 0.5, nil); err == nil {
+			t.Errorf("%s: bench -diff accepted the new record", tc.name)
+		}
+	}
+}
+
+// TestCommittedRecordsRead: every committed BENCH_*.json in this
+// package's format passes ReadFile's checks.
+func TestCommittedRecordsRead(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var head struct{ Schema string }
+		if json.Unmarshal(data, &head) != nil || head.Schema != Schema {
+			continue // a paired end-to-end record, another format
+		}
+		if _, err := ReadFile(path); err != nil {
+			t.Error(err)
+		}
+		read++
+	}
+	if read < 4 {
+		t.Fatalf("read %d committed records, want BENCH_PR5/8/9 and BENCH_SCALING at least", read)
+	}
+}
+
+// FuzzReadFile: for any file content ReadFile does not panic, and
+// either fails with an error naming the file and returns no record, or
+// returns a record of this schema whose results have distinct names
+// and positive, finite ns/op. The committed corpus (testdata/fuzz)
+// holds a valid record, entries of 0 and negative ns/op, a duplicate
+// name, a truncated copy and a wrong schema.
+func FuzzReadFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "BENCH.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ReadFile(path)
+		if err != nil {
+			if rec != nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %v (record %v): want no record and an error naming %s", err, rec, path)
+			}
+			return
+		}
+		if rec.Schema != Schema {
+			t.Fatalf("accepted schema %q", rec.Schema)
+		}
+		seen := map[string]bool{}
+		for _, res := range rec.Results {
+			if !(res.NsPerOp > 0) || math.IsInf(res.NsPerOp, 1) || seen[res.Name] {
+				t.Fatalf("accepted result %q with ns_per_op %v (seen before: %v)", res.Name, res.NsPerOp, seen[res.Name])
+			}
+			seen[res.Name] = true
+		}
+	})
 }

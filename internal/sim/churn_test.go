@@ -267,7 +267,7 @@ func TestChurnValidateEveryRound(t *testing.T) {
 // TestDetachAttachLifecycle covers the membership API directly on a
 // static engine: detached vertices are skipped, recycled slots accept a
 // joiner exactly once, the ID index follows the turnover, and the
-// neighbors' cached NeighborIDs are patched in place.
+// neighbors read the joiner's ID through NeighborID.
 func TestDetachAttachLifecycle(t *testing.T) {
 	g := mustHND(t, 32, 4, 5001)
 	eng := sim.New(g, sim.WithSeed(5002))
@@ -320,8 +320,8 @@ func TestDetachAttachLifecycle(t *testing.T) {
 	for _, w := range g.Neighbors(7) {
 		env := eng.Env(w)
 		for k, x := range env.Neighbors {
-			if x == 7 && env.NeighborIDs[k] != newID {
-				t.Errorf("vertex %d still caches the old ID of vertex 7", w)
+			if x == 7 && env.NeighborID(k) != newID {
+				t.Errorf("vertex %d still reads the old ID of vertex 7", w)
 			}
 		}
 	}
@@ -330,5 +330,62 @@ func TestDetachAttachLifecycle(t *testing.T) {
 	}
 	if eng.Metrics().Messages == 0 {
 		t.Error("no traffic after recycling")
+	}
+}
+
+// TestNeighborIDFollowsAttachAt: when AttachAt gives a slot a new ID,
+// every neighbor's NeighborID returns it at once, before another round
+// runs, on a static engine and on a topology engine over the same
+// adjacency, and every other entry still reads its neighbor's ID. On
+// the topology engine AttachAt refreshes the joiner's own env.
+func TestNeighborIDFollowsAttachAt(t *testing.T) {
+	g := mustHND(t, 32, 4, 5001)
+	for _, tc := range []struct {
+		name string
+		topo sim.Topology
+	}{{"static", g}, {"topology", topoOf{g}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(tc.topo, sim.WithSeed(5002))
+			procs := make([]sim.Proc, g.N())
+			for v := range procs {
+				procs[v] = &perf.FloodProc{}
+			}
+			if err := eng.Attach(procs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(1); err != nil { // resolves every neighborhood
+				t.Fatal(err)
+			}
+			for i, v := range []int{7, 0, 31, 7} {
+				newID := sim.NodeID(0xfeed0000 + uint64(i))
+				if err := eng.Detach(v); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.AttachAt(v, newID, &perf.FloodProc{}); err != nil {
+					t.Fatal(err)
+				}
+				if env := eng.Env(v); env.ID != newID || env.Degree != g.Degree(v) {
+					t.Fatalf("joiner at %d: env ID %x degree %d, want %x and %d", v, env.ID, env.Degree, newID, g.Degree(v))
+				}
+				seen := 0
+				for w := 0; w < g.N(); w++ {
+					env := eng.Env(w)
+					for k, x := range env.Neighbors {
+						if got := env.NeighborID(k); got != eng.ID(x) {
+							t.Fatalf("vertex %d reads ID %x for neighbor %d, which holds %x", w, got, x, eng.ID(x))
+						}
+						if x == v {
+							seen++
+						}
+					}
+				}
+				if seen != g.Degree(v) {
+					t.Fatalf("%d neighbor entries point at %d, want its degree %d", seen, v, g.Degree(v))
+				}
+				if _, err := eng.Run(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -54,29 +54,12 @@ type refEngine struct {
 
 func newRefEngine(g *graph.Graph, seed uint64, ids []sim.NodeID, procs []sim.Proc) *refEngine {
 	r := &refEngine{g: g, seed: seed, procs: procs, ids: ids, streams: map[string]*xrand.Rand{}}
-	r.envs = make([]sim.Env, g.N())
-	for v := range r.envs {
-		for _, w := range g.Adj(v) {
-			r.envs[v].Neighbors = append(r.envs[v].Neighbors, int(w))
-		}
-		r.envs[v].Vertex, r.envs[v].Degree = v, len(r.envs[v].Neighbors)
-	}
-	r.setIDs()
+	r.envs = sim.EnvsOverIDs(g, ids)
 	r.m.PerNodeMaxBit = make([]int, g.N())
 	return r
 }
 
 func isTickDriven(p sim.Proc) bool { _, ok := p.(sim.TickDriven); return ok }
-
-func (r *refEngine) setIDs() {
-	for v := range r.envs {
-		r.envs[v].ID = r.ids[v]
-		r.envs[v].NeighborIDs = r.envs[v].NeighborIDs[:0]
-		for _, w := range r.envs[v].Neighbors {
-			r.envs[v].NeighborIDs = append(r.envs[v].NeighborIDs, r.ids[w])
-		}
-	}
-}
 
 func (r *refEngine) stream(label string, v int) *xrand.Rand {
 	key := fmt.Sprint(label, v)
@@ -91,7 +74,7 @@ func (r *refEngine) stream(label string, v int) *xrand.Rand {
 func (r *refEngine) replace(v int, id sim.NodeID, p sim.Proc) {
 	r.flight = slices.DeleteFunc(r.flight, func(m refMsg) bool { return m.to == v })
 	r.procs[v], r.ids[v] = p, id
-	r.setIDs()
+	r.envs[v].ID = id
 }
 
 func (r *refEngine) live(td bool) int {
@@ -206,8 +189,9 @@ type progPayload struct{ bits int }
 func (p progPayload) SizeBits() int { return p.bits }
 
 // prog is a random Proc program driven by its own stream and by what it
-// receives: each step it folds the inbox into its digest and state,
-// then sends zero to four entries — broadcasts, unicasts to a neighbor,
+// receives: each step it folds the inbox and its neighbors' IDs (read
+// through NeighborID, so a replacement's new ID must reach its
+// neighbors at once) into its digest and state, then sends zero to four entries — broadcasts, unicasts to a neighbor,
 // unicasts to a non-neighbor, out of range or to -2 — and halts with a
 // small probability. A flooding prog instead broadcasts once and
 // halts. A TickDriven prog keeps the marker's contract: on an empty
@@ -228,6 +212,9 @@ func (p *prog) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 	p.sum = foldTranscript(p.sum, round, env, true, in)
 	for _, m := range in {
 		p.acc = p.acc*1099511628211 + uint64(m.Payload.SizeBits()) + uint64(m.FromID)
+	}
+	for k := range env.Neighbors {
+		p.acc = p.acc*1099511628211 + uint64(env.NeighborID(k))
 	}
 	if p.flood {
 		p.halted = true

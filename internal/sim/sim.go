@@ -91,12 +91,11 @@ const staleEpoch = ^uint64(0)
 // TopologyDegrees is the optional Topology extension that serves as the
 // engine's slab capacity hint: when a topology can report per-slot
 // degrees up front (static implicit families always can), the topology
-// constructor pre-carves every Env's Neighbors/NeighborIDs and
-// the sorted-adjacency buffer out of bounded slab chunks. The first
-// lazy resolve of each vertex then appends into its carved buffer
-// instead of growing a nil slice, so a million-slot engine's first
-// round costs O(slots/chunk) slab allocations instead of three
-// per-vertex allocations each.
+// constructor pre-carves every Env's Neighbors and the sorted-adjacency
+// buffer out of bounded slab chunks. The first lazy resolve of each
+// vertex then appends into its carved buffer instead of growing a nil
+// slice, so a million-slot engine's first round costs O(slots/chunk)
+// slab allocations instead of two per-vertex allocations each.
 type TopologyDegrees interface {
 	// Degree reports slot v's current neighbor-multiset size.
 	Degree(v int) int
@@ -174,34 +173,32 @@ const AllNeighbors = -1
 
 // Env carries the static, strictly local knowledge a process is allowed:
 // its vertex index (for the engine's bookkeeping only — protocols must not
-// infer anything from it), its random ID, its degree, its neighbor list,
-// and a private random stream.
+// infer anything from it), its random ID, its degree, its neighbor list
+// and their IDs (NeighborID), and a private random stream.
 //
-// Neighbors and NeighborIDs belong to the engine, which fills and
-// refreshes them; processes read them and must not modify them or
-// their elements. Broadcasts trust them: an AllNeighbors entry is
-// delivered to Neighbors as it stands, with no check against the
-// engine's own adjacency, so a process that wrote into Neighbors would
-// deliver to whatever it wrote (and an out-of-range element panics
-// inside the engine) instead of being counted as a violation.
+// Neighbors belongs to the engine, which fills and refreshes it;
+// processes read it and must not modify it or its elements. Broadcasts
+// trust it: an AllNeighbors entry is delivered to Neighbors as it
+// stands, with no check against the engine's own adjacency, so a
+// process that wrote into Neighbors would deliver to whatever it wrote
+// (and an out-of-range element panics inside the engine) instead of
+// being counted as a violation.
 type Env struct {
 	Vertex    int
 	ID        NodeID
 	Degree    int
 	Neighbors []int
-	// NeighborIDs[k] is the ID of Neighbors[k]. The paper's Algorithm 1
-	// starts from the inclusive 1-hop neighborhood B(u,1), so knowledge of
-	// neighbor IDs is part of the model.
-	NeighborIDs []NodeID
 
-	// rand is the slot's private stream, derived lazily by Rand(); root
-	// is the engine stream it derives from. A stream is one 64 B object
-	// until its 274th draw and adds a 4.9 KB register after (see package
-	// xrand), so slots whose processes never draw — flood workloads,
-	// vacant slots, adversaries — skip even that; a counting node
-	// drawing a few coins per iteration stays at the small size.
+	// rand is the slot's private stream, derived lazily by Rand() from
+	// the engine's seed stream. A stream is one 64 B object until its
+	// 274th draw and adds a 4.9 KB register after (see package xrand),
+	// so slots whose processes never draw — flood workloads, vacant
+	// slots, adversaries — skip even that; a counting node drawing a few
+	// coins per iteration stays at the small size.
 	rand *xrand.Rand
-	root *xrand.Rand
+	// eng is the engine owning the slot: Rand derives from its seed
+	// stream and NeighborID reads its ID table.
+	eng *Engine
 
 	// scratch[p] is the output of the env's last Step at a tick of
 	// parity p — its outbox — and the buffer Scratch hands out at the
@@ -223,18 +220,26 @@ type Env struct {
 // recycling the slot continues the stream where the leaver left it.
 func (e *Env) Rand() *xrand.Rand {
 	if e.rand == nil {
-		e.rand = e.root.SplitN("node", e.Vertex)
+		e.rand = e.eng.root.SplitN("node", e.Vertex)
 	}
 	return e.rand
 }
 
+// NeighborID returns the ID of Neighbors[k], read from the engine's ID
+// table, so a joiner's ID is seen by its neighbors from the moment it
+// is attached. The paper's Algorithm 1 starts from the inclusive 1-hop
+// neighborhood B(u,1), so knowledge of neighbor IDs is part of the
+// model. It needs an engine-owned env (or a WithRand copy of one); a
+// standalone env has no ID table.
+func (e *Env) NeighborID(k int) NodeID { return e.eng.ids[e.Neighbors[k]] }
+
 // WithRand returns a pointer to a copy of the env using rng as its
 // private stream — the constructor for the standalone envs that
 // protocol tests in other packages step by hand. The receiver is never
-// mutated: the copy shares the receiver's slices (Neighbors,
-// NeighborIDs, scratch) but replaces the stream, so an engine-owned env
-// passed through WithRand keeps its own lazily-derived stream. Engine
-// slots derive theirs from the engine seed instead.
+// mutated: the copy shares the receiver's slices (Neighbors, scratch)
+// and engine but replaces the stream, so an engine-owned env passed
+// through WithRand keeps its own lazily-derived stream. Engine slots
+// derive theirs from the engine seed instead.
 func (e *Env) WithRand(rng *xrand.Rand) *Env {
 	c := *e
 	c.rand = rng
@@ -619,11 +624,11 @@ var ErrCanceled = errors.New("sim: run canceled")
 // independent of all others.
 //
 // Construction ingests the graph's CSR arrays directly: every Env's
-// Neighbors and NeighborIDs slices are carved out of engine-owned
-// bounded slab chunks sized to the total arc count (O(arcs/chunk)
-// exact-size allocations — no per-vertex copies and no append-doubling
-// spikes, so a million-slot engine's tables build without transient 2×
-// peaks), and the sorted-deduplicated adjacency used by the membership
+// Neighbors slice is carved out of engine-owned bounded slab chunks
+// sized to the total arc count (O(arcs/chunk) exact-size allocations —
+// no per-vertex copies and no append-doubling spikes, so a
+// million-slot engine's tables build without transient 2× peaks), and
+// the sorted-deduplicated adjacency used by the membership
 // stamps aliases the graph's shared sorted CSR — no per-vertex sorting.
 // Static engines never mutate those rows, so aliasing an immutable
 // (possibly cache-shared) graph is safe; topology engines re-resolve
@@ -637,14 +642,11 @@ func newStaticEngine(g *graph.Graph, seed uint64) *Engine {
 		arcs += g.Degree(v)
 	}
 	nbrSlab := newSlab[int](arcs)
-	idSlab := newSlab[NodeID](arcs)
 	for v := 0; v < e.n; v++ {
 		adj := g.Adj(v)
 		nbrs := nbrSlab.carve(len(adj))
-		ids := idSlab.carve(len(adj))
 		for _, w := range adj {
 			nbrs = append(nbrs, int(w))
-			ids = append(ids, e.ids[w])
 		}
 		e.sortedAdj[v] = g.SortedAdj(v) // deduplicated
 		if len(adj) != len(e.sortedAdj[v]) {
@@ -654,7 +656,6 @@ func newStaticEngine(g *graph.Graph, seed uint64) *Engine {
 		}
 		e.envs[v].Degree = len(adj)
 		e.envs[v].Neighbors = nbrs
-		e.envs[v].NeighborIDs = ids
 	}
 	return e
 }
@@ -667,11 +668,11 @@ func newStaticEngine(g *graph.Graph, seed uint64) *Engine {
 // not walk adjacency at all.
 //
 // When the topology also implements TopologyDegrees, its degrees serve
-// as slab budgets: every Env's Neighbors/NeighborIDs and the
-// sorted-adjacency buffer are pre-carved at exact degree capacity out
-// of bounded chunks, so the lazy resolves append in place instead of
-// growing nil slices — the difference between O(slots/chunk) and three
-// allocations per slot on a million-slot first round. Degrees are a
+// as slab budgets: every Env's Neighbors and the sorted-adjacency
+// buffer are pre-carved at exact degree capacity out of bounded chunks,
+// so the lazy resolves append in place instead of growing nil slices —
+// the difference between O(slots/chunk) and two allocations per slot
+// on a million-slot first round. Degrees are a
 // hint, not a contract: a slot that later outgrows its carve migrates
 // to a private buffer on append, so mutable topologies stay correct.
 func newTopologyEngine(topo Topology, seed uint64) *Engine {
@@ -688,12 +689,10 @@ func newTopologyEngine(topo Topology, seed uint64) *Engine {
 			arcs += dg.Degree(v)
 		}
 		nbrSlab := newSlab[int](arcs)
-		idSlab := newSlab[NodeID](arcs)
 		saSlab := newSlab[int32](arcs)
 		for v := 0; v < e.n; v++ {
 			d := dg.Degree(v)
 			e.envs[v].Neighbors = nbrSlab.carve(d)
-			e.envs[v].NeighborIDs = idSlab.carve(d)
 			e.sortedAdj[v] = saSlab.carve(d)
 		}
 	}
@@ -706,10 +705,9 @@ func newTopologyEngine(topo Topology, seed uint64) *Engine {
 // slot v continues v's stream where the leaver left it, which is what
 // keeps churn runs reproducible however the membership history unfolds.
 func newEngine(n int, seed uint64) *Engine {
-	root := xrand.New(seed)
 	e := &Engine{
 		n:         n,
-		root:      root,
+		root:      xrand.New(seed),
 		skip:      true,
 		pulled:    true,
 		envs:      make([]Env, n),
@@ -721,7 +719,7 @@ func newEngine(n int, seed uint64) *Engine {
 	}
 	e.metrics.PerNodeMaxBit = make([]int, n)
 	for v := 0; v < n; v++ {
-		e.envs[v] = Env{Vertex: v, root: root}
+		e.envs[v] = Env{Vertex: v, eng: e}
 		e.bcast[0][v].From, e.bcast[1][v].From = outEmpty, outEmpty
 	}
 	return e
@@ -854,10 +852,9 @@ func (e *Engine) Detach(v int) error {
 // since construction, or beyond the current capacity (the arrays grow
 // to cover it). Recycled slots keep their random stream, resuming where
 // the departed occupant left it, so executions remain a pure function
-// of the seed and the membership history. On a static engine the
-// neighbors' cached NeighborIDs entries for v are patched in place; on
-// a topology engine every vertex re-resolves at the next epoch change,
-// and v itself is force-refreshed here.
+// of the seed and the membership history. Neighbors read the new ID
+// through Env.NeighborID at once. On a topology engine every vertex
+// re-resolves at the next epoch change, and v itself is refreshed here.
 func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	if p == nil {
 		return fmt.Errorf("sim: AttachAt(%d) with nil process", v)
@@ -904,35 +901,10 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 			e.seq = slices.Insert(e.seq, i, v)
 		}
 	}
-	e.patchNeighborIDs(v)
-	return nil
-}
-
-// patchNeighborIDs updates the cached NeighborIDs entries pointing at v
-// after its ID changed. On a topology engine v's own neighborhood is
-// re-resolved first (the join usually bumped the epoch anyway); its
-// neighbors' entries are patched in place so even an epoch-neutral
-// replacement is observed immediately.
-func (e *Engine) patchNeighborIDs(v int) {
 	if e.topo != nil {
 		e.refreshVertex(v)
-		for _, w := range e.envs[v].Neighbors {
-			patchOne(&e.envs[w], v, e.ids[v])
-		}
-		return
 	}
-	for _, w := range e.g.Adj(v) {
-		patchOne(&e.envs[w], v, e.ids[v])
-	}
-}
-
-// patchOne rewrites env's NeighborIDs entries for neighbor v.
-func patchOne(env *Env, v int, id NodeID) {
-	for k, x := range env.Neighbors {
-		if x == v {
-			env.NeighborIDs[k] = id
-		}
-	}
+	return nil
 }
 
 // growTo extends the slot arrays to at least m vertices (topology
@@ -950,7 +922,7 @@ func (e *Engine) growTo(m int) {
 	for v := e.n; v < m; v++ {
 		e.procs = append(e.procs, nil)
 		e.ids = append(e.ids, 0)
-		e.envs = append(e.envs, Env{Vertex: v, root: e.root})
+		e.envs = append(e.envs, Env{Vertex: v, eng: e})
 		e.sortedAdj = append(e.sortedAdj, nil)
 		e.multi = append(e.multi, false)
 		e.mail = append(e.mail, false)
@@ -1001,11 +973,6 @@ func (e *Engine) refreshVertex(v int) {
 	env.Neighbors = nbrs
 	env.Degree = len(nbrs)
 	env.ID = e.ids[v]
-	ids := env.NeighborIDs[:0]
-	for _, w := range nbrs {
-		ids = append(ids, e.ids[w])
-	}
-	env.NeighborIDs = ids
 	sa := e.sortedAdj[v][:0]
 	for _, w := range nbrs {
 		sa = append(sa, int32(w))

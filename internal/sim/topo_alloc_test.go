@@ -5,14 +5,15 @@ package sim_test
 // Slab-budget guard for topology-engine construction: with a
 // TopologyDegrees hint, the first round's lazy neighborhood resolution
 // appends into pre-carved slab chunks instead of growing nil slices.
-// Without the pre-carve, resolving n vertices costs ~3n allocations
-// (Neighbors, NeighborIDs, sortedAdj each); with it, O(arcs/chunk).
+// Without the pre-carve, resolving n vertices costs ~2n allocations
+// (Neighbors and sortedAdj each); with it, O(arcs/chunk).
 // The race detector changes allocation behavior, so this file is
 // excluded under -race (same convention as graph/alloc_test.go).
 
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"byzcount/internal/graph"
 	"byzcount/internal/sim"
@@ -83,11 +84,12 @@ func TestEngineConstructionBudget(t *testing.T) {
 // TestEngineNewTorusFootprint pins sim.New on the 400x400 implicit
 // torus, the substrate of the 160k-node scale cell: the duplicate-ID
 // check sorts a copy of the draws, and the ID index is built only by
-// Detach or AttachAt, so construction holds no per-slot map. It
-// measures 55.4 MB in 25 allocations on amd64 (go1.24); the bound
-// leaves 1.2 MB (2%) of slack. A map of the 160,000 IDs adds 4.7 MB
-// (the map-checked construction read 58.9 MB in about 540
-// allocations).
+// Detach or AttachAt, so construction holds no per-slot map; neighbor
+// IDs are read from the engine's ID table, so there is no per-arc ID
+// slab either. It measures 46.45 MB in 21-27 allocations on amd64
+// (go1.24); the bound leaves 0.95 MB (2%) of slack. A map of the
+// 160,000 IDs adds 4.7 MB, and a per-arc copy of the neighbor IDs
+// 5.1 MB.
 func TestEngineNewTorusFootprint(t *testing.T) {
 	torus, err := graph.NewTorusGrid(400, 400)
 	if err != nil {
@@ -99,8 +101,17 @@ func TestEngineNewTorusFootprint(t *testing.T) {
 	if eng.ID(0) == eng.ID(1) {
 		t.Fatal("degenerate IDs")
 	}
-	if bytes > 56_600_000 {
-		t.Errorf("sim.New on the 400x400 torus allocated %d bytes, want <= 56,600,000 (no per-slot map)", bytes)
+	if bytes > 47_400_000 {
+		t.Errorf("sim.New on the 400x400 torus allocated %d bytes, want <= 47,400,000 (no per-slot map or ID copy)", bytes)
+	}
+}
+
+// TestEnvFootprint pins the per-slot Env: neighbor IDs are read from
+// the engine's ID table through the pointer that also derives the
+// slot's stream, so a slot holds no copy of them.
+func TestEnvFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(sim.Env{}); size > 120 {
+		t.Errorf("sim.Env is %d bytes, want <= 120", size)
 	}
 }
 
