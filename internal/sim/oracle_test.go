@@ -191,9 +191,10 @@ func (p progPayload) SizeBits() int { return p.bits }
 // prog is a random Proc program driven by its own stream and by what it
 // receives: each step it folds the inbox and its neighbors' IDs (read
 // through NeighborID, so a replacement's new ID must reach its
-// neighbors at once) into its digest and state, then sends zero to four entries — broadcasts, unicasts to a neighbor,
-// unicasts to a non-neighbor, out of range or to -2 — and halts with a
-// small probability. A flooding prog instead broadcasts once and
+// neighbors at once) into its digest and state, then sends zero to
+// four entries — broadcasts, unicasts to a neighbor, unicasts to a
+// non-neighbor, out of range or to -2 — and halts with a small
+// probability. A flooding prog instead broadcasts once and
 // halts. A TickDriven prog keeps the marker's contract: on an empty
 // inbox it sends nothing and changes nothing.
 type prog struct {
