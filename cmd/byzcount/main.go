@@ -507,12 +507,16 @@ func runCmd(args []string, prof *profiler) error {
 type flagError struct {
 	flag  string  // the flag's name, without the dash
 	value float64 // the rejected value (one element of a list flag)
+	text  string  // a list element that is not a number, else empty
 	want  string  // the accepted range
 }
 
 func (e *flagError) Error() string {
-	return fmt.Sprintf("invalid value %s for -%s: want %s",
-		strconv.FormatFloat(e.value, 'f', -1, 64), e.flag, e.want)
+	v := strconv.FormatFloat(e.value, 'f', -1, 64)
+	if e.text != "" {
+		v = strconv.Quote(e.text)
+	}
+	return fmt.Sprintf("invalid value %s for -%s: want %s", v, e.flag, e.want)
 }
 
 // minNodes is the smallest network a scenario runs on; below it the
@@ -559,26 +563,28 @@ func splitList(s string) []string {
 	return out
 }
 
-// splitInts parses a comma-separated int list.
-func splitInts(s string) ([]int, error) {
+// splitInts parses flag name's comma-separated int list; an element
+// that is not an int is a *flagError.
+func splitInts(name, s string) ([]int, error) {
 	var out []int
 	for _, p := range splitList(s) {
 		v, err := strconv.Atoi(p)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer %q in list %q", p, s)
+			return nil, &flagError{flag: name, text: p, want: "an integer (" + err.(*strconv.NumError).Err.Error() + ")"}
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-// splitFloats parses a comma-separated float list.
-func splitFloats(s string) ([]float64, error) {
+// splitFloats parses flag name's comma-separated float list; an element
+// that is not a float is a *flagError.
+func splitFloats(name, s string) ([]float64, error) {
 	var out []float64
 	for _, p := range splitList(s) {
 		v, err := strconv.ParseFloat(p, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad float %q in list %q", p, s)
+			return nil, &flagError{flag: name, text: p, want: "a number (" + err.(*strconv.NumError).Err.Error() + ")"}
 		}
 		out = append(out, v)
 	}
@@ -615,15 +621,15 @@ func matrixFlags(fs *flag.FlagSet) func() (expt.Matrix, expt.Config, error) {
 		"reuse identically drawn substrates across cells (tables are identical either way)")
 	return func() (expt.Matrix, expt.Config, error) {
 		expt.SetSubstrateCache(*subcache)
-		nList, err := splitInts(*ns)
+		nList, err := splitInts("n", *ns)
 		if err != nil {
 			return expt.Matrix{}, expt.Config{}, err
 		}
-		fracList, err := splitFloats(*byzFracs)
+		fracList, err := splitFloats("byz-frac", *byzFracs)
 		if err != nil {
 			return expt.Matrix{}, expt.Config{}, err
 		}
-		churnList, err := splitInts(*churns)
+		churnList, err := splitInts("churn", *churns)
 		if err != nil {
 			return expt.Matrix{}, expt.Config{}, err
 		}

@@ -216,6 +216,20 @@ func TestMatrixRuns(t *testing.T) {
 	}
 }
 
+// TestHugeMaxPhaseRuns: from -max-phase 83 the CONGEST round budget
+// overflowed int, and run and matrix failed with "sim: negative
+// maxRounds" (or ran on a wrapped budget).
+func TestHugeMaxPhaseRuns(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-proto", "congest", "-n", "64", "-max-phase", "100", "-seed", "1"},
+		{"matrix", "-n", "48", "-trials", "1", "-max-phase", "100"},
+	} {
+		if err := run(args); err != nil {
+			t.Errorf("%s: %v", strings.Join(args, " "), err)
+		}
+	}
+}
+
 func TestMatrixUnknownAxisValue(t *testing.T) {
 	if err := run([]string{"matrix", "-adversary", "bogus", "-n", "48", "-trials", "1"}); err == nil {
 		t.Fatal("unknown adversary axis value accepted")
@@ -448,6 +462,26 @@ func TestGridFlagsRejected(t *testing.T) {
 	}
 	if _, err := os.Stat(sweepDir); !os.IsNotExist(err) {
 		t.Errorf("a rejected sweep created its directory (stat err %v)", err)
+	}
+}
+
+// TestBadListElementNamesFlag: a list element that is not a number
+// used to fail with an untyped `bad integer "1e3" in list "1e3"` that
+// named no flag.
+func TestBadListElementNamesFlag(t *testing.T) {
+	sweepDir := filepath.Join(t.TempDir(), "sw")
+	for _, c := range []struct{ flag, list, elem string }{
+		{"n", "1e3", "1e3"},
+		{"n", "256,oops", "oops"},
+		{"byz-frac", "0.1x", "0.1x"},
+		{"churn", "0, 2x", "2x"},
+	} {
+		for _, cmd := range [][]string{{"matrix"}, {"sweep", "-out", sweepDir}} {
+			fe := runFlagError(t, slices.Concat(cmd, []string{"-" + c.flag, c.list})...)
+			if fe.flag != c.flag || !strings.Contains(fe.Error(), strconv.Quote(c.elem)+" for -"+c.flag) {
+				t.Errorf("%s -%s %q: got %v, want a -%s flag error naming %q", cmd[0], c.flag, c.list, fe, c.flag, c.elem)
+			}
+		}
 	}
 }
 

@@ -33,18 +33,28 @@ type Loc struct {
 func IterationRounds(i int) int { return 2*i + 5 }
 
 // Iterations returns the number of iterations in phase i:
-// floor(e^((1-gamma)*i)) + 1, per line 3 of Algorithm 2.
+// floor(e^((1-gamma)*i)) + 1, per line 3 of Algorithm 2, saturated at
+// math.MaxInt (from phase 98 at gamma 0.55 the exponential passes it,
+// and Go leaves the conversion of such a float to int undefined).
 func (s Schedule) Iterations(i int) int {
-	n := int(math.Floor(math.Exp((1-s.Gamma)*float64(i)))) + 1
+	n := math.MaxInt
+	if f := math.Floor(math.Exp((1 - s.Gamma) * float64(i))); f < math.MaxInt {
+		n = int(f) + 1
+	}
 	if s.IterationCap > 0 && n > s.IterationCap {
 		n = s.IterationCap
 	}
 	return n
 }
 
-// PhaseRounds returns the total number of rounds in phase i.
+// PhaseRounds returns the total number of rounds in phase i, saturated
+// at math.MaxInt.
 func (s Schedule) PhaseRounds(i int) int {
-	return s.Iterations(i) * IterationRounds(i)
+	it, r := s.Iterations(i), IterationRounds(i)
+	if it > math.MaxInt/r {
+		return math.MaxInt
+	}
+	return it * r
 }
 
 // Locate converts a global round number to phase coordinates, walking
@@ -77,7 +87,9 @@ type Locator struct {
 // Locate converts a global round number to phase coordinates under s;
 // it returns exactly what s.Locate(round) would. A phase is never 0
 // rounds long (at least one iteration of 2i+5 rounds, an odd number),
-// so rounds == 0 marks the empty cache.
+// so rounds == 0 marks the empty cache. The phase walk compares
+// round-start with the phase length, so a length saturated at
+// math.MaxInt cannot wrap the sum.
 func (l *Locator) Locate(s *Schedule, round int) Loc {
 	if round < 0 {
 		panic("counting: negative round")
@@ -87,7 +99,7 @@ func (l *Locator) Locate(s *Schedule, round int) Loc {
 		l.start = 0
 		l.rounds = s.PhaseRounds(l.phase)
 	}
-	for round >= l.start+l.rounds {
+	for round-l.start >= l.rounds {
 		l.start += l.rounds
 		l.phase++
 		l.rounds = s.PhaseRounds(l.phase)
@@ -102,11 +114,16 @@ func (l *Locator) Locate(s *Schedule, round int) Loc {
 }
 
 // RoundsThroughPhase returns the total number of rounds from round 0 up to
-// and including the last round of phase `last`.
+// and including the last round of phase `last`, saturated at
+// math.MaxInt: a run budget that large is never reached.
 func (s Schedule) RoundsThroughPhase(last int) int {
 	total := 0
 	for i := s.StartPhase; i <= last; i++ {
-		total += s.PhaseRounds(i)
+		r := s.PhaseRounds(i)
+		if total > math.MaxInt-r {
+			return math.MaxInt
+		}
+		total += r
 	}
 	return total
 }

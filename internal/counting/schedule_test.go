@@ -2,6 +2,7 @@ package counting
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -105,6 +106,41 @@ func TestRoundsThroughPhase(t *testing.T) {
 	// First round of phase 4 must be exactly that total.
 	if loc := s.Locate(want); loc.Phase != 4 || loc.Offset != 0 {
 		t.Errorf("round %d located at %+v", want, loc)
+	}
+}
+
+// TestRoundsThroughPhaseSaturates: through phase 84 (-max-phase 83)
+// the default schedule's phase lengths sum past math.MaxInt, and from
+// phase 98 Iterations converts a float past 2^63 to int; the budget
+// wrapped, and `run -max-phase 83` failed with "sim: negative
+// maxRounds". Every budget must be positive and non-decreasing, the
+// exact sum wherever that fits and math.MaxInt past it, and Locate
+// must place the last round.
+func TestRoundsThroughPhaseSaturates(t *testing.T) {
+	s := DefaultCongestParams(8).Schedule
+	exact, maxInt := new(big.Int), big.NewInt(math.MaxInt)
+	prev := 0
+	for last := s.StartPhase; last <= 10_000; last++ {
+		if exact.Cmp(maxInt) <= 0 {
+			it := int64(math.Floor(math.Exp((1-s.Gamma)*float64(last)))) + 1
+			exact.Add(exact, new(big.Int).Mul(big.NewInt(it), big.NewInt(int64(IterationRounds(last)))))
+		}
+		want := math.MaxInt
+		if exact.Cmp(maxInt) <= 0 {
+			want = int(exact.Int64())
+		}
+		got := s.RoundsThroughPhase(last)
+		if got != want || got < prev {
+			t.Fatalf("RoundsThroughPhase(%d) = %d after %d, want %d", last, got, prev, want)
+		}
+		prev = got
+	}
+	if prev != math.MaxInt {
+		t.Fatalf("RoundsThroughPhase(10000) = %d, want math.MaxInt", prev)
+	}
+	var l Locator
+	if loc := l.Locate(&s, math.MaxInt-1); loc.Phase < 84 || loc.Phase > 98 || loc.Offset < 0 || loc.Iteration < 1 {
+		t.Errorf("round math.MaxInt-1 located at %+v", loc)
 	}
 }
 

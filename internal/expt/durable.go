@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"byzcount/internal/counting"
@@ -309,58 +308,38 @@ func runDurable(ctx context.Context, cfg Config, scs []Scenario, skipped int,
 		log.SyncEvery = opts.SyncEvery
 	}
 
-	// Launch the missing cells with bounded parallelism. Every launched
-	// goroutine sends exactly one outcome — possibly a skip marker when
-	// cancellation beat it to its semaphore slot — so the collector
-	// drains an exact count and a drain IS a barrier: when the loop
-	// ends, no cell is still writing.
-	type outcome struct {
-		rec     sweep.Record
-		skipped bool
-	}
+	// Run the missing cells, in (row, trial) order, on cfg.parallel()
+	// workers. A cell abandoned to cancellation sends nothing; the
+	// channel closes once every worker has returned, so when the
+	// collector's range ends no cell is still writing.
 	root := xrand.New(cfg.Seed)
-	sem := make(chan struct{}, cfg.parallel())
-	resCh := make(chan outcome, cfg.parallel())
-	launched := 0
-	var wg sync.WaitGroup
-	for i := range scs {
-		for t := 0; t < trials; t++ {
+	resCh := make(chan sweep.Record, cfg.parallel())
+	go func() {
+		forEachCell(ctx, cfg.parallel(), total, func(k int) bool {
+			i, t := k/trials, k%trials
 			if skipKeys[cellKey{i, t}] {
-				continue
+				return true
 			}
-			launched++
-			wg.Add(1)
-			go func(i, t int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					resCh <- outcome{skipped: true}
-					return
-				}
-				rec, skip := runDurableCell(ctx, scs[i], labels[i], t, root, opts)
-				resCh <- outcome{rec: rec, skipped: skip}
-			}(i, t)
-		}
-	}
+			if rec, abandoned := runDurableCell(ctx, scs[i], labels[i], t, root, opts); !abandoned {
+				resCh <- rec
+			}
+			return true
+		})
+		close(resCh)
+	}()
 
 	var walErr error
-	for n := 0; n < launched; n++ {
-		o := <-resCh
-		if o.skipped {
-			continue
-		}
+	for rec := range resCh {
 		if walErr == nil {
-			walErr = log.Append(o.rec)
+			walErr = log.Append(rec)
 		}
-		account(o.rec)
-		deliver(o.rec)
+		account(rec)
+		deliver(rec)
 		done++
 		if opts.OnCell != nil {
 			opts.OnCell(done, total)
 		}
 	}
-	wg.Wait()
 	if walErr == nil {
 		walErr = log.Sync()
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -359,5 +360,61 @@ func TestSweepRowsEarlyStop(t *testing.T) {
 		if n := ran.Load(); n > int64(parallel) {
 			t.Errorf("parallel=%d: %d cells ran after the first failure (grid=%d)", parallel, n, len(rows)*10)
 		}
+	}
+}
+
+// goroutinePeak tracks the most goroutines seen above the count at its
+// creation; sample may be called from any goroutine.
+type goroutinePeak struct {
+	base int
+	peak atomic.Int64
+}
+
+func newGoroutinePeak() *goroutinePeak { return &goroutinePeak{base: runtime.NumGoroutine()} }
+
+func (g *goroutinePeak) sample() {
+	n := int64(runtime.NumGoroutine() - g.base)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+}
+
+// TestSweepRowsBoundsGoroutines: the driver used to start one goroutine
+// per (row, trial) cell before any cell ran, each then waiting on a
+// semaphore, so a 100,000-trial sweep parked millions. At Parallel 1,
+// 200 cells must never see more than Parallel + 2 goroutines above the
+// baseline.
+func TestSweepRowsBoundsGoroutines(t *testing.T) {
+	cfg := Config{Seed: 1, Trials: 10, Parallel: 1}
+	rows := make([]int, 20)
+	g := newGoroutinePeak()
+	_, err := sweepRows(cfg, xrand.New(1), rows, func(int) string { return "row" },
+		func(_, _ int, _ *xrand.Rand) (int, error) {
+			g.sample()
+			return 0, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := g.peak.Load(); p > int64(cfg.Parallel)+2 {
+		t.Errorf("%d goroutines above the baseline during a Parallel=1 sweep of 200 cells, want <= %d", p, cfg.Parallel+2)
+	}
+}
+
+// TestRunMatrixSweepBoundsGoroutines is TestSweepRowsBoundsGoroutines
+// for the durable driver's cell launcher: 200 cells at Parallel 1,
+// sampled from the progress callback after every cell.
+func TestRunMatrixSweepBoundsGoroutines(t *testing.T) {
+	cfg := Config{Seed: 1, Trials: 100, Parallel: 1}
+	m := Matrix{Protos: []string{"congest", "geometric"}, Ns: []int{16}, MaxPhase: 2, StopFrac: 1}
+	g := newGoroutinePeak()
+	sum, err := RunMatrixSweep(context.Background(), cfg, m, t.TempDir(), SweepOptions{OnCell: func(int, int) { g.sample() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Total < 200 || sum.Completed != sum.Total {
+		t.Fatalf("%d of %d cells completed, want at least 200", sum.Completed, sum.Total)
+	}
+	if p := g.peak.Load(); p > int64(cfg.Parallel)+2 {
+		t.Errorf("%d goroutines above the baseline during a Parallel=1 sweep of %d cells, want <= %d", p, sum.Total, cfg.Parallel+2)
 	}
 }

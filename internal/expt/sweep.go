@@ -48,33 +48,12 @@ func sweepRowsCtx[P, R any](ctx context.Context, cfg Config, root *xrand.Rand, r
 		results[i] = make([]R, trials)
 		errs[i] = make([]error, trials)
 	}
-	sem := make(chan struct{}, cfg.parallel())
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i := range rows {
-		for t := 0; t < trials; t++ {
-			wg.Add(1)
-			go func(i, t int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				// Checked after acquiring the slot, not before: the goroutines
-				// all exist from the start, so the slot is the scheduling
-				// point — a cell that gets a slot after a failure (or
-				// cancellation) is a cell that would otherwise start fresh
-				// work.
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				rng := root.SplitN(label(rows[i]), t)
-				results[i][t], errs[i][t] = fn(ctx, rows[i], t, rng)
-				if errs[i][t] != nil {
-					failed.Store(true)
-				}
-			}(i, t)
-		}
-	}
-	wg.Wait()
+	forEachCell(ctx, cfg.parallel(), len(rows)*trials, func(k int) bool {
+		i, t := k/trials, k%trials
+		rng := root.SplitN(label(rows[i]), t)
+		results[i][t], errs[i][t] = fn(ctx, rows[i], t, rng)
+		return errs[i][t] == nil
+	})
 	for i := range errs {
 		for _, err := range errs[i] {
 			if err != nil {
@@ -86,6 +65,35 @@ func sweepRowsCtx[P, R any](ctx context.Context, cfg Config, root *xrand.Rand, r
 		return nil, err
 	}
 	return results, nil
+}
+
+// forEachCell calls do for the cell indices 0..cells-1 on at most
+// parallel goroutines, each taking the next index from a shared
+// counter, so cells start in index order and the goroutines never
+// outnumber the workers however large the grid. Before each cell a
+// worker checks the context and fail-fast: once ctx is done or any do
+// has returned false, no further cell starts. It returns when every
+// worker has.
+func forEachCell(ctx context.Context, parallel, cells int, do func(k int) bool) {
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < min(parallel, cells); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1) - 1)
+				if k >= cells || failed.Load() || ctx.Err() != nil {
+					return
+				}
+				if !do(k) {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // column extracts one float64 per trial from a row's results, in trial

@@ -292,7 +292,7 @@ func parseDelayModel(spec string) (DelayModel, error) {
 		}
 		m, err := ParseDelayModel(inner)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sim: bad delay spec %q: %w", spec, err)
 		}
 		if m == nil {
 			return nil, fmt.Errorf("sim: bad delay spec %q (gst needs an inner spec, e.g. gst:%d/uniform:1-4)", spec, r)

@@ -538,7 +538,13 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 		if want := ref.Run(chunk); got != want {
 			t.Fatalf("Run(%d) = %d, reference %d", chunk, got, want)
 		}
+		if err := eng.OccupancyError(); err != nil {
+			t.Fatalf("after Run(%d): %v", chunk, err)
+		}
 		o.switchConfig(rng.Intn(6))
+		if err := eng.OccupancyError(); err != nil {
+			t.Fatalf("after a configuration switch: %v", err)
+		}
 	}
 	if len(o.replay) > 0 {
 		t.Errorf("the reference never reached the boundary of %d hook replacements", len(o.replay))

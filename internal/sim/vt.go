@@ -188,8 +188,8 @@ func (e *Engine) resolveVT(tick int) vtRound {
 // the merge phase drains into the ring in sender order. An
 // AllNeighbors entry expands in place over the sender's incident edges,
 // in Neighbors order (one SizeBits call per entry, no neighbor check);
-// a unicast entry passes the neighbor check and is its own one copy.
-// Each copy then runs the fixed per-edge pipeline —
+// a unicast entry passes the neighbor check and is a one-element target
+// list. Every copy of either kind runs one per-edge pipeline —
 //
 //	capacity budget -> fault verdict -> latency draw
 //
@@ -198,11 +198,6 @@ func (e *Engine) resolveVT(tick int) vtRound {
 // sender-local, so each decision is identical however vertices are
 // scheduled; the tick's dispatch record e.vtr is read-only meanwhile.
 // The admission logic is hand-inlined: this is the engine's hot path.
-// The pipeline is written out twice, for a unicast and in the broadcast
-// loop. Through one shared copy loop a flood sent as one unicast per
-// edge ran 1.18x to 1.24x slower per round under uniform:1-4 jitter
-// (medians of 15 interleaved -cpu 1 rounds, 2-core Xeon VM, go1.24;
-// DESIGN.md has the figure for the bucketed form).
 func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 	if len(out) == 0 {
 		return
@@ -231,9 +226,10 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 	sparse := e.sparse
 	bucketed := len(e.ranges) > 1
 	// A lockstep tick that pushes (churn, or past a GST) on a serial
-	// engine without a capacity or TickDriven procs puts each broadcast
-	// straight into the one destination slot: through the per-copy
-	// pipeline below the churn experiments took about a fifth more CPU.
+	// engine without a capacity or TickDriven procs puts each entry's
+	// copies straight into the one destination slot: through the
+	// per-copy pipeline below the churn experiments took about a fifth
+	// more CPU.
 	var lockstep [][]Incoming
 	if vtr.dk == dkFixed && vtr.fk == fkNone && capBits == 0 && !bucketed && !sparse {
 		lockstep = e.ring[(tick+vtr.d0)%window]
@@ -245,18 +241,38 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 	if vtr.needF {
 		fRng = e.faultStream(v)
 	}
+	var one [1]int
 	var msgs, totalBits, clamped int64
 	for _, msg := range out {
-		to, payload := msg.To, msg.Payload
-		if to != AllNeighbors && (uint(to) >= uint(n) || nbrMark[to] != gen) {
-			ws.violations++
-			continue
+		payload := msg.Payload
+		targets := nbrs
+		if to := msg.To; to != AllNeighbors {
+			if uint(to) >= uint(n) || nbrMark[to] != gen {
+				ws.violations++
+				continue
+			}
+			one[0] = to
+			targets = one[:]
 		}
 		bits := 0
 		if payload != nil {
 			bits = payload.SizeBits()
 		}
-		if to != AllNeighbors {
+		if lockstep != nil {
+			in := Incoming{From: v, FromID: fromID, Payload: payload}
+			for _, to := range targets {
+				// In place: no header store (see below).
+				lockstep[to] = append(lockstep[to], in)
+			}
+			if len(targets) > 0 {
+				msgs += int64(len(targets))
+				totalBits += int64(len(targets)) * int64(bits)
+				ws.maxMsgBits = max(ws.maxMsgBits, bits)
+				maxSent = max(maxSent, bits)
+			}
+			continue
+		}
+		for _, to := range targets {
 			if capBits > 0 {
 				if ws.budgetGen[to] != gen {
 					ws.budgetGen[to] = gen
@@ -340,103 +356,6 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 			// to a local copy and storing it back writes the whole slice
 			// header, pointer included, under the GC write barrier on
 			// every message.
-			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
-			continue
-		}
-		if lockstep != nil {
-			in := Incoming{From: v, FromID: fromID, Payload: payload}
-			for _, to := range nbrs {
-				// In place: no header store (see the unicast arm).
-				lockstep[to] = append(lockstep[to], in)
-			}
-			if len(nbrs) > 0 {
-				msgs += int64(len(nbrs))
-				totalBits += int64(len(nbrs)) * int64(bits)
-				ws.maxMsgBits = max(ws.maxMsgBits, bits)
-				maxSent = max(maxSent, bits)
-			}
-			continue
-		}
-		for _, to := range nbrs {
-			if capBits > 0 {
-				if ws.budgetGen[to] != gen {
-					ws.budgetGen[to] = gen
-					ws.budget[to] = 0
-				}
-				if ws.budget[to]+bits > capBits {
-					ws.capped++
-					continue
-				}
-				ws.budget[to] += bits
-			}
-			switch vtr.fk {
-			case fkNone:
-			case fkPartition:
-				if v%vtr.fGroups != to%vtr.fGroups {
-					ws.dropped++
-					continue
-				}
-			case fkDrop:
-				if fRng.Bernoulli(vtr.fP) {
-					ws.dropped++
-					continue
-				}
-			case fkDropAll:
-				ws.dropped++
-				continue
-			default:
-				if e.fault.Drop(fRng, tick, v, to) {
-					ws.dropped++
-					continue
-				}
-			}
-			var d int
-			switch vtr.dk {
-			case dkFixed:
-				d = vtr.d0
-			case dkUniform:
-				d = vtr.d0 + dRng.Intn(vtr.dSpan)
-			case dkGeo:
-				d = dRng.GeometricCapped(vtr.dP, vtr.d1)
-			case dkRegion:
-				if v%vtr.dRegions == to%vtr.dRegions {
-					d = vtr.d0
-				} else {
-					d = vtr.d1
-				}
-			default:
-				d = e.delay.Delay(dRng, tick, v, to)
-				if d < 1 {
-					d = 1
-					clamped++
-				} else if d >= window {
-					d = window - 1
-					clamped++
-				}
-			}
-			msgs++
-			totalBits += int64(bits)
-			if bits > ws.maxMsgBits {
-				ws.maxMsgBits = bits
-			}
-			if bits > maxSent {
-				maxSent = bits
-			}
-			if bucketed {
-				idx := int(e.shardOf[to])*span + d - 1
-				ws.vtb[idx] = append(ws.vtb[idx], routed{to: int32(to), from: int32(v), payload: payload})
-				continue
-			}
-			si := base + d
-			if si >= window {
-				si -= window
-			}
-			dst := e.ring[si]
-			if sparse {
-				e.occ[si][to>>6] |= 1 << (to & 63)
-				e.occCnt[si]++
-			}
-			// In place, as above: no header store.
 			dst[to] = append(dst[to], Incoming{From: v, FromID: fromID, Payload: payload})
 		}
 	}
