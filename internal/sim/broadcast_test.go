@@ -6,7 +6,7 @@ package sim_test
 // field for field, as one that calls AppendBroadcast — under every
 // delivery path (pull on lockstep ticks, serial and parallel, with
 // Sequential procs stepped on the coordinator; push through deliverVT
-// into the ring or the parallel buckets and both merges), every
+// into the ring or the parallel buckets and the merge), every
 // delivery model, with and without an edge capacity that caps some
 // copies.
 
@@ -206,7 +206,12 @@ func mixRun(t *testing.T, g *graph.Graph, variant string, workers int, delaySpec
 // TestBroadcastEntryTranscriptMatchesPerEdge pins the one-entry broadcast to the
 // per-edge reference encoding on an H(n,d), whose senders mostly span
 // shards, on mixLattice, whose senders mostly do not, and on
-// mixMultigraph; all have parallel edges.
+// mixMultigraph; all have parallel edges. On a tick that pushes, both
+// encodings share deliverVT's one per-copy loop (a broadcast walks the
+// sender's neighbors, a unicast is a one-element target list), so their
+// agreement cannot show that loop wrong: TestOracleMatchesEngine, whose
+// reference engine admits every copy on its own, is the independent
+// check.
 func TestBroadcastEntryTranscriptMatchesPerEdge(t *testing.T) {
 	graphs := []struct {
 		name string
