@@ -193,7 +193,7 @@ func exptCmd(args []string, all bool, prof *profiler) error {
 }
 
 // benchCmd runs the standard perf suite (engine micro-benchmarks plus
-// the E1-E18 quick regenerations), prints one line per benchmark, and
+// the E1-E20 quick regenerations), prints one line per benchmark, and
 // records the machine-readable trajectory in BENCH.json — the artifact
 // CI archives on every run so performance changes leave a trace.
 func benchCmd(args []string, prof *profiler) error {

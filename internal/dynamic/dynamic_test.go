@@ -32,8 +32,8 @@ func TestNewNetworkInvariants(t *testing.T) {
 	if err := net.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if net.NumAlive() != 50 || net.Degree() != 8 {
-		t.Errorf("alive=%d degree=%d", net.NumAlive(), net.Degree())
+	if net.NumAlive() != 50 || net.Degree(0) != 8 {
+		t.Errorf("alive=%d degree=%d", net.NumAlive(), net.Degree(0))
 	}
 	for s := 0; s < 50; s++ {
 		if len(net.Neighbors(s)) != 8 {

@@ -79,8 +79,14 @@ func NewNetwork(n, d int, rng *xrand.Rand) (*Network, error) {
 	return net, nil
 }
 
-// Degree returns the constant degree d.
-func (net *Network) Degree() int { return net.d }
+// Degree returns the size of slot s's neighbor multiset: the constant
+// degree d while s is alive, 0 once it is dead.
+func (net *Network) Degree(s Slot) int {
+	if !net.Alive(s) {
+		return 0
+	}
+	return net.d
+}
 
 // NumAlive returns the current number of alive nodes.
 func (net *Network) NumAlive() int { return net.nAlive }

@@ -340,10 +340,10 @@ type Substrate struct {
 	// Implicit, when set, marks an on-demand family: RunScenario runs it
 	// on a sim.New engine over the returned topology instead of
 	// materializing a CSR, so a million-vertex cell costs O(1) substrate
-	// memory. It takes the static path's split labels and both engine
-	// constructors share their ID-stream derivation, so an implicit
-	// cell's outputs are byte-identical to its materialized
-	// counterpart's (pinned by TestImplicitScenarioMatchesMaterialized).
+	// memory. It takes the materialized run's split labels, and sim.New
+	// builds every engine one way, so an implicit cell's outputs are
+	// byte-identical to its materialized counterpart's (pinned by
+	// TestImplicitScenarioMatchesMaterialized).
 	// Implicit families bypass the substrate cache — building one is a
 	// couple of field writes, cheaper than the cache lookup (see
 	// cache.go). Build stays populated as the materialized counterpart
@@ -639,8 +639,8 @@ func (opts RunOptions) setUp(eng *sim.Engine, sc Scenario) {
 // engine an on-demand topology, so no CSR exists. Its split labels
 // ("graph", "place", the adversary's Prepare labels, "run") are the
 // hand-wired runners', which is what keeps the rebased tables
-// byte-identical, and both sim.New dispatch paths assign IDs the same
-// way, so an implicit cell's outputs equal its materialized
+// byte-identical, and sim.New builds an engine the same way over either
+// substrate, so an implicit cell's outputs equal its materialized
 // counterpart's (TestImplicitScenarioMatchesMaterialized).
 func runScenarioStatic(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversary, maxRounds int, opts RunOptions) (*ScenarioOutcome, error) {
 	sub := Substrates[sc.Substrate]

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"byzcount/internal/graph"
-	"byzcount/internal/sim"
 	"byzcount/internal/xrand"
 )
 
@@ -115,19 +114,3 @@ func TestImplicitChurnRejected(t *testing.T) {
 		}
 	}
 }
-
-// Compile-time: the implicit builders return topologies that are also
-// TopologyDegrees, so the engine's slab budgets engage on every
-// registered implicit family.
-var _ = func() bool {
-	for _, name := range []string{"ring-implicit", "torus-implicit", "lattice"} {
-		topo, err := Substrates[name].Implicit(64, 8)
-		if err != nil {
-			panic(err)
-		}
-		if _, ok := topo.(sim.TopologyDegrees); !ok {
-			panic(name + " topology lacks degree hints")
-		}
-	}
-	return true
-}()

@@ -14,11 +14,11 @@ import (
 )
 
 // TestBuildAllocsConstant gates the O(1)-allocations build contract of
-// the CSR core: a complete H(n,d) build — generator draws, CSR
-// finalize, sorted-dedup view — performs a constant number of
-// allocations independent of n (the seed append-built representation
-// allocated ~3n). The budget covers the graph struct, the edge log, the
-// degree array, both CSR views, and the d/2 permutation draws.
+// the CSR core: a complete H(n,d) build — generator draws and CSR
+// finalize — performs a constant number of allocations independent of
+// n (the seed append-built representation allocated ~3n). The budget
+// covers the graph struct, the edge log, the degree array, the CSR
+// view, and the d/2 permutation draws.
 func TestBuildAllocsConstant(t *testing.T) {
 	const budget = 24
 	for _, n := range []int{256, 1024, 4096} {
@@ -30,7 +30,6 @@ func TestBuildAllocsConstant(t *testing.T) {
 				t.Fatal(err)
 			}
 			g.Adj(0)
-			g.SortedAdj(0)
 		})
 		if allocs > budget {
 			t.Errorf("HND(%d,8) build: %.0f allocs, budget %d (must not scale with n)", n, allocs, budget)
@@ -51,7 +50,7 @@ func TestStructuralToolAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SortedAdj(0) // finalize outside the measured region
+	g.Adj(0) // finalize outside the measured region
 	dist := make([]int, g.N())
 	ballBuf := make([]int, 0, g.N())
 	src := 0

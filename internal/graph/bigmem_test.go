@@ -31,8 +31,8 @@ func heapDelta(f func()) (uint64, uint64) {
 // TestBigHNDBuild builds H(10^6, 8) through finalize and bounds the
 // build's allocation behavior. The budget arithmetic: m = 4M edges,
 // so the edge log is 2m int32 = 32MB, the CSR view another 2m int32
-// plus n+1 offsets = 36MB, the sorted-dedup view the same again, and
-// the generator's cycle/matching permutations are a few n-int slices.
+// plus n+1 offsets = 36MB, and the generator's cycle/matching
+// permutations are a few n-int slices.
 // 400MB of transient total and a few thousand allocations (62 reserved
 // log chunks, a handful of views and perms) hold that with 2x headroom;
 // a regression to per-edge allocation or append-doubling blows either
@@ -49,8 +49,7 @@ func TestBigHNDBuild(t *testing.T) {
 		if err != nil {
 			return
 		}
-		g.Adj(0)       // streamed two-pass finalize
-		g.SortedAdj(0) // sorted-dedup companion
+		g.Adj(0) // streamed two-pass finalize
 	})
 	if err != nil {
 		t.Fatalf("HND(%d, %d): %v", n, d, err)

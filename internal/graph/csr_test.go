@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"byzcount/internal/xrand"
@@ -48,7 +47,7 @@ func refBFS(adj [][]int32, src int) []int {
 // the CSR substrate core: across every generator family and seeds 1-20,
 // the CSR view must agree with the seed slice-of-slices representation
 // on N, M, the degree sequence, per-vertex adjacency (including order),
-// the sorted-dedup adjacency, and BFS distances.
+// and BFS distances.
 func TestCSRMatchesReference(t *testing.T) {
 	type gen struct {
 		name  string
@@ -128,24 +127,6 @@ func TestCSRMatchesReference(t *testing.T) {
 						if adj[k] != ref[u][k] {
 							t.Fatalf("adj(%d)[%d]: ref %d, got %d (order must match the append-built representation)",
 								u, k, ref[u][k], adj[k])
-						}
-					}
-					// Sorted-dedup row vs reference sorted-dedup.
-					want := append([]int32(nil), ref[u]...)
-					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-					dd := want[:0]
-					for i, x := range want {
-						if i == 0 || x != want[i-1] {
-							dd = append(dd, x)
-						}
-					}
-					got := g.SortedAdj(u)
-					if len(got) != len(dd) {
-						t.Fatalf("sortedAdj(%d) length: ref %d, got %d", u, len(dd), len(got))
-					}
-					for k := range got {
-						if got[k] != dd[k] {
-							t.Fatalf("sortedAdj(%d)[%d]: ref %d, got %d", u, k, dd[k], got[k])
 						}
 					}
 				}

@@ -164,8 +164,8 @@ func (g *Graph) outSizeMask(mask int) int {
 	return out
 }
 
-// BenchmarkGraphFinalize times the two-pass CSR finalize + sorted-dedup
-// view in isolation (rebuilt from the edge log each iteration via Clone).
+// BenchmarkGraphFinalize times the two-pass CSR finalize in isolation
+// (rebuilt from the edge log each iteration via Clone).
 func BenchmarkGraphFinalize(b *testing.B) {
 	g, err := HND(4096, 8, xrand.New(1))
 	if err != nil {
@@ -176,6 +176,5 @@ func BenchmarkGraphFinalize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := g.Clone()
 		c.Adj(0)
-		c.SortedAdj(0)
 	}
 }

@@ -25,20 +25,17 @@
 // chunk allocations. Per-vertex adjacency is a slice into a single
 // backing array — no per-vertex allocations, cache-friendly traversal.
 // Vertex ids and arc offsets are int32 (MaxVertices/MaxEdges); builds
-// that would exceed them fail with a typed *OverflowError. A second,
-// lazily derived CSR holds the sorted-deduplicated adjacency the
-// simulator's membership checks use. Mutation must be externally
-// synchronized;
-// concurrent reads of a finalized graph are safe (lazy views build under
-// a mutex and publish through atomics), which is what lets the
-// experiment driver's substrate cache share one immutable graph across
-// concurrent trials.
+// that would exceed them fail with a typed *OverflowError. Mutation must
+// be externally synchronized; concurrent reads of a finalized graph are
+// safe (the lazy view builds under a mutex and publishes through an
+// atomic), which is what lets the experiment driver's substrate cache
+// share one immutable graph across concurrent trials and the engine's
+// step workers resolve their vertices from it at once.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,8 +99,8 @@ type Graph struct {
 
 	// csr is the finalized adjacency view, rebuilt on first read after a
 	// mutation. Readers load it through the atomic pointer; builders
-	// serialize on mu. csr.sorted and the diameter memo hang off the same
-	// finalized view so a mutation invalidates everything at once.
+	// serialize on mu. The diameter memo hangs off the same finalized
+	// view so a mutation invalidates both at once.
 	csr atomic.Pointer[csrView]
 	mu  sync.Mutex
 }
@@ -113,19 +110,10 @@ type csrView struct {
 	off []int32 // len n+1; vertex u's arcs are tgt[off[u]:off[u+1]]
 	tgt []int32 // arc targets, insertion order per vertex
 
-	// sorted-deduplicated adjacency (lazy; nil until first use).
-	sorted atomic.Pointer[sortedCSR]
-
 	// diameter memo (lazy).
 	diamOnce sync.Once
 	diamVal  int
 	diamErr  error
-}
-
-// sortedCSR is the sorted-deduplicated companion adjacency.
-type sortedCSR struct {
-	off []int32
-	tgt []int32
 }
 
 // New returns a graph with n isolated vertices. It panics if n < 0.
@@ -250,64 +238,6 @@ func (g *Graph) view() *csrView {
 	return v
 }
 
-// sortedView returns the sorted-deduplicated CSR, building it on first
-// use: a copy of the adjacency with each vertex's arc list sorted
-// ascending and consecutive duplicates (parallel edges) dropped.
-func (g *Graph) sortedView() *sortedCSR {
-	v := g.view()
-	if s := v.sorted.Load(); s != nil {
-		return s
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if s := v.sorted.Load(); s != nil {
-		return s
-	}
-	n := g.n
-	s := &sortedCSR{
-		off: make([]int32, n+1),
-		tgt: make([]int32, 0, len(v.tgt)),
-	}
-	for u := 0; u < n; u++ {
-		row := v.tgt[v.off[u]:v.off[u+1]]
-		start := len(s.tgt)
-		s.tgt = append(s.tgt, row...)
-		seg := s.tgt[start:]
-		sortInt32s(seg)
-		// Compact consecutive duplicates in place.
-		w := start
-		for i, x := range seg {
-			if i == 0 || x != seg[i-1] {
-				s.tgt[w] = x
-				w++
-			}
-		}
-		s.tgt = s.tgt[:w]
-		s.off[u+1] = int32(w)
-	}
-	v.sorted.Store(s)
-	return s
-}
-
-// sortInt32s sorts a small int32 slice ascending: insertion sort below a
-// threshold (adjacency rows are usually degree-sized), slices.Sort's
-// pdqsort above it.
-func sortInt32s(s []int32) {
-	if len(s) <= 24 {
-		for i := 1; i < len(s); i++ {
-			x := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > x {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = x
-		}
-		return
-	}
-	slices.Sort(s)
-}
-
 // Degree returns the degree of u. A self-loop contributes 2: AddEdge(u,u)
 // stores two adjacency entries for u, so the count is already the
 // graph-theoretic degree.
@@ -339,16 +269,6 @@ func (g *Graph) Adj(u int) []int32 {
 	return v.tgt[v.off[u]:v.off[u+1]:v.off[u+1]]
 }
 
-// SortedAdj returns u's adjacency sorted ascending with parallel edges
-// deduplicated, as a shared read-only view into the sorted CSR. The
-// simulator's membership stamps consume this directly, so engine
-// construction performs no per-vertex sorting.
-func (g *Graph) SortedAdj(u int) []int32 {
-	g.check(u)
-	s := g.sortedView()
-	return s.tgt[s.off[u]:s.off[u+1]:s.off[u+1]]
-}
-
 // Slots returns the vertex-slot count — for a static graph, simply N().
 // Together with Alive and AppendNeighbors this makes *Graph satisfy the
 // substrate view shared with mutable topologies (byzantine.Substrate),
@@ -361,10 +281,10 @@ func (g *Graph) Slots() int { return g.n }
 func (g *Graph) Alive(u int) bool { return u >= 0 && u < g.n }
 
 // Epoch returns 0: a finished static graph never changes structure, so
-// the structural-change counter is constant. With Epoch and EpochOf,
-// *Graph satisfies sim.Topology outright — sim.New dispatches on the
-// concrete type to keep the static fast path — and any topology-generic
-// code treats a static graph as a network that never churns.
+// the structural-change counter is constant. With Epoch, EpochOf and
+// Degree, *Graph satisfies sim.Topology outright, and the engine treats
+// a static graph as a network that never churns: each vertex resolves
+// its row once, on its first Step.
 func (g *Graph) Epoch() uint64 { return 0 }
 
 // EpochOf returns 0: no slot's neighborhood ever changes after Finish.

@@ -15,31 +15,15 @@ package graph
 // and sort by index. implicit_test.go pins this per vertex against
 // graph.Ring, WattsStrogatz(n,k,0), and graph.Torus.
 //
-// The method set matches sim.Topology and byzantine.Substrate
-// structurally (the graph package cannot import sim — sim imports
-// graph), so an implicit topology drops into sim.New and
-// the placement/adversary layer unchanged. Epoch is constant 0: the
-// topology never mutates, so engines resolve each vertex once and the
-// resolved adjacency stays valid forever.
+// Each family's method set includes sim.Topology's and
+// byzantine.Substrate's (structurally: graph sits below both and
+// imports neither), so an implicit topology drops into sim.New and the
+// placement/adversary layer unchanged, exactly as a *Graph does. Epoch is constant 0: the topology never mutates, so
+// engines resolve each vertex once and the resolved adjacency stays
+// valid forever. Materialize builds the byte-identical CSR counterpart
+// for tests and small-n tooling.
 
 import "fmt"
-
-// ImplicitTopology is the method set shared by the on-demand topology
-// families. It is a superset of sim.Topology and byzantine.Substrate
-// (structurally — this package cannot name those types): Degree supports
-// exact slab pre-carving in engine construction, and Materialize builds
-// the byte-identical CSR counterpart for tests and small-n tooling.
-type ImplicitTopology interface {
-	Slots() int
-	Alive(v int) bool
-	Epoch() uint64
-	EpochOf(v int) uint64
-	AppendNeighbors(v int, buf []int) []int
-	Degree(v int) int
-	N() int
-	M() int
-	Materialize() (*Graph, error)
-}
 
 // RingLattice is the implicit k-nearest-neighbor ring lattice C_n^k:
 // vertex v is adjacent to v±1, …, v±k (mod n). With k=1 it is exactly
@@ -261,11 +245,3 @@ func (t *TorusGrid) AppendNeighbors(v int, buf []int) []int {
 func (t *TorusGrid) Materialize() (*Graph, error) {
 	return Torus(t.rows, t.cols)
 }
-
-// Compile-time checks that both families implement the shared implicit
-// method set (and therefore sim.Topology / byzantine.Substrate
-// structurally).
-var (
-	_ ImplicitTopology = (*RingLattice)(nil)
-	_ ImplicitTopology = (*TorusGrid)(nil)
-)

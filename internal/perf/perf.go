@@ -1,7 +1,7 @@
 // Package perf is the repository's standing performance record: a small
 // self-contained benchmark harness (no testing.B dependency, so it runs
 // inside the byzcount binary), the standard workload suite covering the
-// engine hot path and the E1-E18 experiment regenerations, and a
+// engine hot path and the E1-E20 experiment regenerations, and a
 // machine-readable result format (BENCH.json) that CI archives on every
 // run. The trajectory this produces is what makes speedups — and
 // regressions — visible instead of anecdotal.

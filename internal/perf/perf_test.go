@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,11 @@ func TestMeasureFloodSteadyStateAllocFree(t *testing.T) {
 	// stays within reserved capacity and must allocate nothing at all.
 	b.Warmup = 1300
 	b.MaxIters = 128
+	// Measure counts the whole process's mallocs, and with a second P
+	// the runtime may start an OS thread mid-window (startm -> newm ->
+	// allocm: 5 objects, read as 0.04 allocs/round). The engine is
+	// serial, so hold one P, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	res, err := b.Measure()
 	if err != nil {
 		t.Fatal(err)

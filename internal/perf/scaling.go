@@ -62,7 +62,7 @@ func ScalingSparseName(n, workers int) string {
 }
 
 // NewLatticeFloodEngine builds the flood workload over the implicit
-// ring lattice C_n^k: a topology engine resolving neighborhoods on
+// ring lattice C_n^k: an engine whose neighborhoods are computed on
 // demand, one FloodProc per vertex, the given worker count. Exported so
 // the testing.B benchmarks exercise the exact workload the scaling
 // lane records.
@@ -145,57 +145,11 @@ func scalingWarmup(n int) int {
 }
 
 // scalingBenchmark measures rounds/sec and msgs/sec for one cell of
-// the sweep; one iteration is one round.
+// the flood sweep; one iteration is one round.
 func scalingBenchmark(n, workers int, minTime time.Duration) Benchmark {
-	return Benchmark{
-		Name:    ScalingName(n, workers),
-		Warmup:  scalingWarmup(n),
-		MinTime: minTime,
-		Setup: func() (func(int) (Totals, error), error) {
-			eng, err := NewLatticeFloodEngine(n, scalingK, workers)
-			if err != nil {
-				return nil, err
-			}
-			return func(iters int) (Totals, error) {
-				before := eng.Metrics().Messages
-				if _, err := eng.Run(iters); err != nil {
-					return Totals{}, err
-				}
-				return Totals{
-					Msgs:   eng.Metrics().Messages - before,
-					Rounds: int64(iters),
-				}, nil
-			}, nil
-		},
-	}
-}
-
-// scalingSparseBenchmark measures one cell of the sparse virtual-time
-// sweep; one iteration is one virtual tick. The sparse cells keep the
-// dense warm-up schedule: a pulse period is 8 ticks, so even the n=10^6
-// cells see a full burst before timing starts.
-func scalingSparseBenchmark(n, workers int, minTime time.Duration) Benchmark {
-	return Benchmark{
-		Name:    ScalingSparseName(n, workers),
-		Warmup:  scalingWarmup(n),
-		MinTime: minTime,
-		Setup: func() (func(int) (Totals, error), error) {
-			eng, err := NewLatticeSparseEngine(n, scalingK, workers)
-			if err != nil {
-				return nil, err
-			}
-			return func(iters int) (Totals, error) {
-				before := eng.Metrics().Messages
-				if _, err := eng.Run(iters); err != nil {
-					return Totals{}, err
-				}
-				return Totals{
-					Msgs:   eng.Metrics().Messages - before,
-					Rounds: int64(iters),
-				}, nil
-			}, nil
-		},
-	}
+	return roundBenchmark(ScalingName(n, workers), scalingWarmup(n), minTime, func() (*sim.Engine, error) {
+		return NewLatticeFloodEngine(n, scalingK, workers)
+	})
 }
 
 // ScalingSuite returns the scaling sweep: every (n, workers) cell of
@@ -214,9 +168,13 @@ func ScalingSuite(cfg ScalingConfig) []Benchmark {
 			benchmarks = append(benchmarks, scalingBenchmark(n, workers, micro))
 		}
 	}
+	// One iteration of a sparse cell is one virtual tick. The sparse
+	// cells keep the dense warm-up schedule: a pulse period is 8 ticks,
+	// so even the n=10^6 cells see a full burst before timing starts.
 	for _, n := range ScalingSizes(cfg.Quick) {
 		for _, workers := range ScalingWorkers {
-			benchmarks = append(benchmarks, scalingSparseBenchmark(n, workers, micro))
+			benchmarks = append(benchmarks, roundBenchmark(ScalingSparseName(n, workers), scalingWarmup(n), micro,
+				func() (*sim.Engine, error) { return NewLatticeSparseEngine(n, scalingK, workers) }))
 		}
 	}
 	if cfg.Filter == "" {

@@ -492,7 +492,7 @@ func NewVTSkipEngine(n, workers int, dense bool) (*sim.Engine, error) {
 // sparseBenchmark measures the pulse/relay workload; one iteration is
 // one virtual tick.
 func sparseBenchmark(name string, n, d, workers int, dense bool, minTime time.Duration) Benchmark {
-	return engineBenchmark(name, minTime, func() (*sim.Engine, error) {
+	return roundBenchmark(name, engineWarmup, minTime, func() (*sim.Engine, error) {
 		return NewVTSparseEngine(n, d, workers, dense)
 	})
 }
@@ -501,7 +501,7 @@ func sparseBenchmark(name string, n, d, workers int, dense bool, minTime time.Du
 // virtual tick (skipped ticks included — fast-forwarded ticks still
 // advance the clock and the metrics, they just cost O(1)).
 func skipBenchmark(name string, n, workers int, dense, skip bool, minTime time.Duration) Benchmark {
-	return engineBenchmark(name, minTime, func() (*sim.Engine, error) {
+	return roundBenchmark(name, engineWarmup, minTime, func() (*sim.Engine, error) {
 		eng, err := NewVTSkipEngine(n, workers, dense)
 		if err == nil {
 			eng.SetTickSkip(skip)
@@ -510,106 +510,60 @@ func skipBenchmark(name string, n, workers int, dense, skip bool, minTime time.D
 	})
 }
 
-// churnByzBenchmark measures rounds/sec and msgs/sec on the churn-byz
-// workload; one iteration is one round with its between-rounds churn
-// and roster re-evaluation.
-func churnByzBenchmark(name string, n, d, workers, perRound int, minTime time.Duration) Benchmark {
-	return Benchmark{
-		Name:    name,
-		Warmup:  64,
-		MinTime: minTime,
-		Setup: func() (func(int) (Totals, error), error) {
-			run, err := NewChurnByzEngine(n, d, workers, perRound)
-			if err != nil {
-				return nil, err
-			}
-			return func(iters int) (Totals, error) {
-				before := run.Metrics().Messages
-				if _, err := run.Run(iters); err != nil {
-					return Totals{}, err
-				}
-				return Totals{
-					Msgs:   run.Metrics().Messages - before,
-					Rounds: int64(iters),
-				}, nil
-			}, nil
-		},
-	}
-}
-
-// churnFloodBenchmark measures rounds/sec and msgs/sec on the churn
-// flood workload; one iteration is one round (with its between-rounds
-// churn). Warmup brings every slot's recycled buffers to their
-// high-water marks so allocs_per_op records the steady state.
-func churnFloodBenchmark(name string, n, d, workers, perRound int, minTime time.Duration) Benchmark {
-	return Benchmark{
-		Name:    name,
-		Warmup:  64,
-		MinTime: minTime,
-		Setup: func() (func(int) (Totals, error), error) {
-			run, err := NewChurnFloodEngine(n, d, workers, perRound)
-			if err != nil {
-				return nil, err
-			}
-			return func(iters int) (Totals, error) {
-				before := run.Metrics().Messages
-				if _, err := run.Run(iters); err != nil {
-					return Totals{}, err
-				}
-				return Totals{
-					Msgs:   run.Metrics().Messages - before,
-					Rounds: int64(iters),
-				}, nil
-			}, nil
-		},
-	}
-}
-
 // floodBenchmark measures engine rounds/sec and msgs/sec on the flood
 // workload; one iteration is one round. A non-empty delaySpec runs the
 // same flood on the virtual-time scheduler — the event-queue
 // throughput lane.
 func floodBenchmark(name string, n, d, workers int, delaySpec string, minTime time.Duration) Benchmark {
-	return engineBenchmark(name, minTime, func() (*sim.Engine, error) {
+	return roundBenchmark(name, engineWarmup, minTime, func() (*sim.Engine, error) {
 		return NewVTFloodEngine(n, d, workers, delaySpec)
 	})
 }
 
-// engineBenchmark measures rounds/sec and msgs/sec on the engine that
-// build returns; one iteration is one round (one virtual tick). Warmup
-// puts every arena and scratch buffer at its high-water mark, so
-// allocs_per_op records the steady state (0 for the serial engine; the
-// parallel engine amortizes its constant per-Run pool startup across
-// the calibrated rounds).
-func engineBenchmark(name string, minTime time.Duration, build func() (*sim.Engine, error)) Benchmark {
+// engineWarmup is the warm-up of the engine and churn lanes: 64 rounds
+// put every arena, scratch buffer and recycled slot buffer at its
+// high-water mark, so allocs_per_op records the steady state (0 for the
+// serial engine; the parallel engine amortizes its constant per-Run
+// pool startup across the calibrated rounds).
+const engineWarmup = 64
+
+// roundRunner is what roundBenchmark drives: *sim.Engine and
+// *dynamic.Runner both run rounds and report their metrics.
+type roundRunner interface {
+	Run(maxRounds int) (int, error)
+	Metrics() sim.Metrics
+}
+
+// roundBenchmark measures rounds/sec and msgs/sec on what build
+// returns, after warmup rounds; one iteration is one round — one
+// virtual tick, skipped ticks included, with a churn runner's
+// between-rounds churn.
+func roundBenchmark[R roundRunner](name string, warmup int, minTime time.Duration, build func() (R, error)) Benchmark {
 	return Benchmark{
 		Name:    name,
-		Warmup:  64,
+		Warmup:  warmup,
 		MinTime: minTime,
 		Setup: func() (func(int) (Totals, error), error) {
-			eng, err := build()
+			r, err := build()
 			if err != nil {
 				return nil, err
 			}
 			return func(iters int) (Totals, error) {
-				before := eng.Metrics().Messages
-				if _, err := eng.Run(iters); err != nil {
+				before := r.Metrics().Messages
+				if _, err := r.Run(iters); err != nil {
 					return Totals{}, err
 				}
-				return Totals{
-					Msgs:   eng.Metrics().Messages - before,
-					Rounds: int64(iters),
-				}, nil
+				return Totals{Msgs: r.Metrics().Messages - before, Rounds: int64(iters)}, nil
 			}, nil
 		},
 	}
 }
 
 // graphBuildBenchmark measures a full substrate build through finalize:
-// generator draws, CSR finalize, and the sorted-dedup view — everything
-// engine construction consumes. One iteration is one complete build from
-// a re-seeded stream, so successive iterations are identical work. With
-// the flat-CSR graph core a build performs a constant number of
+// generator draws and the CSR finalize — everything an engine over the
+// graph reads. One iteration is one complete build from a re-seeded
+// stream, so successive iterations are identical work. With the
+// flat-CSR graph core a build performs a constant number of
 // allocations (gated by TestBuildAllocsConstant in internal/graph).
 func graphBuildBenchmark(name string, seed uint64, build func(rng *xrand.Rand) (*graph.Graph, error), minTime time.Duration) Benchmark {
 	return Benchmark{
@@ -624,8 +578,7 @@ func graphBuildBenchmark(name string, seed uint64, build func(rng *xrand.Rand) (
 					if err != nil {
 						return Totals{}, err
 					}
-					g.Adj(0)       // finalize the CSR
-					g.SortedAdj(0) // and the sorted-dedup view
+					g.Adj(0) // finalize the CSR
 				}
 				return Totals{}, nil
 			}, nil
@@ -741,7 +694,8 @@ func experimentBenchmark(id string, quick bool) Benchmark {
 // — the dynamic-membership path), the churn-byz micro-benchmarks
 // (membership turnover with a maintained Byzantine fraction spamming —
 // the combined path E16-E18 stand on), a full benign CONGEST protocol
-// run, and the E1-E18 quick experiment regenerations.
+// run, and the quick regeneration of every experiment in expt.IDs()
+// (E1-E20).
 func Suite(cfg SuiteConfig) []Benchmark {
 	workers := cfg.Parallel
 	if workers <= 0 {
@@ -756,7 +710,7 @@ func Suite(cfg SuiteConfig) []Benchmark {
 		floodBenchmark(fmt.Sprintf("engine/flood/parallel=%d/n=1024", workers), 1024, 8, workers, "", micro),
 		floodBenchmark(fmt.Sprintf("engine/flood/gomaxprocs=%d/n=1024", runtime.GOMAXPROCS(0)),
 			1024, 8, runtime.GOMAXPROCS(0), "", micro),
-		engineBenchmark("engine/flood-edges/serial/n=1024", micro, func() (*sim.Engine, error) {
+		roundBenchmark("engine/flood-edges/serial/n=1024", engineWarmup, micro, func() (*sim.Engine, error) {
 			return newFloodEngine(1024, 8, 1, "", &floodEdgesProc{})
 		}),
 		floodBenchmark("engine/vt-flood/jitter/serial/n=1024", 1024, 8, 1, "uniform:1-4", micro),
@@ -773,12 +727,14 @@ func Suite(cfg SuiteConfig) []Benchmark {
 		skipBenchmark(fmt.Sprintf("engine/vt-skip/token/noskip/parallel=%d/n=1024", workers),
 			1024, workers, false, false, micro),
 		skipBenchmark("engine/vt-skip/token/full/serial/n=1024", 1024, 1, true, true, micro),
-		churnFloodBenchmark("engine/churn-flood/serial/n=1024", 1024, 8, 1, 2, micro),
-		churnFloodBenchmark(fmt.Sprintf("engine/churn-flood/parallel=%d/n=1024", workers),
-			1024, 8, workers, 2, micro),
-		churnByzBenchmark("engine/churn-byz/serial/n=1024", 1024, 8, 1, 2, micro),
-		churnByzBenchmark(fmt.Sprintf("engine/churn-byz/parallel=%d/n=1024", workers),
-			1024, 8, workers, 2, micro),
+		roundBenchmark("engine/churn-flood/serial/n=1024", engineWarmup, micro,
+			func() (*dynamic.Runner, error) { return NewChurnFloodEngine(1024, 8, 1, 2) }),
+		roundBenchmark(fmt.Sprintf("engine/churn-flood/parallel=%d/n=1024", workers), engineWarmup, micro,
+			func() (*dynamic.Runner, error) { return NewChurnFloodEngine(1024, 8, workers, 2) }),
+		roundBenchmark("engine/churn-byz/serial/n=1024", engineWarmup, micro,
+			func() (*dynamic.Runner, error) { return NewChurnByzEngine(1024, 8, 1, 2) }),
+		roundBenchmark(fmt.Sprintf("engine/churn-byz/parallel=%d/n=1024", workers), engineWarmup, micro,
+			func() (*dynamic.Runner, error) { return NewChurnByzEngine(1024, 8, workers, 2) }),
 		graphBuildBenchmark("graph/build-hnd/n=4096", 4, func(rng *xrand.Rand) (*graph.Graph, error) {
 			return graph.HND(4096, 8, rng)
 		}, micro),

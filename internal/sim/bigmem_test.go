@@ -7,8 +7,8 @@ package sim_test
 //
 //	go test -tags=bigmem -run TestBig ./internal/sim/
 //
-// These pin the engine's slab budgets at the scale they exist for: a
-// topology engine over an implicit lattice must build and run its first
+// These pin the engine's slab budgets at the scale they exist for: an
+// engine over an implicit lattice must build and run its first
 // rounds with O(slots) bytes and O(chunks) allocations — no adjacency
 // materialization, no per-slot stream or buffer allocations.
 

@@ -17,6 +17,7 @@ import (
 	"byzcount/internal/byzantine"
 	"byzcount/internal/counting"
 	"byzcount/internal/dynamic"
+	"byzcount/internal/graph"
 	"byzcount/internal/perf"
 	"byzcount/internal/sim"
 	"byzcount/internal/xrand"
@@ -267,7 +268,9 @@ func TestChurnValidateEveryRound(t *testing.T) {
 // TestDetachAttachLifecycle covers the membership API directly on a
 // static engine: detached vertices are skipped, recycled slots accept a
 // joiner exactly once, the ID index follows the turnover, and the
-// neighbors read the joiner's ID through NeighborID.
+// neighbors read the joiner's ID through NeighborID. Growth past the
+// topology's slots is rejected on a materialized graph and on the
+// implicit lattice and torus alike.
 func TestDetachAttachLifecycle(t *testing.T) {
 	g := mustHND(t, 32, 4, 5001)
 	eng := sim.New(g, sim.WithSeed(5002))
@@ -314,6 +317,33 @@ func TestDetachAttachLifecycle(t *testing.T) {
 	if err := eng.AttachAt(64, sim.NodeID(3), &perf.FloodProc{}); err == nil {
 		t.Error("growth beyond a static graph accepted")
 	}
+	lat, err := graph.NewRingLattice(64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := graph.NewTorusGrid(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []sim.Topology{lat, torus} {
+		imp := sim.New(topo, sim.WithSeed(5002))
+		procs := make([]sim.Proc, topo.Slots())
+		for v := range procs {
+			procs[v] = &perf.FloodProc{}
+		}
+		if err := imp.Attach(procs); err != nil {
+			t.Fatal(err)
+		}
+		if err := imp.AttachAt(64, sim.NodeID(3), &perf.FloodProc{}); err == nil {
+			t.Errorf("%T: growth beyond the topology's 64 slots accepted", topo)
+		}
+		if imp.Slots() != 64 {
+			t.Errorf("%T: a rejected AttachAt left %d slots, want 64", topo, imp.Slots())
+		}
+		if _, err := imp.Run(2); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if eng.ID(7) != newID {
 		t.Error("slot 7 does not carry the joiner's ID")
 	}
@@ -335,9 +365,9 @@ func TestDetachAttachLifecycle(t *testing.T) {
 
 // TestNeighborIDFollowsAttachAt: when AttachAt gives a slot a new ID,
 // every neighbor's NeighborID returns it at once, before another round
-// runs, on a static engine and on a topology engine over the same
-// adjacency, and every other entry still reads its neighbor's ID. On
-// the topology engine AttachAt refreshes the joiner's own env.
+// runs, on an engine over the graph and over a wrapper hiding its type
+// (see topoOf), and every other entry still reads its neighbor's ID.
+// AttachAt refreshes the joiner's own env.
 func TestNeighborIDFollowsAttachAt(t *testing.T) {
 	g := mustHND(t, 32, 4, 5001)
 	for _, tc := range []struct {

@@ -21,14 +21,11 @@ import (
 	"byzcount/internal/xrand"
 )
 
-// Compile-time: the implicit families satisfy sim.Topology and the
-// TopologyDegrees slab hint directly (structural interfaces — the graph
-// package cannot import sim).
+// Compile-time: the implicit families satisfy sim.Topology directly
+// (a structural interface — the graph package cannot import sim).
 var (
-	_ sim.Topology        = (*graph.RingLattice)(nil)
-	_ sim.Topology        = (*graph.TorusGrid)(nil)
-	_ sim.TopologyDegrees = (*graph.RingLattice)(nil)
-	_ sim.TopologyDegrees = (*graph.TorusGrid)(nil)
+	_ sim.Topology = (*graph.RingLattice)(nil)
+	_ sim.Topology = (*graph.TorusGrid)(nil)
 )
 
 // latticeTranscript runs the congest-under-spam transcript workload

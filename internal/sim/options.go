@@ -1,13 +1,9 @@
 package sim
 
-import "byzcount/internal/graph"
-
-// New is the engine constructor: one entry point over any substrate.
-// A *graph.Graph dispatches to the static fast path — CSR ingestion,
-// adjacency aliasing, zero per-round overhead — and every other
-// Topology to the epoch-stamped lazy-resolution path, so callers pick
-// a substrate, not a constructor. The execution shape is configured
-// after construction, before the first Run, through the setters
+// New is the engine constructor: one construction path over any
+// Topology — a static graph, an implicit family or a churning network
+// alike (see newEngine). The execution shape is configured after
+// construction, before the first Run, through the setters
 // (SetParallelism, SetEdgeCapacity, SetDelayModel, SetFaultModel):
 //
 //	eng := sim.New(net, sim.WithSeed(9))
@@ -18,10 +14,7 @@ func New(topo Topology, opts ...Option) *Engine {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if g, ok := topo.(*graph.Graph); ok {
-		return newStaticEngine(g, o.seed)
-	}
-	return newTopologyEngine(topo, o.seed)
+	return newEngine(topo, o.seed)
 }
 
 // options is the merged result of applying Options; the zero value is

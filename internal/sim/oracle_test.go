@@ -303,8 +303,9 @@ func oracleGraph(n int, rng *xrand.Rand) *graph.Graph {
 	return g
 }
 
-// topoOf hides the *graph.Graph type, so sim.New takes the Topology
-// path over the same adjacency.
+// topoOf hides the *graph.Graph type behind a wrapper over the same
+// adjacency; sim.New builds every engine one way, so the wrapper must
+// change nothing.
 type topoOf struct{ *graph.Graph }
 
 // oracleRun is one case's state shared by the configuration switches

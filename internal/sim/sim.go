@@ -16,15 +16,15 @@
 // one merge; on an engine with TickDriven procs the walk steps only
 // the round-driven procs and the vertices with messages (see vt.go).
 //
-// The network may be static (a graph.Graph — the zero-overhead fast
-// path) or mutable (any other Topology): a mutable topology is
-// epoch-stamped, neighborhoods are re-resolved into per-vertex buffers
-// only when the epoch changes, and membership turns over at round
-// boundaries via Detach/AttachAt with slot recycling, so churn runs
-// share the static engine's allocation-free steady state and its
-// serial/parallel bit-equality. New is the constructor for both cases;
-// functional options select seed, parallelism, edge capacity, and
-// delivery models.
+// The network is any Topology — a static graph, an implicit family or
+// a churning network — and New is its one constructor. Every topology
+// is epoch-stamped: a vertex's neighborhood is resolved into its
+// per-vertex buffers when it is first stepped and again only when the
+// epoch moves, and membership turns over at round boundaries via
+// Detach/AttachAt with slot recycling, so churn runs share the static
+// runs' allocation-free steady state and serial/parallel bit-equality.
+// A functional option selects the seed, and setters select
+// parallelism, edge capacity, and delivery models.
 //
 // Rounds are ticks of virtual time: Run schedules every admitted
 // message into a calendar-queue delivery ring, keyed on (deliver tick,
@@ -45,7 +45,6 @@ import (
 	"slices"
 	"sync"
 
-	"byzcount/internal/graph"
 	"byzcount/internal/xrand"
 )
 
@@ -54,11 +53,12 @@ import (
 // about the network size.
 type NodeID uint64
 
-// Topology is the engine's view of a mutable network: a dense slot space
-// (alive slots plus recycled ones), per-slot neighbor multisets, and an
-// epoch counter that must be bumped on every structural change. The
-// engine re-resolves a vertex's neighborhood (into reusable buffers, so
-// steady-state rounds stay allocation-free) exactly when the topology's
+// Topology is the engine's view of a network: a dense slot space
+// (alive slots plus recycled ones), per-slot neighbor multisets and
+// their sizes, and an epoch counter that must be bumped on every
+// structural change. The engine resolves a vertex's neighborhood (into
+// reusable buffers, so steady-state rounds stay allocation-free) when
+// the vertex is first stepped and again exactly when the topology's
 // epoch differs from the vertex's last-seen epoch. Topologies may only
 // change at round boundaries — from a between-rounds hook (see
 // SetBetweenRounds), never from a Step.
@@ -81,25 +81,20 @@ type Topology interface {
 	// the extended slice (one entry per incident edge; duplicates mean
 	// parallel edges). It must not retain buf.
 	AppendNeighbors(v int, buf []int) []int
-}
-
-// staleEpoch marks a vertex whose neighborhood has never been resolved
-// (or was force-invalidated by AttachAt); topology epochs start at 0 and
-// only increment, so they never collide with it.
-const staleEpoch = ^uint64(0)
-
-// TopologyDegrees is the optional Topology extension that serves as the
-// engine's slab capacity hint: when a topology can report per-slot
-// degrees up front (static implicit families always can), the topology
-// constructor pre-carves every Env's Neighbors and the sorted-adjacency
-// buffer out of bounded slab chunks. The first lazy resolve of each
-// vertex then appends into its carved buffer instead of growing a nil
-// slice, so a million-slot engine's first round costs O(slots/chunk)
-// slab allocations instead of two per-vertex allocations each.
-type TopologyDegrees interface {
-	// Degree reports slot v's current neighbor-multiset size.
+	// Degree reports the current size of slot v's neighbor multiset. New
+	// carves each slot's buffers at this size out of bounded slab
+	// chunks, so the first resolve of a vertex appends in place instead
+	// of growing a nil slice: a million-slot engine's first round costs
+	// O(slots/chunk) allocations instead of two per slot. A slot that
+	// later outgrows its carve moves to a private buffer on append, so a
+	// topology whose degrees change stays correct.
 	Degree(v int) int
 }
+
+// staleEpoch marks a vertex whose neighborhood has never been resolved;
+// topology epochs start at 0 and only increment, so they never collide
+// with it.
+const staleEpoch = ^uint64(0)
 
 // slabChunkEntries bounds one slab chunk (2MiB for []int): big enough
 // that chunk turnover vanishes in construction cost, small enough that
@@ -402,15 +397,13 @@ type workerState struct {
 	always, occ []uint64
 }
 
-// Engine drives a set of processes over a network in lock-step rounds.
-// The network is either a static graph or a mutable Topology (both via
-// New); in the latter case vacant slots carry nil processes and
-// membership changes at round boundaries via Detach/AttachAt.
+// Engine drives a set of processes over a Topology in lock-step rounds.
+// Vacant slots carry nil processes, and membership changes at round
+// boundaries via Detach/AttachAt.
 type Engine struct {
-	g    *graph.Graph // static substrate; nil for topology engines
-	topo Topology     // mutable substrate; nil for static engines
-	n    int          // slot capacity (== g.N() for static engines)
-	root *xrand.Rand  // engine seed stream; derives per-slot streams on growth
+	topo Topology
+	n    int         // slot capacity: topo.Slots() at construction, raised by growTo
+	root *xrand.Rand // engine seed stream; derives per-slot streams on growth
 
 	procs []Proc
 	envs  []Env
@@ -424,8 +417,8 @@ type Engine struct {
 	vertexOf map[NodeID]int
 
 	// epochOf[v] is the topology epoch v's neighborhood buffers were
-	// last resolved against (topology engines only). curEpoch caches
-	// Topology.Epoch() once per round.
+	// last resolved against. curEpoch caches Topology.Epoch() once per
+	// round.
 	epochOf  []uint64
 	curEpoch uint64
 
@@ -619,109 +612,52 @@ var ErrSizeMismatch = errors.New("sim: process count does not match vertex count
 // results are partial and should be discarded, not interpreted.
 var ErrCanceled = errors.New("sim: run canceled")
 
-// newStaticEngine builds the engine over a static graph. Node IDs and
-// per-node random streams derive from seed; vertex v's stream is
-// independent of all others.
-//
-// Construction ingests the graph's CSR arrays directly: every Env's
-// Neighbors slice is carved out of engine-owned bounded slab chunks
-// sized to the total arc count (O(arcs/chunk) exact-size allocations —
-// no per-vertex copies and no append-doubling spikes, so a
-// million-slot engine's tables build without transient 2× peaks), and
-// the sorted-deduplicated adjacency used by the membership
-// stamps aliases the graph's shared sorted CSR — no per-vertex sorting.
-// Static engines never mutate those rows, so aliasing an immutable
-// (possibly cache-shared) graph is safe; topology engines re-resolve
-// into private buffers instead.
-func newStaticEngine(g *graph.Graph, seed uint64) *Engine {
-	e := newEngine(g.N(), seed)
-	e.g = g
-	e.assignIDs(func(int) bool { return true })
-	arcs := 0
-	for v := 0; v < e.n; v++ {
-		arcs += g.Degree(v)
-	}
-	nbrSlab := newSlab[int](arcs)
-	for v := 0; v < e.n; v++ {
-		adj := g.Adj(v)
-		nbrs := nbrSlab.carve(len(adj))
-		for _, w := range adj {
-			nbrs = append(nbrs, int(w))
-		}
-		e.sortedAdj[v] = g.SortedAdj(v) // deduplicated
-		if len(adj) != len(e.sortedAdj[v]) {
-			e.sortedAdj[v] = slices.Clone(adj)
-			slices.Sort(e.sortedAdj[v])
-			e.multi[v] = true
-		}
-		e.envs[v].Degree = len(adj)
-		e.envs[v].Neighbors = nbrs
-	}
-	return e
-}
-
-// newTopologyEngine builds the engine over a mutable topology. IDs are
-// assigned to the initially alive slots in ascending slot order from the
-// same seed-derived stream the static path uses; vacant slots receive an ID
-// (and a process) only when a joiner arrives via AttachAt. Neighborhoods
-// are resolved lazily against the topology's epoch, so construction does
-// not walk adjacency at all.
-//
-// When the topology also implements TopologyDegrees, its degrees serve
-// as slab budgets: every Env's Neighbors and the sorted-adjacency
-// buffer are pre-carved at exact degree capacity out of bounded chunks,
-// so the lazy resolves append in place instead of growing nil slices —
-// the difference between O(slots/chunk) and two allocations per slot
-// on a million-slot first round. Degrees are a
-// hint, not a contract: a slot that later outgrows its carve migrates
-// to a private buffer on append, so mutable topologies stay correct.
-func newTopologyEngine(topo Topology, seed uint64) *Engine {
-	e := newEngine(topo.Slots(), seed)
-	e.topo = topo
-	e.epochOf = make([]uint64, e.n)
-	for v := range e.epochOf {
-		e.epochOf[v] = staleEpoch
-	}
-	e.assignIDs(topo.Alive)
-	if dg, ok := topo.(TopologyDegrees); ok {
-		arcs := 0
-		for v := 0; v < e.n; v++ {
-			arcs += dg.Degree(v)
-		}
-		nbrSlab := newSlab[int](arcs)
-		saSlab := newSlab[int32](arcs)
-		for v := 0; v < e.n; v++ {
-			d := dg.Degree(v)
-			e.envs[v].Neighbors = nbrSlab.carve(d)
-			e.sortedAdj[v] = saSlab.carve(d)
-		}
-	}
-	return e
-}
-
-// newEngine builds the substrate-independent core: slot arrays sized n
-// and per-slot random streams. A slot's stream is a pure function of
+// newEngine builds the engine over topo. Node IDs are assigned to the
+// initially alive slots in ascending slot order from a seed-derived
+// stream; vacant slots receive an ID (and a process) only when a joiner
+// arrives via AttachAt. A slot's random stream is a pure function of
 // (seed, slot), so it survives membership turnover — a joiner recycling
 // slot v continues v's stream where the leaver left it, which is what
 // keeps churn runs reproducible however the membership history unfolds.
-func newEngine(n int, seed uint64) *Engine {
+//
+// Construction reads only degrees: every Env's Neighbors and the
+// sorted-adjacency row are carved at exact degree capacity out of
+// bounded slab chunks (O(arcs/chunk) allocations, no per-vertex slices
+// and no append-doubling spikes), and each vertex resolves its
+// neighborhood into them when it is first stepped (see step). Resolving
+// there rather than here keeps the adjacency walk on the step workers
+// of a parallel engine.
+func newEngine(topo Topology, seed uint64) *Engine {
+	n := topo.Slots()
 	e := &Engine{
+		topo:      topo,
 		n:         n,
 		root:      xrand.New(seed),
 		skip:      true,
 		pulled:    true,
 		envs:      make([]Env, n),
 		ids:       make([]NodeID, n),
+		epochOf:   make([]uint64, n),
 		sortedAdj: make([][]int32, n),
 		multi:     make([]bool, n),
 		mail:      make([]bool, n),
 		bcast:     [2][]Incoming{make([]Incoming, n), make([]Incoming, n)},
 	}
 	e.metrics.PerNodeMaxBit = make([]int, n)
+	arcs := 0
 	for v := 0; v < n; v++ {
-		e.envs[v] = Env{Vertex: v, eng: e}
+		arcs += topo.Degree(v)
+	}
+	nbrSlab := newSlab[int](arcs)
+	saSlab := newSlab[int32](arcs)
+	for v := 0; v < n; v++ {
+		d := topo.Degree(v)
+		e.envs[v] = Env{Vertex: v, eng: e, Neighbors: nbrSlab.carve(d)}
+		e.sortedAdj[v] = saSlab.carve(d)
+		e.epochOf[v] = staleEpoch
 		e.bcast[0][v].From, e.bcast[1][v].From = outEmpty, outEmpty
 	}
+	e.assignIDs(topo.Alive)
 	return e
 }
 
@@ -849,12 +785,13 @@ func (e *Engine) Detach(v int) error {
 
 // AttachAt installs process p at vertex v with node ID id at a round
 // boundary (a join). The slot must be vacant — freshly detached, dead
-// since construction, or beyond the current capacity (the arrays grow
-// to cover it). Recycled slots keep their random stream, resuming where
-// the departed occupant left it, so executions remain a pure function
-// of the seed and the membership history. Neighbors read the new ID
-// through Env.NeighborID at once. On a topology engine every vertex
-// re-resolves at the next epoch change, and v itself is refreshed here.
+// since construction, or beyond the engine's capacity but inside the
+// topology's slots (the arrays grow to cover it). Recycled slots keep
+// their random stream, resuming where the departed occupant left it, so
+// executions remain a pure function of the seed and the membership
+// history. Neighbors read the new ID through Env.NeighborID at once;
+// every vertex re-resolves at the next epoch change, and v itself is
+// refreshed here.
 func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	if p == nil {
 		return fmt.Errorf("sim: AttachAt(%d) with nil process", v)
@@ -865,11 +802,11 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	if e.procs == nil {
 		return errors.New("sim: AttachAt before Attach")
 	}
+	if slots := e.topo.Slots(); v >= slots {
+		return fmt.Errorf("sim: AttachAt(%d) beyond the topology's %d slots", v, slots)
+	}
 	e.toPush()
 	if v >= e.n {
-		if e.topo == nil {
-			return fmt.Errorf("sim: AttachAt(%d) beyond the static graph's %d vertices", v, e.n)
-		}
 		e.growTo(v + 1)
 	}
 	if e.procs[v] != nil {
@@ -901,9 +838,7 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 			e.seq = slices.Insert(e.seq, i, v)
 		}
 	}
-	if e.topo != nil {
-		e.refreshVertex(v)
-	}
+	e.refreshVertex(v)
 	return nil
 }
 
@@ -929,9 +864,7 @@ func (e *Engine) growTo(m int) {
 		e.bcast[0] = append(e.bcast[0], Incoming{From: outEmpty})
 		e.bcast[1] = append(e.bcast[1], Incoming{From: outEmpty})
 		e.metrics.PerNodeMaxBit = append(e.metrics.PerNodeMaxBit, 0)
-		if e.epochOf != nil {
-			e.epochOf = append(e.epochOf, staleEpoch)
-		}
+		e.epochOf = append(e.epochOf, staleEpoch)
 		e.isSeq = append(e.isSeq, false)
 		e.isTD = append(e.isTD, false)
 	}
@@ -964,9 +897,9 @@ func (e *Engine) catchUpVertex(v int) {
 	e.refreshVertex(v)
 }
 
-// refreshVertex re-resolves v's neighborhood against the mutable
-// topology, reusing the env's slices and the sorted-adjacency buffer so
-// a refresh at the buffers' high-water capacity allocates nothing.
+// refreshVertex re-resolves v's neighborhood against the topology,
+// reusing the env's slices and the sorted-adjacency buffer so a refresh
+// at the buffers' high-water capacity allocates nothing.
 func (e *Engine) refreshVertex(v int) {
 	env := &e.envs[v]
 	nbrs := e.topo.AppendNeighbors(v, env.Neighbors[:0])
@@ -1529,7 +1462,7 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 	if err := e.ensureState(); err != nil {
 		return 0, err
 	}
-	if e.pulled && (!e.pullMode || e.topo != nil && e.topo.Epoch() != e.curEpoch) {
+	if e.pulled && (!e.pullMode || e.topo.Epoch() != e.curEpoch) {
 		e.toPush()
 	}
 	if !e.pulled {
@@ -1566,9 +1499,7 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 			default:
 			}
 		}
-		if e.topo != nil {
-			e.curEpoch = e.topo.Epoch()
-		}
+		e.curEpoch = e.topo.Epoch()
 		// Fast-forward: an empty slot (an O(shards) occCnt reduction)
 		// plus an all-TickDriven live population means executing this
 		// tick would step nothing and deliver nothing — jump the virtual

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"byzcount/internal/graph"
@@ -448,6 +449,23 @@ func TestEnvNodeRandIndependent(t *testing.T) {
 	}
 }
 
+// envProbe records the env it is handed in its first Step.
+type envProbe struct {
+	env    Env
+	called bool
+}
+
+func (p *envProbe) Step(env *Env, round int, in []Incoming) []Outgoing {
+	if !p.called {
+		p.env, p.called = *env, true
+	}
+	return nil
+}
+
+func (p *envProbe) Halted() bool { return p.called }
+
+// TestEnvironmentFields checks the env a proc receives in its first
+// Step — the only place a proc sees an env — against the graph.
 func TestEnvironmentFields(t *testing.T) {
 	rng := xrand.New(20)
 	g, err := graph.HND(12, 4, rng)
@@ -455,16 +473,31 @@ func TestEnvironmentFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(g, WithSeed(11))
-	for v := 0; v < g.N(); v++ {
-		env := e.Env(v)
+	probes := make([]*envProbe, g.N())
+	procs := make([]Proc, g.N())
+	for v := range procs {
+		probes[v] = &envProbe{}
+		procs[v] = probes[v]
+	}
+	if err := e.Attach(procs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	for v, p := range probes {
+		env := p.env
+		if !p.called {
+			t.Fatalf("vertex %d never stepped", v)
+		}
 		if env.Vertex != v {
 			t.Errorf("Vertex = %d", env.Vertex)
 		}
 		if env.Degree != g.Degree(v) {
 			t.Errorf("Degree[%d] = %d", v, env.Degree)
 		}
-		if len(env.Neighbors) != g.Degree(v) {
-			t.Errorf("Neighbors[%d] length %d", v, len(env.Neighbors))
+		if !slices.Equal(env.Neighbors, g.Neighbors(v)) {
+			t.Errorf("Neighbors[%d] = %v, want %v", v, env.Neighbors, g.Neighbors(v))
 		}
 	}
 }

@@ -2,11 +2,12 @@
 
 package sim_test
 
-// Slab-budget guard for topology-engine construction: with a
-// TopologyDegrees hint, the first round's lazy neighborhood resolution
-// appends into pre-carved slab chunks instead of growing nil slices.
-// Without the pre-carve, resolving n vertices costs ~2n allocations
-// (Neighbors and sortedAdj each); with it, O(arcs/chunk).
+// Slab-budget guard for engine construction: New carves every slot's
+// buffers at its Topology.Degree, so the first round's lazy
+// neighborhood resolution appends into pre-carved slab chunks instead
+// of growing nil slices. Without the pre-carve, resolving n vertices
+// costs ~2n allocations (Neighbors and sortedAdj each); with it,
+// O(arcs/chunk).
 // The race detector changes allocation behavior, so this file is
 // excluded under -race (same convention as graph/alloc_test.go).
 
@@ -43,9 +44,10 @@ func heapDuring(f func()) (mallocs, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestEngineConstructionBudget pins construction cost for both engine
-// paths: O(1) allocations (slot arrays + slab chunks, never per-vertex
-// allocs) and a few hundred bytes per slot. Two regressions this
+// TestEngineConstructionBudget pins construction cost over an implicit
+// topology and its materialized graph: O(1) allocations (slot arrays +
+// slab chunks, never per-vertex allocs) and a few hundred bytes per
+// slot. Two regressions this
 // catches, both of which shipped briefly during development: a slab
 // carve that burned a fresh chunk per vertex (~O(arcs^2) bytes), and
 // eager per-slot random streams (~10KiB per slot — the stdlib source is
@@ -60,8 +62,7 @@ func TestEngineConstructionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Adj(0)       // finalize outside the measured region
-	g.SortedAdj(0) // (the static-graph engine aliases the shared sorted CSR)
+	g.Adj(0) // finalize outside the measured region
 	for _, tc := range []struct {
 		name  string
 		build func() *sim.Engine

@@ -393,7 +393,7 @@ func (e *Engine) unicastMarks(ws *workerState, v int, out []Outgoing) []uint64 {
 // sent) — and records the output as v's outbox of the tick's parity,
 // where a pull reads it next tick.
 func (e *Engine) step(ws *workerState, v, r int, box [][]Incoming, pull bool) []Outgoing {
-	if e.topo != nil && e.epochOf[v] != e.curEpoch {
+	if e.epochOf[v] != e.curEpoch {
 		e.catchUpVertex(v)
 	}
 	par := e.tick & 1

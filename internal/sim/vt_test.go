@@ -666,26 +666,20 @@ func TestParseFaultModel(t *testing.T) {
 	}
 }
 
-// TestVTNewDispatch pins New's constructor dispatch: a *graph.Graph
-// takes the static fast path, any other Topology the mutable path, and
-// the two paths assign identical IDs from the same seed (what lets a
+// TestVTNewDispatch pins that New draws IDs the same way over every
+// topology: an engine over a *graph.Graph and one over a
+// dynamic.Network assign identical IDs from the same seed (what lets a
 // static run be re-hosted on a mutable topology without re-deriving
 // anything).
 func TestVTNewDispatch(t *testing.T) {
 	g := mustHND(t, 64, 4, 3)
 	a := sim.New(g, sim.WithSeed(77))
-	if a.Graph() == nil {
-		t.Fatal("New over a *graph.Graph must take the static path")
-	}
 	net, err := dynamic.NewNetwork(64, 4, xrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sim.New(sim.Topology(net), sim.WithSeed(77))
-	if d.Graph() != nil {
-		t.Fatal("New over a non-graph topology must not take the static path")
-	}
+	d := sim.New(net, sim.WithSeed(77))
 	if a.Slots() != d.Slots() || a.ID(0) != d.ID(0) {
-		t.Fatalf("constructor paths disagree: slots %d/%d id %d/%d", a.Slots(), d.Slots(), a.ID(0), d.ID(0))
+		t.Fatalf("topologies disagree: slots %d/%d id %d/%d", a.Slots(), d.Slots(), a.ID(0), d.ID(0))
 	}
 }

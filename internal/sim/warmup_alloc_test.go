@@ -21,15 +21,16 @@ import (
 	"byzcount/internal/graph"
 	"byzcount/internal/perf"
 	"byzcount/internal/sim"
+	"byzcount/internal/xrand"
 )
 
 // TestLockstepWarmupAllocs pins the first Run(3) of a fresh
 // 8192-vertex flood engine — the rounds in which every send buffer gets
 // its first capacity — at about one object per vertex plus a constant
 // number of slab chunks, and bounds the bytes at 0.5 MB: pull measures
-// 0.38 MB (the send-buffer slab) on H(n,8) serially and on two workers,
-// on the C_n^4 ring lattice on two workers and on the 64x128 implicit
-// torus on two workers. Push took 4.6, 11.2 and 5.3 MB on the first
+// 0.38 MB (the send-buffer slab) on H(n,8) serially and on two workers
+// (over a built CSR, see hndFloodEngine), on the C_n^4 ring lattice on
+// two workers and on the 64x128 implicit torus on two workers. Push took 4.6, 11.2 and 5.3 MB on the first
 // three, for degree-carved inbox rows and outbox buckets.
 func TestLockstepWarmupAllocs(t *testing.T) {
 	const n = 8192
@@ -37,8 +38,8 @@ func TestLockstepWarmupAllocs(t *testing.T) {
 		name  string
 		build func() (*sim.Engine, error)
 	}{
-		{"workers=1", func() (*sim.Engine, error) { return perf.NewVTFloodEngine(n, 8, 1, "") }},
-		{"workers=2", func() (*sim.Engine, error) { return perf.NewVTFloodEngine(n, 8, 2, "") }},
+		{"workers=1", func() (*sim.Engine, error) { return hndFloodEngine(n, 8, 1) }},
+		{"workers=2", func() (*sim.Engine, error) { return hndFloodEngine(n, 8, 2) }},
 		{"lattice/workers=2", func() (*sim.Engine, error) { return perf.NewLatticeFloodEngine(n, 4, 2) }},
 		{"torus/workers=2", func() (*sim.Engine, error) { return torusFloodEngine(64, n/64, 2) }},
 	} {
@@ -66,8 +67,28 @@ func TestLockstepWarmupAllocs(t *testing.T) {
 	}
 }
 
+// hndFloodEngine is perf.NewVTFloodEngine's unit-latency flood over
+// H(n,d), on a graph whose CSR is built before the engine is. A vertex
+// reads its row from the CSR on its first Step, and building the CSR
+// is the substrate's cost, which the graph/build-* lanes and
+// TestBuildAllocsConstant count, not the engine's warm-up.
+func hndFloodEngine(n, d, workers int) (*sim.Engine, error) {
+	g, err := graph.HND(n, d, xrand.New(4))
+	if err != nil {
+		return nil, err
+	}
+	g.Adj(0) // finalize the CSR
+	eng := sim.New(g, sim.WithSeed(5))
+	eng.SetParallelism(workers)
+	procs := make([]sim.Proc, g.N())
+	for v := range procs {
+		procs[v] = &perf.FloodProc{}
+	}
+	return eng, eng.Attach(procs)
+}
+
 // torusFloodEngine is the flood on the implicit rows x cols torus, the
-// substrate of the 160k-node scale cell: a Topology engine with no
+// substrate of the 160k-node scale cell: an engine with no
 // between-rounds hook.
 func torusFloodEngine(rows, cols, workers int) (*sim.Engine, error) {
 	torus, err := graph.NewTorusGrid(rows, cols)
