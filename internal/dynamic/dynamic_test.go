@@ -60,6 +60,9 @@ func TestLeaveRepairsCycles(t *testing.T) {
 	if net.Alive(7) {
 		t.Error("slot still alive")
 	}
+	if d := net.Degree(7); d != 0 {
+		t.Errorf("departed slot has degree %d, want 0", d)
+	}
 	if net.NumAlive() != 19 {
 		t.Errorf("alive = %d", net.NumAlive())
 	}

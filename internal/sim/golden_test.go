@@ -115,6 +115,30 @@ func TestGoldenCongestSerialParallel(t *testing.T) {
 	}
 }
 
+// TestParallelFirstReadOfFreshGraph: an engine reads a graph only
+// through Topology, so on a parallel engine's first round several step
+// workers may be the first to read a fresh graph's CSR at once, which
+// the graph builds under its mutex. Each run here starts on a graph
+// nothing has read yet, and the parallel runs match the serial one.
+func TestParallelFirstReadOfFreshGraph(t *testing.T) {
+	const n, d = 256, 8
+	params := counting.DefaultCongestParams(d)
+	params.MaxPhase = 4
+	maxRounds := params.Schedule.RoundsThroughPhase(params.MaxPhase + 1)
+	build := func(eng *sim.Engine) []sim.Proc {
+		procs := make([]sim.Proc, n)
+		for v := range procs {
+			procs[v] = counting.NewCongestProc(params)
+		}
+		return procs
+	}
+	wantM, wantO, wantR := runScenario(t, mustHND(t, n, d, 3001), 7, 1, maxRounds, 0, build)
+	for _, w := range workerCounts[1:] {
+		gotM, gotO, gotR := runScenario(t, mustHND(t, n, d, 3001), 7, w, maxRounds, 0, build)
+		assertIdentical(t, w, wantM, gotM, wantO, gotO, wantR, gotR)
+	}
+}
+
 // TestGoldenLocalSerialParallel: the deterministic LOCAL counting
 // protocol under the consistent fake-network attack. The adversaries
 // share one mutable FakeWorld and are marked Sequential, so this pins
