@@ -78,26 +78,25 @@ func hndFloodEngine(n, d, workers int) (*sim.Engine, error) {
 		return nil, err
 	}
 	g.Adj(0) // finalize the CSR
-	eng := sim.New(g, sim.WithSeed(5))
-	eng.SetParallelism(workers)
-	procs := make([]sim.Proc, g.N())
-	for v := range procs {
-		procs[v] = &perf.FloodProc{}
-	}
-	return eng, eng.Attach(procs)
+	return floodEngine(g, workers)
 }
 
 // torusFloodEngine is the flood on the implicit rows x cols torus, the
-// substrate of the 160k-node scale cell: an engine with no
-// between-rounds hook.
+// substrate of the 160k-node scale cell.
 func torusFloodEngine(rows, cols, workers int) (*sim.Engine, error) {
 	torus, err := graph.NewTorusGrid(rows, cols)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New(torus, sim.WithSeed(5))
+	return floodEngine(torus, workers)
+}
+
+// floodEngine is the flood on topo: an engine with no between-rounds
+// hook, one FloodProc per slot.
+func floodEngine(topo sim.Topology, workers int) (*sim.Engine, error) {
+	eng := sim.New(topo, sim.WithSeed(5))
 	eng.SetParallelism(workers)
-	procs := make([]sim.Proc, torus.N())
+	procs := make([]sim.Proc, topo.Slots())
 	for v := range procs {
 		procs[v] = &perf.FloodProc{}
 	}
