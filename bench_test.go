@@ -254,16 +254,12 @@ func BenchmarkEngineVTJitterRoundThroughputParallel8(b *testing.B) {
 
 // BenchmarkEngineVTSparseRoundThroughput times the pulse/relay workload
 // (perf.NewVTSparseEngine — BENCH.json's engine/vt-flood/sparse/*):
-// vertex 0 pulses a TTL-limited broadcast every 8 rounds, message-driven
-// relays propagate it under uniform:1-4 jitter, and the engine's
-// occupancy lane delivers and clears only the ring rows that received
-// something. The Parallel8 variant runs the same lane on the sharded
-// engine — per-shard union walks, occupancy folded in during merge —
-// and the Full variant runs the identical workload with unmarked
-// relays — every tick pays the O(n)-row scan — so the trio isolates the
-// sparse lane's win and its multi-core behavior.
+// vertex 0 pulses a TTL-limited broadcast every 8 rounds and relays
+// propagate it under uniform:1-4 jitter, so each tick delivers to few
+// ring rows while every vertex is stepped. The Parallel8 variant runs
+// the same workload on the sharded engine.
 func BenchmarkEngineVTSparseRoundThroughput(b *testing.B) {
-	eng, err := perf.NewVTSparseEngine(1024, 8, 1, false)
+	eng, err := perf.NewVTSparseEngine(1024, 8, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -271,53 +267,11 @@ func BenchmarkEngineVTSparseRoundThroughput(b *testing.B) {
 }
 
 func BenchmarkEngineVTSparseRoundThroughputParallel8(b *testing.B) {
-	eng, err := perf.NewVTSparseEngine(1024, 8, 8, false)
+	eng, err := perf.NewVTSparseEngine(1024, 8, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchRoundThroughput(b, eng)
-}
-
-func BenchmarkEngineVTSparseRoundThroughputFull(b *testing.B) {
-	eng, err := perf.NewVTSparseEngine(1024, 8, 1, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRoundThroughput(b, eng)
-}
-
-// benchVTSkipThroughput times the token workload (perf.NewVTSkipEngine
-// — BENCH.json's engine/vt-skip/*): one token circulating a ring
-// lattice under uniform:1-4 jitter, so most virtual ticks deliver
-// nothing. With skipping on, the scheduler fast-forwards through empty
-// ticks in O(1) each (an O(shards) reduction on the parallel engine,
-// which bypasses the pool entirely on a skipped tick); with skipping
-// off (or with unmarked relays, the Full variant) every tick executes.
-// One iteration is one virtual tick either way — skipped ticks still
-// advance the clock and the metrics.
-func benchVTSkipThroughput(b *testing.B, workers int, dense, skip bool) {
-	eng, err := perf.NewVTSkipEngine(1024, workers, dense)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.SetTickSkip(skip)
-	benchRoundThroughput(b, eng)
-}
-
-func BenchmarkEngineVTSkipRoundThroughput(b *testing.B) {
-	benchVTSkipThroughput(b, 1, false, true)
-}
-
-func BenchmarkEngineVTSkipRoundThroughputParallel8(b *testing.B) {
-	benchVTSkipThroughput(b, 8, false, true)
-}
-
-func BenchmarkEngineVTSkipRoundThroughputNoSkip(b *testing.B) {
-	benchVTSkipThroughput(b, 1, false, false)
-}
-
-func BenchmarkEngineVTSkipRoundThroughputFull(b *testing.B) {
-	benchVTSkipThroughput(b, 1, true, true)
 }
 
 // benchEngineChurnThroughput times the churn flood workload

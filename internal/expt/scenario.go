@@ -702,32 +702,19 @@ func runProcs(eng *sim.Engine, byz []bool, honestProc, byzProc func(v int) sim.P
 	maxRounds int, stopFrac float64) (*ScenarioOutcome, error) {
 	procs := make([]sim.Proc, eng.Slots())
 	honest := make([]bool, len(procs))
-	honestTotal := 0
 	for v := range procs {
 		if byz != nil && byz[v] {
 			procs[v] = byzProc(v)
 		} else {
 			procs[v] = honestProc(v)
 			honest[v] = true
-			honestTotal++
 		}
 	}
 	if err := eng.Attach(procs); err != nil {
 		return nil, err
 	}
 	if stopFrac > 0 {
-		eng.SetStopCondition(func(round int) bool {
-			decided := 0
-			for v, p := range procs {
-				if !honest[v] {
-					continue
-				}
-				if e, ok := p.(counting.Estimator); ok && e.Outcome().Decided {
-					decided++
-				}
-			}
-			return honestTotal == 0 || float64(decided) >= stopFrac*float64(honestTotal)
-		})
+		eng.SetStopCondition(decidedStop(eng, stopFrac, func(v int) bool { return honest[v] }))
 	}
 	rounds, err := eng.Run(maxRounds)
 	if err != nil {
@@ -742,6 +729,27 @@ func runProcs(eng *sim.Engine, byz []bool, honestProc, byzProc func(v int) sim.P
 		Byz:      byz,
 		Engine:   eng,
 	}, nil
+}
+
+// decidedStop is the decided-fraction stop condition of a run on eng:
+// it fires once at least frac of the slots honest reports hold a
+// decided counting.Estimator, or when honest reports none. It counts
+// over every slot at each poll, so a churning run's total follows the
+// membership.
+func decidedStop(eng *sim.Engine, frac float64, honest func(s int) bool) func(round int) bool {
+	return func(int) bool {
+		total, decided := 0, 0
+		for s := 0; s < eng.Slots(); s++ {
+			if !honest(s) {
+				continue
+			}
+			total++
+			if e, ok := eng.Proc(s).(counting.Estimator); ok && e.Outcome().Decided {
+				decided++
+			}
+		}
+		return total == 0 || float64(decided) >= frac*float64(total)
+	}
 }
 
 // runScenarioChurn is the mutable-substrate path: the dynamically
@@ -812,19 +820,9 @@ func runScenarioChurn(sc Scenario, ctx *scenarioCtx, proto Protocol, adv Adversa
 		// decided. While churn is active fresh joiners keep the decided
 		// fraction down, so the condition effectively fires after the
 		// churn quiesces — exactly the "let the survivors finish" read.
-		eng.SetStopCondition(func(round int) bool {
-			honestTotal, decided := 0, 0
-			for s := 0; s < eng.Slots(); s++ {
-				if !net.Alive(s) || roster.IsByz(s) {
-					continue
-				}
-				honestTotal++
-				if e, ok := eng.Proc(s).(counting.Estimator); ok && e.Outcome().Decided {
-					decided++
-				}
-			}
-			return honestTotal == 0 || float64(decided) >= sc.StopFrac*float64(honestTotal)
-		})
+		eng.SetStopCondition(decidedStop(eng, sc.StopFrac, func(s int) bool {
+			return net.Alive(s) && !roster.IsByz(s)
+		}))
 	}
 	rounds, err := run.Run(maxRounds)
 	if err != nil {

@@ -67,15 +67,15 @@ func TestMeasureCalibrates(t *testing.T) {
 }
 
 // TestSuiteShape: the suite covers the engine micro-benchmarks
-// (static — broadcast and per-edge flood — virtual-time — jitter,
-// sparse, and tick-skip lanes — churn, and churn-byz), the graph
+// (static — broadcast and per-edge flood — virtual-time — jitter and
+// sparse lanes — churn, and churn-byz), the graph
 // substrate workloads (build-hnd, build-ws, build-regular, bfs), and all
 // twenty experiments; names are unique, and the filter selects by
 // substring.
 func TestSuiteShape(t *testing.T) {
 	suite := Suite(SuiteConfig{Quick: true})
-	if len(suite) != 23+20 {
-		t.Fatalf("suite has %d benchmarks, want 43", len(suite))
+	if len(suite) != 17+20 {
+		t.Fatalf("suite has %d benchmarks, want 37", len(suite))
 	}
 	seen := map[string]bool{}
 	experiments := 0
@@ -118,18 +118,12 @@ func TestSuiteShape(t *testing.T) {
 	if !seen["engine/vt-flood/sparse/serial/n=1024"] {
 		t.Error("suite is missing engine/vt-flood/sparse/serial/n=1024")
 	}
-	if !seen["engine/vt-skip/token/serial/n=1024"] {
-		t.Error("suite is missing engine/vt-skip/token/serial/n=1024")
-	}
-	if !seen["engine/vt-skip/token/parallel=8/n=1024"] {
-		t.Error("suite is missing engine/vt-skip/token/parallel=8/n=1024")
-	}
 	if !seen["engine/vt-flood/sparse/parallel=8/n=1024"] {
 		t.Error("suite is missing engine/vt-flood/sparse/parallel=8/n=1024")
 	}
-	skipFiltered := Suite(SuiteConfig{Quick: true, Filter: "vt-skip"})
-	if len(skipFiltered) != 5 {
-		t.Errorf("filter vt-skip kept %d benchmarks, want 5", len(skipFiltered))
+	sparseFiltered := Suite(SuiteConfig{Quick: true, Filter: "vt-flood/sparse"})
+	if len(sparseFiltered) != 2 {
+		t.Errorf("filter vt-flood/sparse kept %d benchmarks, want 2", len(sparseFiltered))
 	}
 	filtered := Suite(SuiteConfig{Quick: true, Filter: "engine/flood"})
 	if len(filtered) != 4 {

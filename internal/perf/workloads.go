@@ -236,13 +236,7 @@ var relayPayloads = [maxRelayTTL + 1]sim.Payload{
 }
 
 // PulseProc is the sparse workload's seeder: every Period rounds it
-// broadcasts a TTL-limited pulse, and stays silent in between. It sends
-// on its own schedule — round-driven, NOT TickDriven — so it is also
-// the proc that keeps the engine honest about mixing marked and
-// unmarked processes: ticks are only skipped when the pulse schedule
-// and the ring are both idle... except they never are here, because a
-// round-driven proc must be stepped every tick. The sparse win in this
-// workload is delivery-side (occupancy rows), not tick-skipping.
+// broadcasts a TTL-limited pulse, and stays silent in between.
 type PulseProc struct {
 	Period int
 	TTL    int
@@ -259,12 +253,13 @@ func (p *PulseProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgo
 // Halted is always false: the pulse schedule never ends.
 func (*PulseProc) Halted() bool { return false }
 
-// relayStep is the shared relay logic: rebroadcast the strongest
-// delivered pulse with its TTL decremented, do nothing on an empty
-// inbox. Both the marked RelayProc and the unmarked denseRelayProc
-// dispatch here, so the sparse/full benchmark pair measures scheduler
-// overhead, not workload drift.
-func relayStep(env *sim.Env, in []sim.Incoming) []sim.Outgoing {
+// RelayProc is the sparse workload's relay: it rebroadcasts the
+// strongest delivered pulse with its TTL decremented, and does nothing
+// on an empty inbox.
+type RelayProc struct{}
+
+// Step relays the strongest delivered pulse.
+func (*RelayProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 	if len(in) == 0 {
 		return nil
 	}
@@ -280,54 +275,20 @@ func relayStep(env *sim.Env, in []sim.Incoming) []sim.Outgoing {
 	return env.Broadcast(relayPayloads[best-1])
 }
 
-// RelayProc is the sparse workload's message-driven relay: it only ever
-// reacts to delivered pulses, so it carries the TickDriven marker and
-// lets the engine's occupancy-aware lane skip every row (and, when
-// nothing round-driven is attached, every tick) that received nothing.
-type RelayProc struct{}
-
-// Step relays the strongest delivered pulse (see relayStep).
-func (*RelayProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	return relayStep(env, in)
-}
-
 // Halted is always false.
 func (*RelayProc) Halted() bool { return false }
 
-// StepsOnMessagesOnly marks RelayProc as sim.TickDriven: an empty-inbox
-// Step is a no-op by construction.
-func (*RelayProc) StepsOnMessagesOnly() {}
-
-// denseRelayProc is RelayProc without the TickDriven marker — the
-// control arm of the sparse benchmarks. A separate type rather than an
-// embedding so the marker method cannot leak in via promotion.
-type denseRelayProc struct{}
-
-func (*denseRelayProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	return relayStep(env, in)
-}
-
-func (*denseRelayProc) Halted() bool { return false }
-
-// relayProcShared / denseRelayProcShared are the one instance each
-// workload shares across vertices (the procs are stateless), mirroring
-// floodProcShared.
-var (
-	relayProcShared      RelayProc
-	denseRelayProcShared denseRelayProc
-)
+// relayProcShared is the one RelayProc every relay vertex shares (the
+// proc is stateless), mirroring floodProcShared.
+var relayProcShared RelayProc
 
 // NewVTSparseEngine builds the sparse pulse/relay workload over H(n,d):
 // vertex 0 pulses a TTL-2 broadcast every 8 rounds, every other vertex
 // relays, all under uniform:1-4 jitter, so each pulse wakes a few
-// hundred of the n rows and the rest of the ring stays untouched. With
-// dense=false the relays are TickDriven and the engine runs its
-// occupancy-aware lane — serial or sharded, delivery cost tracks
-// messages actually in flight, not n; with dense=true the relays are
-// unmarked and every tick pays the full O(n)-row scan (O(n/workers)
-// per worker), which is the control the engine/vt-flood/sparse/full
-// entry records.
-func NewVTSparseEngine(n, d, workers int, dense bool) (*sim.Engine, error) {
+// hundred of the n rows while every tick still steps all n vertices:
+// the jittered push lane at low traffic, the engine/vt-flood/sparse/*
+// entries.
+func NewVTSparseEngine(n, d, workers int) (*sim.Engine, error) {
 	g, err := graph.HND(n, d, xrand.New(4))
 	if err != nil {
 		return nil, err
@@ -343,11 +304,7 @@ func NewVTSparseEngine(n, d, workers int, dense bool) (*sim.Engine, error) {
 	eng.SetDelayModel(delay)
 	procs := make([]sim.Proc, g.N())
 	for v := range procs {
-		if dense {
-			procs[v] = &denseRelayProcShared
-		} else {
-			procs[v] = &relayProcShared
-		}
+		procs[v] = &relayProcShared
 	}
 	procs[0] = &PulseProc{Period: 8, TTL: 2}
 	if err := eng.Attach(procs); err != nil {
@@ -365,148 +322,11 @@ func NewVTSparseEngine(n, d, workers int, dense bool) (*sim.Engine, error) {
 	return eng, nil
 }
 
-// TokenPayload is the token workload's constant 64-bit payload.
-type TokenPayload struct{}
-
-// SizeBits reports the payload size.
-func (TokenPayload) SizeBits() int { return 64 }
-
-// tokenPayloadShared is the pre-boxed token every forward reuses.
-var tokenPayloadShared sim.Payload = TokenPayload{}
-
-// TokenInjectProc seeds the token workload: it sends one token to
-// vertex 1 in its first Step and then halts. It is round-driven (it
-// sends on an empty inbox), so it must NOT carry the TickDriven marker
-// — the engine steps it until it halts, and only then does tick
-// fast-forwarding engage.
-type TokenInjectProc struct{ fired bool }
-
-// Step sends the single token on the first call.
-func (p *TokenInjectProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	if p.fired {
-		return nil
-	}
-	p.fired = true
-	out := append(env.Scratch(), sim.Outgoing{To: 1, Payload: tokenPayloadShared})
-	return out
-}
-
-// Halted reports whether the token has been injected.
-func (p *TokenInjectProc) Halted() bool { return p.fired }
-
-// TokenRelayProc circulates the token around the C_n^2 ring lattice:
-// on receipt it forwards to (v+1) mod n, detouring to v+2 when the
-// successor is the halted injector at vertex 0 (both are lattice
-// neighbors). Exactly one token is ever in flight, so under jittered
-// delay most virtual ticks deliver nothing — the workload the
-// engine/vt-skip trajectory entries measure fast-forwarding on.
-type TokenRelayProc struct{ N int }
-
-// Step forwards any delivered token one position around the ring.
-func (p *TokenRelayProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	if len(in) == 0 {
-		return nil
-	}
-	next := (env.Vertex + 1) % p.N
-	if next == 0 {
-		next = 1
-	}
-	out := env.Scratch()
-	for range in {
-		out = append(out, sim.Outgoing{To: next, Payload: tokenPayloadShared})
-	}
-	return out
-}
-
-// Halted is always false: the token circulates forever.
-func (*TokenRelayProc) Halted() bool { return false }
-
-// StepsOnMessagesOnly marks TokenRelayProc as sim.TickDriven.
-func (*TokenRelayProc) StepsOnMessagesOnly() {}
-
-// denseTokenRelayProc is TokenRelayProc without the marker — the full-
-// scan control arm of the vt-skip benchmarks (again a separate type, not
-// an embedding, so the marker cannot be promoted in).
-type denseTokenRelayProc struct{ N int }
-
-func (p *denseTokenRelayProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	if len(in) == 0 {
-		return nil
-	}
-	next := (env.Vertex + 1) % p.N
-	if next == 0 {
-		next = 1
-	}
-	out := env.Scratch()
-	for range in {
-		out = append(out, sim.Outgoing{To: next, Payload: tokenPayloadShared})
-	}
-	return out
-}
-
-func (*denseTokenRelayProc) Halted() bool { return false }
-
-// NewVTSkipEngine builds the token-passing workload on the ring lattice
-// C_n^2 (WattsStrogatz with beta=0): one token injected at round 0,
-// relayed around the ring forever under uniform:1-4 jitter. After the
-// injector halts every live proc is message-driven, so with dense=false
-// the engine — serial or sharded, both schedulers fast-forward —
-// skips through the ~2.5 empty ticks between consecutive hops;
-// dense=true swaps in unmarked relays and the engine must execute
-// every tick — the before/after pair behind the >= 2x vt-skip
-// acceptance gate.
-func NewVTSkipEngine(n, workers int, dense bool) (*sim.Engine, error) {
-	g, err := graph.WattsStrogatz(n, 2, 0, xrand.New(4))
-	if err != nil {
-		return nil, err
-	}
-	delay, err := sim.ParseDelayModel("uniform:1-4")
-	if err != nil {
-		return nil, err
-	}
-	eng := sim.New(g, sim.WithSeed(5))
-	if workers > 1 {
-		eng.SetParallelism(workers)
-	}
-	eng.SetDelayModel(delay)
-	procs := make([]sim.Proc, g.N())
-	if dense {
-		relay := &denseTokenRelayProc{N: n}
-		for v := range procs {
-			procs[v] = relay
-		}
-	} else {
-		relay := &TokenRelayProc{N: n}
-		for v := range procs {
-			procs[v] = relay
-		}
-	}
-	procs[0] = &TokenInjectProc{}
-	if err := eng.Attach(procs); err != nil {
-		return nil, err
-	}
-	eng.ReserveInbox(4 * delay.MaxDelay())
-	return eng, nil
-}
-
 // sparseBenchmark measures the pulse/relay workload; one iteration is
 // one virtual tick.
-func sparseBenchmark(name string, n, d, workers int, dense bool, minTime time.Duration) Benchmark {
+func sparseBenchmark(name string, n, d, workers int, minTime time.Duration) Benchmark {
 	return roundBenchmark(name, engineWarmup, minTime, func() (*sim.Engine, error) {
-		return NewVTSparseEngine(n, d, workers, dense)
-	})
-}
-
-// skipBenchmark measures the token workload; one iteration is one
-// virtual tick (skipped ticks included — fast-forwarded ticks still
-// advance the clock and the metrics, they just cost O(1)).
-func skipBenchmark(name string, n, workers int, dense, skip bool, minTime time.Duration) Benchmark {
-	return roundBenchmark(name, engineWarmup, minTime, func() (*sim.Engine, error) {
-		eng, err := NewVTSkipEngine(n, workers, dense)
-		if err == nil {
-			eng.SetTickSkip(skip)
-		}
-		return eng, err
+		return NewVTSparseEngine(n, d, workers)
 	})
 }
 
@@ -536,8 +356,7 @@ type roundRunner interface {
 
 // roundBenchmark measures rounds/sec and msgs/sec on what build
 // returns, after warmup rounds; one iteration is one round — one
-// virtual tick, skipped ticks included, with a churn runner's
-// between-rounds churn.
+// virtual tick, with a churn runner's between-rounds churn.
 func roundBenchmark[R roundRunner](name string, warmup int, minTime time.Duration, build func() (R, error)) Benchmark {
 	return Benchmark{
 		Name:    name,
@@ -686,11 +505,9 @@ func experimentBenchmark(id string, quick bool) Benchmark {
 // micro-benchmarks (serial, pinned-8-worker, and GOMAXPROCS-worker
 // parallel, plus the serial flood sent as per-edge unicasts, the
 // engine/flood-edges lane), the vt-flood micro-benchmarks (the
-// virtual-time event queue: uniform:1-4 jitter, and the sparse
-// pulse/relay workload — serial and sharded-parallel — with its dense
-// control), the vt-skip token micro-benchmarks (tick fast-forwarding
-// on, off, and structurally unavailable, serial and sharded-parallel),
-// the churn flood micro-benchmarks (serial and pinned-worker
+// virtual-time event queue under uniform:1-4 jitter: a full flood, and
+// the sparse pulse/relay workload, serial and sharded-parallel), the
+// churn flood micro-benchmarks (serial and pinned-worker
 // — the dynamic-membership path), the churn-byz micro-benchmarks
 // (membership turnover with a maintained Byzantine fraction spamming —
 // the combined path E16-E18 stand on), a full benign CONGEST protocol
@@ -716,17 +533,9 @@ func Suite(cfg SuiteConfig) []Benchmark {
 		floodBenchmark("engine/vt-flood/jitter/serial/n=1024", 1024, 8, 1, "uniform:1-4", micro),
 		floodBenchmark(fmt.Sprintf("engine/vt-flood/jitter/parallel=%d/n=1024", workers),
 			1024, 8, workers, "uniform:1-4", micro),
-		sparseBenchmark("engine/vt-flood/sparse/serial/n=1024", 1024, 8, 1, false, micro),
+		sparseBenchmark("engine/vt-flood/sparse/serial/n=1024", 1024, 8, 1, micro),
 		sparseBenchmark(fmt.Sprintf("engine/vt-flood/sparse/parallel=%d/n=1024", workers),
-			1024, 8, workers, false, micro),
-		sparseBenchmark("engine/vt-flood/sparse/full/serial/n=1024", 1024, 8, 1, true, micro),
-		skipBenchmark("engine/vt-skip/token/serial/n=1024", 1024, 1, false, true, micro),
-		skipBenchmark(fmt.Sprintf("engine/vt-skip/token/parallel=%d/n=1024", workers),
-			1024, workers, false, true, micro),
-		skipBenchmark("engine/vt-skip/token/noskip/serial/n=1024", 1024, 1, false, false, micro),
-		skipBenchmark(fmt.Sprintf("engine/vt-skip/token/noskip/parallel=%d/n=1024", workers),
-			1024, workers, false, false, micro),
-		skipBenchmark("engine/vt-skip/token/full/serial/n=1024", 1024, 1, true, true, micro),
+			1024, 8, workers, micro),
 		roundBenchmark("engine/churn-flood/serial/n=1024", engineWarmup, micro,
 			func() (*dynamic.Runner, error) { return NewChurnFloodEngine(1024, 8, 1, 2) }),
 		roundBenchmark(fmt.Sprintf("engine/churn-flood/parallel=%d/n=1024", workers), engineWarmup, micro,

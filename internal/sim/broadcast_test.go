@@ -36,7 +36,7 @@ func (p mixPayload) SizeBits() int { return p.bits }
 // edges, so capping is exercised per copy.
 type mixCore struct {
 	perEdge bool
-	quiet   bool // send only on a non-empty inbox (the TickDriven contract)
+	quiet   bool // send only on a non-empty inbox
 	sum     uint64
 	sends   int64
 }
@@ -78,7 +78,8 @@ func nonNeighbor(env *sim.Env) int {
 }
 
 // mixProc steps every round; mixSeqProc is the same proc stepped on
-// the parallel engine's coordinator; mixRelay is TickDriven.
+// the parallel engine's coordinator; mixRelay sends only what an
+// arrival prompts.
 type mixProc struct{ mixCore }
 
 func (p *mixProc) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
@@ -95,12 +96,10 @@ type mixRelay struct{ mixCore }
 func (p *mixRelay) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 	return p.step(env, round, in)
 }
-func (p *mixRelay) Halted() bool         { return false }
-func (p *mixRelay) StepsOnMessagesOnly() {}
+func (p *mixRelay) Halted() bool { return false }
 
 // mixInjector seeds the relay variant: it sends one output in its
-// first Step and halts, so every live proc is then TickDriven and empty
-// ticks may be skipped.
+// first Step and halts, so every live proc then only relays.
 type mixInjector struct {
 	mixCore
 	fired bool

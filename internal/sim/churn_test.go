@@ -365,18 +365,23 @@ func TestDetachAttachLifecycle(t *testing.T) {
 
 // TestNeighborIDFollowsAttachAt: when AttachAt gives a slot a new ID,
 // every neighbor's NeighborID returns it at once, before another round
-// runs, on an engine over the graph and over a wrapper hiding its type
-// (see topoOf), and every other entry still reads its neighbor's ID.
-// AttachAt refreshes the joiner's own env.
+// runs, on an engine over a graph and over an implicit ring lattice,
+// whose neighborhoods are computed on demand, and every other entry
+// still reads its neighbor's ID. AttachAt refreshes the joiner's own
+// env.
 func TestNeighborIDFollowsAttachAt(t *testing.T) {
-	g := mustHND(t, 32, 4, 5001)
+	lat, err := graph.NewRingLattice(32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		topo sim.Topology
-	}{{"static", g}, {"topology", topoOf{g}}} {
+	}{{"static", mustHND(t, 32, 4, 5001)}, {"implicit", lat}} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := sim.New(tc.topo, sim.WithSeed(5002))
-			procs := make([]sim.Proc, g.N())
+			topo := tc.topo
+			eng := sim.New(topo, sim.WithSeed(5002))
+			procs := make([]sim.Proc, topo.Slots())
 			for v := range procs {
 				procs[v] = &perf.FloodProc{}
 			}
@@ -394,11 +399,11 @@ func TestNeighborIDFollowsAttachAt(t *testing.T) {
 				if err := eng.AttachAt(v, newID, &perf.FloodProc{}); err != nil {
 					t.Fatal(err)
 				}
-				if env := eng.Env(v); env.ID != newID || env.Degree != g.Degree(v) {
-					t.Fatalf("joiner at %d: env ID %x degree %d, want %x and %d", v, env.ID, env.Degree, newID, g.Degree(v))
+				if env := eng.Env(v); env.ID != newID || env.Degree != topo.Degree(v) {
+					t.Fatalf("joiner at %d: env ID %x degree %d, want %x and %d", v, env.ID, env.Degree, newID, topo.Degree(v))
 				}
 				seen := 0
-				for w := 0; w < g.N(); w++ {
+				for w := 0; w < topo.Slots(); w++ {
 					env := eng.Env(w)
 					for k, x := range env.Neighbors {
 						if got := env.NeighborID(k); got != eng.ID(x) {
@@ -409,8 +414,8 @@ func TestNeighborIDFollowsAttachAt(t *testing.T) {
 						}
 					}
 				}
-				if seen != g.Degree(v) {
-					t.Fatalf("%d neighbor entries point at %d, want its degree %d", seen, v, g.Degree(v))
+				if seen != topo.Degree(v) {
+					t.Fatalf("%d neighbor entries point at %d, want its degree %d", seen, v, topo.Degree(v))
 				}
 				if _, err := eng.Run(1); err != nil {
 					t.Fatal(err)

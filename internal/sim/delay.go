@@ -177,13 +177,17 @@ func (m GSTDelay) Delay(rng *xrand.Rand, round, from, to int) int {
 const MaxDelayTicks = 1024
 
 // MaxRingBytes is the budget for the delivery ring's row headers,
-// (MaxDelay+1) × slots × 24 bytes on 64-bit platforms. Run refuses a
-// model whose ring exceeds it — a hand-built model past MaxDelayTicks,
-// or a parsed one on a very large network — with a *RingBudgetError
-// before allocating any of it. Lockstep rings at n = 10^6 need 48 MB.
+// (MaxDelay+1) × slots × 24 bytes on 64-bit platforms, and separately
+// for a parallel engine's outbox bucket headers, workers × workers ×
+// MaxDelay × 24 bytes. Run refuses a model whose ring exceeds it — a
+// hand-built model past MaxDelayTicks, or a parsed one on a very large
+// network — or a worker count whose buckets do, with a
+// *RingBudgetError before allocating any of it. Lockstep rings at
+// n = 10^6 need 48 MB.
 const MaxRingBytes = 1 << 30
 
-// rowHeaderBytes is the size of one ring row header ([]Incoming).
+// rowHeaderBytes is the size of one ring row header ([]Incoming), and
+// of one outbox bucket header ([]routed).
 const rowHeaderBytes = 3 * strconv.IntSize / 8
 
 // DelayBoundError reports a delay spec whose latency bound exceeds
@@ -199,14 +203,20 @@ func (e *DelayBoundError) Error() string {
 }
 
 // RingBudgetError reports a delay model whose delivery ring would
-// exceed MaxRingBytes on the engine's slot count.
+// exceed MaxRingBytes on the engine's slot count, or, when it names a
+// worker count, a parallel engine whose outbox buckets would.
 type RingBudgetError struct {
 	Model    string // the model's Name
 	MaxDelay int    // its latency bound
 	Slots    int    // the engine's vertex slots
+	workers  int    // the step workers whose buckets are over; 0 for the ring
 }
 
 func (e *RingBudgetError) Error() string {
+	if e.workers > 0 {
+		return fmt.Sprintf("sim: delay model %s (max delay %d) on %d workers needs %d x %d outbox buckets, over the %d MiB budget; use fewer workers",
+			e.Model, e.MaxDelay, e.workers, e.workers, e.workers*max(e.MaxDelay, 1), MaxRingBytes>>20)
+	}
 	return fmt.Sprintf("sim: delay model %s (max delay %d) needs a delivery ring of %d x %d rows, over the %d MiB budget",
 		e.Model, e.MaxDelay, uint64(e.MaxDelay)+1, e.Slots, MaxRingBytes>>20)
 }
@@ -217,6 +227,15 @@ func (e *RingBudgetError) Error() string {
 func ringFits(maxDelay, slots int) bool {
 	const rows = MaxRingBytes / rowHeaderBytes
 	return maxDelay < rows && int64(maxDelay+1)*int64(slots) <= rows
+}
+
+// bucketsFit reports whether the outbox buckets of workers step workers
+// — one per (destination shard, delay) for each, workers × span — fit
+// MaxRingBytes, without overflowing on huge worker counts.
+func bucketsFit(workers, span int) bool {
+	const rows = MaxRingBytes / rowHeaderBytes
+	per := int64(workers) * int64(span)
+	return per <= rows && per*int64(workers) <= rows
 }
 
 // ParseDelayModel parses a delay spec string:

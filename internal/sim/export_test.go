@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"slices"
 
 	"byzcount/internal/graph"
 )
@@ -28,33 +28,30 @@ func EnvsOverIDs(g *graph.Graph, ids []NodeID) []Env {
 	return envs
 }
 
-// OccupancyError checks a sparse engine's pending counts and occupancy
-// bits against its ring: each (shard, slot)'s occCnt must equal the
-// messages its rows hold, and every non-empty row must have its bit
-// set (a set bit over an empty row is allowed: it costs an empty
-// Step). It returns nil on an engine that keeps no occupancy.
-func (e *Engine) OccupancyError() error {
-	if !e.sparse || e.ring == nil {
-		return nil
+// InFlight counts the copies admitted and not yet delivered or
+// dropped: those waiting in ring rows and, after a pull tick, those the
+// last tick's outboxes hold — one per incident edge for a broadcast and
+// one for a unicast to a neighbor, the copies toPush would move into
+// the ring. It changes no engine state.
+func (e *Engine) InFlight() int {
+	n := 0
+	for _, box := range e.ring {
+		for _, row := range box {
+			n += len(row)
+		}
 	}
-	w := e.window
-	for s, r := range e.ranges {
-		for slot := 0; slot < w; slot++ {
-			held := int64(0)
-			for v := r[0]; v < r[1]; v++ {
-				k := len(e.ring[slot][v])
-				if k == 0 {
-					continue
-				}
-				held += int64(k)
-				if b := v - r[0]; e.occ[s*w+slot][b>>6]&(1<<(b&63)) == 0 {
-					return fmt.Errorf("shard %d slot %d: vertex %d holds %d messages, its bit is clear", s, slot, v, k)
-				}
-			}
-			if c := e.occCnt[s*w+slot]; c != held {
-				return fmt.Errorf("shard %d slot %d: count %d, rows hold %d", s, slot, c, held)
+	if !e.pulled {
+		return n
+	}
+	par := (e.metrics.Rounds - 1) & 1
+	for v := range e.envs {
+		for _, m := range e.envs[v].scratch[par] {
+			if m.To == AllNeighbors {
+				n += len(e.envs[v].Neighbors)
+			} else if _, ok := slices.BinarySearch(e.sortedAdj[v], int32(m.To)); ok && uint(m.To) < uint(e.n) {
+				n++
 			}
 		}
 	}
-	return nil
+	return n
 }

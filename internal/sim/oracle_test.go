@@ -8,10 +8,10 @@ package sim_test
 // must agree under every delivery configuration, with Run split into
 // random chunks and the configuration switched between chunks (edge
 // capacity, a between-rounds hook, parallelism, a Detach/AttachAt
-// replacement), tick skipping on and off. One of the hooks churns:
-// at round boundaries it detaches random vertices and attaches fresh
-// plain, Sequential and, where the case has them, TickDriven programs
-// in their place.
+// replacement). One of the hooks churns: at round boundaries it
+// detaches random vertices and attaches fresh plain and Sequential
+// programs in their place. After every chunk and every switch the
+// copies the engine holds in flight must number the reference's.
 
 import (
 	"fmt"
@@ -40,7 +40,6 @@ type refEngine struct {
 	delay   sim.DelayModel
 	fault   sim.FaultModel
 	capBits int
-	noSkip  bool
 	// hook, if non-nil, runs at every round boundary, as the engine's
 	// between-rounds hook does, and reports whether it attached a
 	// process; kept counts the rounds that would have ended the run
@@ -59,8 +58,6 @@ func newRefEngine(g *graph.Graph, seed uint64, ids []sim.NodeID, procs []sim.Pro
 	return r
 }
 
-func isTickDriven(p sim.Proc) bool { _, ok := p.(sim.TickDriven); return ok }
-
 func (r *refEngine) stream(label string, v int) *xrand.Rand {
 	key := fmt.Sprint(label, v)
 	if r.streams[key] == nil {
@@ -77,31 +74,12 @@ func (r *refEngine) replace(v int, id sim.NodeID, p sim.Proc) {
 	r.envs[v].ID = id
 }
 
-func (r *refEngine) live(td bool) int {
-	n := 0
-	for _, p := range r.procs {
-		if p != nil && !p.Halted() && isTickDriven(p) == td {
-			n++
-		}
-	}
-	return n
-}
-
 // Run has sim.Engine.Run's contract: a round ends the run (counted,
-// but not in the return value) when no round-driven proc was live at
-// its start, no TickDriven proc is live at its end, and the hook
-// attached nothing. Without a hook, an empty round is skipped when only
-// TickDriven procs are live.
+// but not in the return value) when no proc was live at its start and
+// the hook attached nothing.
 func (r *refEngine) Run(maxRounds int) int {
 	for round := 0; round < maxRounds; round++ {
 		tick := r.m.Rounds
-		due := slices.ContainsFunc(r.flight, func(m refMsg) bool { return m.due == tick })
-		if !r.noSkip && r.hook == nil && !due && r.live(false) == 0 && r.live(true) > 0 {
-			r.m.Rounds++
-			r.m.TicksSkipped++
-			r.m.MessagesByRound = append(r.m.MessagesByRound, 0)
-			continue
-		}
 		inbox := map[int][]sim.Incoming{}
 		var rest []refMsg
 		for _, m := range r.flight {
@@ -112,15 +90,15 @@ func (r *refEngine) Run(maxRounds int) int {
 			}
 		}
 		r.flight = rest
-		liveAlways, sent := r.live(false), r.m.Messages
+		halted, sent := true, r.m.Messages
 		for v, p := range r.procs {
 			if p != nil && !p.Halted() {
+				halted = false
 				r.admit(v, tick, p.Step(&r.envs[v], round, inbox[v]))
 			}
 		}
 		r.m.Rounds++
 		r.m.MessagesByRound = append(r.m.MessagesByRound, r.m.Messages-sent)
-		halted := liveAlways == 0 && r.live(true) == 0
 		if r.hook != nil && r.hook(r.m.Rounds) {
 			r.kept += boolInt(halted)
 			halted = false
@@ -194,22 +172,17 @@ func (p progPayload) SizeBits() int { return p.bits }
 // neighbors at once) into its digest and state, then sends zero to
 // four entries — broadcasts, unicasts to a neighbor, unicasts to a
 // non-neighbor, out of range or to -2 — and halts with a small
-// probability. A flooding prog instead broadcasts once and
-// halts. A TickDriven prog keeps the marker's contract: on an empty
-// inbox it sends nothing and changes nothing.
+// probability. A flooding prog instead broadcasts once and halts.
 type prog struct {
-	rng               *xrand.Rand
-	sum, acc          uint64
-	halted, td, flood bool
-	haltPerMill       int
+	rng           *xrand.Rand
+	sum, acc      uint64
+	halted, flood bool
+	haltPerMill   int
 }
 
 func (p *prog) Halted() bool { return p.halted }
 
 func (p *prog) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	if p.td && len(in) == 0 {
-		return nil
-	}
 	p.sum = foldTranscript(p.sum, round, env, true, in)
 	for _, m := range in {
 		p.acc = p.acc*1099511628211 + uint64(m.Payload.SizeBits()) + uint64(m.FromID)
@@ -221,7 +194,7 @@ func (p *prog) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
 		p.halted = true
 		return env.AppendBroadcast(env.Scratch(), progPayload{bits: 1 + int(p.acc%200)})
 	}
-	if p.rng.Intn(7) < 1+2*boolInt(p.td) {
+	if p.rng.Intn(7) < 1 {
 		return nil
 	}
 	out := env.Scratch()
@@ -252,30 +225,15 @@ type seqProg struct{ prog }
 
 func (*seqProg) StepsSequentially() {}
 
-type tdProg struct{ prog }
-
-func (*tdProg) StepsOnMessagesOnly() {}
-
-type seqTDProg struct{ prog }
-
-func (*seqTDProg) StepsSequentially()   {}
-func (*seqTDProg) StepsOnMessagesOnly() {}
+// progKinds is the number of program kinds: 0 plain, 1 Sequential.
+const progKinds = 2
 
 // newProg builds vertex v's program of the given kind; the same
 // arguments always build the same program.
 func newProg(seed uint64, v, kind int) (sim.Proc, *prog) {
 	core := prog{rng: xrand.New(seed).SplitN("prog", v), haltPerMill: 15}
-	switch kind {
-	case 1:
+	if kind == 1 {
 		p := &seqProg{core}
-		return p, &p.prog
-	case 2:
-		core.td, core.haltPerMill = true, 40
-		p := &tdProg{core}
-		return p, &p.prog
-	case 3:
-		core.td, core.haltPerMill = true, 40
-		p := &seqTDProg{core}
 		return p, &p.prog
 	}
 	p := &core
@@ -303,11 +261,6 @@ func oracleGraph(n int, rng *xrand.Rand) *graph.Graph {
 	return g
 }
 
-// topoOf hides the *graph.Graph type behind a wrapper over the same
-// adjacency; sim.New builds every engine one way, so the wrapper must
-// change nothing.
-type topoOf struct{ *graph.Graph }
-
 // oracleRun is one case's state shared by the configuration switches
 // and the churning hook: the two engines, and the cores of every
 // program attached, whose transcripts must agree.
@@ -316,7 +269,6 @@ type oracleRun struct {
 	eng   *sim.Engine
 	ref   *refEngine
 	seed  uint64
-	kinds int  // program kinds the case attaches (see oracleCase)
 	halt  int  // per-mille halt chance of every program, if not zero
 	flood bool // every program floods (see prog)
 	cores [][2]*prog
@@ -351,25 +303,20 @@ func (o *oracleRun) fresh(v, kind int) (eng, ref sim.Proc, id sim.NodeID) {
 // case's rule and records them.
 func (o *oracleRun) attached(c [2]*prog) {
 	c[0].flood, c[1].flood = o.flood, o.flood
-	switch {
-	case o.halt > 0:
+	if o.halt > 0 {
 		c[0].haltPerMill, c[1].haltPerMill = o.halt, o.halt
-	case o.kinds == 4 && !c[0].td:
-		// Round-driven programs halt early, so runs of relays-only
-		// ticks, which the engine may skip when empty, follow.
-		c[0].haltPerMill, c[1].haltPerMill = 120, 120
 	}
 	o.cores = append(o.cores, c)
 }
 
 // churnEngine is the churning hook on the engine: at half the
 // boundaries it replaces one or two random vertices with fresh
-// programs of the case's kinds.
+// programs.
 func (o *oracleRun) churnEngine(int) error {
 	tick := o.eng.Metrics().Rounds
 	for k := o.churn.Intn(4) - 1; k > 0; k-- {
 		v := o.churn.Intn(len(o.ref.procs))
-		np, rp, id := o.fresh(v, o.churn.Intn(o.kinds))
+		np, rp, id := o.fresh(v, o.churn.Intn(progKinds))
 		if err := o.eng.Detach(v); err != nil {
 			return err
 		}
@@ -419,7 +366,7 @@ func (o *oracleRun) switchConfig(kind int) {
 		eng.SetParallelism(map[bool]int{true: 1, false: 3}[eng.Parallelism() > 1])
 	case 4: // replace a random program
 		v := o.swap.Intn(len(ref.procs))
-		np, rp, id := o.fresh(v, o.swap.Intn(o.kinds))
+		np, rp, id := o.fresh(v, o.swap.Intn(progKinds))
 		if err := eng.Detach(v); err != nil {
 			o.t.Fatal(err)
 		}
@@ -434,8 +381,8 @@ func (o *oracleRun) switchConfig(kind int) {
 
 func TestOracleMatchesEngine(t *testing.T) {
 	// The last two configurations' programs halt often or flood, so
-	// that runs end, with TickDriven programs too, and the churning hook
-	// meets rounds in which every program halted.
+	// that runs end and the churning hook meets rounds in which every
+	// program halted.
 	configs := []struct {
 		delay, fault  string
 		capBits, halt int
@@ -453,35 +400,30 @@ func TestOracleMatchesEngine(t *testing.T) {
 		g := oracleGraph(n, rng)
 		for ci, c := range configs {
 			for _, workers := range workerCounts {
-				for _, skip := range []bool{true, false} {
-					seed := 100*gseed + uint64(ci)
-					name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/halt=%d/flood=%v/workers=%d/skip=%v", gseed, n, c.delay, c.fault, c.capBits, c.halt, c.flood, workers, skip)
-					t.Run(name, func(t *testing.T) {
-						m, o := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, c.halt, c.flood, workers, skip)
-						churned += o.churned
-						kept += o.ref.kept
-						seen.Violations += m.Violations
-						seen.Capped += m.Capped
-						seen.Dropped += m.Dropped
-						seen.TicksSkipped += m.TicksSkipped
-					})
-				}
+				seed := 100*gseed + uint64(ci)
+				name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/halt=%d/flood=%v/workers=%d", gseed, n, c.delay, c.fault, c.capBits, c.halt, c.flood, workers)
+				t.Run(name, func(t *testing.T) {
+					m, o := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, c.halt, c.flood, workers)
+					churned += o.churned
+					kept += o.ref.kept
+					seen.Violations += m.Violations
+					seen.Capped += m.Capped
+					seen.Dropped += m.Dropped
+				})
 			}
 		}
 	}
-	if seen.Violations == 0 || seen.Capped == 0 || seen.Dropped == 0 || seen.TicksSkipped == 0 || churned == 0 || kept == 0 {
-		t.Errorf("the cases never reached one of violations, capping, drops, tick skips, hook churn and a run kept going by it: %+v, %d replacements, %d rounds kept", seen, churned, kept)
+	if seen.Violations == 0 || seen.Capped == 0 || seen.Dropped == 0 || churned == 0 || kept == 0 {
+		t.Errorf("the cases never reached one of violations, capping, drops, hook churn and a run kept going by it: %+v, %d replacements, %d rounds kept", seen, churned, kept)
 	}
 }
 
 // oracleCase runs one configuration for 40 rounds in random Run chunks
 // and compares the engine with the reference; it returns the engine's
-// metrics and the case's state. The seed's hundreds (the graph) pick
-// the substrate path, and its parity with the configuration index
-// whether TickDriven programs are attached. A nonzero halt is every
-// program's per-mille chance to halt at a step, and with flood every
-// program floods.
-func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, halt int, flood bool, workers int, skip bool) (sim.Metrics, *oracleRun) {
+// metrics and the case's state. A nonzero halt is every program's
+// per-mille chance to halt at a step, and with flood every program
+// floods.
+func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, halt int, flood bool, workers int) (sim.Metrics, *oracleRun) {
 	delay, err := sim.ParseDelayModel(delaySpec)
 	if err != nil {
 		t.Fatal(err)
@@ -491,13 +433,8 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 		t.Fatal(err)
 	}
 	rng := xrand.New(seed)
-	var topo sim.Topology = g
-	if seed/100%2 == 1 {
-		topo = topoOf{g}
-	}
-	eng := sim.New(topo, sim.WithSeed(seed))
+	eng := sim.New(g, sim.WithSeed(seed))
 	eng.SetParallelism(workers)
-	eng.SetTickSkip(skip)
 	eng.SetEdgeCapacity(capBits)
 	if delay != nil {
 		eng.SetDelayModel(delay)
@@ -508,15 +445,10 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 	n := g.N()
 	procs, refProcs := make([]sim.Proc, n), make([]sim.Proc, n)
 	ids := make([]sim.NodeID, n)
-	// Kinds: 0 plain, 1 Sequential, 2 TickDriven, 3 both. TickDriven
-	// programs only relay, so plain programs stay among them.
-	o := &oracleRun{t: t, eng: eng, seed: seed, kinds: 2, halt: halt, flood: flood,
+	o := &oracleRun{t: t, eng: eng, seed: seed, halt: halt, flood: flood,
 		swap: xrand.New(seed).Split("swap"), churn: xrand.New(seed).Split("churn")}
-	if (seed/100+seed%100)%2 == 1 {
-		o.kinds = 4
-	}
 	for v := range procs {
-		kind := rng.Intn(o.kinds)
+		kind := rng.Intn(progKinds)
 		var c [2]*prog
 		procs[v], c[0] = newProg(seed, v, kind)
 		refProcs[v], c[1] = newProg(seed, v, kind)
@@ -527,7 +459,7 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 		t.Fatal(err)
 	}
 	ref := newRefEngine(g, seed, ids, refProcs)
-	ref.delay, ref.fault, ref.capBits, ref.noSkip = delay, fault, capBits, !skip
+	ref.delay, ref.fault, ref.capBits = delay, fault, capBits
 	o.ref = ref
 	for left := 40; left > 0; {
 		chunk := 1 + rng.Intn(min(left, 12))
@@ -539,12 +471,13 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 		if want := ref.Run(chunk); got != want {
 			t.Fatalf("Run(%d) = %d, reference %d", chunk, got, want)
 		}
-		if err := eng.OccupancyError(); err != nil {
-			t.Fatalf("after Run(%d): %v", chunk, err)
+		if got, want := eng.InFlight(), len(ref.flight); got != want {
+			t.Fatalf("after Run(%d): %d copies in flight, reference %d", chunk, got, want)
 		}
-		o.switchConfig(rng.Intn(6))
-		if err := eng.OccupancyError(); err != nil {
-			t.Fatalf("after a configuration switch: %v", err)
+		kind := rng.Intn(6)
+		o.switchConfig(kind)
+		if got, want := eng.InFlight(), len(ref.flight); got != want {
+			t.Fatalf("after configuration switch %d: %d copies in flight, reference %d", kind, got, want)
 		}
 	}
 	if len(o.replay) > 0 {

@@ -17,13 +17,12 @@ import "slices"
 
 // canPull reports whether ticks can be delivered by pull: unit latency
 // and no fault model (every copy arrives next tick), no edge capacity
-// (its budget is per copy), no between-rounds hook (it may change the
-// adjacency between a send and its pull) and no TickDriven proc (sparse
-// stepping keeps its occupancy in the ring).
+// (its budget is per copy) and no between-rounds hook (it may change
+// the adjacency between a send and its pull).
 func (e *Engine) canPull() bool {
 	_, unit := e.delay.(UnitDelay)
 	return (e.delay == nil || unit) && e.fault == nil && e.edgeCapBits == 0 &&
-		e.betweenRounds == nil && !e.hasTickDriven()
+		e.betweenRounds == nil
 }
 
 // curBox returns the ring slot holding this tick's inboxes, or nil when

@@ -12,9 +12,8 @@
 // edge-capacity decisions, and metrics are byte-for-byte identical to
 // the serial engine (see the ordering notes on roundVT and
 // mergeShardVT). Serial or parallel, every tick is one step walk over
-// each range (stepRange), followed on a parallel engine that pushes by
-// one merge; on an engine with TickDriven procs the walk steps only
-// the round-driven procs and the vertices with messages (see vt.go).
+// each range (stepRange) that steps every live proc, followed on a
+// parallel engine that pushes by one merge.
 //
 // The network is any Topology — a static graph, an implicit family or
 // a churning network — and New is its one constructor. Every topology
@@ -31,12 +30,12 @@
 // sender slot, per-sender send sequence). Lockstep synchrony is the
 // unit-latency model — the default when no DelayModel is installed —
 // whose two-slot ring is the classic current/next double buffer; on an
-// engine without a hook, a capacity or a TickDriven proc a lockstep
-// tick skips the ring and each receiver pulls its inbox from its
-// neighbors' outboxes instead (see pull.go). Partial synchrony is a
-// configuration of the same loop, not a different engine: a DelayModel
-// (and/or FaultModel) draws latencies and losses from per-sender split
-// streams — see delay.go for the determinism argument.
+// engine without a hook or a capacity a lockstep tick skips the ring
+// and each receiver pulls its inbox from its neighbors' outboxes
+// instead (see pull.go). Partial synchrony is a configuration of the
+// same loop, not a different engine: a DelayModel (and/or FaultModel)
+// draws latencies and losses from per-sender split streams — see
+// delay.go for the determinism argument.
 package sim
 
 import (
@@ -317,9 +316,8 @@ type Metrics struct {
 	// validated), so a nonzero count flags a misconfigured hand-built
 	// model instead of silently reshaping its schedule.
 	DelayClamped int64
-	// TicksSkipped counts empty virtual ticks the serial scheduler
-	// fast-forwarded over (see TickDriven). Skipped ticks still count in
-	// Rounds and MessagesByRound, so the series' shape is unchanged.
+	// TicksSkipped is always 0: the engine executes every tick. The
+	// field is kept because perfbench's output digest reads it.
 	TicksSkipped  int64
 	PerNodeMaxBit []int // per-vertex largest payload sent
 	// MessagesByRound[r] is the number of messages sent in round r — the
@@ -385,16 +383,9 @@ type workerState struct {
 	delayClamped int64
 	maxMsgBits   int
 
-	// live reports that this worker stepped a live proc without the
-	// TickDriven marker at the tick, and tdHalts counts the TickDriven
-	// procs that halted in their own Step; roundVT folds both into the
-	// tick's halt verdict.
-	live    bool
-	tdHalts int
-
-	// always and occ are the always and occupancy words of the worker's
-	// range for the tick a sparse walk is on (see nextSparse).
-	always, occ []uint64
+	// live reports that this worker stepped a live proc at the tick;
+	// roundVT folds it into the tick's halt verdict.
+	live bool
 }
 
 // Engine drives a set of processes over a Topology in lock-step rounds.
@@ -471,8 +462,8 @@ type Engine struct {
 	// AllNeighbors entry, else From is outEmpty or outMixed.
 	bcast [2][]Incoming
 	// senders counts the vertices whose output of the last tick is
-	// non-empty, and mail[v] marks, on a tick after a sparse one, a
-	// receiver with a sending neighbor (see pullScope).
+	// non-empty, and mail[v] marks, on a tick after one with few
+	// senders, a receiver with a sending neighbor (see pullScope).
 	senders int
 	mail    []bool
 
@@ -522,42 +513,6 @@ type Engine struct {
 	// resolved once per round before the step phase and read by every
 	// worker.
 	vtr vtRound
-
-	// --- sparse stepping ---
-	// sparse is set by ensureState when at least one TickDriven proc is
-	// attached: the engine then keeps the bitsets below, and a tick
-	// steps only the vertices set in always or in the tick's occupancy
-	// (see stepRange). Engines without marked procs write no bits.
-	sparse bool
-	// skip enables fast-forwarding over empty ticks when every live
-	// proc is TickDriven (default on; see SetTickSkip / TickDriven).
-	skip bool
-	// The bitsets are per shard and count from the shard's first
-	// vertex: bit b of shard s is vertex ranges[s][0]+b, so each merge
-	// worker owns whole words. occ[s*window+slot] marks the vertices of
-	// shard s whose row in that ring slot may hold messages: a bit is
-	// set on delivery and cleared when the slot's tick is walked, and
-	// goes stale when Detach or AttachAt empties the row, which costs
-	// the vertex an empty Step. occCnt[s*window+slot] is the exact
-	// number of those messages, so the all-empty-tick test is an
-	// O(shards) reduction (see occSlotEmpty). always[s] marks the
-	// shard's attached procs without the TickDriven marker, which are
-	// stepped on every tick.
-	occ    [][]uint64
-	occCnt []int64
-	always [][]uint64
-	// isTD marks the vertices whose procs carry the TickDriven marker,
-	// and tdLive counts those not halted: set by Attach, and kept by
-	// AttachAt, Detach and the halts the step walks see. Every tick's
-	// halt verdict reads it.
-	isTD   []bool
-	tdLive int
-	// alwaysLive reports that a proc without the marker may be live:
-	// set by attaching one and by a tick that stepped one, and cleared
-	// by a tick that stepped none or a skip test that found none (see
-	// vtCanSkip). Procs halt for good, so a clear flag stays true to
-	// the procs until the next attach.
-	alwaysLive bool
 
 	// --- parallel mode ---
 	workers int            // requested Step-shard workers; <=1 means serial
@@ -633,7 +588,6 @@ func newEngine(topo Topology, seed uint64) *Engine {
 		topo:      topo,
 		n:         n,
 		root:      xrand.New(seed),
-		skip:      true,
 		pulled:    true,
 		envs:      make([]Env, n),
 		ids:       make([]NodeID, n),
@@ -725,18 +679,10 @@ func (e *Engine) Attach(procs []Proc) error {
 	e.ws = nil // worker scratch depends on which procs are Sequential
 	e.seq = e.seq[:0]
 	e.isSeq = make([]bool, len(procs))
-	e.isTD = make([]bool, len(procs))
-	e.tdLive, e.alwaysLive = 0, true
 	for v, p := range procs {
 		if _, ok := p.(Sequential); ok {
 			e.seq = append(e.seq, v)
 			e.isSeq[v] = true
-		}
-		if _, ok := p.(TickDriven); ok {
-			e.isTD[v] = true
-			if !p.Halted() {
-				e.tdLive++
-			}
 		}
 	}
 	return nil
@@ -765,14 +711,7 @@ func (e *Engine) Detach(v int) error {
 	}
 	e.toPush()
 	delete(e.index(), e.ids[v])
-	if e.isTD[v] {
-		if !e.procs[v].Halted() {
-			e.tdLive--
-		}
-		e.isTD[v] = false
-	}
 	e.procs[v] = nil
-	e.setAlways(v)
 	e.dropPending(v)
 	if e.isSeq[v] {
 		e.isSeq[v] = false
@@ -823,15 +762,6 @@ func (e *Engine) AttachAt(v int, id NodeID, p Proc) error {
 	e.dropPending(v)
 	e.procs[v] = p
 	e.hookAttached = true
-	if _, ok := p.(TickDriven); ok {
-		e.isTD[v] = true
-		if !p.Halted() {
-			e.tdLive++
-		}
-	} else {
-		e.alwaysLive = true
-	}
-	e.setAlways(v)
 	if _, ok := p.(Sequential); ok {
 		e.isSeq[v] = true
 		if i, found := slices.BinarySearch(e.seq, v); !found {
@@ -866,7 +796,6 @@ func (e *Engine) growTo(m int) {
 		e.metrics.PerNodeMaxBit = append(e.metrics.PerNodeMaxBit, 0)
 		e.epochOf = append(e.epochOf, staleEpoch)
 		e.isSeq = append(e.isSeq, false)
-		e.isTD = append(e.isTD, false)
 	}
 	for s := range e.ring {
 		for len(e.ring[s]) < m {
@@ -1098,18 +1027,27 @@ func (e *Engine) Metrics() Metrics { return e.metrics }
 // by Run, the send buffers, and, for an engine that pushes, the
 // delivery ring and the outbox buckets. Serial mode uses ws[0] only.
 // It builds nothing and returns a *RingBudgetError when the delay
-// model's ring would exceed MaxRingBytes.
+// model's ring, or the buckets of a parallel engine that pushes, would
+// exceed MaxRingBytes.
 func (e *Engine) ensureState() error {
 	if e.ws != nil {
 		return nil
-	}
-	if e.delay != nil && !ringFits(e.delay.MaxDelay(), e.n) {
-		return &RingBudgetError{Model: e.delay.Name(), MaxDelay: e.delay.MaxDelay(), Slots: e.n}
 	}
 	n := e.n
 	w := e.Parallelism()
 	if w > n && n > 0 {
 		w = n
+	}
+	model, maxDelay := UnitDelay{}.Name(), UnitDelay{}.MaxDelay()
+	if e.delay != nil {
+		model, maxDelay = e.delay.Name(), e.delay.MaxDelay()
+		if !ringFits(maxDelay, n) {
+			return &RingBudgetError{Model: model, MaxDelay: maxDelay, Slots: n}
+		}
+	}
+	pull := e.canPull()
+	if w > 1 && !pull && !bucketsFit(w, max(maxDelay, 1)) {
+		return &RingBudgetError{Model: model, MaxDelay: maxDelay, Slots: n, workers: w}
 	}
 	e.ranges = e.ranges[:0]
 	for i := 0; i < w; i++ {
@@ -1121,9 +1059,8 @@ func (e *Engine) ensureState() error {
 		e.ws[i] = &workerState{}
 	}
 	e.carveScratch()
-	e.pullMode = e.canPull()
-	if e.pullMode {
-		e.sparse = false
+	e.pullMode = pull
+	if pull {
 		return nil
 	}
 	e.ensureVT()
@@ -1137,17 +1074,6 @@ func (e *Engine) ensureState() error {
 		for _, ws := range e.ws {
 			ws.vtb = make([][]routed, w*(e.window-1))
 		}
-	}
-	// Sparse stepping needs at least one marked proc to pay for itself;
-	// rebuilding the bitsets from the ring here means messages in flight
-	// across a reconfiguration (parallelism or capacity change) are
-	// re-discovered, never stranded. The bitsets stay race-free by
-	// ownership: a serial engine writes occupancy as it admits, and a
-	// parallel one in the merge phase, where each worker owns exactly
-	// its destination shard's words.
-	e.sparse = e.hasTickDriven()
-	if e.sparse {
-		e.ensureOccupancy()
 	}
 	e.applyOutboxReserve()
 	return nil
@@ -1308,14 +1234,10 @@ func (e *Engine) poolWorker(i int) {
 // buckets are merged EVERY round rather than held until their delivery
 // tick, each ring row accumulates its messages round-major,
 // sender-major: exactly the order the serial walk appends them, so
-// parallel delivery is byte-identical to serial. On a sparse engine it
-// also sets each destination's occupancy bit and counts the messages,
-// as deliverVT does on a serial one; shard s's words and counts are
-// this worker's alone.
+// parallel delivery is byte-identical to serial.
 func (e *Engine) mergeShardVT(s int) {
 	window := e.window
 	span := window - 1
-	lo := e.ranges[s][0]
 	for d := 1; d < window; d++ {
 		slot := (e.tick + d) % window
 		box := e.ring[slot]
@@ -1330,14 +1252,6 @@ func (e *Engine) mergeShardVT(s int) {
 					Payload: m.payload,
 				})
 			}
-			if e.sparse {
-				occ := e.occ[s*window+slot]
-				for _, m := range bucket {
-					b := int(m.to) - lo
-					occ[b>>6] |= 1 << (b & 63)
-				}
-				e.occCnt[s*window+slot] += int64(len(bucket))
-			}
 			e.ws[i].vtb[idx] = bucket[:0]
 		}
 	}
@@ -1351,13 +1265,11 @@ func (e *Engine) mergeShardVT(s int) {
 //     ascending vertex order (the serial mutation order among them) and
 //     parks each output in seqOut (see stepSequential).
 //  2. Step phase — each worker walks its contiguous vertex range in
-//     ascending order (stepRange): every vertex, or on an engine with
-//     TickDriven procs those that are round-driven or hold messages. A
-//     pulling walk builds each inbox from the last tick's outboxes and
-//     counts what is sent; a pushing walk admits it (deliverVT) into
-//     per-(worker, destination-shard, delay) buckets. Admission and
-//     counting are sender-local, so every decision is identical to the
-//     serial engine's.
+//     ascending order (stepRange). A pulling walk builds each inbox
+//     from the last tick's outboxes and counts what is sent; a pushing
+//     walk admits it (deliverVT) into per-(worker, destination-shard,
+//     delay) buckets. Admission and counting are sender-local, so
+//     every decision is identical to the serial engine's.
 //  3. Merge phase (push only) — each worker owns a destination shard
 //     and drains every worker's buckets into the ring in worker order
 //     (see mergeShardVT for the ordering argument). A pull needs none:
@@ -1367,8 +1279,7 @@ func (e *Engine) mergeShardVT(s int) {
 // Metrics are worker-local sums/maxes flushed after the round. The net
 // effect is byte-for-byte equivalence across worker counts, at zero
 // heap allocations per steady-state round (see the pool fields). It
-// reports the tick's halt verdict: no round-driven proc was live at
-// the tick, and no TickDriven proc is live after it.
+// reports the tick's halt verdict: no live proc was stepped.
 func (e *Engine) roundVT(r int) bool {
 	e.round = r
 	e.tick = e.metrics.Rounds
@@ -1388,21 +1299,15 @@ func (e *Engine) roundVT(r int) bool {
 	e.pulled = e.pullMode
 	for _, ws := range e.ws {
 		live = live || ws.live
-		e.tdLive -= ws.tdHalts
 	}
-	e.alwaysLive = live
-	return !live && e.tdLive == 0
+	return !live
 }
 
 // stepSequential is the Sequential pass of a parallel round: it steps
 // the Sequential procs on the calling goroutine, in ascending vertex
 // order, and parks each output in seqOut[v] for the range worker owning
-// v to admit in vertex order. On a sparse engine a TickDriven
-// Sequential proc is stepped only when its row holds messages — a
-// stale occupancy bit would earn it an empty Step in the serial walk,
-// which the TickDriven contract makes a no-op. It reports whether it
-// stepped a live proc without the marker, which the halt verdict
-// reads, and applies TickDriven halts to tdLive directly.
+// v to admit in vertex order. It reports whether it stepped a live
+// proc, which the halt verdict reads.
 func (e *Engine) stepSequential(r int) bool {
 	if len(e.seqOut) < e.n {
 		e.seqOut = make([][]Outgoing, e.n)
@@ -1416,28 +1321,21 @@ func (e *Engine) stepSequential(r int) bool {
 			e.idle(v, box)
 			continue
 		}
-		td := e.isTD[v]
-		if td && e.sparse && len(box[v]) == 0 {
-			continue
-		}
-		live = live || !td
+		live = true
 		// The pool is parked, so the coordinator may pull into ws[0].
 		e.seqOut[v] = e.step(e.ws[0], v, r, box, true)
-		if td && p.Halted() {
-			e.tdLive--
-		}
 	}
 	return live
 }
 
 // Run executes up to maxRounds rounds and returns the number of rounds
 // executed. The run ends early when the stop condition fires, or when
-// every process has halted: after a round in which no process without
-// the TickDriven marker was live and after which no marked one is, and
-// whose between-rounds hook attached none (that round is not counted
-// in the return value). Attach must have been called. A delay model
-// whose delivery ring would exceed MaxRingBytes gets a
-// *RingBudgetError before any of the ring is allocated.
+// every process has halted: after a round that stepped no live process
+// and whose between-rounds hook attached none (that round is not
+// counted in the return value). Attach must have been called. A delay
+// model whose delivery ring, or a worker count whose outbox buckets,
+// would exceed MaxRingBytes gets a *RingBudgetError before any of it is
+// allocated.
 func (e *Engine) Run(maxRounds int) (int, error) {
 	if e.procs == nil {
 		return 0, errors.New("sim: Run called before Attach")
@@ -1500,25 +1398,6 @@ func (e *Engine) Run(maxRounds int) (int, error) {
 			}
 		}
 		e.curEpoch = e.topo.Epoch()
-		// Fast-forward: an empty slot (an O(shards) occCnt reduction)
-		// plus an all-TickDriven live population means executing this
-		// tick would step nothing and deliver nothing — jump the virtual
-		// clock instead, serial and parallel alike (a skipped parallel
-		// tick bypasses the pool entirely; no phase is dispatched). A
-		// between-rounds hook pins the dense cadence (it observes every
-		// boundary), and the skipped tick's bookkeeping matches an
-		// executed empty tick exactly, so transcripts and metrics (minus
-		// TicksSkipped) are identical with skipping on or off.
-		if e.sparse && e.skip && e.betweenRounds == nil &&
-			e.occSlotEmpty(e.metrics.Rounds%e.window) && e.vtCanSkip() {
-			e.metrics.Rounds++
-			e.metrics.TicksSkipped++
-			e.metrics.MessagesByRound = append(e.metrics.MessagesByRound, 0)
-			if e.stop != nil && e.stop(r) {
-				return r + 1, nil
-			}
-			continue
-		}
 		allHalted := e.roundVT(r)
 		// The ring advances by tick index: the next tick's slot already
 		// holds its pending messages.

@@ -1,8 +1,7 @@
 package sim
 
-// The round loop's hot path: devirtualized delay/fault dispatch, the
-// walk of a tick, occupancy-tracked stepping, and the marker contract
-// behind tick fast-forwarding.
+// The round loop's hot path: devirtualized delay/fault dispatch and the
+// walk of a tick.
 //
 // The installed DelayModel/FaultModel are type-switched ONCE per tick
 // into a small plain-data dispatch record (vtRound) instead of being
@@ -14,47 +13,20 @@ package sim
 // loop. Every inlined arm consumes exactly the draws the model's own
 // Delay/Drop would, so transcripts are bit-identical to the interface
 // path. Lockstep ticks of the paper's model on an engine without a
-// hook, a capacity or a TickDriven proc skip admission altogether: they
-// pull (see pull.go).
+// hook or a capacity skip admission altogether: they pull (see
+// pull.go).
 //
-// Sparse stepping generalizes this from messages to ticks: on an
-// engine with TickDriven procs each (shard, ring slot) pair keeps a
-// bitset of the rows that may hold messages and their exact count, and
-// each shard a bitset of its round-driven procs. The one walk
-// (stepRange) steps every vertex of its range on an ordinary engine;
-// on a sparse one it jumps, a 64-vertex word at a time, to the next
-// vertex set in either bitset. Ascending bit order is vertex order, so
-// nothing is sorted, and a tick scans O(n/64) words and steps only the
-// delivered rows and round-driven procs. An all-empty tick is detected
-// in O(shards), at which point the scheduler may fast-forward the
-// virtual clock (see TickDriven). The bitsets are race-free by
-// ownership: step worker i reads and clears only shard i's
-// current-slot words, merge worker s sets only shard s's words, the
-// two phases are barrier-separated, and no message can target the slot
-// being delivered (delays are >= 1).
+// Every tick steps every live proc: the one walk (stepRange) visits
+// each vertex of its range in ascending order, on every engine.
 
-import (
-	"math/bits"
+import "byzcount/internal/xrand"
 
-	"byzcount/internal/xrand"
-)
-
-// TickDriven is an opt-in marker for processes that are strictly
-// message-driven: a Step with an empty inbox must send nothing and
-// change no observable state (Halted must not flip, and the proc must
-// not touch its Env stream). Additionally, a TickDriven proc's Halted()
-// may transition only during its own Step — never as a side effect of
-// another process's Step.
-//
-// When every live process attached to a virtual-time engine is
-// TickDriven, executing an empty tick is provably a no-op, so the
-// scheduler — serial or sharded-parallel — jumps the virtual clock over
-// it (counted in Metrics.TicksSkipped; Rounds and MessagesByRound
-// advance as if the tick had run). The emptiness test is one occCnt
-// load per shard. Round-driven processes — timers, beacon schedules,
-// flood sources that broadcast unprompted — must NOT carry the marker:
-// they are stepped on every tick, empty or not, and their presence
-// disables fast-forwarding (but not sparse stepping) automatically.
+// TickDriven marks a process as strictly message-driven: a Step with
+// an empty inbox sends nothing and changes no observable state. The
+// engine ignores the marker — it steps every live proc on every tick,
+// which the contract makes sound for a marked proc too, since its
+// empty-inbox Steps are no-ops — and it is kept only because
+// perfbench's traced mode type-asserts it.
 type TickDriven interface {
 	StepsOnMessagesOnly()
 }
@@ -221,17 +193,13 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 	fromID := e.ids[v]
 	perNodeMax := e.metrics.PerNodeMaxBit
 	maxSent := perNodeMax[v]
-	// A serial sparse engine marks each delivery in its one shard's
-	// occupancy (a parallel one does in the merge).
-	sparse := e.sparse
 	bucketed := len(e.ranges) > 1
 	// A lockstep tick that pushes (churn, or past a GST) on a serial
-	// engine without a capacity or TickDriven procs puts each entry's
-	// copies straight into the one destination slot: through the
-	// per-copy pipeline below the churn experiments took about a fifth
-	// more CPU.
+	// engine without a capacity puts each entry's copies straight into
+	// the one destination slot: through the per-copy pipeline below the
+	// churn experiments took about a fifth more CPU.
 	var lockstep [][]Incoming
-	if vtr.dk == dkFixed && vtr.fk == fkNone && capBits == 0 && !bucketed && !sparse {
+	if vtr.dk == dkFixed && vtr.fk == fkNone && capBits == 0 && !bucketed {
 		lockstep = e.ring[(tick+vtr.d0)%window]
 	}
 	var dRng, fRng *xrand.Rand
@@ -347,10 +315,6 @@ func (e *Engine) deliverVT(ws *workerState, v int, out []Outgoing) {
 				si -= window
 			}
 			dst := e.ring[si]
-			if sparse {
-				e.occ[si][to>>6] |= 1 << (to & 63)
-				e.occCnt[si]++
-			}
 			// Keep the in-place form x[i] = append(x[i], ...): it stores
 			// only the row's new length unless the row grows. Appending
 			// to a local copy and storing it back writes the whole slice
@@ -437,167 +401,23 @@ func (e *Engine) idle(v int, box [][]Incoming) {
 	}
 }
 
-// vtCanSkip reports whether fast-forwarding over an empty tick is a
-// provable no-op: at least one live TickDriven proc remains (otherwise
-// the round would end the run via the all-halted return, which a skip
-// must not preempt), and no live round-driven proc does (each would be
-// owed a Step). The always bitsets are scanned, up to the first live
-// proc, only while alwaysLive says one may remain.
-func (e *Engine) vtCanSkip() bool {
-	if e.tdLive == 0 {
-		return false
-	}
-	if e.alwaysLive {
-		e.alwaysLive = e.anyLiveAlways()
-	}
-	return !e.alwaysLive
-}
-
-// anyLiveAlways reports whether a proc set in the always bitsets has
-// not halted.
-func (e *Engine) anyLiveAlways() bool {
-	for s, words := range e.always {
-		for k, word := range words {
-			for ; word != 0; word &= word - 1 {
-				if !e.procs[e.ranges[s][0]+k<<6+bits.TrailingZeros64(word)].Halted() {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// shardBit returns the shard owning vertex v and v's bit in that
-// shard's bitsets. ok is false for a vertex past the ranges: growth in
-// a between-rounds hook leaves those until the rebuild, which recounts
-// the bitsets from the procs and the ring.
-func (e *Engine) shardBit(v int) (s, b int, ok bool) {
-	if len(e.ranges) == 0 || v >= e.ranges[len(e.ranges)-1][1] {
-		return 0, 0, false
-	}
-	if len(e.ranges) > 1 {
-		s = int(e.shardOf[v])
-	}
-	return s, v - e.ranges[s][0], true
-}
-
-// setAlways brings v's always bit up to date after a membership change
-// on a sparse engine: set while v holds a proc without the TickDriven
-// marker.
-func (e *Engine) setAlways(v int) {
-	if !e.sparse {
-		return
-	}
-	s, b, ok := e.shardBit(v)
-	if !ok {
-		return
-	}
-	if word, bit := &e.always[s][b>>6], uint64(1)<<(b&63); e.procs[v] != nil && !e.isTD[v] {
-		*word |= bit
-	} else {
-		*word &^= bit
-	}
-}
-
-// dropPending empties v's ring rows — a leaver never sees the messages
-// pending for it, nor a joiner those sent before it joined — keeping
-// the pending counts exact. The occupancy bits stay set: a stale bit
-// costs v an empty Step, which the TickDriven contract makes a no-op.
+// dropPending empties v's ring rows: a leaver never sees the messages
+// pending for it, nor a joiner those sent before it joined.
 func (e *Engine) dropPending(v int) {
 	for slot := range e.ring {
-		row := e.ring[slot][v]
-		if len(row) == 0 {
-			continue
-		}
-		if e.sparse {
-			if s, _, ok := e.shardBit(v); ok {
-				e.occCnt[s*e.window+slot] -= int64(len(row))
-			}
-		}
-		e.ring[slot][v] = row[:0]
+		e.ring[slot][v] = e.ring[slot][v][:0]
 	}
 }
-
-// occSlotEmpty reports whether ring slot `slot` holds no pending
-// messages in any shard — the all-empty-tick test behind fast-forward,
-// an O(shards) reduction over the shard-major counts.
-func (e *Engine) occSlotEmpty(slot int) bool {
-	for idx := slot; idx < len(e.occCnt); idx += e.window {
-		if e.occCnt[idx] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ensureOccupancy (re)builds the per-shard bitsets and the pending
-// counts from the procs and the ring's ground truth. ensureState calls
-// it whenever it enables sparse stepping, so messages left in flight
-// across a parallelism or capacity change are re-discovered rather than
-// stranded, under whichever shard now owns their destination. Each
-// shard's words sit together: its always bitset, then one occupancy
-// bitset per ring slot.
-func (e *Engine) ensureOccupancy() {
-	w := e.window
-	words := 0
-	for _, r := range e.ranges {
-		words += (r[1] - r[0] + 63) >> 6
-	}
-	slab := make([]uint64, words*(w+1))
-	e.always = make([][]uint64, len(e.ranges))
-	e.occ = make([][]uint64, len(e.ranges)*w)
-	e.occCnt = make([]int64, len(e.ranges)*w)
-	for s, r := range e.ranges {
-		k := (r[1] - r[0] + 63) >> 6
-		e.always[s], slab = slab[:k:k], slab[k:]
-		for slot := 0; slot < w; slot++ {
-			e.occ[s*w+slot], slab = slab[:k:k], slab[k:]
-		}
-	}
-	for v := range e.procs {
-		e.setAlways(v)
-	}
-	for slot, box := range e.ring {
-		for v, row := range box {
-			if len(row) > 0 {
-				s, b, _ := e.shardBit(v)
-				e.occ[s*w+slot][b>>6] |= 1 << (b & 63)
-				e.occCnt[s*w+slot] += int64(len(row))
-			}
-		}
-	}
-}
-
-// hasTickDriven reports whether any attached proc carries the marker.
-func (e *Engine) hasTickDriven() bool {
-	for v := range e.isTD {
-		if e.isTD[v] && e.procs[v] != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// SetTickSkip enables or disables virtual-tick fast-forwarding (default
-// on). Skipping never changes transcripts or metrics other than
-// Metrics.TicksSkipped — it elides ticks that are provable no-ops — so
-// the toggle exists for A/B measurement and paranoia, not semantics.
-func (e *Engine) SetTickSkip(on bool) { e.skip = on }
 
 // stepRange is the walk of one tick over range i (the whole slot space
-// on a serial engine), in ascending vertex order: every vertex of an
-// ordinary engine, and on a sparse one those set in always or in the
-// tick's occupancy (see nextSparse), whose words it clears after the
-// last vertex (nextSparse reads them until then). It steps each live
-// vertex visited — taking the coordinator's output for Sequential
-// vertices of a parallel engine — and pulls its inbox (see
-// pullScope) and counts what it sends, or, on an engine that pushes,
-// takes the inbox from the ring and admits the output (see deliverVT).
-// For the halt verdict it notes whether it stepped a live proc without
-// the TickDriven marker, and counts the marked ones that halt in their
-// Step. Every vertex is owned by exactly one goroutine per tick, so its
-// inbox row, env, proc and PerNodeMaxBit entry are touched race-free.
+// on a serial engine), in ascending vertex order. It steps each live
+// vertex — taking the coordinator's output for Sequential vertices of
+// a parallel engine — and pulls its inbox (see pullScope) and counts
+// what it sends, or, on an engine that pushes, takes the inbox from the
+// ring and admits the output (see deliverVT). For the halt verdict it
+// notes whether it stepped a live proc. Every vertex is owned by
+// exactly one goroutine per tick, so its inbox row, env, proc and
+// PerNodeMaxBit entry are touched race-free.
 func (e *Engine) stepRange(i int) {
 	ws := e.ws[i]
 	box := e.curBox()
@@ -607,34 +427,14 @@ func (e *Engine) stepRange(i int) {
 	}
 	seq := len(e.seq) > 0 && len(e.ranges) > 1
 	lo, hi := e.ranges[i][0], e.ranges[i][1]
-	if e.sparse {
-		idx := i*e.window + e.tick%e.window
-		ws.always, ws.occ = e.always[i], e.occ[idx]
-		e.occCnt[idx] = 0
-	}
-	ws.live, ws.tdHalts = false, 0
-	// The walk counts v up and a sparse engine jumps it forward: taking
-	// every vertex from the bits of an all-ones word instead, with the
-	// word carried through each Step call, made the dense
-	// engine/vt-skip/token/full lane 1.16x slower (median of 12
-	// interleaved -cpu 1 runs, 2-core VM, go1.24).
+	ws.live = false
 	for v := lo; v < hi; v++ {
-		if e.sparse {
-			if v = ws.nextSparse(lo, hi, v); v == hi {
-				break
-			}
-		}
 		var out []Outgoing
 		switch p := e.procs[v]; {
 		case seq && e.isSeq[v]:
 			out = e.seqOut[v]
 		case p == nil || p.Halted():
 			e.idle(v, box)
-		case e.tdLive > 0 && e.isTD[v]:
-			out = e.step(ws, v, e.round, box, scope == pullAll || scope == pullMarked && e.mail[v])
-			if p.Halted() {
-				ws.tdHalts++
-			}
 		default:
 			ws.live = true
 			out = e.step(ws, v, e.round, box, scope == pullAll || scope == pullMarked && e.mail[v])
@@ -650,20 +450,4 @@ func (e *Engine) stepRange(i int) {
 			e.deliverVT(ws, v, out)
 		}
 	}
-	if e.sparse {
-		clear(ws.occ)
-	}
-}
-
-// nextSparse returns the first vertex at or after v, of the range
-// [lo, hi) the worker walks, whose bit is set in its always or
-// occupancy words, or hi if none is: ascending bit order is vertex
-// order, so the walk needs no sort.
-func (ws *workerState) nextSparse(lo, hi, v int) int {
-	for b := v - lo; b < hi-lo; b = b | 63 + 1 {
-		if word := (ws.always[b>>6] | ws.occ[b>>6]) >> (b & 63); word != 0 {
-			return lo + b + bits.TrailingZeros64(word)
-		}
-	}
-	return hi
 }

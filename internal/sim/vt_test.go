@@ -24,6 +24,8 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"byzcount/internal/byzantine"
@@ -399,73 +401,28 @@ func (p *seqStamper) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outg
 func (p *seqStamper) Halted() bool     { return false }
 func (*seqStamper) StepsSequentially() {}
 
-// floodOnce is a TickDriven flood: on its first non-empty inbox it
-// folds the messages, broadcasts a payload carrying the next ticket of
-// its box, and halts.
-type floodOnce struct {
-	box  *ticketBox
-	sum  uint64
-	done bool
-}
-
-func (p *floodOnce) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
-	if len(in) == 0 || p.done {
-		return nil
-	}
-	p.sum = foldTranscript(p.sum, round, env, false, in)
-	p.done = true
-	p.box.next++
-	return env.Broadcast(hopPayload{hops: p.box.next})
-}
-
-func (p *floodOnce) Halted() bool       { return p.done }
-func (*floodOnce) StepsOnMessagesOnly() {}
-
-// seqFloodOnce is a floodOnce sharing its ticket box with the other
-// Sequential floods.
-type seqFloodOnce struct{ floodOnce }
-
-func (*seqFloodOnce) StepsSequentially() {}
-
 // runSequentialWorkload runs every ninth vertex of H(64,4) as a
-// Sequential proc sharing one ticket box, under uniform:1-4 jitter. The
-// dense variant pairs round-driven stampers with plain relays and adds
-// 10% drops. The sparse variant is a flood from one token injector in
-// which every other proc is a TickDriven floodOnce (with a private
-// box), so sparse delivery and tick skipping engage, Sequential procs
-// halt on the coordinator, and the run ends when every proc has halted.
-// It returns the combined per-vertex digest, the final shared ticket,
-// the rounds Run reported and the metrics.
-func runSequentialWorkload(t *testing.T, workers int, sparse bool) (string, int, int, sim.Metrics) {
+// round-driven Sequential stamper sharing one ticket box, with relays
+// everywhere else, under uniform:1-4 jitter and 10% drops. It returns
+// the combined per-vertex digest, the final shared ticket, the rounds
+// Run reported and the metrics.
+func runSequentialWorkload(t *testing.T, workers int) (string, int, int, sim.Metrics) {
 	t.Helper()
 	const n = 64
 	g := mustHND(t, n, 4, 5)
-	var fault sim.FaultModel
-	if !sparse {
-		fault = sim.DropFault{P: 0.1}
-	}
 	eng := sim.New(g, sim.WithSeed(5))
 	eng.SetParallelism(workers)
 	eng.SetDelayModel(sim.UniformDelay{Min: 1, Max: 4})
-	eng.SetFaultModel(fault)
+	eng.SetFaultModel(sim.DropFault{P: 0.1})
 	box := &ticketBox{}
 	procs := make([]sim.Proc, n)
 	sums := make([]*uint64, n)
 	for v := range procs {
-		switch {
-		case v%9 == 0 && sparse:
-			p := &seqFloodOnce{floodOnce{box: box}}
-			procs[v], sums[v] = p, &p.sum
-		case v%9 == 0:
+		if v%9 == 0 {
 			p := &seqStamper{box: box}
 			procs[v], sums[v] = p, &p.sum
-		case v == 1 && sparse:
-			procs[v], sums[v] = &tokenInjector{}, new(uint64)
-		case sparse:
-			p := &floodOnce{box: &ticketBox{}}
-			procs[v], sums[v] = p, &p.sum
-		default:
-			p := &plainRelay{}
+		} else {
+			p := &foldRelay{}
 			procs[v], sums[v] = p, &p.sum
 		}
 	}
@@ -492,29 +449,23 @@ func runSequentialWorkload(t *testing.T, workers int, sparse bool) (string, int,
 // on the coordinator in vertex order and their output is admitted in
 // vertex order by the owning range worker, so transcripts, the shared
 // state's final value, the round count and metrics equal the serial
-// run's at every worker count — densely with drops, and on the sparse
-// lane where the Sequential procs are also TickDriven.
+// run's at every worker count.
 func TestVTSequentialParallelMatchesSerial(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		wantDig, wantTicket, wantRounds, wantM := runSequentialWorkload(t, 1, sparse)
-		if wantM.Messages == 0 || wantTicket == 0 {
-			t.Fatalf("sparse=%v: degenerate workload: ticket %d, metrics %+v", sparse, wantTicket, wantM)
+	wantDig, wantTicket, wantRounds, wantM := runSequentialWorkload(t, 1)
+	if wantM.Messages == 0 || wantTicket == 0 {
+		t.Fatalf("degenerate workload: ticket %d, metrics %+v", wantTicket, wantM)
+	}
+	if wantM.Dropped == 0 {
+		t.Fatalf("workload dropped nothing: %+v", wantM)
+	}
+	for _, w := range []int{3, 4, 8} {
+		dig, ticket, rounds, m := runSequentialWorkload(t, w)
+		if dig != wantDig || ticket != wantTicket || rounds != wantRounds {
+			t.Errorf("workers=%d: digest %s ticket %d rounds %d, serial %s ticket %d rounds %d",
+				w, dig, ticket, rounds, wantDig, wantTicket, wantRounds)
 		}
-		if sparse && (wantM.TicksSkipped == 0 || wantRounds >= 60) {
-			t.Fatalf("sparse flood must skip ticks and halt every proc before round 60: rounds %d, metrics %+v", wantRounds, wantM)
-		}
-		if !sparse && wantM.Dropped == 0 {
-			t.Fatalf("dense workload dropped nothing: %+v", wantM)
-		}
-		for _, w := range []int{3, 4, 8} {
-			dig, ticket, rounds, m := runSequentialWorkload(t, w, sparse)
-			if dig != wantDig || ticket != wantTicket || rounds != wantRounds {
-				t.Errorf("sparse=%v workers=%d: digest %s ticket %d rounds %d, serial %s ticket %d rounds %d",
-					sparse, w, dig, ticket, rounds, wantDig, wantTicket, wantRounds)
-			}
-			if !reflect.DeepEqual(m, wantM) {
-				t.Errorf("sparse=%v workers=%d: metrics diverge:\nserial:   %+v\nparallel: %+v", sparse, w, wantM, m)
-			}
+		if !reflect.DeepEqual(m, wantM) {
+			t.Errorf("workers=%d: metrics diverge:\nserial:   %+v\nparallel: %+v", w, wantM, m)
 		}
 	}
 }
@@ -636,6 +587,60 @@ func TestVTRingBudget(t *testing.T) {
 	var rb *sim.RingBudgetError
 	if _, err := engine(over, atLimit).Run(2); !errors.As(err, &rb) {
 		t.Errorf("%s on %d slots: Run error %v, want a *RingBudgetError", atLimit.Name(), over, err)
+	}
+}
+
+// stepCounter counts the Steps of every proc sharing it.
+type stepCounter struct{ steps *atomic.Int64 }
+
+func (p stepCounter) Step(env *sim.Env, round int, in []sim.Incoming) []sim.Outgoing {
+	p.steps.Add(1)
+	return nil
+}
+
+func (stepCounter) Halted() bool { return false }
+
+// TestVTBucketBudget: each of a parallel pushing engine's w step
+// workers keeps w·MaxDelay outbox bucket headers, and Run refuses a
+// worker count whose table would exceed sim.MaxRingBytes with a
+// *RingBudgetError naming the workers, before it allocates any of it or
+// steps a proc. Under uniform:1-1024 on 4,096 slots the ring (1025 x
+// 4096 headers, 100 MB) fits, but 210 workers need 210 x 210 x 1024
+// bucket headers, 1.08 GB.
+func TestVTBucketBudget(t *testing.T) {
+	const n, workers = 4096, 210
+	lat, err := graph.NewRingLattice(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delay, err := sim.ParseDelayModel("uniform:1-1024")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New(lat)
+	eng.SetDelayModel(delay)
+	eng.SetParallelism(workers)
+	var steps atomic.Int64
+	procs := make([]sim.Proc, n)
+	for v := range procs {
+		procs[v] = stepCounter{&steps}
+	}
+	if err := eng.Attach(procs); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rounds, err := eng.Run(1)
+	runtime.ReadMemStats(&after)
+	var rb *sim.RingBudgetError
+	if !errors.As(err, &rb) || !strings.Contains(err.Error(), fmt.Sprintf("on %d workers", workers)) {
+		t.Errorf("Run error %v, want a *RingBudgetError naming %d workers", err, workers)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+		t.Errorf("refusing the buckets allocated %d bytes", b)
+	}
+	if rounds != 0 || steps.Load() != 0 {
+		t.Errorf("Run executed %d rounds and %d Steps, want none", rounds, steps.Load())
 	}
 }
 

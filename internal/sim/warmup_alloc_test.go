@@ -4,11 +4,10 @@ package sim_test
 
 // Warm-up allocation gate for lockstep engines. Algorithm 2 and the
 // flood send at most one broadcast per round, a broadcast is one
-// 24-byte AllNeighbors entry, and a lockstep engine without a hook, a
-// capacity or a TickDriven proc delivers by pull: a sender's output
-// stays in its own outbox and each receiver builds its inbox in its
-// worker's reused buffer, so there are no inbox rows and no outbox
-// buckets to grow. What is left is one one-entry send buffer per tick
+// 24-byte AllNeighbors entry, and a lockstep engine without a hook or
+// a capacity delivers by pull: a sender's output stays in its own
+// outbox and each receiver builds its inbox in its worker's reused
+// buffer, so there are no inbox rows and no outbox buckets to grow. What is left is one one-entry send buffer per tick
 // parity, both carved from one slab. Growing buffers by doubling
 // instead cost 12 heap objects per vertex over a flood's first three
 // rounds, most of them garbage the collector marks at scale. The race
