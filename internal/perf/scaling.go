@@ -87,17 +87,17 @@ func NewLatticeFloodEngine(n, k, workers int) (*sim.Engine, error) {
 // vertices in the sparse virtual-time sweep: n=10^5 runs 100 concurrent
 // pulse/relay neighborhoods, while the other ~93% of each tick's rows
 // receive nothing and their relays' Steps return at once. Sources sit
-// 1000 apart and a TTL-2 pulse reaches ~2k hops (~8 ring
-// positions) to a side, so neighborhoods never overlap and traffic
-// stays evenly spread across the contiguous worker shards.
+// 1000 apart and a TTL-2 pulse reaches ~2k hops (~8 ring positions) to
+// a side, so neighborhoods never overlap and traffic stays evenly
+// spread across the contiguous worker shards.
 const scalingSourceSpacing = 1000
 
 // NewLatticeSparseEngine builds the multi-source sparse virtual-time
 // workload over the implicit ring lattice C_n^k: a pulse source every
 // scalingSourceSpacing vertices (Period 8, TTL 2), relays everywhere
-// else, uniform:1-4 jitter. Exported like
-// NewLatticeFloodEngine so the testing.B benchmarks can exercise the
-// exact workload the scaling lane records.
+// else, uniform:1-4 jitter. Exported like NewLatticeFloodEngine so the
+// testing.B benchmarks can exercise the exact workload the scaling lane
+// records.
 func NewLatticeSparseEngine(n, k, workers int) (*sim.Engine, error) {
 	lat, err := graph.NewRingLattice(n, k)
 	if err != nil {
