@@ -354,3 +354,88 @@ func TestSpamAdversaryStream(t *testing.T) {
 		}
 	}
 }
+
+// stopProc is a silent vertex whose counting outcome is fixed, and
+// plainProc a silent vertex without one.
+type stopProc struct{ decided bool }
+
+func (*stopProc) Step(*sim.Env, int, []sim.Incoming) []sim.Outgoing { return nil }
+func (*stopProc) Halted() bool                                      { return false }
+func (p *stopProc) Outcome() counting.Outcome                       { return counting.Outcome{Decided: p.decided} }
+
+type plainProc struct{}
+
+func (plainProc) Step(*sim.Env, int, []sim.Incoming) []sim.Outgoing { return nil }
+func (plainProc) Halted() bool                                      { return false }
+
+// TestDecidedStop pins the decided-fraction stop condition both run
+// bodies install: it fires once at least frac of the slots the
+// honesty predicate admits hold a decided Estimator, or when it admits
+// none. Slots it rejects count on neither side, and an admitted slot
+// without an Estimator counts in the total but is never decided.
+func TestDecidedStop(t *testing.T) {
+	// Slot kinds: 'D' decided, 'u' undecided, 'p' plain (no Estimator).
+	cases := []struct {
+		name   string
+		slots  string
+		honest string // 'h' marks the slots the predicate admits
+		frac   float64
+		want   bool
+	}{
+		{"no honest slot", "uuDD", "....", 1, true},
+		{"below the fraction", "DDuu", "hhhh", 0.75, false},
+		{"at the fraction", "DDDu", "hhhh", 0.75, true},
+		{"all decided at frac 1", "DDDD", "hhhh", 1, true},
+		{"rejected slots ignored", "DuDD", "hh..", 0.75, false},
+		{"rejected slots ignored, half decided", "DuDD", "hh..", 0.5, true},
+		{"plain slot counts in the total", "DDDp", "hhhh", 1, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lat, err := graph.NewRingLattice(len(c.slots), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs := make([]sim.Proc, len(c.slots))
+			for s, k := range c.slots {
+				procs[s] = &stopProc{decided: k == 'D'}
+				if k == 'p' {
+					procs[s] = plainProc{}
+				}
+			}
+			eng := sim.New(lat)
+			if err := eng.Attach(procs); err != nil {
+				t.Fatal(err)
+			}
+			stop := decidedStop(eng, c.frac, func(s int) bool { return c.honest[s] == 'h' })
+			if got := stop(0); got != c.want {
+				t.Errorf("slots %s, honest %s, frac %v: stop = %v, want %v", c.slots, c.honest, c.frac, got, c.want)
+			}
+		})
+	}
+	// The predicate is read at every poll, so a churning run's total
+	// follows the membership.
+	t.Run("membership follows the predicate", func(t *testing.T) {
+		lat, err := graph.NewRingLattice(4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.New(lat)
+		if err := eng.Attach([]sim.Proc{&stopProc{true}, &stopProc{true}, &stopProc{}, &stopProc{}}); err != nil {
+			t.Fatal(err)
+		}
+		alive := []bool{true, true, true, true}
+		stop := decidedStop(eng, 0.75, func(s int) bool { return alive[s] })
+		if stop(0) {
+			t.Error("2 of 4 decided fired at frac 0.75")
+		}
+		alive[3] = false
+		if stop(1) {
+			t.Error("2 of 3 decided fired at frac 0.75")
+		}
+		alive[2] = false
+		if !stop(2) {
+			t.Error("2 of 2 decided did not fire at frac 0.75")
+		}
+	})
+}

@@ -8,10 +8,12 @@ package sim_test
 // must agree under every delivery configuration, with Run split into
 // random chunks and the configuration switched between chunks (edge
 // capacity, a between-rounds hook, parallelism, a Detach/AttachAt
-// replacement). One of the hooks churns: at round boundaries it
-// detaches random vertices and attaches fresh plain and Sequential
-// programs in their place. After every chunk and every switch the
-// copies the engine holds in flight must number the reference's.
+// replacement), and with and without inbox and outbox reservations
+// (ReserveInbox, ReserveOutbox) grown between chunks while copies are
+// in flight. One of the hooks churns: at round boundaries it detaches
+// random vertices and attaches fresh plain and Sequential programs in
+// their place. After every chunk and every switch the copies the
+// engine holds in flight must number the reference's.
 
 import (
 	"fmt"
@@ -279,6 +281,8 @@ type oracleRun struct {
 	churn   *xrand.Rand
 	replay  []churnStep
 	churned int
+	// reserved counts the reservations made with copies in flight.
+	reserved int
 }
 
 // churnStep is one replacement made by the engine's hook, which the
@@ -393,28 +397,31 @@ func TestOracleMatchesEngine(t *testing.T) {
 		{"", "", 150, 0, false}, {"uniform:1-2", "", 0, 250, false}, {"uniform:1-2", "", 0, 0, true},
 	}
 	var seen sim.Metrics // sums over all cases, to check what they reached
-	churned, kept := 0, 0
+	churned, kept, reserved := 0, 0, 0
 	for gseed := uint64(1); gseed <= 4; gseed++ {
 		rng := xrand.New(7000 + gseed)
 		n := 16 + rng.Intn(25)
 		g := oracleGraph(n, rng)
 		for ci, c := range configs {
 			for _, workers := range workerCounts {
-				seed := 100*gseed + uint64(ci)
-				name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/halt=%d/flood=%v/workers=%d", gseed, n, c.delay, c.fault, c.capBits, c.halt, c.flood, workers)
-				t.Run(name, func(t *testing.T) {
-					m, o := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, c.halt, c.flood, workers)
-					churned += o.churned
-					kept += o.ref.kept
-					seen.Violations += m.Violations
-					seen.Capped += m.Capped
-					seen.Dropped += m.Dropped
-				})
+				for _, reserve := range []bool{false, true} {
+					seed := 100*gseed + uint64(ci)
+					name := fmt.Sprintf("g%d/n=%d/%q/%q/cap=%d/halt=%d/flood=%v/workers=%d/reserve=%v", gseed, n, c.delay, c.fault, c.capBits, c.halt, c.flood, workers, reserve)
+					t.Run(name, func(t *testing.T) {
+						m, o := oracleCase(t, g, seed, c.delay, c.fault, c.capBits, c.halt, c.flood, workers, reserve)
+						churned += o.churned
+						kept += o.ref.kept
+						reserved += o.reserved
+						seen.Violations += m.Violations
+						seen.Capped += m.Capped
+						seen.Dropped += m.Dropped
+					})
+				}
 			}
 		}
 	}
-	if seen.Violations == 0 || seen.Capped == 0 || seen.Dropped == 0 || churned == 0 || kept == 0 {
-		t.Errorf("the cases never reached one of violations, capping, drops, hook churn and a run kept going by it: %+v, %d replacements, %d rounds kept", seen, churned, kept)
+	if seen.Violations == 0 || seen.Capped == 0 || seen.Dropped == 0 || churned == 0 || kept == 0 || reserved == 0 {
+		t.Errorf("the cases never reached one of violations, capping, drops, hook churn, a run kept going by it and a reservation with copies in flight: %+v, %d replacements, %d rounds kept, %d reservations", seen, churned, kept, reserved)
 	}
 }
 
@@ -422,8 +429,11 @@ func TestOracleMatchesEngine(t *testing.T) {
 // and compares the engine with the reference; it returns the engine's
 // metrics and the case's state. A nonzero halt is every program's
 // per-mille chance to halt at a step, and with flood every program
-// floods.
-func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, halt int, flood bool, workers int) (sim.Metrics, *oracleRun) {
+// floods. With reserve the engine reserves inbox and outbox capacity
+// before the first Run and, at about half the switches, more than it
+// reserved before, so rows and buckets holding copies are regrown; a
+// reservation must change no delivery, metric or copy in flight.
+func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec string, capBits, halt int, flood bool, workers int, reserve bool) (sim.Metrics, *oracleRun) {
 	delay, err := sim.ParseDelayModel(delaySpec)
 	if err != nil {
 		t.Fatal(err)
@@ -461,6 +471,13 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 	ref := newRefEngine(g, seed, ids, refProcs)
 	ref.delay, ref.fault, ref.capBits = delay, fault, capBits
 	o.ref = ref
+	// The reservations draw from their own stream, so a case's chunks,
+	// switches and programs are the same with reserve and without.
+	res, per := xrand.New(seed).Split("reserve"), 1
+	if reserve {
+		eng.ReserveInbox(per)
+		eng.ReserveOutbox(per)
+	}
 	for left := 40; left > 0; {
 		chunk := 1 + rng.Intn(min(left, 12))
 		left -= chunk
@@ -478,6 +495,15 @@ func oracleCase(t *testing.T, g *graph.Graph, seed uint64, delaySpec, faultSpec 
 		o.switchConfig(kind)
 		if got, want := eng.InFlight(), len(ref.flight); got != want {
 			t.Fatalf("after configuration switch %d: %d copies in flight, reference %d", kind, got, want)
+		}
+		if reserve && res.Intn(2) == 0 {
+			per += 3
+			eng.ReserveInbox(per)
+			eng.ReserveOutbox(per)
+			o.reserved += boolInt(len(ref.flight) > 0)
+			if got, want := eng.InFlight(), len(ref.flight); got != want {
+				t.Fatalf("after reserving %d copies a row and a bucket: %d copies in flight, reference %d", per, got, want)
+			}
 		}
 	}
 	if len(o.replay) > 0 {
